@@ -110,12 +110,14 @@
 //	stats, err := eng.Apply(b) // stats.Epoch, stats.RefloodedNodes, ...; err is
 //	                           // always nil unless a write-ahead log is attached
 //
-// Apply merges the batch into the current packed snapshot in one sweep
-// over the CSR arrays (no round-trip through the map-backed Graph),
-// maintains the connected-component partition incrementally — insertions
-// union components in near-constant time, and only components that
-// actually lost an edge are re-flooded — and publishes the result as the
-// next graph version with an atomic pointer swap. Within a batch the last
+// Apply merges the batch into the current packed snapshot by a span copy
+// of the CSR arrays: only the rows the batch touches are re-merged, the
+// runs of untouched rows between them move in bulk, and nothing
+// round-trips through the map-backed Graph. It maintains the
+// connected-component partition incrementally — insertions union
+// components in near-constant time, and only components that actually
+// lost an edge are re-flooded — and publishes the result as the next
+// graph version with an atomic pointer swap. Within a batch the last
 // op on an edge wins; removing an absent edge is a no-op; endpoints past
 // the node count (and AddNode) grow the graph; setting a non-unit weight
 // on an unweighted graph upgrades it to weighted.

@@ -106,10 +106,12 @@ type ApplyStats struct {
 // while flights for touched components publish under the superseded
 // version, unreachable by post-swap lookups.
 //
-// Cost: the merge is one sweep over the packed arrays (O(V+E) for the
-// whole snapshot, independent of batch size), and component maintenance
-// is incremental — insertions union in near-constant time, and only
-// components that lost an edge are re-flooded.
+// Cost: the merge re-merges only the rows the batch touches and moves the
+// rest of the packed arrays with bulk copies (one memmove of the snapshot,
+// no per-edge work outside touched rows), and component maintenance is
+// incremental — insertions union in near-constant time, only components
+// that lost an edge are re-flooded, and the member lists are refilled
+// into one flat array. See graph.MergeCSR for the cost model.
 //
 // On an engine opened through OpenDurable, the batch is appended to the
 // write-ahead log BEFORE the snapshot is published, and an append
@@ -136,7 +138,7 @@ func (e *Engine) Apply(b Batch) (ApplyStats, error) {
 	csr, info := graph.MergeCSR(cur.csr, b.ops)
 	if info.NodesAdded == 0 && len(info.Inserted) == 0 && len(info.Removed) == 0 && info.WeightsChanged == 0 {
 		// Every op normalized away (removes of absent edges, re-adds of
-		// existing ones): the merged graph is bit-identical, so keep the
+		// existing ones): MergeCSR handed cur.csr itself back, so keep the
 		// current version and its warm result/sub-CSR caches. Nothing is
 		// logged either — ineffective batches do not consume an epoch, so
 		// the log's epoch sequence stays dense and replayable.

@@ -11,6 +11,7 @@ import (
 
 	"dmcs/internal/dmcs"
 	"dmcs/internal/graph"
+	"dmcs/internal/wal"
 )
 
 // serialOn computes the reference answer for q against one captured
@@ -90,9 +91,14 @@ func TestApplyPublishesNewVersion(t *testing.T) {
 }
 
 // TestApplyNoOpBatchKeepsVersion: a batch whose ops normalize to nothing
-// (and an empty batch) must not bump the epoch or cold-start the caches.
+// (and an empty batch) must not bump the epoch, cold-start the caches,
+// build a successor CSR, or reach the write-ahead log.
 func TestApplyNoOpBatchKeepsVersion(t *testing.T) {
-	e := New(smallQueryEngineGraph(2, 40), Options{})
+	e, _, err := OpenDurable(smallQueryEngineGraph(2, 40), wal.Options{Dir: t.TempDir(), Policy: wal.SyncAlways}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.CloseWAL()
 	ctx := context.Background()
 	q := Query{Nodes: []graph.Node{0}}
 	warm, err := e.Search(ctx, q)
@@ -106,8 +112,18 @@ func TestApplyNoOpBatchKeepsVersion(t *testing.T) {
 	b.RemoveEdge(0, 2) // absent (the fixture has no (i, i+2) chord)
 	b.AddEdge(0, 1)    // present with weight 1 already
 	b.AddNode(5)       // node exists
-	if st, _ := e.Apply(b); st.Epoch != 0 {
-		t.Fatalf("fully-no-op batch bumped epoch to %d", st.Epoch)
+	before := e.Snapshot()
+	if merged, _ := graph.MergeCSR(before.CSR(), b.ops); merged != before.CSR() {
+		t.Fatal("MergeCSR built a successor CSR for a batch that normalizes to nothing")
+	}
+	if st, err := e.Apply(b); err != nil || st.Epoch != 0 {
+		t.Fatalf("fully-no-op batch: epoch %d, err %v", st.Epoch, err)
+	}
+	if after := e.Snapshot(); after != before || after.CSR() != before.CSR() {
+		t.Fatal("no-op Apply published a new snapshot")
+	}
+	if got := e.wal.AppendedEpoch(); got != 0 {
+		t.Fatalf("no-op Apply appended to the WAL (epoch %d)", got)
 	}
 	again, err := e.Search(ctx, q)
 	if err != nil {

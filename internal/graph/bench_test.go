@@ -108,3 +108,71 @@ func BenchmarkSubCSRExtract(b *testing.B) {
 		a.ExtractSub(i%2, csr, comp)
 	}
 }
+
+// applyBenchFixture is a snapshot shaped like the serving benchmark's:
+// 256 ring+chord islands of 64 nodes and one 16384-node component, 32768
+// nodes in 257 components. The returned batches toggle the same 8 chords
+// of one island off and on again, so chained merges return to the start.
+func applyBenchFixture() (*CSR, [2][]Delta) {
+	const islands, size, whale = 256, 64, 16384
+	rng := rand.New(rand.NewSource(5))
+	b := NewBuilder(islands*size + whale)
+	for base := 0; base < islands*size; base += size {
+		for i := 0; i < size; i++ {
+			b.AddEdge(Node(base+i), Node(base+(i+1)%size))
+			b.AddEdge(Node(base+i), Node(base+(i+7)%size))
+		}
+	}
+	for i := 1; i < whale; i++ {
+		u := islands*size + i
+		b.AddEdge(Node(u), Node(islands*size+rng.Intn(i)))
+		for k := 0; k < 10; k++ {
+			b.AddEdge(Node(u), Node(islands*size+rng.Intn(whale)))
+		}
+	}
+	var batches [2][]Delta
+	for k := 0; k < 8; k++ {
+		u := Node(100*size + 5*k)
+		batches[0] = append(batches[0], Delta{Op: DeltaRemoveEdge, U: u, V: u + 7})
+		batches[1] = append(batches[1], Delta{Op: DeltaAddEdge, U: u, V: u + 7})
+	}
+	return NewCSR(b.Build()), batches
+}
+
+// BenchmarkMergeCSRSparseBatch measures an 8-edge batch merged into a
+// 32k-node snapshot: two dozen touched rows, everything else span-copied.
+func BenchmarkMergeCSRSparseBatch(b *testing.B) {
+	c, batches := applyBenchFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, _ = MergeCSR(c, batches[i%2])
+	}
+}
+
+// BenchmarkUpdateComponents measures the partition update after the same
+// batches: one island re-flooded on a removal, 256 components carried.
+func BenchmarkUpdateComponents(b *testing.B) {
+	c, batches := applyBenchFixture()
+	// The two batches toggle between two graphs; step[k] is the update that
+	// leaves graph k for the other one.
+	type step struct {
+		next     *CSR
+		info     *MergeInfo
+		compID   []int32
+		numComps int
+	}
+	var steps [2]step
+	for k := range steps {
+		compID, comps := floodComponents(c)
+		next, info := MergeCSR(c, batches[k])
+		steps[k] = step{next, info, compID, len(comps)}
+		c = next
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &steps[i%2]
+		UpdateComponents(s.next, s.compID, s.numComps, s.info)
+	}
+}

@@ -4,11 +4,23 @@ import "slices"
 
 // This file is the dynamic-graph substrate: applying a batch of edge/node
 // mutations to a packed CSR snapshot produces the next snapshot by a
-// single merge sweep over the packed arrays — the same relabelling-free,
+// span-copy merge over the packed arrays — the same relabelling-free,
 // order-preserving style as SubCSR extraction — instead of round-tripping
-// through the map-backed Graph. The component partition is maintained
-// incrementally on top: insertions union existing components, and only
-// components that actually lost an edge are re-flooded.
+// through the map-backed Graph. Only the rows a batch touches are
+// re-merged entry by entry; every run of untouched rows between them moves
+// with one bulk copy. The component partition is maintained incrementally
+// on top: insertions union existing components, and only components that
+// actually lost an edge are re-flooded.
+//
+// Cost of one batch on an n-node, m-edge snapshot with k components:
+// MergeCSR computes O(b log b + Σ deg of touched rows) for b ops, plus one
+// memmove of the packed arrays (targets, weights, wdeg) and a constant-shift
+// rewrite of the n offsets; a weighted snapshot additionally re-sums w_G in
+// one tight pass over the packed weights, because float addition is
+// order-sensitive and the sum must visit every term in NewCSR's order.
+// UpdateComponents computes O(b + k) on the group forest plus the re-flood
+// of components that lost an edge, then labels the n nodes and lays the
+// member lists out in three closure-free passes over flat arrays.
 
 // DeltaOp enumerates the mutation kinds a Delta can carry.
 type DeltaOp uint8
@@ -55,15 +67,6 @@ type MergeInfo struct {
 	NodesAdded     int       // node-count growth (explicit and implicit)
 }
 
-// edgeState tracks one touched edge through batch normalization: its
-// state in the source snapshot and its final state after the last op.
-type edgeState struct {
-	existed bool
-	oldW    float64
-	present bool
-	w       float64
-}
-
 // edgeWeightOf returns the weight of edge (u,v) in the snapshot and
 // whether the edge exists (binary search over the sorted packed adjacency).
 func (c *CSR) edgeWeightOf(u, v Node) (float64, bool) {
@@ -99,14 +102,49 @@ func (c *CSR) HasEdge(u, v Node) bool {
 	return ok
 }
 
+// edgeEdit is one edge op of a batch, reduced to the state it leaves the
+// edge in. Edits are stably sorted by (u, v), so the last edit of each
+// edge — the one that wins — closes its group.
+type edgeEdit struct {
+	u, v    Node // u < v
+	w       float64
+	present bool
+}
+
+// dirKind says what a dirOp does to its row.
+type dirKind uint8
+
+const (
+	dirInsert   dirKind = iota // dst absent from the row: emit it
+	dirDelete                  // dst present in the row: drop it
+	dirReweight                // dst present in the row: re-emit with the new weight
+)
+
+// dirOp is one directed half of an edge whose final state differs from
+// the snapshot; sorted by (src, dst) they drive the per-row merge.
+type dirOp struct {
+	src, dst Node
+	w        float64
+	kind     dirKind
+}
+
 // MergeCSR applies a batch of deltas to c and returns the merged snapshot
 // plus the normalized residue of the batch. c itself is never modified —
 // readers holding it keep a consistent view — and the merge runs entirely
-// on the packed arrays: one sweep interleaves each node's old adjacency
-// with its sorted per-node ops, recomputing the weighted-degree and
-// total-weight aggregates in the same ascending-node, ascending-neighbor
-// order as NewCSR, so scores computed on the merged snapshot are
-// bit-identical to a from-scratch pack of the same graph.
+// on the packed arrays as a span copy: the rows the residue touches are
+// visited in ascending order and each is re-merged with its sorted ops,
+// while every run of untouched rows between them is moved by one bulk copy
+// of targets/weights/wdeg and a constant shift of its offsets. A batch
+// whose residue is empty and that adds no node returns c itself.
+//
+// The result is bit-identical to a from-scratch NewCSR pack of the same
+// graph. An untouched row keeps its entries, and its wdeg is the sum NewCSR
+// would form from the same weights in the same order (the plain degree,
+// exactly, when every weight is 1 — which also covers rows carried across
+// the unweighted→weighted transition). A touched row's wdeg is re-summed
+// in ascending-neighbor order. w_G is the edge count on an unweighted
+// result and is otherwise re-summed over the merged arrays in NewCSR's
+// ascending-node, ascending-neighbor order.
 //
 // Semantics per edge (u ≠ v; self-loops are ignored like Builder.AddEdge):
 // the batch is normalized last-wins, then inserts add the edge with the
@@ -118,7 +156,7 @@ func (c *CSR) HasEdge(u, v Node) bool {
 func MergeCSR(c *CSR, ops []Delta) (*CSR, *MergeInfo) {
 	oldN := c.NumNodes()
 	newN := oldN
-	touched := make(map[[2]Node]*edgeState, len(ops))
+	edits := make([]edgeEdit, 0, len(ops))
 	for _, d := range ops {
 		if d.Op == DeltaAddNode {
 			if int(d.U)+1 > newN && d.U >= 0 {
@@ -136,53 +174,58 @@ func MergeCSR(c *CSR, ops []Delta) (*CSR, *MergeInfo) {
 		if d.Op != DeltaRemoveEdge && int(v)+1 > newN {
 			newN = int(v) + 1
 		}
-		key := [2]Node{u, v}
-		s := touched[key]
-		if s == nil {
-			s = &edgeState{}
-			if w, ok := c.edgeWeightOf(u, v); ok {
-				s.existed, s.oldW, s.present, s.w = true, w, true, w
-			}
-			touched[key] = s
-		}
+		e := edgeEdit{u: u, v: v}
 		switch d.Op {
 		case DeltaAddEdge:
-			w := d.W
-			if w == 0 {
-				w = 1
+			e.present, e.w = true, d.W
+			if e.w == 0 {
+				e.w = 1
 			}
-			s.present, s.w = true, w
 		case DeltaSetWeight:
-			s.present, s.w = true, d.W
+			e.present, e.w = true, d.W
 		case DeltaRemoveEdge:
-			s.present = false
+		default:
+			continue // unknown op: the edge keeps whatever state it has
 		}
+		edits = append(edits, e)
 	}
+	slices.SortStableFunc(edits, func(a, b edgeEdit) int {
+		if a.u != b.u {
+			return int(a.u - b.u)
+		}
+		return int(a.v - b.v)
+	})
 
+	// Only edges whose final state differs from the snapshot leave a trace:
+	// an entry in the residue (already sorted, since edits are) and two
+	// directed ops for the row merge.
 	info := &MergeInfo{NodesAdded: newN - oldN}
-	// Directed op entries drive the per-node merge; only edges whose final
-	// state differs from the snapshot produce any.
-	type dirOp struct {
-		src, dst Node
-		w        float64
-		del      bool // final state absent (only for previously-present edges)
-		ins      bool // final state present, previously absent
-	}
-	var dir []dirOp
-	for key, s := range touched {
-		u, v := key[0], key[1]
+	dir := make([]dirOp, 0, 2*len(edits))
+	for i, e := range edits {
+		if i+1 < len(edits) && edits[i+1].u == e.u && edits[i+1].v == e.v {
+			continue // a later op on the same edge wins
+		}
+		key := [2]Node{e.u, e.v}
+		oldW, existed := c.edgeWeightOf(e.u, e.v)
+		var kind dirKind
 		switch {
-		case s.present && !s.existed:
+		case e.present && !existed:
 			info.Inserted = append(info.Inserted, key)
-			dir = append(dir, dirOp{u, v, s.w, false, true}, dirOp{v, u, s.w, false, true})
-		case !s.present && s.existed:
+			kind = dirInsert
+		case !e.present && existed:
 			info.Removed = append(info.Removed, key)
-			dir = append(dir, dirOp{src: u, dst: v, del: true}, dirOp{src: v, dst: u, del: true})
-		case s.present && s.existed && s.w != s.oldW:
+			kind = dirDelete
+		case e.present && existed && e.w != oldW:
 			info.WeightEdges = append(info.WeightEdges, key)
 			info.WeightsChanged++
-			dir = append(dir, dirOp{src: u, dst: v, w: s.w}, dirOp{src: v, dst: u, w: s.w})
+			kind = dirReweight
+		default:
+			continue
 		}
+		dir = append(dir, dirOp{e.u, e.v, e.w, kind}, dirOp{e.v, e.u, e.w, kind})
+	}
+	if len(dir) == 0 && newN == oldN {
+		return c, info
 	}
 	slices.SortFunc(dir, func(a, b dirOp) int {
 		if a.src != b.src {
@@ -190,93 +233,114 @@ func MergeCSR(c *CSR, ops []Delta) (*CSR, *MergeInfo) {
 		}
 		return int(a.dst - b.dst)
 	})
-	slices.SortFunc(info.Inserted, cmpEdge)
-	slices.SortFunc(info.Removed, cmpEdge)
-	slices.SortFunc(info.WeightEdges, cmpEdge)
 
 	weighted := c.weights != nil
-	if !weighted {
-		for _, s := range touched {
-			if s.present && s.w != 1 {
-				weighted = true
-				break
-			}
-		}
+	for i := 0; !weighted && i < len(dir); i++ {
+		weighted = dir[i].kind != dirDelete && dir[i].w != 1
 	}
-
+	total := len(c.targets) + 2*(len(info.Inserted)-len(info.Removed))
 	m := &CSR{
 		offsets: make([]int32, newN+1),
-		targets: make([]Node, 0, len(c.targets)+2*(len(info.Inserted)-len(info.Removed))),
+		targets: make([]Node, total),
 		wdeg:    make([]float64, newN),
 	}
 	if weighted {
-		m.weights = make([]float64, 0, cap(m.targets))
+		m.weights = make([]float64, total)
 	}
-	di := 0 // cursor into dir
-	for u := 0; u < newN; u++ {
-		m.offsets[u] = int32(len(m.targets))
-		var adj []Node
-		var ws []float64
+	pos, row := 0, 0 // write cursor into the packed arrays; first row not yet emitted
+	for di := 0; di < len(dir); {
+		u := int(dir[di].src)
+		pos = m.copyRows(c, pos, row, u)
+		m.offsets[u] = int32(pos)
+		var lo, hi int32 // u's not yet merged old entries; none for a new node
 		if u < oldN {
-			adj = c.Neighbors(Node(u))
-			ws = c.NeighborWeights(Node(u))
+			lo, hi = c.offsets[u], c.offsets[u+1]
 		}
-		ai := 0
-		emit := func(v Node, w float64) {
-			m.targets = append(m.targets, v)
-			if weighted {
-				m.weights = append(m.weights, w)
-			}
-			m.wdeg[u] += w
-			if Node(u) < v {
-				m.totalW += w
-			}
-		}
-		oldWeightAt := func(i int) float64 {
-			if ws == nil {
-				return 1
-			}
-			return ws[i]
-		}
-		for di < len(dir) && dir[di].src == Node(u) {
+		for ; di < len(dir) && int(dir[di].src) == u; di++ {
 			op := dir[di]
-			for ai < len(adj) && adj[ai] < op.dst {
-				emit(adj[ai], oldWeightAt(ai))
-				ai++
+			run := lo
+			for run < hi && c.targets[run] < op.dst {
+				run++
 			}
-			switch {
-			case op.del:
-				// op.dst is present in adj here; skip it.
-				ai++
-			case op.ins:
-				emit(op.dst, op.w)
-			default: // weight update in place
-				emit(op.dst, op.w)
-				ai++
+			pos = m.copyRun(c, pos, lo, run)
+			lo = run
+			if op.kind != dirInsert {
+				lo++ // op.dst sits at run: dropped, or re-emitted below
 			}
-			di++
+			if op.kind != dirDelete {
+				m.targets[pos] = op.dst
+				if weighted {
+					m.weights[pos] = op.w
+				}
+				pos++
+			}
 		}
-		for ; ai < len(adj); ai++ {
-			emit(adj[ai], oldWeightAt(ai))
+		pos = m.copyRun(c, pos, lo, hi)
+		start := int(m.offsets[u])
+		if weighted {
+			for _, w := range m.weights[start:pos] {
+				m.wdeg[u] += w
+			}
+		} else {
+			m.wdeg[u] = float64(pos - start)
 		}
+		row = u + 1
 	}
-	m.offsets[newN] = int32(len(m.targets))
+	pos = m.copyRows(c, pos, row, newN)
+	m.offsets[newN] = int32(pos)
+
 	if !weighted {
-		// Unweighted aggregates are exact counts; keep them in the same
-		// form NewCSR produces.
-		for u := range m.wdeg {
-			m.wdeg[u] = float64(m.Degree(Node(u)))
-		}
 		m.totalW = float64(m.NumEdges())
+		return m, info
+	}
+	for u := 0; u < newN; u++ {
+		lo, hi := m.offsets[u], m.offsets[u+1]
+		for i, v := range m.targets[lo:hi] {
+			if Node(u) < v {
+				m.totalW += m.weights[int(lo)+i]
+			}
+		}
 	}
 	return m, info
 }
 
-func cmpEdge(a, b [2]Node) int {
-	if a[0] != b[0] {
-		return int(a[0] - b[0])
+// copyRows emits the untouched rows [from,to) at packed position pos and
+// returns the position after them: rows of c move as one span — a bulk
+// copy of their entries and wdeg, their offsets shifted by a constant —
+// and rows beyond c's node count are new isolated nodes.
+func (m *CSR) copyRows(c *CSR, pos, from, to int) int {
+	if end := min(to, c.NumNodes()); from < end {
+		lo, hi := c.offsets[from], c.offsets[end]
+		shift := int32(pos) - lo
+		for i, o := range c.offsets[from:end] {
+			m.offsets[from+i] = o + shift
+		}
+		copy(m.wdeg[from:end], c.wdeg[from:end])
+		pos = m.copyRun(c, pos, lo, hi)
+		from = end
 	}
-	return int(a[1] - b[1])
+	for ; from < to; from++ {
+		m.offsets[from] = int32(pos)
+	}
+	return pos
+}
+
+// copyRun copies c's packed entries [lo,hi) to position pos of m —
+// targets always, weights when m carries them (ones where c does not) —
+// and returns the position after the run.
+func (m *CSR) copyRun(c *CSR, pos int, lo, hi int32) int {
+	n := copy(m.targets[pos:], c.targets[lo:hi])
+	if m.weights != nil {
+		if c.weights != nil {
+			copy(m.weights[pos:], c.weights[lo:hi])
+		} else {
+			ws := m.weights[pos : pos+n]
+			for i := range ws {
+				ws[i] = 1
+			}
+		}
+	}
+	return pos + n
 }
 
 // UpdateComponents maintains the connected-component partition across one
@@ -293,7 +357,9 @@ func cmpEdge(a, b [2]Node) int {
 //
 // The returned partition is in canonical form: component ids are assigned
 // in first-seen ascending-node order and each member list is sorted, the
-// same invariants a from-scratch flood produces.
+// same invariants a from-scratch flood produces. The member lists are
+// sub-slices of one backing array, each capped at its own length, so an
+// append to one can never write into its neighbour.
 //
 // carried maps each new component id to the old component id it is a
 // verbatim continuation of, or -1. carried[id] == r guarantees that new
@@ -310,13 +376,6 @@ func UpdateComponents(c *CSR, oldCompID []int32, numOldComps int, info *MergeInf
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
 	groupOf := func(u Node) int32 {
 		if int(u) < oldN {
 			return oldCompID[u]
@@ -324,10 +383,15 @@ func UpdateComponents(c *CSR, oldCompID []int32, numOldComps int, info *MergeInf
 		return int32(numOldComps + int(u) - oldN)
 	}
 	for _, e := range info.Inserted {
-		ru, rv := find(groupOf(e[0])), find(groupOf(e[1]))
+		ru, rv := findRoot(parent, groupOf(e[0])), findRoot(parent, groupOf(e[1]))
 		if ru != rv {
 			parent[rv] = ru
 		}
+	}
+	// Resolve every group's root once, so the per-node passes below read
+	// parent as a flat group -> root table.
+	for g := range parent {
+		parent[g] = findRoot(parent, int32(g))
 	}
 	// Mark after all unions so the dirty bit lands on the final root: a
 	// removal inside a group that an insertion also merged must dirty the
@@ -338,78 +402,114 @@ func UpdateComponents(c *CSR, oldCompID []int32, numOldComps int, info *MergeInf
 	dirty := make([]bool, groups)
 	touched := make([]bool, groups)
 	for _, e := range info.Inserted {
-		touched[find(groupOf(e[0]))] = true
+		touched[parent[groupOf(e[0])]] = true
 	}
 	for _, e := range info.Removed {
-		r := find(groupOf(e[0]))
+		r := parent[groupOf(e[0])]
 		dirty[r] = true
 		touched[r] = true
 	}
 	for _, e := range info.WeightEdges {
-		touched[find(groupOf(e[0]))] = true
+		touched[parent[groupOf(e[0])]] = true
 	}
 
-	// Provisional component ids: clean merged groups keep their root id;
-	// dirty groups are re-flooded into fresh ids starting at groups. Edges
-	// of the merged snapshot never cross group boundaries (kept edges stay
-	// within an old component, inserted edges were unioned), so each flood
-	// is confined to its dirty group by construction.
-	prov := make([]int32, n)
-	for i := range prov {
-		prov[i] = -1
+	// Provisional component ids, written straight into compID: every node
+	// starts at its group's root; dirty groups are then re-flooded into
+	// fresh ids starting at groups. Edges of the merged snapshot never
+	// cross group boundaries (kept edges stay within an old component,
+	// inserted edges were unioned), so each flood is confined to its dirty
+	// group by construction and a neighbour still labelled with the root is
+	// exactly one the flood has not reached.
+	compID = make([]int32, n)
+	for u, g := range oldCompID {
+		compID[u] = parent[g]
+	}
+	for u := oldN; u < n; u++ {
+		compID[u] = parent[numOldComps+u-oldN]
 	}
 	next := int32(groups)
-	var queue []Node
-	for u := 0; u < n; u++ {
-		if prov[u] != -1 {
-			continue
-		}
-		r := find(groupOf(Node(u)))
-		if !dirty[r] {
-			prov[u] = r
-			continue
-		}
-		id := next
-		next++
-		prov[u] = id
-		refloodedNodes++
-		queue = append(queue[:0], Node(u))
-		for head := 0; head < len(queue); head++ {
-			for _, w := range c.Neighbors(queue[head]) {
-				if prov[w] == -1 {
-					prov[w] = id
-					refloodedNodes++
-					queue = append(queue, w)
+	if len(info.Removed) > 0 {
+		var queue []Node
+		for u := 0; u < n; u++ {
+			r := compID[u]
+			if r >= int32(groups) || !dirty[r] {
+				continue
+			}
+			compID[u] = next
+			queue = append(queue[:0], Node(u))
+			for head := 0; head < len(queue); head++ {
+				for _, w := range c.Neighbors(queue[head]) {
+					if compID[w] == r {
+						compID[w] = next
+						queue = append(queue, w)
+					}
 				}
 			}
+			refloodedNodes += len(queue)
+			next++
 		}
 	}
 
-	// Renumber provisional ids into first-seen ascending-node order;
-	// member lists come out sorted for free.
-	table := make([]int32, next)
-	for i := range table {
-		table[i] = -1
-	}
-	compID = make([]int32, n)
-	for u := 0; u < n; u++ {
-		p := prov[u]
-		if table[p] == -1 {
-			table[p] = int32(len(comps))
-			comps = append(comps, nil)
-			// A carried component is a clean untouched old group: its
-			// provisional id is still an old root (< numOldComps), nothing
-			// was unioned into it (that would have marked it touched), and
-			// none of its edges changed.
+	// Renumber provisional ids into first-seen ascending-node order and
+	// count each component's members. Both this pass and the fill below
+	// advance by runs of consecutive nodes with the same id — components
+	// are mostly contiguous id ranges, and a per-node counter increment
+	// would serialise on the one counter a run keeps hitting. A carried
+	// component is a clean untouched old group: its provisional id is still
+	// an old root (< numOldComps), nothing was unioned into it (that would
+	// have marked it touched), and none of its edges changed.
+	table := make([]int32, next) // provisional id -> canonical id + 1; 0 = unseen
+	ends := make([]int32, next)  // canonical id -> member count, then fill cursor
+	carried = make([]int32, 0, next)
+	for u := 0; u < n; {
+		p := compID[u]
+		id := table[p] - 1
+		if id < 0 {
+			id = int32(len(carried))
+			table[p] = id + 1
 			if p < int32(numOldComps) && !touched[p] {
 				carried = append(carried, p)
 			} else {
 				carried = append(carried, -1)
 			}
 		}
-		id := table[p]
-		compID[u] = id
-		comps[id] = append(comps[id], Node(u))
+		run := u
+		for ; u < n && compID[u] == p; u++ {
+			compID[u] = id
+		}
+		ends[id] += int32(u - run)
+	}
+
+	// Lay the member lists out in one backing array: turn the counts into
+	// start cursors, then drop each run of nodes at its component's cursor
+	// — ascending u, so every list comes out sorted.
+	comps = make([][]Node, len(carried))
+	members := make([]Node, n)
+	start := int32(0)
+	for id := range comps {
+		size := ends[id]
+		ends[id] = start
+		start += size
+		comps[id] = members[start-size : start : start]
+	}
+	for u := 0; u < n; {
+		id := compID[u]
+		at := ends[id]
+		for ; u < n && compID[u] == id; u++ {
+			members[at] = Node(u)
+			at++
+		}
+		ends[id] = at
 	}
 	return compID, comps, carried, refloodedNodes
+}
+
+// findRoot returns the root of x in the union-find forest parent, halving
+// the path on the way.
+func findRoot(parent []int32, x int32) int32 {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
 }

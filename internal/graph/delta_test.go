@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -61,7 +63,6 @@ func (r *refModel) apply(ops []Delta) {
 // explicit weights; a model whose weights are all 1 builds unweighted,
 // matching MergeCSR's becomes-weighted rule.
 func (r *refModel) build() *CSR {
-	b := NewBuilder(r.n)
 	weighted := false
 	for _, w := range r.edges {
 		if w != 1 {
@@ -69,6 +70,15 @@ func (r *refModel) build() *CSR {
 			break
 		}
 	}
+	return r.buildAs(weighted)
+}
+
+// buildAs packs the reference model with an explicit weighted flag:
+// MergeCSR's weightedness is sticky (a weighted snapshot never reverts,
+// even if every weight drifts back to 1), which build's all-ones
+// inference cannot express.
+func (r *refModel) buildAs(weighted bool) *CSR {
+	b := NewBuilder(r.n)
 	for e, w := range r.edges {
 		if weighted {
 			b.SetWeight(e[0], e[1], w)
@@ -435,5 +445,246 @@ func TestUpdateComponentsCarried(t *testing.T) {
 	}
 	if carriedCount != 4 { // path, triangle, pair 8-9, singleton 10
 		t.Fatalf("carried = %v, want exactly 4 carried components", carried)
+	}
+}
+
+// csrBitsEqual is csrEqual with every float compared by bit pattern, so a
+// -0 for a +0 or a differently rounded sum cannot pass as equal.
+func csrBitsEqual(t *testing.T, got, want *CSR) {
+	t.Helper()
+	csrEqual(t, got, want)
+	for i := range want.weights {
+		if math.Float64bits(got.weights[i]) != math.Float64bits(want.weights[i]) {
+			t.Fatalf("weights[%d] = %v, want %v (bits differ)", i, got.weights[i], want.weights[i])
+		}
+	}
+	for u := range want.wdeg {
+		if math.Float64bits(got.wdeg[u]) != math.Float64bits(want.wdeg[u]) {
+			t.Fatalf("wdeg[%d] = %v, want %v (bits differ)", u, got.wdeg[u], want.wdeg[u])
+		}
+	}
+	if math.Float64bits(got.totalW) != math.Float64bits(want.totalW) {
+		t.Fatalf("totalW = %v, want %v (bits differ)", got.totalW, want.totalW)
+	}
+}
+
+// islandGraph builds n nodes as rings of island consecutive nodes with a
+// few random chords each: many components, and long runs of rows that a
+// sparse batch leaves untouched.
+func islandGraph(rng *rand.Rand, n, island int, weighted bool) *Graph {
+	b := NewBuilder(n)
+	add := func(u, v int) {
+		if weighted {
+			b.SetWeight(Node(u), Node(v), 0.25+3*rng.Float64())
+		} else {
+			b.AddEdge(Node(u), Node(v))
+		}
+	}
+	for base := 0; base < n; base += island {
+		size := min(island, n-base)
+		for i := 0; i+1 < size; i++ {
+			add(base+i, base+i+1)
+		}
+		if size > 2 {
+			add(base, base+size-1)
+		}
+		for k := 0; k < size/8; k++ {
+			if u, v := rng.Intn(size), rng.Intn(size); u != v {
+				add(base+u, base+v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// mergeStep is one differential round shared by the span-boundary tests:
+// it merges ops into cur, checks the packed arrays bit for bit against a
+// from-scratch pack of the reference model, that cur itself was left
+// alone, and that the incremental partition equals a full re-flood.
+func mergeStep(t *testing.T, cur *CSR, ref *refModel, compID []int32, comps [][]Node, ops []Delta) (*CSR, []int32, [][]Node) {
+	t.Helper()
+	before := &CSR{
+		offsets: append([]int32(nil), cur.offsets...),
+		targets: append([]Node(nil), cur.targets...),
+		weights: append([]float64(nil), cur.weights...),
+		wdeg:    append([]float64(nil), cur.wdeg...),
+		totalW:  cur.totalW,
+	}
+	next, info := MergeCSR(cur, ops)
+	csrBitsEqual(t, cur, before)
+
+	ref.apply(ops)
+	weighted := cur.Weighted()
+	for _, w := range ref.edges {
+		weighted = weighted || w != 1
+	}
+	csrBitsEqual(t, next, ref.buildAs(weighted))
+	if want := ref.n - cur.NumNodes(); info.NodesAdded != want {
+		t.Fatalf("NodesAdded = %d, want %d", info.NodesAdded, want)
+	}
+
+	newID, newComps, carried, _ := UpdateComponents(next, compID, len(comps), info)
+	checkCarried(t, cur, next, comps, newComps, carried, info)
+	wantID, wantComps := floodComponents(next)
+	if !reflect.DeepEqual(newID, wantID) || !reflect.DeepEqual(newComps, wantComps) {
+		t.Fatalf("incremental partition differs from a re-flood")
+	}
+	return next, newID, newComps
+}
+
+// TestMergeCSRSpanBoundaries pins the edges of the span copy on a graph
+// large enough to have long untouched runs: each sparse batch is merged
+// into an unweighted and a weighted 600-node snapshot and compared bit
+// for bit with a from-scratch pack.
+func TestMergeCSRSpanBoundaries(t *testing.T) {
+	const n, island = 600, 40
+	cases := []struct {
+		name string
+		ops  func(c *CSR) []Delta
+	}{
+		{"row 0", func(*CSR) []Delta {
+			return []Delta{{Op: DeltaAddEdge, U: 0, V: 300}}
+		}},
+		{"last row", func(*CSR) []Delta {
+			return []Delta{{Op: DeltaRemoveEdge, U: n - 2, V: n - 1}, {Op: DeltaSetWeight, U: n - 1, V: 17, W: 1}}
+		}},
+		{"row 0 and last row", func(*CSR) []Delta {
+			return []Delta{{Op: DeltaAddEdge, U: n - 1, V: 0}}
+		}},
+		{"adjacent rows", func(*CSR) []Delta {
+			return []Delta{
+				{Op: DeltaRemoveEdge, U: 200, V: 201},
+				{Op: DeltaRemoveEdge, U: 202, V: 201},
+				{Op: DeltaRemoveEdge, U: 202, V: 203},
+				{Op: DeltaAddEdge, U: 203, V: 205},
+			}
+		}},
+		{"row emptied to degree 0", func(c *CSR) []Delta {
+			var ops []Delta
+			for _, v := range c.Neighbors(77) {
+				ops = append(ops, Delta{Op: DeltaRemoveEdge, U: 77, V: v})
+			}
+			return ops
+		}},
+		{"new nodes with isolated gaps", func(*CSR) []Delta {
+			return []Delta{
+				{Op: DeltaAddEdge, U: n + 5, V: 3},
+				{Op: DeltaAddEdge, U: n + 7, V: n + 8},
+				{Op: DeltaAddNode, U: n + 11},
+			}
+		}},
+		{"node growth only", func(*CSR) []Delta {
+			return []Delta{{Op: DeltaAddNode, U: n + 2}, {Op: DeltaRemoveEdge, U: 1, V: 300}}
+		}},
+		{"delete only", func(*CSR) []Delta {
+			return []Delta{
+				{Op: DeltaRemoveEdge, U: 10, V: 11},
+				{Op: DeltaRemoveEdge, U: 301, V: 300},
+				{Op: DeltaRemoveEdge, U: n - 2, V: n - 1},
+			}
+		}},
+		// On the unweighted base this is the unweighted→weighted
+		// transition: the reference pack holds 1 at every untouched entry.
+		{"one non-unit weight", func(*CSR) []Delta {
+			return []Delta{{Op: DeltaSetWeight, U: 250, V: 251, W: 2.5}}
+		}},
+	}
+	for _, weighted := range []bool{false, true} {
+		g := islandGraph(rand.New(rand.NewSource(3)), n, island, weighted)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/weighted=%v", tc.name, weighted), func(t *testing.T) {
+				base := NewCSR(g)
+				compID, comps := floodComponents(base)
+				mergeStep(t, base, newRefModel(g), compID, comps, tc.ops(base))
+			})
+		}
+	}
+}
+
+// TestMergeCSRSparseBatchesDifferential chains sparse random batches —
+// drawn to land on the first and last rows, on adjacent rows, and beyond
+// the node count — through a 500+-node snapshot, checking every round.
+func TestMergeCSRSparseBatchesDifferential(t *testing.T) {
+	const island = 32
+	for _, weighted := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(19))
+		g := islandGraph(rng, 520, island, weighted)
+		cur, ref := NewCSR(g), newRefModel(g)
+		compID, comps := floodComponents(cur)
+		for round := 0; round < 150; round++ {
+			n := cur.NumNodes()
+			pick := func() Node {
+				switch rng.Intn(8) {
+				case 0:
+					return 0
+				case 1:
+					return Node(n - 1)
+				case 2:
+					return Node(n + rng.Intn(4)) // grows the graph, leaving gaps
+				}
+				return Node(rng.Intn(n))
+			}
+			var ops []Delta
+			for k := 1 + rng.Intn(5); k > 0; k-- {
+				u := pick()
+				v := u + 1 // mostly ring edges: adjacent rows, present edges
+				if rng.Intn(3) == 0 {
+					v = pick()
+				}
+				d := Delta{Op: DeltaOp(rng.Intn(4)), U: u, V: v}
+				if weighted || (!cur.Weighted() && round == 100) {
+					d.W = 0.5 + 2*rng.Float64()
+				} else if d.Op == DeltaSetWeight {
+					d.W = 1
+				}
+				ops = append(ops, d)
+			}
+			cur, compID, comps = mergeStep(t, cur, ref, compID, comps, ops)
+		}
+	}
+}
+
+// TestMergeCSRNoOpReturnsInput: a batch that normalizes away against the
+// snapshot and adds no node allocates no successor — the input comes back.
+func TestMergeCSRNoOpReturnsInput(t *testing.T) {
+	c := NewCSR(FromEdges(4, [][2]Node{{0, 1}, {1, 2}, {2, 3}}))
+	next, info := MergeCSR(c, []Delta{
+		{Op: DeltaAddEdge, U: 1, V: 0},    // present, same weight
+		{Op: DeltaRemoveEdge, U: 0, V: 3}, // absent
+		{Op: DeltaAddEdge, U: 0, V: 2},    // inserted...
+		{Op: DeltaRemoveEdge, U: 2, V: 0}, // ...and cancelled
+		{Op: DeltaAddNode, U: 3},          // already there
+	})
+	if next != c {
+		t.Fatal("empty residue without growth must return the input snapshot")
+	}
+	if info.NodesAdded != 0 || len(info.Inserted)+len(info.Removed)+len(info.WeightEdges) != 0 {
+		t.Fatalf("residue should be empty: %+v", info)
+	}
+	if grown, _ := MergeCSR(c, []Delta{{Op: DeltaAddNode, U: 4}}); grown == c || grown.NumNodes() != 5 {
+		t.Fatal("node growth must produce a new snapshot")
+	}
+}
+
+// TestUpdateComponentsMemberListsDoNotAlias: the member lists share one
+// backing array, so each must be capped at its own length — an append by
+// a caller reallocates instead of overwriting the next component.
+func TestUpdateComponentsMemberListsDoNotAlias(t *testing.T) {
+	cur := NewCSR(FromEdges(7, [][2]Node{{0, 1}, {1, 2}, {3, 4}, {5, 6}}))
+	compID, comps := floodComponents(cur)
+	next, info := MergeCSR(cur, []Delta{{Op: DeltaRemoveEdge, U: 1, V: 2}})
+	_, comps, _, _ = UpdateComponents(next, compID, len(comps), info)
+	want := [][]Node{{0, 1}, {2}, {3, 4}, {5, 6}}
+	if !reflect.DeepEqual(comps, want) {
+		t.Fatalf("comps = %v, want %v", comps, want)
+	}
+	for id := range comps {
+		if cap(comps[id]) != len(comps[id]) {
+			t.Fatalf("comp %d: cap %d > len %d leaves room to overwrite its neighbour", id, cap(comps[id]), len(comps[id]))
+		}
+		_ = append(comps[id], 99)
+	}
+	if !reflect.DeepEqual(comps, want) {
+		t.Fatalf("append to a member list leaked into another: %v", comps)
 	}
 }

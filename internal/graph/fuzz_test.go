@@ -100,6 +100,16 @@ func FuzzMergeCSR(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 8, 1, 1, 2, 0, 2, 3, 4, 16})
 	f.Add([]byte{3, 9, 0, 0, 0, 9, 9, 4, 1, 9, 1, 0})
 	f.Add([]byte{2, 0, 1, 0, 2, 0, 1, 12, 0, 0, 1, 0})
+	// Span boundaries of the merge (op, u, v, 4*w; an odd first byte makes
+	// the base weighted): first and last row touched with everything
+	// between them one span; adjacent touched rows; a row emptied to
+	// degree 0 by a delete-only batch; growth with isolated gaps beyond
+	// the old node count; the unweighted→weighted transition.
+	f.Add([]byte{0, 0, 4, 4})
+	f.Add([]byte{0, 1, 3, 4, 0, 2, 3, 4, 1, 2, 1, 0})
+	f.Add([]byte{1, 3, 4, 0, 1, 0, 1, 0})
+	f.Add([]byte{0, 2, 9, 4, 3, 13, 0, 0, 0, 11, 12, 4})
+	f.Add([]byte{2, 1, 2, 10})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {

@@ -30,6 +30,7 @@ const (
 	defaultMaxQueryNodes   = 1024
 	defaultMaxUpdateOps    = 1 << 16
 	maxNodeID              = 1 << 26
+	maxUpdateLineBytes     = 1 << 20 // one update-stream line
 )
 
 var (
@@ -131,17 +132,22 @@ func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 		maxOps = defaultMaxUpdateOps
 	}
 	var b engine.Batch
-	sc := bufio.NewScanner(bytes.NewReader(body))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
-	for sc.Scan() {
+	for next := 0; next < len(body); {
+		line := body[next:]
+		if nl := bytes.IndexByte(line, '\n'); nl >= 0 {
+			line = line[:nl]
+		}
+		next += len(line) + 1
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		if len(line) >= maxUpdateLineBytes {
+			return b, fmt.Errorf("server: reading update body: %w", bufio.ErrTooLong)
+		}
+		fields := bytes.Fields(line)
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		cmd := strings.ToLower(fields[0])
+		cmd := updateKeyword(fields[0])
 		args := fields[1:]
 		if b.Len() >= maxOps {
 			return b, fmt.Errorf("server: line %d: batch exceeds %d ops", lineNo, maxOps)
@@ -161,7 +167,7 @@ func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 			}
 			switch {
 			case len(args) >= 3:
-				w, err := strconv.ParseFloat(args[2], 64)
+				w, err := strconv.ParseFloat(string(args[2]), 64)
 				if err != nil {
 					return b, fmt.Errorf("server: line %d: bad weight %q: %v", lineNo, args[2], err)
 				}
@@ -201,17 +207,33 @@ func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 				b.AddNode(u)
 			}
 		default:
-			return b, fmt.Errorf("server: line %d: unknown op %q (want add/setw/del/node)", lineNo, cmd)
+			return b, fmt.Errorf("server: line %d: unknown op %q (want add/setw/del/node)", lineNo, strings.ToLower(string(fields[0])))
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return b, fmt.Errorf("server: reading update body: %w", err)
 	}
 	return b, nil
 }
 
-func parseNodeID(tok string) (graph.Node, error) {
-	n, err := strconv.ParseUint(tok, 10, 32)
+// updateKeyword returns the update-stream op tok spells in any letter
+// case, or "" when it is none. Only the ASCII letters fold: no other rune
+// lower-cases to a letter these four keywords use.
+func updateKeyword(tok []byte) string {
+	for _, kw := range [...]string{"add", "setw", "del", "node"} {
+		if len(tok) != len(kw) {
+			continue
+		}
+		i := 0
+		for i < len(kw) && tok[i]|0x20 == kw[i] {
+			i++
+		}
+		if i == len(kw) {
+			return kw
+		}
+	}
+	return ""
+}
+
+func parseNodeID(tok []byte) (graph.Node, error) {
+	n, err := strconv.ParseUint(string(tok), 10, 32)
 	if err != nil {
 		return 0, fmt.Errorf("bad node id %q: %v", tok, err)
 	}
