@@ -144,15 +144,16 @@ type Options struct {
 	// context.Context's Done channel here.
 	Cancel <-chan struct{}
 	// Parallelism bounds how many goroutines a single search may use for
-	// its heavy phases (BFS layering, whole-layer removal rounds, Θ-heap
-	// fills, NCA candidate scans). Values <= 1 keep the search fully
-	// serial; larger values are capped at GOMAXPROCS and engage only on
-	// components above an internal size threshold (~8k nodes), so small
-	// queries never pay gang-scheduling overhead. Results are
-	// bit-identical to the serial search at any setting: parallel rounds
-	// process nodes in ascending local id — exactly the serial removal
-	// order — and merge float work in that fixed order, so Parallelism
-	// participates in no cache key and changes no answer, only latency.
+	// its heavy phases (BFS layering, Θ-heap fills, NCA candidate scans;
+	// layer pruning's prefix-score sweep is serial at every setting).
+	// Values <= 1 keep the search fully serial; larger values are capped
+	// at GOMAXPROCS and engage only on components above an internal size
+	// threshold (~8k nodes), so small queries never pay gang-scheduling
+	// overhead. Results are bit-identical to the serial search at any
+	// setting: workers write schedule-independent values to fixed
+	// positions and their winners merge under a total order, so
+	// Parallelism participates in no cache key and changes no answer,
+	// only latency.
 	Parallelism int
 }
 
@@ -405,25 +406,27 @@ func (s *peelState) kOf(u graph.Node) float64 { return s.v.WeightedDegreeIn(u) }
 func (s *peelState) dOf(u graph.Node) float64 { return s.wdeg[u] }
 
 // score evaluates the selection objective on the current alive subgraph.
-func (s *peelState) score() float64 { return scoreView(s.v, s.wG, s.opts) }
+func (s *peelState) score() float64 {
+	v := s.v
+	return scoreStats(prefixStats{wC: v.InternalWeight(), dS: v.NodeWeightSum(), size: v.NumAlive()}, s.wG, s.opts)
+}
 
-// scoreView evaluates the selection objective on a view's alive subgraph
-// from its incrementally maintained sufficient statistics. It is the
-// single scoring site shared by the peel loop and fpaWithPruning's
-// phase-1 prefix scan, so every code path scores with the same formula.
-func scoreView(v *graph.CSRView, wG float64, opts Options) float64 {
-	wC, dS, size := v.InternalWeight(), v.NodeWeightSum(), v.NumAlive()
+// scoreStats evaluates the selection objective from a subgraph's
+// sufficient statistics. It is the single scoring site shared by the peel
+// loop (statistics a view maintains) and fpaWithPruning's phase-1 prefix
+// sweep, so every code path scores with the same formula.
+func scoreStats(st prefixStats, wG float64, opts Options) float64 {
 	switch opts.Objective {
 	case ClassicModularity:
-		return modularity.ClassicPartsF(wC, dS, wG)
+		return modularity.ClassicPartsF(st.wC, st.dS, wG)
 	case GeneralizedModularityDensity:
 		chi := opts.Chi
 		if chi == 0 {
 			chi = 1
 		}
-		return modularity.GeneralizedDensityPartsF(wC, dS, wG, size, chi)
+		return modularity.GeneralizedDensityPartsF(st.wC, st.dS, wG, st.size, chi)
 	default:
-		return modularity.DensityPartsF(wC, dS, wG, size)
+		return modularity.DensityPartsF(st.wC, st.dS, wG, st.size)
 	}
 }
 
@@ -524,7 +527,14 @@ func queryComponentArena(a *Arena, c *graph.CSR, q []graph.Node) ([]graph.Node, 
 			return nil, ErrDisconnected
 		}
 	}
-	slices.Sort(comp)
+	if len(comp) == c.NumNodes() {
+		// The flood reached every node: sorted, the list is 0..n-1.
+		for i := range comp {
+			comp[i] = graph.Node(i)
+		}
+	} else {
+		slices.Sort(comp)
+	}
 	return comp, nil
 }
 

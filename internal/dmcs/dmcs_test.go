@@ -3,6 +3,7 @@ package dmcs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -224,6 +225,27 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := Search(g, []graph.Node{0}, Variant(99), Options{}); err == nil {
 		t.Fatal("want unknown-variant error")
+	}
+
+	// The component a valid query is admitted with is ascending and
+	// complete, whether the flood stopped short of the graph (sorted) or
+	// reached all of it (written as 0..n-1). Both floods start at a high
+	// id, so the discovery order is not the answer.
+	connected := graph.FromEdges(6, [][2]graph.Node{{5, 0}, {0, 3}, {3, 1}, {1, 4}, {4, 2}})
+	split := graph.FromEdges(7, [][2]graph.Node{{6, 0}, {0, 4}, {4, 2}, {1, 3}, {3, 5}})
+	for _, tc := range []struct {
+		g    *graph.Graph
+		q    []graph.Node
+		want []graph.Node
+	}{
+		{connected, []graph.Node{5, 2}, []graph.Node{0, 1, 2, 3, 4, 5}},
+		{split, []graph.Node{6}, []graph.Node{0, 2, 4, 6}},
+		{split, []graph.Node{5, 1}, []graph.Node{1, 3, 5}},
+	} {
+		comp, err := queryComponentArena(NewArena(), graph.NewCSR(tc.g), tc.q)
+		if err != nil || !slices.Equal(comp, tc.want) {
+			t.Fatalf("component of %v = %v, %v; want %v", tc.q, comp, err, tc.want)
+		}
 	}
 }
 

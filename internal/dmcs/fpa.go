@@ -79,8 +79,8 @@ func runFPA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, use
 		return fpaWithPruning(a, sub, protected, comp, opts, useTheta)
 	}
 	k := sub.NumNodes()
+	dist := bfsInto(a, sub, protected, effectiveParallelism(opts.Parallelism, k))
 	s := newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
-	dist := bfsInto(a, s.v, protected, k, s.par)
 	maxD := groupLayersInto(a, k, dist)
 	for d := maxD; d >= 1; d-- {
 		if s.expired() {
@@ -248,20 +248,86 @@ func peelLayerLambda(s *peelState, cand []graph.Node) {
 	}
 }
 
+// prefixStats are the sufficient statistics of a distance prefix — the
+// subgraph induced by the nodes within some distance of the protected set:
+// w_C, d_S and the node count, which is all any objective reads.
+type prefixStats struct {
+	wC, dS float64
+	size   int
+	// down counts the adjacency entries that lead from the layer dropped
+	// last into the prefix; seen from the prefix's own outermost layer
+	// they are its entries to the outside.
+	down int
+}
+
+// dropLayer returns the statistics of the prefix left when layer — the
+// nodes at distance d, ascending, the outermost layer of the prefix st
+// describes — is removed. It only reads sub and dist; the values are,
+// bit for bit, the ones an all-alive CSRView of sub holds after Remove(u)
+// for every u of every layer so far, in slice order (the reference
+// TestPrefixSweepMatchesRemoval keeps).
+//
+// d_S loses each node's weight in that same order. For w_C, Remove
+// subtracts k_{u,S}: u's entries to nodes still alive, summed in
+// packed-adjacency order. When u's turn comes every farther layer is gone
+// and so are the nodes of its own layer with a smaller id, so the alive
+// neighbours are those with dist < d, or dist == d and a larger id. On a
+// weighted snapshot that term sequence is summed per node and subtracted
+// per node, which keeps every rounding. On an unweighted snapshot each
+// k_{u,S} is an integer and so is w_C, exact in any order, and the layer's
+// loss is its edge count into the prefix that remains: the entries to the
+// layer below, plus half the entries that stay inside the layer. A BFS
+// layer's entries go one layer down, one layer up, or stay, and its up
+// entries are the down entries of the layer dropped before it, so
+//
+//	lost = down + (entries - down - st.down)/2
+//
+// needs one comparison per entry and none between ids (a per-node
+// `w > u` test mispredicts on every row).
+func dropLayer(sub *graph.SubCSR, dist []int32, layer []graph.Node, d int32, st prefixStats) prefixStats {
+	wdeg := sub.WeightedDegrees()
+	if sub.Weighted() {
+		for _, u := range layer {
+			ws := sub.NeighborWeights(u)
+			var k float64
+			for i, w := range sub.Neighbors(u) {
+				if dw := dist[w]; dw < d || (dw == d && w > u) {
+					k += ws[i]
+				}
+			}
+			st.wC -= k
+			st.dS -= wdeg[u]
+		}
+		st.size -= len(layer)
+		return st
+	}
+	down, entries := 0, 0
+	for _, u := range layer {
+		adj := sub.Neighbors(u)
+		for _, w := range adj {
+			down += int(uint32(dist[w]-d) >> 31) // 1 iff dist[w] < d
+		}
+		entries += len(adj)
+		st.dS -= wdeg[u]
+	}
+	st.wC -= float64(down + (entries-down-st.down)/2)
+	st.size -= len(layer)
+	st.down = down
+	return st
+}
+
 // fpaWithPruning implements the Section 5.7 layer-based pruning strategy:
 // (1) iteratively drop whole outermost layers, scoring each prefix
 // subgraph; (2) keep the best-scoring prefix and apply the node-removal
-// process to its outermost layer only. Both phases run on arena-backed
-// views of the compact sub-CSR; the view's incremental w_C/d_S
-// maintenance replaces the hand-rolled statistics the map-backed
-// implementation carried.
+// process to its outermost layer only. Phase 1 removes nothing: it starts
+// from the component's own aggregates and walks the layer buckets
+// outermost-in, one read-only pass over the component's adjacency
+// (dropLayer), serial at every Parallelism. Phase 2 peels on an
+// arena-backed view of the chosen prefix.
 func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, opts Options, useTheta bool) (*Result, error) {
 	k := sub.NumNodes()
-	par := effectiveParallelism(opts.Parallelism, k)
-	vAll := a.g.ViewAll(0, sub)
-	dist := bfsInto(a, vAll, protected, k, par)
+	dist := bfsInto(a, sub, protected, effectiveParallelism(opts.Parallelism, k))
 	maxD := groupLayersInto(a, k, dist)
-	wG := sub.TotalWeight()
 
 	// Phase 1 honours Cancel and Timeout at layer granularity; the best
 	// prefix scored so far is kept on expiry, and phase 2 runs on the
@@ -273,32 +339,7 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 		deadline = time.Now().Add(opts.Timeout)
 		poll.deadline = deadline
 	}
-	bestJ, bestScore := maxD, scoreView(vAll, wG, opts)
-	phase1 := 0
-	timedOut := false
-	for d := maxD; d >= 1; d-- {
-		if poll.check() {
-			timedOut = true
-			break
-		}
-		// Each round removes one whole outermost layer. Large layers go
-		// through the round-synchronous parallel kernel, which leaves the
-		// view bit-identical to the serial ascending-id loop below (the
-		// layer buckets come out of groupLayersInto id-sorted).
-		layer := a.layer(d)
-		if par > 1 && len(layer) >= parallelMinLayer {
-			removeLayerRound(a, vAll, layer, dist, int32(d), par)
-			phase1 += len(layer)
-		} else {
-			for _, u := range layer {
-				vAll.Remove(u)
-				phase1++
-			}
-		}
-		if sc := scoreView(vAll, wG, opts); sc >= bestScore {
-			bestScore, bestJ = sc, d-1
-		}
-	}
+	bestJ, phase1, timedOut := bestPrefix(a, sub, dist, maxD, opts, &poll)
 
 	// Phase 2: fresh peel over the selected prefix, removing only its
 	// outermost layer. comp2 holds the prefix members in local ids.
@@ -327,4 +368,26 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 		r.TimedOut = true
 	}
 	return r, nil
+}
+
+// bestPrefix is phase 1: it scores the prefix left after dropping each
+// outermost layer in turn and returns the distance bound of the best one
+// (ties go to the smaller prefix, as in the peel), the number of nodes in
+// the layers it dropped, and whether poll expired before the last layer.
+func bestPrefix(a *Arena, sub *graph.SubCSR, dist []int32, maxD int, opts Options, poll *deadlinePoller) (bestJ, dropped int, timedOut bool) {
+	wG := sub.TotalWeight()
+	st := prefixStats{wC: sub.InternalWeight(), dS: sub.MemberWeightSum(), size: sub.NumNodes()}
+	bestJ, bestScore := maxD, scoreStats(st, wG, opts)
+	for d := maxD; d >= 1; d-- {
+		if poll.check() {
+			return bestJ, dropped, true
+		}
+		layer := a.layer(d)
+		st = dropLayer(sub, dist, layer, int32(d), st)
+		dropped += len(layer)
+		if sc := scoreStats(st, wG, opts); sc >= bestScore {
+			bestScore, bestJ = sc, d-1
+		}
+	}
+	return bestJ, dropped, false
 }

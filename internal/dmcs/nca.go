@@ -43,19 +43,12 @@ const recompactMinAlive = 32
 // uncompacted peel (TestDifferentialLegacyVsCSR exercises exactly this).
 func runNCA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, pick pickFunc) (*Result, error) {
 	k := sub.NumNodes()
+	// minimum shortest-path distance from the query nodes, for tie-breaks
+	dist := bfsInto(a, sub, q, effectiveParallelism(opts.Parallelism, k))
 	s := newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
 	isQuery := a.g.Marks(0, k)
 	for _, u := range q {
 		isQuery[u] = true
-	}
-	// minimum shortest-path distance from the query nodes, for tie-breaks.
-	// The parallel BFS runs over the all-alive view and yields the same
-	// distances (BFS levels are schedule- and substrate-independent).
-	var dist []int32
-	if s.par > 1 {
-		dist = s.v.MultiSourceBFSParInto(q, a.g.Dist(0, k), a.g.Queue(k), s.par, a.g.ParNext(s.par))
-	} else {
-		dist = sub.MultiSourceBFSInto(q, a.g.Dist(0, k), a.g.Queue(k))
 	}
 	// next arena slots for the re-compaction ping-pong (slot 0 of each
 	// resource currently backs sub / the view / dist / isQuery)

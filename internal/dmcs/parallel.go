@@ -8,23 +8,23 @@ import (
 )
 
 // Intra-query parallelism (Options.Parallelism) dispatch. The peel's
-// parallelizable phases — BFS layering, fpaWithPruning's whole-layer
-// removal rounds, the Θ-heap fill, and NCA's candidate argmax — fan out
-// across a bounded gang of workers (graph.ParRange) when the component
-// is large enough to pay for the coordination; everything below the
-// thresholds runs the untouched serial kernels. The parallel kernels
-// are exact, not merely deterministic: within every removal round nodes
-// are processed in ascending local id — the serial order — per-node
-// float sums keep their packed-adjacency term order, and cross-worker
-// merges either replay serially in that fixed order (aggregates) or
-// combine under a total order (argmax), so results are bit-identical to
+// parallelizable phases — BFS layering, the Θ-heap fill, and NCA's
+// candidate argmax — fan out across a bounded gang of workers
+// (graph.ParRange) when the component is large enough to pay for the
+// coordination; everything below the thresholds runs the untouched
+// serial kernels. The parallel kernels are exact, not merely
+// deterministic: every value a worker writes is schedule-independent (a
+// BFS level; a candidate's score, its float sum in packed-adjacency
+// order) and lands at a fixed position, and cross-worker merges combine
+// under a total order (argmax), so results are bit-identical to
 // Parallelism == 1 (TestParallelPeelBitIdentical pins this under -race).
 //
-// What stays serial, deliberately: the Θ-heap drain (a sequential
-// dependence chain — each pop depends on the pushes of the previous
-// removal), NCA's articulation DFS, and peelLayerLambda's rescan loop.
-// On FPA+pruning those residues are small; on NCA the DFS dominates, so
-// its speedup is bounded (documented in the README).
+// What stays serial, deliberately: fpaWithPruning's phase 1 (a read-only
+// sweep, one pass over the component's adjacency), the Θ-heap drain (a
+// sequential dependence chain — each pop depends on the pushes of the
+// previous removal), NCA's articulation DFS, and peelLayerLambda's rescan
+// loop. On NCA the DFS dominates, so its speedup is bounded (documented
+// in the README).
 
 // Parallelism thresholds. Vars, not consts, so the differential tests
 // can lower them and exercise the parallel kernels on test-sized graphs;
@@ -37,8 +37,8 @@ var (
 	// allocation- and overhead-free as before).
 	parallelMinNodes = 1 << 13
 	// parallelMinLayer is the per-layer candidate count below which a
-	// layer's Θ fill / removal round stays serial even when the search
-	// as a whole is parallel.
+	// layer's Θ fill stays serial even when the search as a whole is
+	// parallel.
 	parallelMinLayer = 1 << 9
 )
 
@@ -59,14 +59,16 @@ func effectiveParallelism(requested, n int) int {
 	return requested
 }
 
-// bfsInto runs the multi-source BFS layering over v, parallel when the
-// search is (the parallel BFS writes bit-identical distances; only
-// internal frontier order differs, and nothing reads it).
-func bfsInto(a *Arena, v *graph.CSRView, sources []graph.Node, k, par int) []int32 {
+// bfsInto layers sub by distance from sources: the CSR's own BFS when the
+// search is serial, the gang BFS over an all-alive view (slot 0, which
+// no caller has claimed yet) when it is parallel. Levels are unique, so
+// both write the same distances.
+func bfsInto(a *Arena, sub *graph.SubCSR, sources []graph.Node, par int) []int32 {
+	k := sub.NumNodes()
 	if par > 1 {
-		return v.MultiSourceBFSParInto(sources, a.g.Dist(0, k), a.g.Queue(k), par, a.g.ParNext(par))
+		return a.g.ViewAll(0, sub).MultiSourceBFSParInto(sources, a.g.Dist(0, k), a.g.Queue(k), par, a.g.ParNext(par))
 	}
-	return v.MultiSourceBFSInto(sources, a.g.Dist(0, k), a.g.Queue(k))
+	return sub.MultiSourceBFSInto(sources, a.g.Dist(0, k), a.g.Queue(k))
 }
 
 // fillThetaChunk scores cand[lo:hi) into items[lo:hi) — the parallel
@@ -80,15 +82,6 @@ func fillThetaChunk(s *peelState, cand []graph.Node, items []thetaItem, lo, hi i
 	for i := lo; i < hi; i++ {
 		items[i] = thetaOf(s, cand[i])
 	}
-}
-
-// removeLayerRound removes one whole BFS layer from v in a
-// round-synchronous parallel step bit-identical to the serial ascending-
-// id removal loop (see graph.CSRView.RemoveLayerRound for the exactness
-// argument). Scratch comes from the arena: the fused-k buffer doubles as
-// the per-node removal-time degree store.
-func removeLayerRound(a *Arena, v *graph.CSRView, layer []graph.Node, dist []int32, d int32, par int) {
-	v.RemoveLayerRound(layer, dist, d, par, a.g.KSum(len(layer)), a.g.ParCounts(par))
 }
 
 // ncaScanChunk scans candidate local ids [lo, hi) and returns the best

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dmcs/internal/graph"
+	"dmcs/internal/lfr"
 )
 
 // whaleGraph is the intra-query parallelism fixture: ONE connected
@@ -31,10 +32,15 @@ const whaleNodes = 16384
 // benchWhale measures one full community search on the whale component.
 // Query node rotates so no per-node pathology dominates; the arena pool
 // keeps steady-state allocation out of the measurement, same as the
-// small-query suite.
+// small-query suite. Building the fixture runs the collector often enough
+// to empty that pool, so one untimed search refills it: CI gates
+// allocs/op at 20 iterations, too few to hide an arena's first growth.
 func benchWhale(b *testing.B, opts Options) {
 	b.Helper()
 	csr := graph.NewCSR(whaleGraph(whaleNodes))
+	if _, err := SearchCSR(csr, []graph.Node{0}, VariantFPA, opts); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -69,4 +75,35 @@ func BenchmarkWhaleFPASerial(b *testing.B) {
 
 func BenchmarkWhaleFPAPar(b *testing.B) {
 	benchWhale(b, Options{Parallelism: 8})
+}
+
+// BenchmarkWhaleFPAPruningLFR is the pruned serial peel on the shape the
+// serving benchmark's whale has: the giant component of LFR Default() at
+// whaleNodes, searched the way the engine does (prebuilt sub-CSR, owned
+// arena), so nothing but the peel is timed. Unlike the degree-6 expander
+// above it has degree skew (d_max 300) and two BFS layers that hold
+// almost every node: the fixture on which the layering BFS's bottom-up
+// step and phase 1's read-only sweep show whole.
+func BenchmarkWhaleFPAPruningLFR(b *testing.B) {
+	cfg := lfr.Default()
+	cfg.N = whaleNodes
+	res, err := lfr.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr := graph.NewCSR(res.G)
+	whale, _ := csr.Component(0)
+	if len(whale) < whaleNodes/2 {
+		b.Fatalf("node 0 is outside the giant component (%d nodes)", len(whale))
+	}
+	sub, a := graph.NewSubCSR(csr, whale), NewArena()
+	opts := Options{LayerPruning: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := []graph.Node{whale[(i*977)%len(whale)]}
+		if _, err := SearchSub(a, sub, q, whale, VariantFPA, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -39,7 +39,6 @@ type Arena struct {
 	art   ArtScratch
 
 	parNext [][]Node // per-worker BFS frontier buffers (parallel peel)
-	parCnt  []int    // per-worker integer accumulators (RemoveLayerRound)
 }
 
 // NewArena returns an empty arena; buffers are sized on first use.
@@ -261,15 +260,6 @@ func (a *Arena) ParNext(workers int) [][]Node {
 	return a.parNext
 }
 
-// ParCounts returns workers per-worker integer accumulator slots
-// (contents arbitrary; RemoveLayerRound zeroes what it uses).
-func (a *Arena) ParCounts(workers int) []int {
-	if cap(a.parCnt) < workers {
-		a.parCnt = make([]int, workers)
-	}
-	return a.parCnt[:workers]
-}
-
 // Poison overwrites every arena-owned buffer with garbage while keeping
 // the epoch bookkeeping in a legal (worst-case) state: all table entries
 // tagged with the CURRENT epoch so any consumer that forgets to begin a
@@ -315,9 +305,6 @@ func (a *Arena) Poison() {
 	poisonFloat64(a.ksum[:cap(a.ksum)])
 	for i := range a.parNext {
 		poisonNodes(a.parNext[i][:cap(a.parNext[i])])
-	}
-	for i := range a.parCnt {
-		a.parCnt[i] = junk
 	}
 	s := &a.art
 	poisonBool(s.isArt[:cap(s.isArt)])

@@ -161,6 +161,51 @@ func (c *CSR) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node) []i
 	for i := range dist {
 		dist[i] = INF
 	}
+	c.levelBFS(sources, dist, queue, len(dist), len(c.targets))
+	return dist
+}
+
+// bfsBottomUpFactor fixes when a BFS level is expanded bottom-up: when
+// the frontier's adjacency entries, times this factor, exceed what a
+// bottom-up step reads at worst (see levelBFS).
+const bfsBottomUpFactor = 4
+
+// levelBFS is the one BFS kernel of the package: a level-synchronous,
+// direction-optimizing multi-source BFS (Beamer et al.) over the packed
+// adjacency. On entry dist[u] == INF marks the nodes it may reach and any
+// other value excludes u for good (CSRView folds its dead nodes in that
+// way, so the inner loops pay one random read per entry); unvisited
+// counts the INF nodes and unvisitedEntries their adjacency entries.
+// Sources that are not INF — excluded or repeated — are skipped. It
+// writes every reached node's level into dist and returns how many
+// levels it expanded bottom-up.
+//
+// A level is expanded top-down (every frontier node claims its INF
+// neighbours: one read per frontier entry) while the frontier is light,
+// and bottom-up (every INF node scans its own entries for a neighbour on
+// the previous level and stops at the first) when
+//
+//	bfsBottomUpFactor * frontierEntries > unvisitedEntries + n,
+//
+// the right-hand side being everything a bottom-up step can read: one
+// pass over the node ids plus every unvisited entry. Layering a query's
+// component is the case it is for: degree-skewed graphs put most nodes
+// two or three hops out, the frontier's entries then outnumber the
+// unvisited ones, and almost every unvisited node finds a parent among
+// its first few entries. The BFS stops once no INF node is left, so the
+// last layers are never expanded at all. Levels are unique, so dist does
+// not depend on the directions taken.
+//
+// Cost on any input stays O(n + entries). A bottom-up step reads fewer
+// than bfsBottomUpFactor times its frontier's entries, and every entry is
+// a frontier entry once. Two bottom-up steps in a row shrink the
+// unvisited entries geometrically: the second needs factor*f' > m', where
+// f' are the entries the first one reached and m' those it left, and it
+// started from m = m' + f' > m'*(1 + 1/factor). A run of bottom-up steps
+// is therefore at most log_{1+1/factor}(entries) long; and since every one
+// of them needs factor*f > n, there are at most factor*entries/n in total.
+func (c *CSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited, unvisitedEntries int) (bottomUp int) {
+	offsets, targets := c.offsets, c.targets
 	queue = queue[:0]
 	for _, s := range sources {
 		if dist[s] == INF {
@@ -168,16 +213,46 @@ func (c *CSR) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node) []i
 			queue = append(queue, s)
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, w := range c.Neighbors(u) {
-			if dist[w] == INF {
-				dist[w] = dist[u] + 1
-				queue = append(queue, w)
+	unvisited -= len(queue)
+	head := 0
+	for d := int32(1); head < len(queue) && unvisited > 0; d++ {
+		frontier := queue[head:]
+		head = len(queue)
+		// Summing the frontier's degrees here, not as nodes are reached,
+		// keeps the expansion loops free of it and loads the very offsets
+		// the top-down loop reads next.
+		entries := 0
+		for _, u := range frontier {
+			entries += int(offsets[u+1] - offsets[u])
+		}
+		unvisitedEntries -= entries
+		if bfsBottomUpFactor*entries > unvisitedEntries+len(dist) {
+			bottomUp++
+			for u := range dist {
+				if dist[u] != INF {
+					continue
+				}
+				for _, w := range targets[offsets[u]:offsets[u+1]] {
+					if dist[w] == d-1 {
+						dist[u] = d
+						queue = append(queue, Node(u))
+						break
+					}
+				}
+			}
+		} else {
+			for _, u := range frontier {
+				for _, w := range targets[offsets[u]:offsets[u+1]] {
+					if dist[w] == INF {
+						dist[w] = d
+						queue = append(queue, w)
+					}
+				}
 			}
 		}
+		unvisited -= len(queue) - head
 	}
-	return dist
+	return bottomUp
 }
 
 // Component returns the sorted connected component containing src

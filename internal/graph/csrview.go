@@ -235,25 +235,28 @@ func (v *CSRView) MultiSourceBFS(sources []Node) []int32 {
 }
 
 // MultiSourceBFSInto is MultiSourceBFS writing into caller-owned scratch;
-// dist needs length >= NumNodes, queue capacity >= NumNodes.
+// dist needs length >= NumNodes, queue capacity >= NumNodes. It runs the
+// CSR's BFS kernel with the dead nodes folded into the initial dist (the
+// way ArtScratch.reset folds them into disc), so the kernel's inner loops
+// read dist alone and never the alive flags.
 func (v *CSRView) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node) []int32 {
-	dist = dist[:v.c.NumNodes()]
-	for i := range dist {
-		dist[i] = INF
-	}
-	queue = queue[:0]
-	for _, s := range sources {
-		if v.alive[s] && dist[s] == INF {
-			dist[s] = 0
-			queue = append(queue, s)
+	const dead = -1 // any value that is neither INF nor a level
+	c := v.c
+	dist = dist[:c.NumNodes()]
+	entries := 0
+	for u := range dist {
+		if v.alive[u] {
+			dist[u] = INF
+			entries += int(c.offsets[u+1] - c.offsets[u])
+		} else {
+			dist[u] = dead
 		}
 	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, w := range v.c.Neighbors(u) {
-			if v.alive[w] && dist[w] == INF {
-				dist[w] = dist[u] + 1
-				queue = append(queue, w)
+	c.levelBFS(sources, dist, queue, v.nAlive, entries)
+	if v.nAlive < len(dist) {
+		for u := range dist {
+			if dist[u] == dead {
+				dist[u] = INF
 			}
 		}
 	}

@@ -6,18 +6,16 @@ import (
 )
 
 // This file holds the intra-query parallel kernels: a gang-scheduling
-// range helper, a level-synchronous parallel multi-source BFS, and the
-// round-synchronous layer-removal kernel the parallel peel is built on.
+// range helper and a level-synchronous parallel multi-source BFS.
 //
-// Everything here is EXACT, not merely deterministic: each kernel
-// produces bit-identical outputs to its serial counterpart — including
-// float aggregates — regardless of worker count or goroutine schedule.
-// The trick is the same everywhere: parallel phases compute
-// per-node/per-worker values whose definitions are schedule-independent
-// (BFS levels; per-node neighbor-order weight sums; integer edge
-// counts), and every float accumulation into shared state is replayed
-// serially in the fixed serial order afterwards. See the package notes
-// on CSRView for why float order is load-bearing.
+// The BFS is EXACT, not merely deterministic: it writes the distances the
+// serial BFS writes regardless of worker count or goroutine schedule,
+// because a BFS level is schedule-independent. Kernels built on ParRange
+// elsewhere keep the same contract the same way: parallel phases compute
+// per-node/per-worker values whose definitions are schedule-independent,
+// and every float accumulation into shared state is replayed serially in
+// the fixed serial order afterwards. See the package notes on CSRView for
+// why float order is load-bearing.
 
 // ParRange splits [0, n) into at most workers contiguous chunks and runs
 // fn(chunk, lo, hi) on each concurrently, returning when all chunks are
@@ -142,92 +140,4 @@ func (v *CSRView) MultiSourceBFSParInto(sources []Node, dist []int32, queue []No
 		frontier = nf
 	}
 	return dist
-}
-
-// RemoveLayerRound removes every node of layer from the view in one
-// round-synchronous step that leaves the view bit-identical — alive
-// flags, degrees, nAlive, mAlive, AND the float aggregates wAlive/dAlive
-// — to calling Remove(u) serially for each u of layer in slice order.
-//
-// Preconditions: layer is sorted ascending and holds exactly the alive
-// nodes whose dist equals d; every other alive node has dist < d (the
-// outermost alive BFS layer — what fpaWithPruning's phase 1 peels).
-// kEff needs len >= len(layer); removed needs len >= workers. Both are
-// scratch owned by the caller.
-//
-// Exactness argument: in the serial order, node w of the layer is
-// already dead when u is removed iff w < u. So u's removal-time weighted
-// degree k_{u,S} — the value serial Remove subtracts from wAlive — is
-// the neighbor-order sum over neighbors w with alive[w] && !(dist[w]==d
-// && w < u). Each worker computes that per-node sum independently in one
-// packed-adjacency pass (identical term sequence to serial
-// WeightedDegreeIn at removal time, so identical rounding), decrements
-// survivor degrees with atomic integer adds (exact in any order), and
-// counts its removed edges in an integer. The commit then replays
-// wAlive/dAlive subtractions serially in ascending layer order — the
-// exact serial interleaving — and applies the integer totals.
-func (v *CSRView) RemoveLayerRound(layer []Node, dist []int32, d int32, workers int, kEff []float64, removed []int) {
-	if len(layer) == 0 {
-		return
-	}
-	c := v.c
-	weighted := c.weights != nil
-	for w := 0; w < workers && w < len(removed); w++ {
-		removed[w] = 0
-	}
-	ParRange(workers, len(layer), func(chunk, lo, hi int) {
-		edges := 0
-		for i := lo; i < hi; i++ {
-			u := layer[i]
-			adj := c.Neighbors(u)
-			var ws []float64
-			if weighted {
-				ws = c.NeighborWeights(u)
-			}
-			var k float64
-			for j, w := range adj {
-				if !v.alive[w] {
-					continue
-				}
-				if dist[w] == d {
-					if w < u {
-						continue // layer member removed before u serially
-					}
-					// later layer member: still alive at u's removal
-					if weighted {
-						k += ws[j]
-					} else {
-						k++
-					}
-					edges++
-					continue
-				}
-				// survivor (dist < d): alive throughout the round
-				if weighted {
-					k += ws[j]
-				} else {
-					k++
-				}
-				edges++
-				atomic.AddInt32(&v.deg[w], -1)
-			}
-			kEff[i] = k
-		}
-		removed[chunk] = edges
-	})
-	// Serial commit: replay the float subtractions in the serial removal
-	// order (ascending layer position, wAlive before dAlive per node —
-	// the order Remove performs them) and fold in the integer totals.
-	for i, u := range layer {
-		v.wAlive -= kEff[i]
-		v.dAlive -= c.wdeg[u]
-		v.alive[u] = false
-		v.deg[u] = 0
-	}
-	v.nAlive -= len(layer)
-	total := 0
-	for w := 0; w < workers && w < len(removed); w++ {
-		total += removed[w]
-	}
-	v.mAlive -= total
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -83,58 +82,6 @@ func TestParallelBFSMatchesSerial(t *testing.T) {
 					if want[u] != got[u] {
 						t.Fatalf("seed=%d workers=%d frontier=%d: dist[%d] = %d, serial %d", seed, workers, frontier, u, got[u], want[u])
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestRemoveLayerRoundMatchesSerial proves the round-synchronous removal
-// leaves the view bit-identical — float aggregates included — to serial
-// ascending-id Remove calls over the same layer.
-func TestRemoveLayerRoundMatchesSerial(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(400 + seed))
-		n := 150 + rng.Intn(150)
-		c := parRandomCSR(rng, n, 0.04, seed%2 == 0)
-		src := []Node{Node(rng.Intn(n))}
-		serial := NewCSRView(c)
-		parallel := NewCSRView(c)
-		dist := serial.MultiSourceBFS(src)
-		// Peel every layer from the outermost in, comparing after each round.
-		maxD := int32(0)
-		for _, d := range dist {
-			if d != INF && d > maxD {
-				maxD = d
-			}
-		}
-		for d := maxD; d >= 1; d-- {
-			var layer []Node
-			for u := 0; u < n; u++ {
-				if dist[u] == d && serial.Alive(Node(u)) {
-					layer = append(layer, Node(u))
-				}
-			}
-			for _, u := range layer {
-				serial.Remove(u)
-			}
-			workers := 2 + int(seed)%4
-			kEff := make([]float64, len(layer))
-			removed := make([]int, workers)
-			parallel.RemoveLayerRound(layer, dist, d, workers, kEff, removed)
-			if serial.NumAlive() != parallel.NumAlive() || serial.NumAliveEdges() != parallel.NumAliveEdges() {
-				t.Fatalf("seed=%d d=%d: nAlive/mAlive %d/%d vs serial %d/%d", seed, d, parallel.NumAlive(), parallel.NumAliveEdges(), serial.NumAlive(), serial.NumAliveEdges())
-			}
-			if math.Float64bits(serial.InternalWeight()) != math.Float64bits(parallel.InternalWeight()) {
-				t.Fatalf("seed=%d d=%d: wAlive %x vs serial %x", seed, d, math.Float64bits(parallel.InternalWeight()), math.Float64bits(serial.InternalWeight()))
-			}
-			if math.Float64bits(serial.NodeWeightSum()) != math.Float64bits(parallel.NodeWeightSum()) {
-				t.Fatalf("seed=%d d=%d: dAlive %x vs serial %x", seed, d, math.Float64bits(parallel.NodeWeightSum()), math.Float64bits(serial.NodeWeightSum()))
-			}
-			for u := 0; u < n; u++ {
-				if serial.Alive(Node(u)) != parallel.Alive(Node(u)) || serial.DegreeIn(Node(u)) != parallel.DegreeIn(Node(u)) {
-					t.Fatalf("seed=%d d=%d node %d: alive/deg %v/%d vs serial %v/%d", seed, d, u,
-						parallel.Alive(Node(u)), parallel.DegreeIn(Node(u)), serial.Alive(Node(u)), serial.DegreeIn(Node(u)))
 				}
 			}
 		}

@@ -249,30 +249,3 @@ func TestArticulationPointsIntoMatches(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiSourceBFSIntoMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := subTestGraph(rng, 80, false)
-	c := NewCSR(g)
-	n := c.NumNodes()
-	dist := make([]int32, n)
-	queue := make([]Node, 0, n)
-	for _, srcs := range [][]Node{{0}, {0, 30}, {79}, {10, 11, 12}} {
-		want := c.MultiSourceBFS(srcs)
-		got := c.MultiSourceBFSInto(srcs, dist, queue)
-		for u := range want {
-			if got[u] != want[u] {
-				t.Fatalf("sources %v: dist differs at %d", srcs, u)
-			}
-		}
-		v := NewCSRView(c)
-		v.Remove(Node(1))
-		wantV := v.MultiSourceBFS(srcs)
-		gotV := v.MultiSourceBFSInto(srcs, dist, queue)
-		for u := range wantV {
-			if gotV[u] != wantV[u] {
-				t.Fatalf("view sources %v: dist differs at %d", srcs, u)
-			}
-		}
-	}
-}
