@@ -43,7 +43,11 @@
 // Engine.Stats reports queries served, cache hits, collapsed and computed
 // searches, and p50/p95 latency. EngineOptions tunes the pool size
 // (default GOMAXPROCS), the cache capacity (default 1024 entries;
-// negative disables), and a default per-query timeout.
+// negative disables), and a default per-query timeout. A caller that
+// puts answers on a wire can use Engine.SearchEncoded, which memoises the
+// caller's encoding of a result on its cache entry from the entry's
+// first hit on: such an entry holds its Result plus about one response
+// body, under the same capacity and eviction as the result itself.
 //
 // The serving path is built to scale across cores — no query-rate-
 // proportional work takes a globally contended lock. The result cache is

@@ -66,9 +66,17 @@ type cacheShard struct {
 	_       [64]byte
 }
 
+// cacheEntry is one slab slot. wire is the entry's answer as the
+// caller of SearchEncoded put it on its wire: nil until the entry's first
+// hit through SearchEncoded, immutable once attached, and dropped with
+// res — when the key's result is replaced, when eviction recycles the
+// slot, and on clear — so the encoded bytes live under the cache's one
+// eviction policy and one capacity bound. An entry that has been hit
+// therefore costs its Result plus about one response body.
 type cacheEntry struct {
 	key        string
 	res        *dmcs.Result
+	wire       []byte
 	prev, next int32
 }
 
@@ -137,11 +145,21 @@ func (c *resultCache) shardFor(h uint64) *cacheShard {
 // hit performs no allocation and no channel operation — just one shard
 // mutex.
 //
-//dmcs:hotpath
 //dmcs:keyed key
 func (c *resultCache) get(h uint64, key []byte) (*dmcs.Result, bool) {
+	res, _, ok := c.probe(h, key)
+	return res, ok
+}
+
+// probe is get that also returns the entry's attached encoding (nil when
+// none is attached yet). Both values are read under one hold of the shard
+// lock, so the bytes always belong to the returned result.
+//
+//dmcs:hotpath
+//dmcs:keyed key
+func (c *resultCache) probe(h uint64, key []byte) (*dmcs.Result, []byte, bool) {
 	if c == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	s := c.shardFor(h)
 	s.mu.Lock()
@@ -150,12 +168,31 @@ func (c *resultCache) get(h uint64, key []byte) (*dmcs.Result, bool) {
 	i, ok := s.byKey[string(key)]
 	if !ok {
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	s.moveToFrontLocked(i)
-	res := s.entries[i].res
+	e := &s.entries[i]
+	res, wire := e.res, e.wire
 	s.mu.Unlock()
-	return res, true
+	return res, wire, true
+}
+
+// attach stores wire as the encoding of key's entry iff the entry still
+// holds res and has no encoding yet: a key whose result was replaced, or
+// a slot eviction recycled, between the caller's probe and now must not
+// pick up bytes made from the earlier result. wire must not be modified
+// afterwards.
+//
+//dmcs:keyed key
+func (c *resultCache) attach(h uint64, key []byte, res *dmcs.Result, wire []byte) {
+	s := c.shardFor(h)
+	s.mu.Lock()
+	if i, ok := s.byKey[string(key)]; ok {
+		if e := &s.entries[i]; e.res == res && e.wire == nil {
+			e.wire = wire
+		}
+	}
+	s.mu.Unlock()
 }
 
 // add stores res under a copy of key, evicting the shard's least
@@ -178,7 +215,7 @@ func (c *resultCache) add(h uint64, key []byte, res *dmcs.Result) {
 //dmcs:keyed key
 func (s *cacheShard) addLocked(key string, res *dmcs.Result) {
 	if i, ok := s.byKey[key]; ok {
-		s.entries[i].res = res
+		s.entries[i].res, s.entries[i].wire = res, nil
 		s.moveToFrontLocked(i)
 		return
 	}

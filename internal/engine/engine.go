@@ -102,7 +102,10 @@ type Options struct {
 	Workers int
 	// CacheSize is the result-cache capacity in entries, spread across
 	// hash shards. 0 means the default (1024); negative disables caching
-	// (and with it singleflight collapsing) entirely.
+	// (and with it singleflight collapsing) entirely. It bounds memory in
+	// entries, not bytes: an entry is its Result and, once it has been hit
+	// through SearchEncoded, the caller's encoding of it as well (about
+	// one response body).
 	CacheSize int
 	// DefaultTimeout is applied to queries whose own Options.Timeout is
 	// zero. 0 leaves such queries unbounded.
@@ -288,6 +291,25 @@ func (e *Engine) Stats() Stats {
 // never a partial result. Cached results are shared across callers and
 // must not be modified.
 func (e *Engine) Search(ctx context.Context, q Query) (*dmcs.Result, error) {
+	res, _, err := e.SearchEncoded(ctx, q, nil)
+	return res, err
+}
+
+// SearchEncoded is Search for a caller that puts every answer on a wire:
+// beside the result it returns the cached encoding of it, so a repeated
+// query costs the caller one copy instead of one encode. enc turns a
+// result into its request-independent bytes; the engine never looks
+// inside them. A computed (or joined) answer returns nil bytes and calls
+// nothing — the caller encodes it itself, straight into its own buffer.
+// The first cache hit on an entry calls enc(res), outside any lock, and
+// attaches an exact-size copy to the entry (unless the entry has since
+// been replaced or evicted); every later hit returns those bytes, which
+// are shared and must not be modified. They leave with the entry, so
+// CacheSize bounds them too. enc may return nil to say the result has no
+// encoding: nothing is attached and nil is returned. All callers of one
+// engine must pass the same encoding — an entry keeps the first one it
+// was given. A nil enc is plain Search.
+func (e *Engine) SearchEncoded(ctx context.Context, q Query, enc func(*dmcs.Result) []byte) (*dmcs.Result, []byte, error) {
 	// The faultinject.EngineSearch point sits before everything — ON the
 	// cache-hit path, deliberately: its disarmed cost (one atomic load,
 	// zero allocations) is what the registry's zero-cost contract gates,
@@ -295,7 +317,7 @@ func (e *Engine) Search(ctx context.Context, q Query) (*dmcs.Result, error) {
 	// admission.
 	if err := faultinject.Fire(faultinject.EngineSearch); err != nil {
 		e.stats.recordError(int(e.stripeCtr.Add(1) & uint32(e.stats.numStripes()-1)))
-		return nil, err
+		return nil, nil, err
 	}
 	// An already-cancelled context must fail deterministically — the
 	// cache-hit path never polls the context, and the flight wait selects
@@ -305,9 +327,9 @@ func (e *Engine) Search(ctx context.Context, q Query) (*dmcs.Result, error) {
 	// of cancelled calls to pile onto).
 	if err := ctx.Err(); err != nil {
 		e.stats.recordError(int(e.stripeCtr.Add(1) & uint32(e.stats.numStripes()-1)))
-		return nil, err
+		return nil, nil, err
 	}
-	return e.run(ctx, q)
+	return e.run(ctx, q, enc)
 }
 
 // run executes one admitted query: normalize, key, cache lookup, then —
@@ -327,7 +349,7 @@ func (e *Engine) Search(ctx context.Context, q Query) (*dmcs.Result, error) {
 // flight, so the number of live bundles (and their grown arenas) stays
 // bounded by the engine's actual parallelism, not by how many callers
 // are parked waiting on slow computations.
-func (e *Engine) run(ctx context.Context, q Query) (*dmcs.Result, error) {
+func (e *Engine) run(ctx context.Context, q Query, enc func(*dmcs.Result) []byte) (*dmcs.Result, []byte, error) {
 	snap := e.snap.Load()
 	ws := e.getScratch()
 	ws.nodes = normalizeNodesInto(ws.nodes[:0], q.Nodes)
@@ -344,7 +366,7 @@ func (e *Engine) run(ctx context.Context, q Query) (*dmcs.Result, error) {
 	if err != nil {
 		e.stats.recordError(ws.stripe)
 		e.putScratch(ws)
-		return nil, err
+		return nil, nil, err
 	}
 	if e.cache == nil {
 		// Cache-disabled path: peel on the caller's goroutine with the
@@ -352,16 +374,28 @@ func (e *Engine) run(ctx context.Context, q Query) (*dmcs.Result, error) {
 		// worker pool.
 		res, err := e.peelOwn(ctx, snap, id, q.Variant, opts, ws)
 		e.putScratch(ws)
-		return res, err
+		return res, nil, err
 	}
 	ws.key = appendCacheKey(ws.key[:0], snap.compKey[id], snap.compVer[id], nodes, q.Variant, opts)
 	h := hashKey(ws.key)
-	if res, ok := e.cache.get(h, ws.key); ok {
+	if res, wire, ok := e.cache.probe(h, ws.key); ok {
+		if wire == nil && enc != nil {
+			// First hit on this entry: encode outside the shard lock (enc is
+			// the caller's code and linear in the community), then attach.
+			// The bytes are returned whether or not they attached — they
+			// are this res's either way.
+			if b := enc(res); len(b) > 0 {
+				wire = make([]byte, len(b))
+				copy(wire, b)
+				e.cache.attach(h, ws.key, res, wire)
+			}
+		}
 		e.stats.recordHit(ws.stripe)
 		e.putScratch(ws)
-		return res, nil
+		return res, wire, nil
 	}
-	return e.searchShared(ctx, snap, id, q.Variant, opts, ws, h, q)
+	res, err := e.searchShared(ctx, snap, id, q.Variant, opts, ws, h, q)
+	return res, nil, err
 }
 
 // peelOwn runs one unshared search on the caller's goroutine and clock:

@@ -1,15 +1,20 @@
 package server
 
 import (
+	"reflect"
 	"testing"
+
+	"dmcs/internal/graph"
 )
 
 // The decoders are the server's hostile-input boundary: every byte a
 // client can send flows through decodeQuery or parseUpdateOps before
 // anything touches the engine. The fuzz contract is (a) never panic,
-// and (b) when a decode succeeds, every cap the decoder promises
-// actually holds — so downstream code may trust them without
-// re-checking.
+// (b) when a decode succeeds, every cap the decoder promises actually
+// holds — so downstream code may trust them without re-checking — and
+// (c) for /query, the recogniser only ever accepts what encoding/json
+// accepts, with the same meaning. (c) is one-sided on purpose: a body the
+// recogniser declines is encoding/json's to judge, whatever it says.
 
 func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte(`{"nodes":[1,2,3]}`))
@@ -23,9 +28,32 @@ func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"nodes":[99999999999999999999]}`))
+	// Where the recogniser's language ends: each of these is one step
+	// outside (or just inside) the canonical spelling.
+	f.Add([]byte(` { "nodes" : [ 1 , 2 ] } `))
+	f.Add([]byte(`{"nodes":[01]}`))
+	f.Add([]byte(`{"nodes":[1],"nodes":[2]}`))
+	f.Add([]byte(`{"NODES":[1]}`))
+	f.Add([]byte(`{"nodes":[1],"timeout_ms":-0}`))
+	f.Add([]byte(`{"nodes":[1.0]}`))
+	f.Add([]byte(`{"nodes":[1]} x`))
+	f.Add([]byte(`{"nodes":[1234567890123456]}`))
+	f.Add([]byte(`{"nodes":[1],"variant":"nCa"}`))
+	f.Add([]byte(`{"nodes":[1],"variant":"NCA\rDR"}`))
+	f.Add([]byte(`{"nodes":[1],"no_stale":false,"timeout_ms":0,"variant":""}`))
 	const maxNodes = 64
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, _, err := decodeQuery(body, maxNodes)
+		if fast, name, ok := recogniseQuery(body, maxNodes, make([]graph.Node, 0, 4)); ok {
+			ref, err := decodeQueryJSON(body)
+			if err != nil {
+				t.Fatalf("recogniser accepted %q, encoding/json says %v", body, err)
+			}
+			fast.Variant = string(name)
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("%q: recogniser read %+v, encoding/json %+v", body, fast, ref)
+			}
+		}
+		req, _, err := decodeQuery(body, maxNodes, nil)
 		if err != nil {
 			return
 		}

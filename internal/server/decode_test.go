@@ -4,9 +4,100 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode"
 
+	"dmcs/internal/dmcs"
 	"dmcs/internal/engine"
+	"dmcs/internal/graph"
 )
+
+// TestDecodeQuery pins the /query wire format body by body: which
+// decoder reads it (fast: the recogniser accepts; otherwise it declines
+// and encoding/json decides), what it means, and the exact text of every
+// refusal — all of which encoding/json words, whichever decoder ran first.
+func TestDecodeQuery(t *testing.T) {
+	ok := []struct {
+		body    string
+		fast    bool
+		nodes   []graph.Node
+		variant dmcs.Variant
+		timeout int64
+		noStale bool
+	}{
+		{`{"nodes":[123]}`, true, []graph.Node{123}, dmcs.VariantFPA, 0, false},
+		{" {\t\"nodes\" : [ 1 ,\n2 ] \r} \n", true, []graph.Node{1, 2}, dmcs.VariantFPA, 0, false},
+		{`{"no_stale":true,"timeout_ms":250,"variant":"nCa-dR","nodes":[0,67108864]}`, true, []graph.Node{0, maxNodeID}, dmcs.VariantNCADR, 250, true},
+		{`{"nodes":[7],"variant":"","no_stale":false,"timeout_ms":0}`, true, []graph.Node{7}, dmcs.VariantFPA, 0, false},
+		{`{"nodes":[7],"variant":"fpadmg"}`, true, []graph.Node{7}, dmcs.VariantFPADMG, 0, false},
+		// encoding/json's language beyond the canonical spelling.
+		{`{"NODES":[1],"Variant":"NCA"}`, false, []graph.Node{1}, dmcs.VariantNCA, 0, false},
+		{`{"nodes":[1],"nodes":[2]}`, false, []graph.Node{2}, dmcs.VariantFPA, 0, false},
+		{`{"nodes":[1],"variant":"\u004eCA"}`, false, []graph.Node{1}, dmcs.VariantNCA, 0, false},
+		{`{"nodes":[1],"variant":null,"timeout_ms":null}`, false, []graph.Node{1}, dmcs.VariantFPA, 0, false},
+		{`{"nodes":[1],"timeout_ms":-0}`, false, []graph.Node{1}, dmcs.VariantFPA, 0, false},
+		{`{"nodes":[1]}]`, false, []graph.Node{1}, dmcs.VariantFPA, 0, false}, // Decoder.More stops at a closer
+	}
+	for _, tc := range ok {
+		_, _, fast := recogniseQuery([]byte(tc.body), 4, nil)
+		req, v, err := decodeQuery([]byte(tc.body), 4, nil)
+		if err != nil {
+			t.Errorf("%s: unexpected error %v", tc.body, err)
+			continue
+		}
+		if fast != tc.fast {
+			t.Errorf("%s: recogniser accepted = %v, want %v", tc.body, fast, tc.fast)
+		}
+		if !reflect.DeepEqual(req.Nodes, tc.nodes) || v != tc.variant || req.TimeoutMS != tc.timeout || req.NoStale != tc.noStale {
+			t.Errorf("%s: decoded %+v variant %v", tc.body, req, v)
+		}
+	}
+
+	// fast rows break a cap, which is checked after either decoder.
+	bad := []struct {
+		body string
+		fast bool
+		want string
+	}{
+		{``, false, "server: empty request body"},
+		{" \n", false, "server: empty request body"},
+		{`null`, false, `server: query wants a non-empty "nodes" array`},
+		{`{}`, true, `server: query wants a non-empty "nodes" array`},
+		{`{"nodes":[]}`, false, `server: query wants a non-empty "nodes" array`},
+		{`{"variant":"NCA"}`, true, `server: query wants a non-empty "nodes" array`},
+		{`{"nodes":[1,2,3,4,5]}`, false, "server: query has 5 nodes, cap is 4"},
+		{`{"nodes":[67108865]}`, true, "server: node id 67108865 out of range [0,67108864]"},
+		{`{"nodes":[-1]}`, false, "server: node id -1 out of range [0,67108864]"},
+		{`{"nodes":[1],"timeout_ms":-5}`, false, "server: negative timeout_ms -5"},
+		{`{"nodes":[1],"variant":"QUANTUM"}`, true, `server: unknown variant "QUANTUM" (want FPA, NCA, NCA-DR, FPA-DMG)`},
+		{`{"nodes":[1],"variant":"NCA\rDR"}`, false, `server: unknown variant "NCA\rDR" (want FPA, NCA, NCA-DR, FPA-DMG)`},
+		{`{"nodes":[1]} x`, false, "server: trailing data after query JSON"},
+		{`{"nodes":[1]}{"nodes":[2]}`, false, "server: trailing data after query JSON"},
+		{`{"nodes":[01]}`, false, "server: bad query JSON: invalid character '1' after array element"},
+		{`{"nodes":[1.5]}`, false, "server: bad query JSON: json: cannot unmarshal number 1.5 into Go struct field queryRequest.nodes of type int32"},
+		{`{"nodes":[1e0]}`, false, "server: bad query JSON: json: cannot unmarshal number 1e0 into Go struct field queryRequest.nodes of type int32"},
+		{`{"nodes":[2147483648]}`, false, "server: bad query JSON: json: cannot unmarshal number 2147483648 into Go struct field queryRequest.nodes of type int32"},
+		{`{"nodes":[1234567890123456]}`, false, "server: bad query JSON: json: cannot unmarshal number 1234567890123456 into Go struct field queryRequest.nodes of type int32"},
+		{`{"nodes":[1],"limit":3}`, false, `server: bad query JSON: json: unknown field "limit"`},
+		{`{"nodes":[1],"no_stale":1}`, false, "server: bad query JSON: json: cannot unmarshal number into Go struct field queryRequest.no_stale of type bool"},
+		{`{"nodes":[1]`, false, "server: bad query JSON: unexpected EOF"},
+	}
+	for _, tc := range bad {
+		if _, _, fast := recogniseQuery([]byte(tc.body), 4, nil); fast != tc.fast {
+			t.Errorf("%s: recogniser accepted = %v, want %v", tc.body, fast, tc.fast)
+		}
+		if _, _, err := decodeQuery([]byte(tc.body), 4, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %s", tc.body, err, tc.want)
+		}
+	}
+
+	// variantByName folds ASCII letters only; that is all strings.ToUpper
+	// ever folded onto these names.
+	for r := rune(0x80); r <= unicode.MaxRune; r++ {
+		if up := unicode.ToUpper(r); up < 0x80 && strings.ContainsRune("FPANCDRMG-", up) {
+			t.Fatalf("%U upper-cases to %q: variantByName must fold it too", r, up)
+		}
+	}
+}
 
 // TestParseUpdateOps pins the /apply wire format line by line: what
 // stages which op, how lines are split and trimmed, and the exact text

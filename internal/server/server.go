@@ -13,6 +13,14 @@
 //	GET  /stats   engine counters + server admission state
 //	GET  /healthz liveness + overload state
 //
+// A /query is built to cost little when its answer is cached: the body is
+// read into pooled scratch, decoded without reflection when it is spelled
+// the canonical way (decode.go says which bodies take which decoder),
+// and answered from bytes the engine memoised on the cache entry
+// (Engine.SearchEncoded) plus a short per-request tail, in one Write.
+// Success bodies come from appendAnswer/appendTail, held byte for byte to
+// encoding/json's rendering of queryResponse by test.
+//
 // Refusals are explicit, never silent: shed and rate-limited requests
 // get 429 with a Retry-After header, queue/deadline expiries get 504
 // with a code distinguishing "never started" from "ran out mid-peel",
@@ -25,9 +33,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -246,16 +256,31 @@ func writeError(w http.ResponseWriter, status int, code, msg string, retryAfter 
 	_ = json.NewEncoder(w).Encode(errorBody{Code: code, Error: msg})
 }
 
-// writeJSON emits a success body through the dropped-response injection
-// point: a Drop directive aborts the connection mid-response, the
-// client-visible shape of a server that computed an answer and died
-// sending it.
+// respondFault is the dropped-response injection point every success
+// body passes before its first byte goes out: a Drop directive aborts the
+// connection mid-response, the client-visible shape of a server that
+// computed an answer and died sending it. It reports whether it answered
+// the request itself.
+func respondFault(w http.ResponseWriter) bool {
+	err := faultinject.Fire(faultinject.ServerRespond)
+	if err == nil {
+		return false
+	}
+	if errors.Is(err, faultinject.ErrDropped) {
+		panic(http.ErrAbortHandler)
+	}
+	writeError(w, http.StatusInternalServerError, "injected", err.Error(), 0)
+	return true
+}
+
+// jsonContentType is writeResult's Content-Type header value, shared so
+// that a hit stores a header without building one.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON emits the /apply and /stats success bodies through
+// encoding/json. /query answers do not come this way — see writeResult.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	if err := faultinject.Fire(faultinject.ServerRespond); err != nil {
-		if errors.Is(err, faultinject.ErrDropped) {
-			panic(http.ErrAbortHandler)
-		}
-		writeError(w, http.StatusInternalServerError, "injected", err.Error(), 0)
+	if respondFault(w) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -267,7 +292,10 @@ func (s *Server) shed(w http.ResponseWriter, msg string, retryAfter time.Duratio
 	writeError(w, http.StatusTooManyRequests, "shed", msg, retryAfter)
 }
 
-// queryResponse is the POST /query success shape.
+// queryResponse is the POST /query success shape. It is written by
+// appendAnswer and appendTail, not by encoding/json: a field added,
+// renamed or reordered here has to be made there too, and
+// TestQueryResponseBytesMatchEncodingJSON fails until it is.
 type queryResponse struct {
 	Community []graph.Node `json:"community"`
 	Size      int          `json:"size"`
@@ -287,6 +315,121 @@ type queryResponse struct {
 	ElapsedUS int64 `json:"elapsed_us"`
 }
 
+// appendAnswer appends the part of a /query success body that depends on
+// the result alone — {"community":[…],"size":N,"score":S, which is what
+// the engine memoises on a cache entry — byte for byte as encoding/json
+// renders those queryResponse fields. It returns nil for a score
+// encoding/json refuses (NaN, ±Inf).
+//
+//dmcs:hotpath
+func appendAnswer(b []byte, res *dmcs.Result) []byte {
+	if math.IsNaN(res.Score) || math.IsInf(res.Score, 0) {
+		return nil
+	}
+	b = append(b, `{"community":`...)
+	if res.Community == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, u := range res.Community {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(u), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"size":`...)
+	b = strconv.AppendInt(b, int64(len(res.Community)), 10)
+	b = append(b, `,"score":`...)
+	// encoding/json's float64 rule: shortest digits that round-trip, 'e'
+	// form outside [1e-6, 1e21), and a two-digit negative exponent
+	// trimmed of its leading zero.
+	format := byte('f')
+	if abs := math.Abs(res.Score); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, res.Score, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// encodeAnswer is appendAnswer as the engine's SearchEncoded calls it on
+// an entry's first hit; the engine keeps an exact-size copy.
+func encodeAnswer(res *dmcs.Result) []byte {
+	return appendAnswer(make([]byte, 0, 64+8*len(res.Community)), res)
+}
+
+// appendTail appends the per-request remainder of the body after
+// appendAnswer's bytes, closing brace and encoding/json's newline
+// included.
+//
+//dmcs:hotpath
+func appendTail(b []byte, epoch uint64, stale, timedOut bool, elapsedUS int64) []byte {
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendUint(b, epoch, 10)
+	b = append(b, `,"stale":`...)
+	b = strconv.AppendBool(b, stale)
+	b = append(b, `,"timed_out":`...)
+	b = strconv.AppendBool(b, timedOut)
+	b = append(b, `,"elapsed_us":`...)
+	b = strconv.AppendInt(b, elapsedUS, 10)
+	return append(b, '}', '\n')
+}
+
+// queryScratch is the recycled storage of one /query: buf holds the
+// request body until it is decoded and the response body after that, ids
+// the decoded node ids.
+type queryScratch struct {
+	buf []byte
+	ids []graph.Node
+}
+
+// queryScratchPool recycles queryScratch across requests. Recycling ids
+// is sound only because nothing downstream keeps the slice: the engine
+// copies the set (normalizeNodesInto) before it hands anything to a
+// flight goroutine, and Snapshot.ComponentID and LookupStale only read
+// it. maxPooledBuf keeps one large body or whale answer from pinning its
+// buffer in the pool for good.
+var queryScratchPool = sync.Pool{New: func() any {
+	return &queryScratch{buf: make([]byte, 0, 1024), ids: make([]graph.Node, 0, 16)}
+}}
+
+const maxPooledBuf = 256 << 10
+
+//dmcs:acquire putQueryScratch
+func getQueryScratch() *queryScratch {
+	return queryScratchPool.Get().(*queryScratch)
+}
+
+func putQueryScratch(sc *queryScratch) {
+	if cap(sc.buf) <= maxPooledBuf {
+		queryScratchPool.Put(sc)
+	}
+}
+
+// readBody reads r to EOF into buf's spare capacity, growing it only
+// when a body does not fit: io.ReadAll without the fresh buffer.
+func readBody(buf []byte, r io.Reader) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "invalid", "POST only", 0)
@@ -297,7 +440,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	sc := getQueryScratch()
+	defer putQueryScratch(sc)
+	// MaxBytesReader is the request-size guard, and the one allocation a
+	// cache hit still makes.
+	var err error
+	sc.buf, err = readBody(sc.buf, http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
 	if err != nil {
 		s.eng.NoteRejected()
 		writeError(w, http.StatusBadRequest, "invalid", "reading body: "+err.Error(), 0)
@@ -307,12 +455,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "injected", err.Error(), 0)
 		return
 	}
-	req, variant, err := decodeQuery(body, s.cfg.MaxQueryNodes)
+	req, variant, err := decodeQuery(sc.buf, s.cfg.MaxQueryNodes, sc.ids)
 	if err != nil {
 		s.eng.NoteRejected()
 		writeError(w, http.StatusBadRequest, "invalid", err.Error(), 0)
 		return
 	}
+	sc.ids = req.Nodes // at most MaxQueryNodes long; keeps what decoding grew
 	q := engine.Query{
 		Nodes:   req.Nodes,
 		Variant: variant,
@@ -354,7 +503,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// in the graph; only an answer from a superseded version of
 			// this component is marked stale.
 			if res, ver, stale, ok := s.eng.LookupStale(q, s.cfg.StaleMaxBehind); ok {
-				s.writeResult(w, res, ver, stale, start)
+				s.writeResult(w, sc, res, nil, ver, stale, time.Since(start))
 				return
 			}
 		}
@@ -366,10 +515,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// One clock read serves the bucket, the budget arithmetic and the
+	// start of the peel; the next one is taken when Search returns.
+	now := time.Now()
+
 	// Cost-aware rate limit, then the bounded admission queue. Both
 	// refuse instantly — buffering past capacity only converts overload
 	// into latency.
-	if ok, retry := s.buckets[class].take(costOf(len(comp)), time.Now()); !ok {
+	if ok, retry := s.buckets[class].take(costOf(len(comp)), now); !ok {
 		s.shed(w, class.String()+"-class rate limit", retry)
 		return
 	}
@@ -384,7 +537,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Pre-work budget check: if this class's typical peel already
 	// overshoots the remaining budget, reject now instead of burning a
 	// worker slot to produce a doomed partial.
-	elapsed := time.Since(start)
+	elapsed := now.Sub(start)
 	if est := s.ests[class].estimate(); est > 0 && elapsed+est > budget {
 		s.eng.NoteRejected()
 		writeError(w, http.StatusUnprocessableEntity, "budget",
@@ -397,9 +550,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// dispatch so the client's deadline is honored end to end.
 	q.Opts.Timeout = budget - elapsed
 	ctx := r.Context()
-	peelStart := time.Now()
-	res, err := s.eng.Search(ctx, q)
-	peel := time.Since(peelStart)
+	res, wire, err := s.eng.SearchEncoded(ctx, q, encodeAnswer)
+	end := time.Now()
 	if err != nil {
 		var pe *engine.PanicError
 		switch {
@@ -419,21 +571,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !res.TimedOut {
-		s.ests[class].observe(peel)
+		s.ests[class].observe(end.Sub(now))
 	}
-	s.writeResult(w, res, compVer, false, start)
+	s.writeResult(w, sc, res, wire, compVer, false, end.Sub(start))
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, res *dmcs.Result, epoch uint64, stale bool, start time.Time) {
-	s.writeJSON(w, queryResponse{
-		Community: res.Community,
-		Size:      len(res.Community),
-		Score:     res.Score,
-		Epoch:     epoch,
-		Stale:     stale,
-		TimedOut:  res.TimedOut,
-		ElapsedUS: time.Since(start).Microseconds(),
-	})
+// writeResult sends a /query success body: the answer's memoised bytes
+// when the engine returned them (wire; a repeated hit), else the answer
+// encoded on the spot, then the per-request tail — assembled in sc.buf
+// and sent with one Write.
+func (s *Server) writeResult(w http.ResponseWriter, sc *queryScratch, res *dmcs.Result, wire []byte, epoch uint64, stale bool, elapsed time.Duration) {
+	out := sc.buf[:0]
+	if wire != nil {
+		out = append(out, wire...)
+	} else if out = appendAnswer(out, res); out == nil {
+		writeError(w, http.StatusInternalServerError, "internal", "result has no JSON encoding: non-finite score", 0)
+		return
+	}
+	out = appendTail(out, epoch, stale, res.TimedOut, elapsed.Microseconds())
+	sc.buf = out
+	if respondFault(w) {
+		return
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(out) // a failed Write is a gone client; there is no one to tell
 }
 
 // applyResponse is the POST /apply success shape (engine.ApplyStats on
