@@ -39,6 +39,8 @@ type Arena struct {
 	layerInLayer []int32      // per-local-node layer generation tag
 	layerGen     int32        // reset per query; bumped per theta layer
 
+	nca ncaPeel // NCA state and certificate tables, grown by NCA searches only
+
 	parNode  []graph.Node // per-worker argmax winners (parallel NCA scan)
 	parScore []float64    // per-worker argmax scores
 }
@@ -71,10 +73,14 @@ func (a *Arena) Poison() {
 	poisonInt32s(a.layerInLayer)
 	a.layerGen = junk
 	poisonNodes(a.parNode)
-	for i := range a.parScore {
-		a.parScore[i] = -23130.23130
-	}
+	poisonFloat64s(a.parScore)
 	a.ps = peelState{}
+	// a.nca's dist and skip are graph-arena buffers, poisoned above
+	poisonNodes(a.nca.parent)
+	poisonInt32s(a.nca.nchild)
+	poisonInt32s(a.nca.key)
+	poisonNodes(a.nca.witness)
+	poisonFloat64s(a.nca.k)
 }
 
 func poisonNodes(s []graph.Node) {
@@ -88,6 +94,13 @@ func poisonInt32s(s []int32) {
 	s = s[:cap(s)]
 	for i := range s {
 		s[i] = -0x5A5A
+	}
+}
+
+func poisonFloat64s(s []float64) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = -23130.23130
 	}
 }
 

@@ -73,7 +73,8 @@ func BenchmarkFPADMG(b *testing.B) {
 	}
 }
 
-// BenchmarkNCA measures the quadratic articulation-recomputation loop.
+// BenchmarkNCA measures the non-articulation peel (scan per removal,
+// certificates instead of a Tarjan pass per removal).
 func BenchmarkNCA(b *testing.B) {
 	g, q := benchGraph(b, 1000)
 	b.ResetTimer()

@@ -41,9 +41,12 @@
 //
 // NCA additionally re-compacts geometrically: whenever the alive set
 // (by nodes or edges) halves, the sub-CSR is rebuilt over the survivors
-// so its per-removal articulation DFS and candidate rescan cost
-// O(alive), collapsing the historical O(iterations·(n+m)) behavior.
-// Aggregates are carried — never re-accumulated — across rebuilds.
+// so its candidate rescan costs O(alive). Aggregates are carried — never
+// re-accumulated — across rebuilds. It also decides almost every removal
+// from two persistent certificates (a spanning tree of the alive set and
+// alive-witness articulation marks; see nca.go) instead of a Tarjan pass
+// per removal, which stays as the referee and as the O(|V|(|V|+|E|))
+// worst case.
 //
 // The whole substrate is float-exact: relabelling is monotonic and
 // weight accumulation follows the same sorted-adjacency order the
@@ -268,9 +271,9 @@ func searchSub(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, variant Varian
 	a.localQ = lq
 	switch variant {
 	case VariantNCA:
-		return runNCA(a, sub, lq, comp, opts, pickLambda)
+		return runNCA(a, sub, lq, comp, opts, false)
 	case VariantNCADR:
-		return runNCA(a, sub, lq, comp, opts, pickTheta)
+		return runNCA(a, sub, lq, comp, opts, true)
 	case VariantFPA:
 		return runFPA(a, sub, lq, comp, opts, true)
 	case VariantFPADMG:

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"dmcs/internal/graph"
+	"dmcs/internal/modularity"
 )
 
 // Intra-query parallelism (Options.Parallelism) dispatch. The peel's
@@ -22,9 +23,9 @@ import (
 // What stays serial, deliberately: fpaWithPruning's phase 1 (a read-only
 // sweep, one pass over the component's adjacency), the Θ-heap drain (a
 // sequential dependence chain — each pop depends on the pushes of the
-// previous removal), NCA's articulation DFS, and peelLayerLambda's rescan
-// loop. On NCA the DFS dominates, so its speedup is bounded (documented
-// in the README).
+// previous removal), NCA's certificate checks, referee Tarjan and tree
+// rebuild, and peelLayerLambda's rescan loop. NCA's scan is about half of
+// its cost, so its speedup is bounded (documented in the README).
 
 // Parallelism thresholds. Vars, not consts, so the differential tests
 // can lower them and exercise the parallel kernels on test-sized graphs;
@@ -85,24 +86,36 @@ func fillThetaChunk(s *peelState, cand []graph.Node, items []thetaItem, lo, hi i
 }
 
 // ncaScanChunk scans candidate local ids [lo, hi) and returns the best
-// removable candidate under the serial scan's total order: higher pick
-// score first, then farther from the query, then smaller id. Because
-// that is a total order on candidates, per-chunk maxima merged under the
-// same comparator (ncaBetter) reproduce the serial full-scan winner
-// exactly, independent of chunk boundaries.
-func ncaScanChunk(s *peelState, art []bool, isQuery []bool, kArr []float64, dist []int32, dS float64, weighted bool, pick pickFunc, lo, hi int) (graph.Node, float64) {
+// one under the serial scan's total order: higher pick score first, then
+// farther from the query, then smaller id. Because that is a total order
+// on candidates, per-chunk maxima merged under the same comparator
+// (ncaBetter) reproduce the serial full-scan winner exactly, independent
+// of chunk boundaries. A candidate is a non-skipped (alive, non-query)
+// node without a live articulation witness; the scan only reads the
+// peel's tables, so concurrent chunks share them without synchronization.
+//
+//dmcs:hotpath
+func ncaScanChunk(p *ncaPeel, dS float64, lo, hi int) (graph.Node, float64) {
+	s := p.s
+	v, wG := s.v, s.wG
+	// len == hi lets the compiler drop the per-element bounds checks
+	skip, witness, k, wdeg, dist := p.skip[:hi], p.witness[:hi], p.k[:hi], s.wdeg[:hi], p.dist
 	var best graph.Node = -1
 	bestScore := math.Inf(-1)
-	for ui := lo; ui < hi; ui++ {
-		u := graph.Node(ui)
-		if !s.v.Alive(u) || art[u] || isQuery[u] {
+	for ui := max(lo, 0); ui < hi; ui++ {
+		if skip[ui] {
 			continue
 		}
-		kv := float64(s.v.DegreeIn(u))
-		if weighted {
-			kv = kArr[u]
+		if w := witness[ui]; w >= 0 && v.Alive(w) {
+			continue
 		}
-		sc := pick(s.wG, dS, kv, s.dOf(u))
+		var sc float64
+		if p.theta {
+			sc = modularity.ThetaF(wdeg[ui], k[ui])
+		} else {
+			sc = modularity.LambdaF(wG, dS, k[ui], wdeg[ui])
+		}
+		u := graph.Node(ui)
 		switch {
 		case sc > bestScore:
 			bestScore, best = sc, u
@@ -130,8 +143,8 @@ func ncaBetter(u graph.Node, su float64, b graph.Node, sb float64, dist []int32)
 // ncaScanPar fans the candidate scan out over par workers and merges the
 // chunk winners in fixed chunk order under the same total order the
 // serial scan uses.
-func ncaScanPar(s *peelState, art []bool, isQuery []bool, kArr []float64, dist []int32, dS float64, weighted bool, pick pickFunc, n, par int) (graph.Node, float64) {
-	a := s.a
+func ncaScanPar(p *ncaPeel, dS float64, n, par int) (graph.Node, float64) {
+	a := p.s.a
 	nodeBuf := growNodeSlice(a.parNode, par)
 	scoreBuf := growFloat64Slice(a.parScore, par)
 	for w := 0; w < par; w++ {
@@ -140,12 +153,12 @@ func ncaScanPar(s *peelState, art []bool, isQuery []bool, kArr []float64, dist [
 	}
 	a.parNode, a.parScore = nodeBuf, scoreBuf
 	graph.ParRange(par, n, func(chunk, lo, hi int) {
-		nodeBuf[chunk], scoreBuf[chunk] = ncaScanChunk(s, art, isQuery, kArr, dist, dS, weighted, pick, lo, hi)
+		nodeBuf[chunk], scoreBuf[chunk] = ncaScanChunk(p, dS, lo, hi)
 	})
 	var best graph.Node = -1
 	bestScore := math.Inf(-1)
 	for w := 0; w < par; w++ {
-		if ncaBetter(nodeBuf[w], scoreBuf[w], best, bestScore, dist) {
+		if ncaBetter(nodeBuf[w], scoreBuf[w], best, bestScore, p.dist) {
 			best, bestScore = nodeBuf[w], scoreBuf[w]
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dmcs/internal/dmcs"
+	"dmcs/internal/faultinject"
 	"dmcs/internal/graph"
 	"dmcs/internal/lfr"
 	"dmcs/internal/queries"
@@ -363,19 +364,23 @@ func TestContextCancelledBeforeStart(t *testing.T) {
 }
 
 func TestContextCancelMidQuery(t *testing.T) {
-	// NCA recomputes articulation points per removal, so on a 2000-node
-	// graph the serial run takes well over a second — cancelling after a
-	// few milliseconds must land mid-peel.
-	res := testGraph(t, 2000)
+	// The search is held open at the engine's peel point, so the cancel
+	// provably lands while it is executing; the peel then finds its Cancel
+	// channel closed at its first poll and unwinds.
+	holdPeels(t, 100*time.Millisecond)
+	res := testGraph(t, 400)
 	e := New(res.G, Options{CacheSize: -1})
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	done := make(chan error, 1)
 	start := time.Now()
-	_, err := e.Search(ctx, Query{Nodes: []graph.Node{0}, Variant: dmcs.VariantNCA})
-	if !errors.Is(err, context.Canceled) {
+	go func() {
+		_, err := e.Search(ctx, Query{Nodes: []graph.Node{0}, Variant: dmcs.VariantNCA})
+		done <- err
+	}()
+	waitFor(t, "the peel to start", func() bool { return faultinject.Hits(faultinject.EnginePeel) == 1 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -384,14 +389,16 @@ func TestContextCancelMidQuery(t *testing.T) {
 }
 
 func TestDefaultTimeoutMarksResult(t *testing.T) {
-	res := testGraph(t, 2000)
-	e := New(res.G, Options{DefaultTimeout: time.Millisecond})
+	// A 1ns budget has always run out by the peel's first deadline poll,
+	// however fast the search is.
+	res := testGraph(t, 400)
+	e := New(res.G, Options{DefaultTimeout: time.Nanosecond})
 	r, err := e.Search(context.Background(), Query{Nodes: []graph.Node{0}, Variant: dmcs.VariantNCA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.TimedOut {
-		t.Fatal("expected TimedOut result under a 1ms default timeout")
+		t.Fatal("expected TimedOut result under a 1ns default timeout")
 	}
 	if e.Stats().CacheEntries != 0 {
 		t.Error("timed-out results must not be cached")

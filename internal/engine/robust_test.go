@@ -84,18 +84,20 @@ func TestQueueTimeoutDistinctFromPeelTimeout(t *testing.T) {
 // best-so-far contract (TimedOut partial, nil error), counts toward
 // Stats.TimedOut, and is still never cached.
 func TestPeelTimeoutStillReturnsPartial(t *testing.T) {
-	res := testGraph(t, 2000)
+	res := testGraph(t, 400)
 	e := New(res.G, Options{})
+	// The pool is idle, so the budget reaches the peel whole — and 1ns
+	// has always run out by the peel's first deadline poll.
 	r, err := e.Search(context.Background(), Query{
 		Nodes:   []graph.Node{0},
 		Variant: dmcs.VariantNCA,
-		Opts:    dmcs.Options{Timeout: time.Millisecond},
+		Opts:    dmcs.Options{Timeout: time.Nanosecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.TimedOut {
-		t.Fatal("expected a TimedOut partial under a 1ms budget")
+		t.Fatal("expected a TimedOut partial under a 1ns budget")
 	}
 	st := e.Stats()
 	if st.TimedOut == 0 {

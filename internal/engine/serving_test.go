@@ -9,8 +9,44 @@ import (
 	"time"
 
 	"dmcs/internal/dmcs"
+	"dmcs/internal/faultinject"
 	"dmcs/internal/graph"
 )
+
+// holdPeels makes every peel wait d at the engine's faultinject.EnginePeel
+// point before it starts, until the test ends: the deterministic stand-in
+// for a search slow enough to cancel, join or outlive. The wait is not
+// charged to Options.Timeout — the peel's clock starts after it.
+func holdPeels(t *testing.T, d time.Duration) {
+	t.Helper()
+	faultinject.Set(faultinject.EnginePeel, faultinject.Injection{Latency: d})
+	t.Cleanup(faultinject.Reset)
+}
+
+// waitFor polls cond until it holds; call it on the test's goroutine.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// flightWaiters reports the number of live flights and the callers
+// parked on them.
+func flightWaiters(e *Engine) (flights, waiters int) {
+	for i := range e.cache.shards {
+		sh := &e.cache.shards[i]
+		sh.mu.Lock()
+		for _, f := range sh.flights {
+			flights++
+			waiters += f.waiters
+		}
+		sh.mu.Unlock()
+	}
+	return flights, waiters
+}
 
 // TestHotKeyHerdCollapses is the singleflight contract: a thundering
 // herd of identical cold queries costs one peel. Every herd member gets
@@ -73,29 +109,25 @@ func TestHotKeyHerdCollapses(t *testing.T) {
 // computation is aborted rather than running to completion for nobody.
 // Partial results from the abandoned peel must never be cached.
 func TestSingleflightJoinVsCancel(t *testing.T) {
-	// NCA on a 2000-node LFR graph takes well over a second serially, so
-	// staggered cancellations at tens of milliseconds land mid-peel.
-	res := testGraph(t, 2000)
+	// The shared peel is held open for longer than the whole scenario
+	// takes, so every cancellation below lands on a running computation.
+	holdPeels(t, 300*time.Millisecond)
+	res := testGraph(t, 400)
 	e := New(res.G, Options{Workers: 2})
 	q := Query{Nodes: []graph.Node{0}, Variant: dmcs.VariantNCA}
+	waiting := func(n int) func() bool {
+		return func() bool { _, w := flightWaiters(e); return w == n }
+	}
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	defer cancelLeader()
-	type outcome struct {
-		err     error
-		elapsed time.Duration
-	}
-	outcomes := make(chan outcome, 3)
-	launched := make(chan struct{}, 3)
+	outcomes := make(chan error, 3)
 	search := func(ctx context.Context) {
-		launched <- struct{}{}
-		start := time.Now()
 		_, err := e.Search(ctx, q)
-		outcomes <- outcome{err: err, elapsed: time.Since(start)}
+		outcomes <- err
 	}
 	go search(leaderCtx)
-	<-launched
-	time.Sleep(20 * time.Millisecond) // let the leader's peel start
+	waitFor(t, "the leader's peel to start", func() bool { return faultinject.Hits(faultinject.EnginePeel) == 1 })
 
 	j1Ctx, cancelJ1 := context.WithCancel(context.Background())
 	defer cancelJ1()
@@ -103,36 +135,39 @@ func TestSingleflightJoinVsCancel(t *testing.T) {
 	defer cancelJ2()
 	go search(j1Ctx)
 	go search(j2Ctx)
-	<-launched
-	<-launched
-	time.Sleep(20 * time.Millisecond) // let the joiners reach their wait
+	waitFor(t, "both joiners to park on the flight", waiting(3))
 
 	// Cancel one joiner: it must come back promptly with its own
 	// ctx.Err() while the other joiner and the leader stay blocked on the
 	// still-running computation.
 	cancelStart := time.Now()
 	cancelJ1()
-	first := <-outcomes
-	if !errors.Is(first.err, context.Canceled) {
-		t.Fatalf("cancelled joiner: err = %v, want context.Canceled", first.err)
+	if err := <-outcomes; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled joiner: err = %v, want context.Canceled", err)
 	}
 	if waited := time.Since(cancelStart); waited > 2*time.Second {
 		t.Fatalf("cancelled joiner took %v to unwind its wait", waited)
 	}
 	select {
-	case o := <-outcomes:
-		t.Fatalf("another waiter returned (%v) although its context is live and the peel is not done", o.err)
+	case err := <-outcomes:
+		t.Fatalf("another waiter returned (%v) although its context is live and the peel is not done", err)
 	case <-time.After(50 * time.Millisecond):
+	}
+	if _, w := flightWaiters(e); w != 2 {
+		t.Fatalf("%d callers parked on the flight after one joiner left, want 2", w)
 	}
 
 	// Cancel the rest: the last departure aborts the shared computation.
 	cancelJ2()
 	cancelLeader()
 	for i := 0; i < 2; i++ {
-		o := <-outcomes
-		if !errors.Is(o.err, context.Canceled) {
-			t.Fatalf("waiter %d: err = %v, want context.Canceled", i, o.err)
+		if err := <-outcomes; !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter %d: err = %v, want context.Canceled", i, err)
 		}
+	}
+	waitFor(t, "the abandoned flight to unwind", func() bool { f, _ := flightWaiters(e); return f == 0 })
+	if hits := faultinject.Hits(faultinject.EnginePeel); hits != 1 {
+		t.Errorf("%d peels started, want 1: joiners must not compute", hits)
 	}
 	st := e.Stats()
 	if st.Errors != 3 {
@@ -149,25 +184,31 @@ func TestSingleflightJoinVsCancel(t *testing.T) {
 // partial — it recomputes under its own clock, exactly as if it had run
 // alone, and neither partial is ever cached.
 func TestJoinerOwnClockOnTimeout(t *testing.T) {
-	res := testGraph(t, 2000) // NCA here takes >1s, so a 60ms budget always expires
+	// Each peel is held open long enough for the second caller to join the
+	// first one's flight, and a 1ns budget has always run out by the
+	// peel's first deadline poll.
+	holdPeels(t, 100*time.Millisecond)
+	res := testGraph(t, 400)
 	e := New(res.G, Options{Workers: 2})
 	q := Query{Nodes: []graph.Node{0}, Variant: dmcs.VariantNCA,
-		Opts: dmcs.Options{Timeout: 60 * time.Millisecond}}
+		Opts: dmcs.Options{Timeout: time.Nanosecond}}
 	type out struct {
 		r   *dmcs.Result
 		err error
 	}
 	outs := make(chan out, 2)
-	go func() { r, err := e.Search(context.Background(), q); outs <- out{r, err} }()
-	time.Sleep(15 * time.Millisecond) // land the second caller mid-flight
-	go func() { r, err := e.Search(context.Background(), q); outs <- out{r, err} }()
+	search := func() { r, err := e.Search(context.Background(), q); outs <- out{r, err} }
+	go search()
+	waitFor(t, "the leader's peel to start", func() bool { return faultinject.Hits(faultinject.EnginePeel) == 1 })
+	go search()
+	waitFor(t, "the second caller to join mid-flight", func() bool { _, w := flightWaiters(e); return w == 2 })
 	for i := 0; i < 2; i++ {
 		o := <-outs
 		if o.err != nil {
 			t.Fatalf("caller %d: %v", i, o.err)
 		}
 		if !o.r.TimedOut {
-			t.Fatalf("caller %d: expected a TimedOut partial under a 60ms NCA budget", i)
+			t.Fatalf("caller %d: expected a TimedOut partial under a 1ns budget", i)
 		}
 	}
 	st := e.Stats()
@@ -382,12 +423,18 @@ func TestEngineMatchesSerialAcrossServingConfigs(t *testing.T) {
 		}
 		want[i] = w
 	}
+	blast := Query{Nodes: []graph.Node{9}, Variant: dmcs.VariantNCA}
+	wantBlast, err := serial(blast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
 
 	for _, workers := range []int{1, 2, 8} {
 		for _, cacheSize := range []int{-1, 64} {
 			e := New(res.G, Options{Workers: workers, CacheSize: cacheSize})
-			// Two rounds over the batch (second round hits when caching)
-			// plus a concurrent same-query blast to force joining.
+			// Two rounds over the batch (second round hits when caching),
+			// then a concurrent same-query blast to force joining.
 			for round := 0; round < 2; round++ {
 				got := e.SearchBatch(context.Background(), qs)
 				for i := range qs {
@@ -405,23 +452,36 @@ func TestEngineMatchesSerialAcrossServingConfigs(t *testing.T) {
 					}
 				}
 			}
+			// The blast: eight callers released together on a key no
+			// round has touched, its peel held open so the followers find
+			// it in flight. With caching on that is one computation — each
+			// follower joins the flight or hits the entry it published.
+			faultinject.Set(faultinject.EnginePeel, faultinject.Injection{Latency: 20 * time.Millisecond})
+			before := e.Stats().Computed
+			release := make(chan struct{})
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					r, err := e.Search(context.Background(), qs[3]) // NCA: slow enough to join
+					<-release
+					r, err := e.Search(context.Background(), blast)
 					if err != nil {
 						t.Errorf("concurrent blast: %v", err)
 						return
 					}
-					if !reflect.DeepEqual(r.Community, want[3].Community) || r.Score != want[3].Score {
+					if !reflect.DeepEqual(r.Community, wantBlast.Community) || r.Score != wantBlast.Score {
 						t.Errorf("concurrent blast: (%v, %v) != SearchSub (%v, %v)",
-							r.Community, r.Score, want[3].Community, want[3].Score)
+							r.Community, r.Score, wantBlast.Community, wantBlast.Score)
 					}
 				}()
 			}
+			close(release)
 			wg.Wait()
+			faultinject.Clear(faultinject.EnginePeel)
+			if computed := e.Stats().Computed - before; cacheSize > 0 && computed != 1 {
+				t.Errorf("workers=%d: the blast computed %d times, want 1", workers, computed)
+			}
 		}
 	}
 }

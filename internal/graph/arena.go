@@ -35,7 +35,6 @@ type Arena struct {
 	queue []Node
 	nodes [2][]Node // generic node scratch (members list, BFS parents, ...)
 	marks [2][]bool // generic per-local-node flags (isQuery, inLayer, ...)
-	ksum  []float64 // fused k_{v,S} sums (ArticulationPointsKInto)
 	art   ArtScratch
 
 	parNext [][]Node // per-worker BFS frontier buffers (parallel peel)
@@ -206,10 +205,6 @@ func (a *Arena) Dist(slot, n int) []int32 {
 	return a.dist[slot]
 }
 
-// SwapDist exchanges the two distance buffers (re-compaction writes the
-// remapped distances into the spare slot, then swaps).
-func (a *Arena) SwapDist() { a.dist[0], a.dist[1] = a.dist[1], a.dist[0] }
-
 // Queue returns an empty node queue with capacity for n entries.
 func (a *Arena) Queue(n int) []Node {
 	if cap(a.queue) < n {
@@ -233,14 +228,6 @@ func (a *Arena) Marks(slot, n int) []bool {
 		m[i] = false
 	}
 	return m
-}
-
-// KSum returns the per-node weighted-degree accumulator sized n.
-// Contents are arbitrary: the fused articulation sweep rewrites the
-// entries of alive nodes only, so dead nodes' slots stay stale garbage.
-func (a *Arena) KSum(n int) []float64 {
-	a.ksum = growFloat64(a.ksum, n)
-	return a.ksum
 }
 
 // Art returns the articulation-DFS scratch.
@@ -302,7 +289,6 @@ func (a *Arena) Poison() {
 	for i := range a.marks {
 		poisonBool(a.marks[i][:cap(a.marks[i])])
 	}
-	poisonFloat64(a.ksum[:cap(a.ksum)])
 	for i := range a.parNext {
 		poisonNodes(a.parNext[i][:cap(a.parNext[i])])
 	}

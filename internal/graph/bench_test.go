@@ -35,7 +35,8 @@ func BenchmarkViewRemove(b *testing.B) {
 	}
 }
 
-// BenchmarkArticulationPoints measures the per-iteration cost of NCA.
+// BenchmarkArticulationPoints measures one articulation sweep over the
+// map-backed View (the textbook NCA pays one per removal).
 func BenchmarkArticulationPoints(b *testing.B) {
 	g := benchRandom(2000, 0.005)
 	v := NewView(g)

@@ -2,19 +2,14 @@ package graph
 
 import "unsafe"
 
-// i32at / f64at are the unchecked loads of the articulation hot loop.
-// The DFS executes once per node removal of NCA — the dominant cost of
-// the whole variant — and every index is in range by construction (CSR
-// targets hold valid node ids < n; cursors stay below the row end, which
-// is bounded by len(targets)), so the compiler's per-entry bounds checks
-// are pure overhead (~25% of the sweep, measured). Touch these only with
-// indices whose validity follows from the packed-array invariants.
+// i32at is the unchecked load of the articulation hot loop. Every index
+// is in range by construction (CSR targets hold valid node ids < n;
+// cursors stay below the row end, which is bounded by len(targets)), so
+// the compiler's per-entry bounds checks are pure overhead (~25% of the
+// sweep, measured). Touch it only with indices whose validity follows
+// from the packed-array invariants.
 func i32at(base *int32, i int32) *int32 {
 	return (*int32)(unsafe.Add(unsafe.Pointer(base), uintptr(uint32(i))*4))
-}
-
-func f64at(base *float64, i int32) *float64 {
-	return (*float64)(unsafe.Add(unsafe.Pointer(base), uintptr(uint32(i))*8))
 }
 
 // CSRView is a mutable "alive set" over an immutable CSR snapshot — the
@@ -265,9 +260,8 @@ func (v *CSRView) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node)
 
 // ArtScratch is the reusable backing memory of one articulation-point
 // DFS: per-node discovery/low-link/parent/cursor tables plus the explicit
-// DFS stack. NCA recomputes articulation points once per node removal, so
-// arenas keep one ArtScratch and pay an O(alive) re-initialization per
-// sweep instead of six fresh allocations.
+// DFS stack. Arenas keep one ArtScratch and pay an O(alive)
+// re-initialization per sweep instead of six fresh allocations.
 type ArtScratch struct {
 	isArt  []bool
 	disc   []int32 // discovery time; 0 = unvisited, -1 = dead
@@ -316,26 +310,31 @@ func (v *CSRView) ArticulationPoints() []bool {
 // scratch. The returned mask aliases s.isArt and is valid until the next
 // sweep on the same scratch.
 func (v *CSRView) ArticulationPointsInto(s *ArtScratch) []bool {
-	return v.articulation(s, nil)
+	return v.articulation(s, 0, nil)
 }
 
-// ArticulationPointsKInto additionally accumulates, for every alive node
-// u, its weighted degree into the alive set k_{u,S} into kSum[u]; entries
-// of dead nodes are left untouched (stale) and must not be read. The DFS
-// cursor walks each alive node's
-// packed adjacency exactly once in ascending order — the same term order
-// WeightedDegreeIn uses — so the fused sums are bit-identical to separate
-// per-node rescans while saving a full pass over the alive edges. NCA's
-// candidate scan consumes them every removal.
-func (v *CSRView) ArticulationPointsKInto(s *ArtScratch, kSum []float64) []bool {
-	return v.articulation(s, kSum)
+// ArticulationWitnessesInto is ArticulationPointsInto with the DFS of
+// root's component rooted at root, and a certificate per articulation
+// point: witness[p] is a DFS child w of p with low[w] >= disc[p], i.e. a
+// node every path from which to root passes through p; witness[u] is -1
+// for every other node (DFS roots included — the root rule leaves no
+// single child to name). Removing nodes only shrinks the components of
+// alive − p, so while p, witness[p] and root all stay alive, p is still
+// an articulation point: NCA skips such nodes without a new sweep.
+func (v *CSRView) ArticulationWitnessesInto(s *ArtScratch, root Node, witness []Node) []bool {
+	for i := range witness {
+		witness[i] = -1
+	}
+	return v.articulation(s, root, witness)
 }
 
-func (v *CSRView) articulation(s *ArtScratch, kSum []float64) []bool {
+// articulation runs the DFS from first (when alive), then from every
+// still-unvisited alive node in ascending order; witness may be nil.
+func (v *CSRView) articulation(s *ArtScratch, first Node, witness []Node) []bool {
 	c := v.c
 	n := c.NumNodes()
 	s.reset(c, v.alive, n)
-	offsets, targets, weights := c.offsets, c.targets, c.weights
+	offsets, targets := c.offsets, c.targets
 	isArt := s.isArt
 	disc, low := s.disc, s.low
 	parent := s.parent
@@ -345,25 +344,20 @@ func (v *CSRView) articulation(s *ArtScratch, kSum []float64) []bool {
 	discP := unsafe.SliceData(disc)
 	lowP := unsafe.SliceData(low)
 	parentP := unsafe.SliceData(parent)
-	var weightsP, kSumP *float64
-	if kSum != nil {
-		weightsP = unsafe.SliceData(weights)
-		kSumP = unsafe.SliceData(kSum)
-	}
 	var timer int32 = 1
 	stack := s.stack[:0]
 	defer func() { s.stack = stack[:0] }() // keep a grown stack
 
-	for ri := 0; ri < n; ri++ {
-		if disc[ri] != 0 { // dead (-1) or already visited
+	for ri := -1; ri < n; ri++ {
+		root := Node(ri)
+		if ri < 0 {
+			root = first
+		}
+		if int(root) >= n || disc[root] != 0 { // dead (-1) or already visited
 			continue
 		}
-		root := Node(ri)
 		disc[root], low[root] = timer, timer
 		parent[root] = -1
-		if kSum != nil {
-			kSum[root] = 0
-		}
 		rootChildren := 0
 		timer++
 		stack = append(stack[:0], root)
@@ -372,39 +366,22 @@ func (v *CSRView) articulation(s *ArtScratch, kSum []float64) []bool {
 			end := offsets[u+1]
 			cur := iter[u]
 			pu := parent[u]
-			lu := low[u]
+			lu := low[u] // in a register while u is the stack top
 			advanced := false
-			// The low-link and k_{u,S} accumulators live in registers
-			// while u is the stack top and are flushed on descend/pop;
-			// the += order is the cursor order either way, so the fused
-			// sums stay bit-identical to a per-node rescan.
-			var ku float64
-			if kSum != nil {
-				ku = kSum[u]
-			}
 			for cur < end {
 				w := *i32at(targetsP, cur)
 				dw := *i32at(discP, w) // the one random read of the edge loop
-				if dw > 0 {            // visited alive neighbor: the common case
-					if kSumP != nil {
-						ku += *f64at(weightsP, cur)
-					}
-					cur++
+				cur++
+				if dw > 0 { // visited alive neighbor: the common case
 					if w != pu && dw < lu {
 						lu = dw
 					}
 					continue
 				}
 				if dw < 0 { // dead neighbor
-					cur++
 					continue
 				}
 				// tree edge: discover w
-				if kSumP != nil {
-					ku += *f64at(weightsP, cur)
-					*f64at(kSumP, w) = 0
-				}
-				cur++
 				*i32at(parentP, w) = u
 				if u == root {
 					rootChildren++
@@ -418,9 +395,6 @@ func (v *CSRView) articulation(s *ArtScratch, kSum []float64) []bool {
 			}
 			iter[u] = cur
 			low[u] = lu
-			if kSum != nil {
-				kSum[u] = ku
-			}
 			if advanced {
 				continue
 			}
@@ -431,6 +405,9 @@ func (v *CSRView) articulation(s *ArtScratch, kSum []float64) []bool {
 				}
 				if parent[pu] >= 0 && lu >= disc[pu] {
 					isArt[pu] = true
+					if witness != nil {
+						witness[pu] = u
+					}
 				}
 			}
 		}
