@@ -220,8 +220,7 @@ func engineWorkload(b *testing.B) (*lfr.Result, []dmcs.EngineQuery) {
 }
 
 // BenchmarkEngineSerialFPA is the baseline: the same query roster answered
-// one at a time through the one-shot entry point, which re-derives the
-// component and aggregates per call.
+// one at a time through the one-shot entry point.
 func BenchmarkEngineSerialFPA(b *testing.B) {
 	res, qs := engineWorkload(b)
 	b.ResetTimer()
@@ -257,6 +256,36 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkRootSearchFPAPruningLFR is the paper's efficiency experiment
+// through the library's front door, as dmcsbench's paper-lfr workload
+// runs it: lfr.Default(), single-node query sets, FPA with layer pruning
+// through the one-shot Search on a Graph. A call pays for the peel and
+// allocates its Result and Community; CI gates it at 2 allocs/op, so a
+// per-call pack or component flood cannot come back unnoticed.
+func BenchmarkRootSearchFPAPruningLFR(b *testing.B) {
+	res, err := lfr.Generate(lfr.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := queries.Generate(res.G, res.Communities, queries.Options{NumSets: 128, Size: 1, TrussK: 4, Seed: 1})
+	if len(qs) == 0 {
+		b.Fatal("no query sets generated")
+	}
+	opts := dmcs.Options{LayerPruning: true}
+	for _, q := range qs[:4] { // grow the pooled arena, memoise the partition
+		if _, err := dmcs.Search(res.G, q, dmcs.VariantFPA, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dmcs.Search(res.G, qs[i%len(qs)], dmcs.VariantFPA, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // reweight copies g with a deterministic pseudo-random weight in
 // (0.5, 2.5) on every edge (LCG keyed by seed), so the weighted
 // benchmarks below all measure the same workload shape.
@@ -271,8 +300,7 @@ func reweight(g *dmcs.Graph, seed uint64) *dmcs.Graph {
 }
 
 // BenchmarkWeightedSearchFPA measures the public one-shot entry point on
-// a weighted graph: every call packs a CSR snapshot and peels over flat
-// arrays (no edge-weight-map lookups in the peel).
+// a weighted graph: the peel reads the graph's packed weights.
 func BenchmarkWeightedSearchFPA(b *testing.B) {
 	res, _ := engineWorkload(b)
 	g := reweight(res.G, 1)

@@ -30,9 +30,11 @@
 //	apply           apply the staged ops as one atomic batch
 //	query a,b[,c]   answer a query against the current graph version
 //
-// Unknown labels in add/setw/node lines create new nodes. A query line
-// auto-applies any staged ops first, so each query always sees every
-// mutation above it. The run ends with the engine's serving summary.
+// Unknown labels in add/setw/node lines create new nodes. A weight, here
+// as in the graph file, must be a finite, non-negative number; the line
+// is refused otherwise. A query line auto-applies any staged ops first,
+// so each query always sees every mutation above it. The run ends with
+// the engine's serving summary.
 package main
 
 import (
@@ -42,7 +44,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -339,8 +340,8 @@ func runUpdates(g *graph.Graph, byLabel map[string]graph.Node, path, walDir, alg
 			u, v := intern(fields[0]), intern(fields[1])
 			w := 1.0
 			if len(fields) >= 3 {
-				if w, err = strconv.ParseFloat(fields[2], 64); err != nil {
-					fatalf("line %d: bad weight %q: %v", lineNo, fields[2], err)
+				if w, err = graph.ParseWeight(fields[2]); err != nil {
+					fatalf("line %d: %v", lineNo, err)
 				}
 			} else if cmd == "setw" {
 				fatalf("line %d: setw wants an explicit weight", lineNo)

@@ -25,21 +25,23 @@
 //
 // # Serving many queries
 //
-// The one-shot entry points above re-derive the query's connected
-// component and the modularity aggregates on every call. When many
-// queries hit the same graph — the usual server workload — build an
+// The one-shot entry points above run one query at a time and keep
+// nothing between calls but the graph's own packed arrays and component
+// partition. When many queries hit the same graph concurrently, repeat,
+// or the graph changes under them — the usual server workload — build an
 // Engine instead:
 //
 //	eng := dmcs.NewEngine(g, dmcs.EngineOptions{Workers: 8})
 //	res, err := eng.Search(ctx, dmcs.EngineQuery{Nodes: []dmcs.Node{0}})
 //	batch := eng.SearchBatch(ctx, queries) // bounded fan-out, input order
 //
-// NewEngine takes one immutable, read-optimized snapshot of the graph
+// NewEngine starts from the graph's immutable, read-optimized snapshot
 // (CSR adjacency plus the cached degree/volume aggregates the modularity
-// formulas need, plus the connected-component partition) and serves
-// queries concurrently through a bounded worker pool. Each query carries
-// a context.Context for cancellation and deadlines; a result cache keyed
-// by the normalized query-node set and options answers repeats instantly;
+// formulas need, plus the connected-component partition; shared with the
+// Graph, not copied) and serves queries concurrently through a bounded
+// worker pool. Each query carries a context.Context for cancellation and
+// deadlines; a result cache keyed by the normalized query-node set and
+// options answers repeats instantly;
 // Engine.Stats reports queries served, cache hits, collapsed and computed
 // searches, and p50/p95 latency. EngineOptions tunes the pool size
 // (default GOMAXPROCS), the cache capacity (default 1024 entries;
@@ -118,8 +120,8 @@
 // Apply merges the batch into the current packed snapshot by a span copy
 // of the CSR arrays: only the rows the batch touches are re-merged, the
 // runs of untouched rows between them move in bulk, and nothing
-// round-trips through the map-backed Graph. It maintains the
-// connected-component partition incrementally — insertions union
+// round-trips through a Builder. It maintains the connected-component
+// partition incrementally — insertions union
 // components in near-constant time, and only components that actually
 // lost an edge are re-flooded — and publishes the result as the next
 // graph version with an atomic pointer swap. Within a batch the last
@@ -178,15 +180,18 @@
 // allocations per query, and even a computed query allocates only its
 // escaping Result. CI gates the cache-hit benchmark at 0 allocs/op.
 //
-// The map-backed Graph is the construction and I/O type only: build or
-// parse one, then either call the one-shot entry points (FPA, NCA,
-// Search — each packs a throwaway snapshot per call), or pack a snapshot
-// yourself with NewCSR and reuse it across calls to SearchCSR, or — for
-// concurrent serving — hand the graph to NewEngine, which snapshots once
-// and routes every query through the shared packed arrays. All three
-// routes return identical results; the compact relabelling is monotonic
-// and the substrate preserves the exact float accumulation order of the
-// historical implementation, so even scores are bit-identical.
+// A Graph is born packed: Builder.Build and ParseEdgeList write the CSR
+// arrays directly, and the Graph is a labelled view over that one
+// immutable snapshot, which also memoises its connected-component
+// partition on first use. Build or parse one, then either call the
+// one-shot entry points (FPA, NCA, Search — each looks the query's
+// component up and peels; no per-call pack, no per-call flood), or take
+// the same snapshot with NewCSR for SearchCSR, or — for concurrent
+// serving — hand the graph to NewEngine, which shares the arrays and the
+// partition as its first version. All three routes return identical
+// results; the compact relabelling is monotonic and the substrate
+// preserves the exact float accumulation order of the historical
+// implementation, so even scores are bit-identical.
 package dmcs
 
 import (
@@ -201,15 +206,17 @@ import (
 // Node is a dense node identifier in [0, NumNodes).
 type Node = graph.Node
 
-// Graph is an immutable simple undirected graph.
+// Graph is an immutable simple undirected graph: a labelled view over
+// one packed CSR snapshot, with a memoised component partition. Do not
+// copy a Graph by value.
 type Graph = graph.Graph
 
 // Builder accumulates edges and produces an immutable Graph.
 type Builder = graph.Builder
 
 // CSR is the packed, read-optimized graph snapshot every search runs on
-// (see the package comment's architecture section). Build one with NewCSR
-// and reuse it across SearchCSR calls to amortize the packing.
+// (see the package comment's architecture section). Every Graph owns one;
+// NewCSR returns it.
 type CSR = graph.CSR
 
 // Options tunes a search; the zero value is the paper's default setup.
@@ -311,17 +318,19 @@ func Search(g *Graph, q []Node, v Variant, opts Options) (*Result, error) {
 	return dmcs.Search(g, q, v, opts)
 }
 
-// NewCSR packs g into the canonical flat snapshot.
+// NewCSR returns g's packed snapshot — the arrays g itself reads, in
+// O(1); every call returns the same immutable value.
 func NewCSR(g *Graph) *CSR { return graph.NewCSR(g) }
 
-// SearchCSR runs any of the four algorithm variants against a prebuilt
-// snapshot, skipping the per-call packing the Graph entry points pay.
+// SearchCSR runs any of the four algorithm variants against a snapshot.
+// It floods and sorts the query's component per call; Search on the
+// Graph looks it up in the memoised partition instead.
 func SearchCSR(c *CSR, q []Node, v Variant, opts Options) (*Result, error) {
 	return dmcs.SearchCSR(c, q, v, opts)
 }
 
-// NewEngine builds a read-optimized snapshot of g and returns an Engine
-// serving concurrent queries against it. The context passed to
+// NewEngine returns an Engine serving concurrent queries against g,
+// starting from g's own packed snapshot and partition. The context passed to
 // Engine.Search / Engine.SearchBatch cancels individual queries.
 func NewEngine(g *Graph, opts EngineOptions) *Engine { return engine.New(g, opts) }
 

@@ -96,9 +96,9 @@ func BenchmarkNCADR(b *testing.B) {
 	}
 }
 
-// BenchmarkWeightedFPACSR measures the production weighted search: pack a
-// CSR snapshot and peel over flat arrays (one map pass at pack time, zero
-// map lookups in the peel).
+// BenchmarkWeightedFPACSR measures the production weighted search through
+// the Graph entry point: the graph's own snapshot and memoised partition,
+// a peel over flat arrays.
 func BenchmarkWeightedFPACSR(b *testing.B) {
 	g, q := weightedBenchGraph(b, 5000)
 	b.ResetTimer()
@@ -109,9 +109,8 @@ func BenchmarkWeightedFPACSR(b *testing.B) {
 	}
 }
 
-// BenchmarkWeightedFPACSRPrebuilt is the engine's view of the same query:
-// the snapshot is built once and reused, so the measurement is the pure
-// flat-array peel.
+// BenchmarkWeightedFPACSRPrebuilt is the same query through SearchCSR,
+// which floods and sorts the query's component per call.
 func BenchmarkWeightedFPACSRPrebuilt(b *testing.B) {
 	g, q := weightedBenchGraph(b, 5000)
 	csr := graph.NewCSR(g)
@@ -123,10 +122,12 @@ func BenchmarkWeightedFPACSRPrebuilt(b *testing.B) {
 	}
 }
 
-// BenchmarkWeightedFPALegacy runs the frozen map-backed reference
+// BenchmarkWeightedFPALegacy runs the frozen Graph/View reference
 // implementation (legacy_ref_test.go) on the identical workload — every
-// k_{v,S} and w_C evaluation is a hashed edge-weight-map lookup. The gap
-// to BenchmarkWeightedFPACSR* is the win the CSR migration bought.
+// k_{v,S} and w_C evaluation is a Graph.EdgeWeight lookup (a binary search
+// into the packed row; a hashed map lookup before Graphs were born
+// packed). The gap to BenchmarkWeightedFPACSR* is the win of peeling over
+// the packed weights in place.
 func BenchmarkWeightedFPALegacy(b *testing.B) {
 	g, q := weightedBenchGraph(b, 5000)
 	b.ResetTimer()

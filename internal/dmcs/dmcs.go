@@ -18,12 +18,12 @@
 // parallel edge-weight slice, and cached per-node weighted degrees d_v and
 // total edge weight w_G — with a graph.CSRView tracking the alive subgraph
 // and its sufficient statistics (w_C, d_S) incrementally during peeling.
-// No hashed edge-weight-map lookup ever happens inside a peeling loop.
-// The *graph.Graph entry points (Search, SearchComponent, NCA, FPA, …)
-// are thin wrappers that pack a CSR and delegate to SearchCSR /
-// SearchComponentCSR; callers that serve many queries against one graph
-// (internal/engine) build the snapshot once and call the CSR entry points
-// directly. The map-backed Graph remains the construction/IO type only.
+// A graph.Graph is born packed and memoises its component partition, so
+// the *graph.Graph entry points (Search, SearchComponent, NCA, FPA, …)
+// run on the graph's own snapshot and look the query's component up
+// instead of flooding it; SearchCSR serves snapshots that come without a
+// partition, and internal/engine, which maintains its partition across
+// updates, calls SearchSub.
 //
 // On top of the snapshot, every query is scoped to its connected
 // component: the component is relabelled into a compact graph.SubCSR
@@ -175,22 +175,54 @@ type Result struct {
 	TimedOut bool
 }
 
-// Search runs the selected variant on a map-backed Graph. It packs a CSR
-// snapshot and delegates to SearchCSR; callers answering many queries
-// against one graph should build the snapshot once and call SearchCSR /
-// SearchComponentCSR themselves (internal/engine does).
+// Search runs the selected variant on a Graph. The graph is already
+// packed and its component partition is memoised, so a call validates the
+// query against the partition in O(|Q|) and goes straight to the peel:
+// no per-call pack, no per-call component flood and sort.
 func Search(g *graph.Graph, q []graph.Node, variant Variant, opts Options) (*Result, error) {
-	return SearchCSR(graph.NewCSR(g), q, variant, opts)
+	comp, err := queryComponent(g, q)
+	if err != nil {
+		return nil, err
+	}
+	a := arenaPool.Get().(*Arena)
+	defer arenaPool.Put(a)
+	if sub := g.WholeSub(); sub != nil {
+		return searchSub(a, sub, q, comp, variant, opts)
+	}
+	return searchExtract(a, graph.NewCSR(g), q, comp, variant, opts)
 }
 
 // SearchComponent runs the selected variant on a precomputed connected
-// component of g (see SearchComponentCSR for the component contract). It
-// is a thin wrapper that packs a CSR snapshot per call.
+// component of g (see SearchComponentCSR for the component contract),
+// against g's shared snapshot.
 func SearchComponent(g *graph.Graph, q, comp []graph.Node, variant Variant, opts Options) (*Result, error) {
 	return SearchComponentCSR(graph.NewCSR(g), q, comp, variant, opts)
 }
 
-// SearchCSR runs the selected variant against a packed snapshot: it
+// queryComponent validates the query against g's memoised partition and
+// returns the sorted connected component containing it (shared memory,
+// only read by the search).
+func queryComponent(g *graph.Graph, q []graph.Node) ([]graph.Node, error) {
+	if len(q) == 0 {
+		return nil, ErrEmptyQuery
+	}
+	compID, comps := g.Components()
+	for _, u := range q {
+		if u < 0 || int(u) >= len(compID) {
+			return nil, errOutOfRange
+		}
+	}
+	id := compID[q[0]]
+	for _, u := range q[1:] {
+		if compID[u] != id {
+			return nil, ErrDisconnected
+		}
+	}
+	return comps[id], nil
+}
+
+// SearchCSR runs the selected variant against a snapshot that comes
+// without a partition (a MergeCSR product, a decoded checkpoint): it
 // validates the query, enumerates the sorted connected component
 // containing it, and peels. The component flood uses the arena's
 // epoch-tagged visited table (no whole-graph distance array to clear),
@@ -211,10 +243,10 @@ func SearchCSR(c *graph.CSR, q []graph.Node, variant Variant, opts Options) (*Re
 
 // SearchComponentCSR runs the selected variant on a precomputed connected
 // component. comp must be the sorted connected component of the snapshot
-// containing every query node — exactly what queryComponent returns.
-// Callers that serve many queries against one graph (internal/engine)
-// precompute the component partition once and skip the per-query BFS +
-// sort; comp is only read, so one slice may serve concurrent searches.
+// containing every query node — a member list of CSR.Components or
+// UpdateComponents. Callers that hold the partition (the Graph entry
+// points, internal/engine) skip the per-query BFS + sort; comp is only
+// read, so one slice may serve concurrent searches.
 //
 // The search itself is query-scoped: the component is relabelled into a
 // compact sub-CSR (skipped when it spans the whole snapshot) and every
@@ -539,12 +571,4 @@ func queryComponentArena(a *Arena, c *graph.CSR, q []graph.Node) ([]graph.Node, 
 		slices.Sort(comp)
 	}
 	return comp, nil
-}
-
-// sortNodes sorts node ids ascending. slices.Sort compiles to a
-// monomorphized pdqsort — no reflection, no per-comparison indirection —
-// which BenchmarkSortNodes* in internal/graph quantifies against the
-// historical sort.Slice.
-func sortNodes(a []graph.Node) {
-	slices.Sort(a)
 }

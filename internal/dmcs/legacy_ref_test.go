@@ -12,6 +12,7 @@ package dmcs
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"time"
 
 	"dmcs/internal/graph"
@@ -55,7 +56,7 @@ func legacyQueryComponent(g *graph.Graph, q []graph.Node) ([]graph.Node, error) 
 	}
 	v := graph.NewView(g)
 	comp := graph.ComponentOf(v, q[0])
-	sortNodes(comp)
+	slices.Sort(comp)
 	return comp, nil
 }
 
@@ -256,7 +257,7 @@ func legacySteinerProtect(g *graph.Graph, q []graph.Node) []graph.Node {
 	for u := range set {
 		out = append(out, u)
 	}
-	sortNodes(out)
+	slices.Sort(out)
 	return out
 }
 

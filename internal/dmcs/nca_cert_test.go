@@ -27,7 +27,7 @@ func reweighted(g *graph.Graph, seed int64) *graph.Graph {
 // ncaQueries returns a 1-node and a 3-node query inside start's component.
 func ncaQueries(g *graph.Graph, start graph.Node) [][]graph.Node {
 	comp := graph.ComponentOf(graph.NewView(g), start)
-	sortNodes(comp)
+	slices.Sort(comp)
 	qs := [][]graph.Node{{start}}
 	if len(comp) >= 4 {
 		qs = append(qs, []graph.Node{comp[0], comp[len(comp)/2], comp[len(comp)-1]})

@@ -21,7 +21,7 @@
 //
 // The graph is shared but not frozen: Engine.Apply takes a Batch of edge
 // and node mutations, merges it into the current snapshot's packed CSR
-// (internal/graph.MergeCSR — no round-trip through the map-backed Graph),
+// (internal/graph.MergeCSR — no round-trip through a Builder),
 // maintains the component partition incrementally (unions on insert,
 // re-flooding only components that lost an edge), and publishes the
 // result as the next version with an atomic pointer swap. In-flight
@@ -211,10 +211,10 @@ func (e *Engine) putScratch(ws *workerScratch) {
 	e.scratch.Put(ws)
 }
 
-// New packs a read-optimized snapshot of g and returns an Engine serving
-// it. The graph itself is not retained — queries run entirely off the
-// snapshot's flat arrays. For an engine whose state survives restarts,
-// use OpenDurable instead.
+// New returns an Engine serving g. Its first snapshot shares g's packed
+// arrays and memoised component partition (see NewSnapshot); nothing is
+// copied. For an engine whose state survives restarts, use OpenDurable
+// instead.
 func New(g *graph.Graph, opts Options) *Engine {
 	e := newEngine(opts)
 	e.snap.Store(NewSnapshot(g))
@@ -426,9 +426,9 @@ func (e *Engine) peelOwn(ctx context.Context, snap *Snapshot, id int32, v dmcs.V
 	start := time.Now()
 	// The component's compact sub-CSR goes straight into the search:
 	// per-query work touches only component-sized packed arrays plus the
-	// arena's recycled scratch — never whole-graph-sized state and never
-	// the map-backed Graph. safeSearch confines a panicking peel to this
-	// query and discards the poisoned arena.
+	// arena's recycled scratch — never whole-graph-sized state.
+	// safeSearch confines a panicking peel to this query and discards the
+	// poisoned arena.
 	res, err := e.safeSearch(ws, snap.SubCSR(id), ws.nodes, snap.comps[id], v, opts)
 	if err != nil {
 		e.stats.recordSearch(ws.stripe, time.Since(start), false)

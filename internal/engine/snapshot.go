@@ -14,16 +14,14 @@ import (
 var ErrNodeOutOfRange = errors.New("engine: query node out of range")
 
 // Snapshot is the immutable, read-optimized view of one graph version
-// that every query served by an Engine runs against. It packs the
-// adjacency into a CSR (with the weighted-degree and total-weight
-// aggregates the modularity formulas need) and precomputes the
-// connected-component partition, so admitting a query costs O(|Q|)
-// instead of the BFS + sort that the plain dmcs.Search entry points pay
-// per call. Snapshots are safe for concurrent readers; nothing visible to
-// them is ever mutated after construction. Engine.Apply never touches an
-// existing snapshot either — it builds the next one and swaps an atomic
-// pointer, so queries that admitted against an older version drain on it
-// undisturbed.
+// that every query served by an Engine runs against: the packed CSR
+// (with the weighted-degree and total-weight aggregates the modularity
+// formulas need) and the connected-component partition, so admitting a
+// query costs O(|Q|). Snapshots are safe for concurrent readers; nothing
+// visible to them is ever mutated after construction. Engine.Apply never
+// touches an existing snapshot either — it builds the next one and swaps
+// an atomic pointer, so queries that admitted against an older version
+// drain on it undisturbed.
 //
 // Each snapshot carries an epoch — 0 at construction, incremented by
 // every applied mutation batch — plus a component-version vector: every
@@ -80,41 +78,13 @@ type compRef struct {
 	key, ver uint64
 }
 
-// NewSnapshot builds the read-optimized snapshot of g at epoch 0. The
-// map-backed graph itself is not retained: once packed, every query runs
-// off the CSR, so a long-lived engine does not keep the edge-weight map
-// and nested adjacency resident alongside the flat copy.
+// NewSnapshot builds the read-optimized snapshot of g at epoch 0. Nothing
+// is packed or flooded here: the snapshot shares g's packed arrays and
+// g's memoised component partition, which are immutable on both sides —
+// Apply builds successors by copy and never writes into a predecessor.
 func NewSnapshot(g *graph.Graph) *Snapshot {
-	csr := graph.NewCSR(g)
-	compID := make([]int32, csr.NumNodes())
-	for i := range compID {
-		compID[i] = -1
-	}
-	var comps [][]graph.Node
-	var queue []graph.Node
-	for root := 0; root < csr.NumNodes(); root++ {
-		if compID[root] != -1 {
-			continue
-		}
-		id := int32(len(comps))
-		compID[root] = id
-		queue = append(queue[:0], graph.Node(root))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, w := range csr.Neighbors(u) {
-				if compID[w] == -1 {
-					compID[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-		comps = append(comps, nil)
-	}
-	// Member lists come out sorted for free by visiting node ids in order.
-	for u, id := range compID {
-		comps[id] = append(comps[id], graph.Node(u))
-	}
-	return newSnapshotParts(csr, compID, comps, 0)
+	compID, comps := g.Components()
+	return newSnapshotParts(graph.NewCSR(g), compID, comps, 0)
 }
 
 // newSnapshotParts assembles a snapshot from an already-built CSR and

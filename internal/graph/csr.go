@@ -2,63 +2,25 @@ package graph
 
 import "container/heap"
 
-// CSR is a compressed-sparse-row snapshot of a Graph: all adjacency lists
-// packed into one contiguous slice with per-node offsets. It is the
-// canonical algorithm substrate of this repository — traversals (BFS,
-// Dijkstra), modularity evaluation, and the peeling searches all run on
-// the packed arrays; mutation during peeling is handled by CSRView, a
-// mutable alive-set overlay. The map-backed Graph remains the right type
-// only for construction and I/O. BenchmarkCSRTraversal quantifies the
-// locality difference.
+// CSR is a compressed-sparse-row snapshot of a graph: all adjacency lists
+// packed into one contiguous slice with per-node offsets. It is the one
+// storage layout of this repository — a Builder packs straight into it,
+// Graph is a labelled view over it, and traversals (BFS, Dijkstra),
+// modularity evaluation, and the peeling searches all run on the packed
+// arrays; mutation during peeling is handled by CSRView, a mutable
+// alive-set overlay. A snapshot is immutable once built: Graph, the
+// engine and every query share the same arrays.
 //
 // The snapshot also caches the aggregates the modularity formulas need on
 // every query — per-node weighted degrees (the d_v node weights of
-// Definition 2) and the total edge weight w_G — so read-heavy servers like
-// internal/engine evaluate them without touching the edge-weight map.
+// Definition 2) and the total edge weight w_G — accumulated in the order
+// Builder.Build documents.
 type CSR struct {
 	offsets []int32
 	targets []Node
 	weights []float64 // parallel to targets; nil for unweighted graphs
 	wdeg    []float64 // cached WeightedDegree per node (plain degree when unweighted)
 	totalW  float64   // cached TotalWeight (|E| when unweighted)
-}
-
-// NewCSR packs g into CSR form.
-func NewCSR(g *Graph) *CSR {
-	n := g.NumNodes()
-	c := &CSR{
-		offsets: make([]int32, n+1),
-		targets: make([]Node, 0, 2*g.NumEdges()),
-		wdeg:    make([]float64, n),
-	}
-	if g.Weighted() {
-		c.weights = make([]float64, 0, 2*g.NumEdges())
-	}
-	for u := 0; u < n; u++ {
-		c.offsets[u] = int32(len(c.targets))
-		c.targets = append(c.targets, g.Neighbors(Node(u))...)
-		if c.weights != nil {
-			for _, w := range g.Neighbors(Node(u)) {
-				ew := g.EdgeWeight(Node(u), w)
-				c.weights = append(c.weights, ew)
-				c.wdeg[u] += ew
-				// Per-edge (u < w) accumulation in Graph.TotalWeight's
-				// iteration order, so the two values are bit-identical
-				// (float addition is order-sensitive and searches compare
-				// scores computed from either source).
-				if Node(u) < w {
-					c.totalW += ew
-				}
-			}
-		} else {
-			c.wdeg[u] = float64(g.Degree(Node(u)))
-		}
-	}
-	c.offsets[n] = int32(len(c.targets))
-	if c.weights == nil {
-		c.totalW = float64(g.NumEdges())
-	}
-	return c
 }
 
 // NumNodes returns |V|.
@@ -268,6 +230,40 @@ func (c *CSR) Component(src Node) ([]Node, []int32) {
 		}
 	}
 	return comp, dist
+}
+
+// Components floods the whole snapshot once and returns its
+// connected-component partition in canonical form: compID maps every node
+// to a component id assigned in first-seen ascending-node order, and
+// comps[id] is that component's member list, sorted ascending. It is the
+// from-scratch form of what UpdateComponents maintains incrementally, and
+// the only whole-graph flood in the package.
+func (c *CSR) Components() (compID []int32, comps [][]Node) {
+	n := c.NumNodes()
+	compID = make([]int32, n)
+	for i := range compID {
+		compID[i] = -1
+	}
+	var sizes []int32
+	var queue []Node
+	for root := 0; root < n; root++ {
+		if compID[root] != -1 {
+			continue
+		}
+		id := int32(len(sizes))
+		compID[root] = id
+		queue = append(queue[:0], Node(root))
+		for head := 0; head < len(queue); head++ {
+			for _, w := range c.Neighbors(queue[head]) {
+				if compID[w] == -1 {
+					compID[w] = id
+					queue = append(queue, w)
+				}
+			}
+		}
+		sizes = append(sizes, int32(len(queue)))
+	}
+	return compID, memberLists(compID, sizes)
 }
 
 // Dijkstra computes weighted shortest-path distances from the sources

@@ -6,7 +6,7 @@ import "slices"
 // mutations to a packed CSR snapshot produces the next snapshot by a
 // span-copy merge over the packed arrays — the same relabelling-free,
 // order-preserving style as SubCSR extraction — instead of round-tripping
-// through the map-backed Graph. Only the rows a batch touches are
+// through a Builder. Only the rows a batch touches are
 // re-merged entry by entry; every run of untouched rows between them moves
 // with one bulk copy. The component partition is maintained incrementally
 // on top: insertions union existing components, and only components that
@@ -17,7 +17,7 @@ import "slices"
 // memmove of the packed arrays (targets, weights, wdeg) and a constant-shift
 // rewrite of the n offsets; a weighted snapshot additionally re-sums w_G in
 // one tight pass over the packed weights, because float addition is
-// order-sensitive and the sum must visit every term in NewCSR's order.
+// order-sensitive and the sum must visit every term in Builder.Build's order.
 // UpdateComponents computes O(b + k) on the group forest plus the re-flood
 // of components that lost an edge, then labels the n nodes and lays the
 // member lists out in three closure-free passes over flat arrays.
@@ -137,13 +137,13 @@ type dirOp struct {
 // of targets/weights/wdeg and a constant shift of its offsets. A batch
 // whose residue is empty and that adds no node returns c itself.
 //
-// The result is bit-identical to a from-scratch NewCSR pack of the same
-// graph. An untouched row keeps its entries, and its wdeg is the sum NewCSR
-// would form from the same weights in the same order (the plain degree,
+// The result is bit-identical to a from-scratch Builder.Build pack of the
+// same graph. An untouched row keeps its entries, and its wdeg is the sum
+// Build would form from the same weights in the same order (the plain degree,
 // exactly, when every weight is 1 — which also covers rows carried across
 // the unweighted→weighted transition). A touched row's wdeg is re-summed
 // in ascending-neighbor order. w_G is the edge count on an unweighted
-// result and is otherwise re-summed over the merged arrays in NewCSR's
+// result and is otherwise re-summed over the merged arrays in Build's
 // ascending-node, ascending-neighbor order.
 //
 // Semantics per edge (u ≠ v; self-loops are ignored like Builder.AddEdge):
@@ -459,7 +459,7 @@ func UpdateComponents(c *CSR, oldCompID []int32, numOldComps int, info *MergeInf
 	// an old root (< numOldComps), nothing was unioned into it (that would
 	// have marked it touched), and none of its edges changed.
 	table := make([]int32, next) // provisional id -> canonical id + 1; 0 = unseen
-	ends := make([]int32, next)  // canonical id -> member count, then fill cursor
+	ends := make([]int32, next)  // canonical id -> member count
 	carried = make([]int32, 0, next)
 	for u := 0; u < n; {
 		p := compID[u]
@@ -480,28 +480,37 @@ func UpdateComponents(c *CSR, oldCompID []int32, numOldComps int, info *MergeInf
 		ends[id] += int32(u - run)
 	}
 
-	// Lay the member lists out in one backing array: turn the counts into
-	// start cursors, then drop each run of nodes at its component's cursor
-	// — ascending u, so every list comes out sorted.
-	comps = make([][]Node, len(carried))
+	return compID, memberLists(compID, ends[:len(carried)]), carried, refloodedNodes
+}
+
+// memberLists lays out the member list of every component of a canonical
+// labelling in one backing array: sizes[id] is component id's member
+// count on entry (it is consumed as the fill cursor). The counts become
+// start cursors, then each run of consecutive nodes with the same id is
+// dropped at its component's cursor — ascending u, so every list comes
+// out sorted. Each list is capped at its own length, so an append to one
+// can never write into its neighbour.
+func memberLists(compID []int32, sizes []int32) [][]Node {
+	n := len(compID)
+	comps := make([][]Node, len(sizes))
 	members := make([]Node, n)
 	start := int32(0)
 	for id := range comps {
-		size := ends[id]
-		ends[id] = start
+		size := sizes[id]
+		sizes[id] = start
 		start += size
 		comps[id] = members[start-size : start : start]
 	}
 	for u := 0; u < n; {
 		id := compID[u]
-		at := ends[id]
+		at := sizes[id]
 		for ; u < n && compID[u] == id; u++ {
 			members[at] = Node(u)
 			at++
 		}
-		ends[id] = at
+		sizes[id] = at
 	}
-	return compID, comps, carried, refloodedNodes
+	return comps
 }
 
 // findRoot returns the root of x in the union-find forest parent, halving

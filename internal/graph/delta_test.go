@@ -223,53 +223,20 @@ func TestMergeCSRBecomesWeighted(t *testing.T) {
 	}
 }
 
-// floodComponents is the from-scratch partition UpdateComponents must
-// reproduce.
-func floodComponents(c *CSR) ([]int32, [][]Node) {
-	n := c.NumNodes()
-	compID := make([]int32, n)
-	for i := range compID {
-		compID[i] = -1
-	}
-	var comps [][]Node
-	var queue []Node
-	for root := 0; root < n; root++ {
-		if compID[root] != -1 {
-			continue
-		}
-		id := int32(len(comps))
-		compID[root] = id
-		queue = append(queue[:0], Node(root))
-		for head := 0; head < len(queue); head++ {
-			for _, w := range c.Neighbors(queue[head]) {
-				if compID[w] == -1 {
-					compID[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-		comps = append(comps, nil)
-	}
-	for u, id := range compID {
-		comps[id] = append(comps[id], Node(u))
-	}
-	return compID, comps
-}
-
 // TestUpdateComponentsMatchesFlood chains random batches and checks the
 // incrementally maintained partition against a full re-flood each round.
 func TestUpdateComponentsMatchesFlood(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomDeltaGraph(rng, 40, false)
 	cur := NewCSR(g)
-	compID, comps := floodComponents(cur)
+	compID, comps := cur.Components()
 	for round := 0; round < 30; round++ {
 		ops := randomBatch(rng, cur.NumNodes(), 10, false)
 		next, info := MergeCSR(cur, ops)
 		oldComps := comps
 		var carried []int32
 		compID, comps, carried, _ = UpdateComponents(next, compID, len(comps), info)
-		wantID, wantComps := floodComponents(next)
+		wantID, wantComps := next.Components()
 		if !reflect.DeepEqual(compID, wantID) {
 			t.Fatalf("round %d: compID mismatch\n got %v\nwant %v", round, compID, wantID)
 		}
@@ -332,7 +299,7 @@ func TestUpdateComponentsRefloodScope(t *testing.T) {
 	// Three components: a path 0-1-2-3, a triangle 4-5-6, a pair 7-8.
 	g := FromEdges(9, [][2]Node{{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {4, 6}, {7, 8}})
 	cur := NewCSR(g)
-	compID, comps := floodComponents(cur)
+	compID, comps := cur.Components()
 	if len(comps) != 3 {
 		t.Fatalf("want 3 components, got %d", len(comps))
 	}
@@ -370,7 +337,7 @@ func TestUpdateComponentsRefloodScope(t *testing.T) {
 	if len(comps) != 3 {
 		t.Fatalf("want 3 components after split, got %d", len(comps))
 	}
-	wantID, wantComps := floodComponents(next)
+	wantID, wantComps := next.Components()
 	if !reflect.DeepEqual(comps, wantComps) {
 		t.Fatalf("comps mismatch after split:\n got %v\nwant %v (ids %v)", comps, wantComps, wantID)
 	}
@@ -380,7 +347,7 @@ func TestUpdateComponentsRefloodScope(t *testing.T) {
 // singletons that join components through inserted edges.
 func TestUpdateComponentsNewNodes(t *testing.T) {
 	cur := NewCSR(FromEdges(2, [][2]Node{{0, 1}}))
-	compID, comps := floodComponents(cur)
+	compID, comps := cur.Components()
 	next, info := MergeCSR(cur, []Delta{
 		{Op: DeltaAddNode, U: 4},       // isolated: nodes 2,3,4 appear
 		{Op: DeltaAddEdge, U: 1, V: 5}, // implicit growth to 6 nodes
@@ -393,7 +360,7 @@ func TestUpdateComponentsNewNodes(t *testing.T) {
 	if reflooded != 0 {
 		t.Fatalf("growth batch reflooded %d nodes, want 0", reflooded)
 	}
-	wantID, wantComps := floodComponents(next)
+	wantID, wantComps := next.Components()
 	if !reflect.DeepEqual(compID, wantID) || !reflect.DeepEqual(comps, wantComps) {
 		t.Fatalf("partition mismatch:\n got %v %v\nwant %v %v", compID, comps, wantID, wantComps)
 	}
@@ -407,7 +374,7 @@ func TestUpdateComponentsCarried(t *testing.T) {
 	// Four components: path 0-1-2, triangle 3-4-5, pair 6-7, pair 8-9.
 	g := FromEdges(10, [][2]Node{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {3, 5}, {6, 7}, {8, 9}})
 	cur := NewCSR(g)
-	compID, comps := floodComponents(cur)
+	compID, comps := cur.Components()
 	if len(comps) != 4 {
 		t.Fatalf("want 4 components, got %d", len(comps))
 	}
@@ -525,7 +492,7 @@ func mergeStep(t *testing.T, cur *CSR, ref *refModel, compID []int32, comps [][]
 
 	newID, newComps, carried, _ := UpdateComponents(next, compID, len(comps), info)
 	checkCarried(t, cur, next, comps, newComps, carried, info)
-	wantID, wantComps := floodComponents(next)
+	wantID, wantComps := next.Components()
 	if !reflect.DeepEqual(newID, wantID) || !reflect.DeepEqual(newComps, wantComps) {
 		t.Fatalf("incremental partition differs from a re-flood")
 	}
@@ -594,7 +561,7 @@ func TestMergeCSRSpanBoundaries(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%s/weighted=%v", tc.name, weighted), func(t *testing.T) {
 				base := NewCSR(g)
-				compID, comps := floodComponents(base)
+				compID, comps := base.Components()
 				mergeStep(t, base, newRefModel(g), compID, comps, tc.ops(base))
 			})
 		}
@@ -610,7 +577,7 @@ func TestMergeCSRSparseBatchesDifferential(t *testing.T) {
 		rng := rand.New(rand.NewSource(19))
 		g := islandGraph(rng, 520, island, weighted)
 		cur, ref := NewCSR(g), newRefModel(g)
-		compID, comps := floodComponents(cur)
+		compID, comps := cur.Components()
 		for round := 0; round < 150; round++ {
 			n := cur.NumNodes()
 			pick := func() Node {
@@ -671,7 +638,7 @@ func TestMergeCSRNoOpReturnsInput(t *testing.T) {
 // a caller reallocates instead of overwriting the next component.
 func TestUpdateComponentsMemberListsDoNotAlias(t *testing.T) {
 	cur := NewCSR(FromEdges(7, [][2]Node{{0, 1}, {1, 2}, {3, 4}, {5, 6}}))
-	compID, comps := floodComponents(cur)
+	compID, comps := cur.Components()
 	next, info := MergeCSR(cur, []Delta{{Op: DeltaRemoveEdge, U: 1, V: 2}})
 	_, comps, _, _ = UpdateComponents(next, compID, len(comps), info)
 	want := [][]Node{{0, 1}, {2}, {3, 4}, {5, 6}}

@@ -19,6 +19,8 @@ func FuzzParseEdgeList(f *testing.F) {
 	f.Add([]byte("a b not-a-number\n"))    // rejected weight
 	f.Add([]byte("lonely\n"))              // rejected field count
 	f.Add([]byte("a b 1e308\nb c -0\n"))
+	f.Add([]byte("a b NaN\n")) // rejected: non-finite
+	f.Add([]byte("a b 1\nb c -Inf\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -48,6 +50,11 @@ func FuzzParseEdgeList(f *testing.F) {
 		}
 		if degSum != 2*c.NumEdges() {
 			t.Fatalf("degree sum %d != 2 * %d edges", degSum, c.NumEdges())
+		}
+		for _, w := range c.weights {
+			if !(w >= 0) || math.IsInf(w, 1) {
+				t.Fatalf("weight %v survived the parse", w)
+			}
 		}
 
 		// Round trip. Isolated nodes (tokens seen only in self-loop lines)
@@ -125,23 +132,7 @@ func FuzzMergeCSR(f *testing.F) {
 		base := b.Build()
 		cur := NewCSR(base)
 		ref := newRefModel(base)
-		compID, comps := floodComponents(cur)
-
-		// buildRef packs the reference model with an explicit weighted
-		// flag: MergeCSR's weightedness is sticky (a weighted snapshot
-		// never reverts even if every weight drifts back to 1), which
-		// refModel.build's all-ones inference cannot express.
-		buildRef := func(weighted bool) *CSR {
-			rb := NewBuilder(ref.n)
-			for e, w := range ref.edges {
-				if weighted {
-					rb.SetWeight(e[0], e[1], w)
-				} else {
-					rb.AddEdge(e[0], e[1])
-				}
-			}
-			return NewCSR(rb.Build())
-		}
+		compID, comps := cur.Components()
 
 		const opBytes, batchOps = 4, 6
 		var ops []Delta
@@ -166,7 +157,11 @@ func FuzzMergeCSR(f *testing.F) {
 			if next.Weighted() != wantWeighted {
 				t.Fatalf("merged snapshot weighted=%v, want %v", next.Weighted(), wantWeighted)
 			}
-			csrEqual(t, next, buildRef(wantWeighted))
+			// Builder and merge against each other, and the Builder against
+			// the reference pack loop it replaced.
+			built := ref.buildAs(wantWeighted)
+			csrEqual(t, next, built)
+			csrBitsEqual(t, built, ref.refPack(wantWeighted))
 
 			// The residue lists exactly the connectivity changes.
 			for _, e := range info.Inserted {
@@ -184,7 +179,7 @@ func FuzzMergeCSR(f *testing.F) {
 			var carried []int32
 			compID, comps, carried, _ = UpdateComponents(next, compID, len(comps), info)
 			checkCarried(t, cur, next, oldComps, comps, carried, info)
-			wantID, wantComps := floodComponents(next)
+			wantID, wantComps := next.Components()
 			if len(comps) != len(wantComps) {
 				t.Fatalf("incremental partition has %d components, re-flood has %d", len(comps), len(wantComps))
 			}

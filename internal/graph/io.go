@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -17,11 +18,9 @@ import (
 // Weight rule for mixed files: if any line carries a weight, the whole
 // graph is weighted and every bare 2-column line means weight 1.0 —
 // regardless of whether the bare line appears before or after the first
-// weighted one. (Previously bare lines got no weight entry at all,
-// producing a half-weighted graph whose unweighted edges silently fell
-// back to the default — correct by accident for the in-memory Graph, but
-// lost on any explicit per-edge weight sweep.) Repeated edge lines
-// overwrite: the last line mentioning an edge decides its weight.
+// weighted one. Repeated edge lines overwrite: the last line mentioning an
+// edge decides its weight. A weight must be finite and non-negative: a NaN
+// or an infinity would poison w_G and with it every score on the graph.
 func ParseEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -51,9 +50,9 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 		}
 		u, v := intern(f[0]), intern(f[1])
 		if len(f) >= 3 {
-			w, err := strconv.ParseFloat(f[2], 64)
+			w, err := ParseWeight(f[2])
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight %q: %v", lineNo, f[2], err)
+				return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 			}
 			b.SetWeight(u, v, w)
 			anyWeighted = true
@@ -64,25 +63,31 @@ func ParseEdgeList(r io.Reader) (*Graph, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %v", err)
 	}
-	// Whether the file is weighted is only known now. If any line carried
-	// a weight, backfill an explicit 1.0 entry for every edge whose last
-	// record was a bare line (AddEdge resets any earlier weight, so
-	// last-wins already held per line; this keeps the parse streaming
-	// instead of buffering O(E) lines). The tracked flag, not len(b.ew),
-	// decides: bare re-adds may have reset every recorded weight, and the
-	// file is weighted regardless.
-	if anyWeighted {
-		if b.ew == nil {
-			b.ew = make(map[[2]Node]float64, len(b.edges))
-		}
-		for e := range b.edges {
-			if _, ok := b.ew[e]; !ok {
-				b.ew[e] = 1
-			}
-		}
-	}
+	// Whether the file is weighted is only known now, and the tracked
+	// flag, not len(b.ew), decides: bare re-adds may have reset every
+	// recorded weight, and the file is weighted regardless. Build then
+	// packs an explicit 1.0 for every edge whose last record was a bare
+	// line (AddEdge resets any earlier weight, so last-wins already held
+	// per line and the parse stays streaming).
+	b.weighted = anyWeighted
 	b.SetLabels(labels)
 	return b.Build(), nil
+}
+
+// ParseWeight reads an edge-weight token for the text parsers (edge
+// lists, the /apply update stream, the CLI's -updates file). A weight is
+// a finite, non-negative number: strconv accepts "NaN" and "-Inf", and one
+// such weight in a snapshot turns w_G, and every score normalized by it,
+// into NaN for good.
+func ParseWeight(tok string) (float64, error) {
+	w, err := strconv.ParseFloat(tok, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad weight %q: %v", tok, err)
+	}
+	if !(w >= 0) || math.IsInf(w, 1) {
+		return 0, fmt.Errorf("bad weight %q: want a finite, non-negative number", tok)
+	}
+	return w, nil
 }
 
 // WriteEdgeList writes g as "u v" lines using labels when present.

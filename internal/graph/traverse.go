@@ -1,7 +1,5 @@
 package graph
 
-import "container/heap"
-
 // INF marks unreachable nodes in distance slices.
 const INF int32 = 1<<31 - 1
 
@@ -14,27 +12,7 @@ func BFS(g *Graph, src Node) []int32 {
 // MultiSourceBFS computes, for every node, the minimum unweighted distance
 // to any of the sources (the paper's dist(v) = min over q in Q of d(q,v)).
 func MultiSourceBFS(g *Graph, sources []Node) []int32 {
-	dist := make([]int32, g.NumNodes())
-	for i := range dist {
-		dist[i] = INF
-	}
-	queue := make([]Node, 0, len(sources))
-	for _, s := range sources {
-		if dist[s] == INF {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, w := range g.Neighbors(u) {
-			if dist[w] == INF {
-				dist[w] = dist[u] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
+	return g.packed().MultiSourceBFS(sources)
 }
 
 // MultiSourceBFSView is MultiSourceBFS restricted to the alive nodes of a
@@ -66,33 +44,11 @@ func MultiSourceBFSView(v *View, sources []Node) []int32 {
 }
 
 // ConnectedComponents labels every node with a component id in [0,k) and
-// returns the labels plus k.
+// returns the labels plus k. The labels are g's memoised partition (see
+// Graph.Components), shared with every other caller: do not modify them.
 func ConnectedComponents(g *Graph) (comp []int32, count int) {
-	comp = make([]int32, g.NumNodes())
-	for i := range comp {
-		comp[i] = -1
-	}
-	var queue []Node
-	for s := 0; s < g.NumNodes(); s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		id := int32(count)
-		count++
-		comp[s] = id
-		queue = append(queue[:0], Node(s))
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, w := range g.Neighbors(u) {
-				if comp[w] == -1 {
-					comp[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return comp, count
+	comp, comps := g.Components()
+	return comp, len(comps)
 }
 
 // ComponentOf returns the alive nodes reachable from src inside the view
@@ -168,39 +124,11 @@ func (h *dijkstraHeap) Pop() interface{} {
 	return it
 }
 
-// Dijkstra computes weighted shortest-path distances from the sources,
-// using EdgeWeight (1 for unweighted graphs, so it degenerates to BFS
-// distances). Unreachable nodes get +Inf encoded as -1. This is the
-// one-shot convenience form: it only pays map lookups for edges it
-// actually relaxes. Repeated or whole-graph weighted traversals should
-// pack a snapshot once and use CSR.Dijkstra, which reads the packed
-// weights instead.
+// Dijkstra computes weighted shortest-path distances from the sources
+// over g's packed weights (unit weights when g is unweighted, so it
+// degenerates to BFS distances). Unreachable nodes get -1.
 func Dijkstra(g *Graph, sources []Node) []float64 {
-	dist := make([]float64, g.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	h := &dijkstraHeap{}
-	for _, s := range sources {
-		if dist[s] < 0 {
-			dist[s] = 0
-			heap.Push(h, dijkstraItem{s, 0})
-		}
-	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(dijkstraItem)
-		if it.dist > dist[it.node] {
-			continue
-		}
-		for _, w := range g.Neighbors(it.node) {
-			nd := it.dist + g.EdgeWeight(it.node, w)
-			if dist[w] < 0 || nd < dist[w] {
-				dist[w] = nd
-				heap.Push(h, dijkstraItem{w, nd})
-			}
-		}
-	}
-	return dist
+	return g.packed().Dijkstra(sources)
 }
 
 // Eccentricity returns the maximum finite BFS distance from src.

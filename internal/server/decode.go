@@ -310,8 +310,9 @@ func (r queryRequest) timeoutOf(def, max time.Duration) time.Duration {
 // CLI update stream (`add u v [w]`, `setw u v w`, `del u v`,
 // `node u...`, plus blank lines and # comments), except operands are
 // numeric node ids, and `apply`/`query` lines are rejected — the HTTP
-// body IS one atomic batch, applied as a whole by the handler. maxOps
-// caps the staged op count (0 means the package default).
+// body IS one atomic batch, applied as a whole by the handler. A weight
+// must be finite and non-negative (graph.ParseWeight). maxOps caps the
+// staged op count (0 means the package default).
 func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 	if maxOps <= 0 {
 		maxOps = defaultMaxUpdateOps
@@ -352,9 +353,9 @@ func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 			}
 			switch {
 			case len(args) >= 3:
-				w, err := strconv.ParseFloat(string(args[2]), 64)
+				w, err := graph.ParseWeight(string(args[2]))
 				if err != nil {
-					return b, fmt.Errorf("server: line %d: bad weight %q: %v", lineNo, args[2], err)
+					return b, fmt.Errorf("server: line %d: %v", lineNo, err)
 				}
 				b.SetWeight(u, v, w)
 			case cmd == "setw":

@@ -81,6 +81,7 @@ func FuzzParseUpdateOps(f *testing.F) {
 	f.Add([]byte("add 1 99999999999\n"))
 	f.Add([]byte("add -1 2\n"))
 	f.Add([]byte("node 1 2 3 4 5 6 7 8 9 10\n"))
+	f.Add([]byte("setw 1 2 NaN\nadd 3 4 -Inf\n"))
 	const maxOps = 128
 	f.Fuzz(func(t *testing.T, body []byte) {
 		b, err := parseUpdateOps(body, maxOps)

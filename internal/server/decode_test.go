@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,6 +115,10 @@ func TestParseUpdateOps(t *testing.T) {
 	}{
 		{"", engine.Batch{}},
 		{"\n\n# only a comment\n   \t\n", engine.Batch{}},
+		{"setw 1 2 0\nadd 1 2 -0\n", batch(func(b *engine.Batch) {
+			b.SetWeight(1, 2, 0)
+			b.SetWeight(1, 2, math.Copysign(0, -1))
+		})},
 		{"add 1 2\nsetw 2 3 0.5\ndel 1 2\nnode 4 5\n", batch(func(b *engine.Batch) {
 			b.AddEdge(1, 2)
 			b.SetWeight(2, 3, 0.5)
@@ -154,6 +159,13 @@ func TestParseUpdateOps(t *testing.T) {
 		{"del 1 x\n", 0, `server: line 1: bad node id "x": strconv.ParseUint: parsing "x": invalid syntax`},
 		{"add 1 67108865\n", 0, "server: line 1: node id 67108865 above cap 67108864"},
 		{"add 1 2 heavy\n", 0, `server: line 1: bad weight "heavy": strconv.ParseFloat: parsing "heavy": invalid syntax`},
+		// strconv reads all of these; one of them in a snapshot turns w_G
+		// into NaN for every later query of the component.
+		{"setw 1 2 NaN\n", 0, `server: line 1: bad weight "NaN": want a finite, non-negative number`},
+		{"add 1 2\nadd 3 4 -Inf\n", 0, `server: line 2: bad weight "-Inf": want a finite, non-negative number`},
+		{"setw 1 2 +inf\n", 0, `server: line 1: bad weight "+inf": want a finite, non-negative number`},
+		{"add 1 2 -0.5\n", 0, `server: line 1: bad weight "-0.5": want a finite, non-negative number`},
+		{"add 1 2 1e999\n", 0, `server: line 1: bad weight "1e999": strconv.ParseFloat: parsing "1e999": value out of range`},
 		{"add 1 2\nadd 2 3\nadd 3 4\n", 2, "server: line 3: batch exceeds 2 ops"},
 		{"node 1 2 3 4\n", 3, "server: line 1: batch exceeds 3 ops"},
 		{"add 1 2 " + strings.Repeat("9", maxUpdateLineBytes), 0, "server: reading update body: bufio.Scanner: token too long"},

@@ -15,6 +15,7 @@ import (
 	"dmcs/internal/engine"
 	"dmcs/internal/faultinject"
 	"dmcs/internal/graph"
+	"dmcs/internal/wal"
 )
 
 // serverTestGraph builds the serving fixture: numSmall ring+chord
@@ -187,6 +188,46 @@ func TestApplyEndpoint(t *testing.T) {
 
 	wantCode(t, post(s, "/apply", "frobnicate 1 2\n"), http.StatusBadRequest, "invalid")
 	wantCode(t, post(s, "/apply", "add 1 99999999999\n"), http.StatusBadRequest, "invalid")
+}
+
+// TestApplyRejectsHostileWeights: a NaN, infinite or negative weight is a
+// 400 at the parser. Nothing reaches the engine — its epoch, its log and
+// its answers stay where they were, across a restart too (such a batch,
+// once logged, used to turn every later query of the component into a
+// 500 for good).
+func TestApplyRejectsHostileWeights(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	wopts := wal.Options{Dir: t.TempDir()}
+	g := serverTestGraph(tgSmallComms, tgSmallSize, tgWhaleSize)
+	eng, _, err := engine.OpenDurable(g, wopts, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Config{SampleInterval: -1})
+	before := decodeBody[queryResponse](t, post(s, "/query", `{"nodes":[1]}`))
+	for _, body := range []string{"setw 1 2 NaN\n", "add 1 2\nadd 3 4 -Inf\n", "add 1 2 +Inf\n", "setw 1 2 -1\n"} {
+		wantCode(t, post(s, "/apply", body), http.StatusBadRequest, "invalid")
+	}
+	if eng.Epoch() != 0 {
+		t.Fatalf("engine epoch %d after rejected batches, want 0", eng.Epoch())
+	}
+	w := post(s, "/query", `{"nodes":[1]}`)
+	if after := decodeBody[queryResponse](t, w); w.Code != http.StatusOK || after.Score != before.Score || after.Epoch != 0 {
+		t.Fatalf("query after rejected batches: %d %+v, want %+v", w.Code, after, before)
+	}
+	s.Close()
+	if err := eng.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	eng, rec, err := engine.OpenDurable(nil, wopts, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.CloseWAL()
+	if rec.RecoveredEpoch != 0 || rec.RecordsReplayed != 0 {
+		t.Fatalf("recovery = %+v, want epoch 0 with nothing logged", rec)
+	}
 }
 
 func TestRateLimitSheds(t *testing.T) {
