@@ -114,13 +114,17 @@
 //	b.AddEdge(7, 42)
 //	b.SetWeight(3, 9, 2.5)
 //	b.RemoveEdge(1, 2)
-//	stats, err := eng.Apply(b) // stats.Epoch, stats.RefloodedNodes, ...; err is
-//	                           // always nil unless a write-ahead log is attached
+//	stats, err := eng.Apply(b) // stats.Epoch, stats.RefloodedNodes, ...; without a
+//	                           // write-ahead log err is nil unless a staged weight
+//	                           // is NaN, infinite or negative (nothing is applied)
 //
-// Apply merges the batch into the current packed snapshot by a span copy
-// of the CSR arrays: only the rows the batch touches are re-merged, the
-// runs of untouched rows between them move in bulk, and nothing
-// round-trips through a Builder. It maintains the connected-component
+// Apply merges the batch into the current snapshot by copy-on-write over
+// its row pages (256 node ids to a page): only the pages holding a touched
+// row or a new node are rebuilt, every other page is shared with the
+// previous version, and nothing round-trips through a Builder — the merge
+// costs memory proportional to the batch, not to the graph. What is still
+// O(n) per batch is the partition (component labels and member lists)
+// and, on a weighted graph, the re-summation of w_G. It maintains the connected-component
 // partition incrementally — insertions union
 // components in near-constant time, and only components that actually
 // lost an edge are re-flooded — and publishes the result as the next

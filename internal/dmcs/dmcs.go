@@ -263,10 +263,11 @@ func SearchComponentCSR(c *graph.CSR, q, comp []graph.Node, variant Variant, opt
 }
 
 // searchExtract compacts comp into the arena's sub-CSR slot (or wraps the
-// snapshot when the component spans it) and dispatches.
+// snapshot when the component spans it and its arrays are contiguous, as
+// a Builder's are) and dispatches.
 func searchExtract(a *Arena, c *graph.CSR, q, comp []graph.Node, variant Variant, opts Options) (*Result, error) {
 	var sub *graph.SubCSR
-	if len(comp) == c.NumNodes() {
+	if len(comp) == c.NumNodes() && c.Contiguous() {
 		sub = a.g.WrapFull(0, c)
 	} else {
 		sub = a.g.ExtractSub(0, c, comp)

@@ -169,7 +169,7 @@ func (p *ncaPeel) makeLeaf(u graph.Node) bool {
 	if p.nchild[u] == 0 {
 		return true
 	}
-	c := &p.s.sub.CSR
+	c := p.s.sub
 	parent, key := p.parent, p.key
 	for _, ch := range c.Neighbors(u) {
 		if parent[ch] != u {
@@ -221,7 +221,7 @@ func (p *ncaPeel) remove(u graph.Node) {
 //dmcs:hotpath
 func (p *ncaPeel) rebuildTree(queue []graph.Node) {
 	s := p.s
-	c := &s.sub.CSR
+	c := s.sub
 	n := c.NumNodes()
 	parent, nchild, key := p.parent, p.nchild, p.key
 	const unseen = -1
@@ -249,7 +249,7 @@ func (p *ncaPeel) rebuildTree(queue []graph.Node) {
 	}
 }
 
-// newID maps a local id of the sub that ExtractSub just compacted to its
+// newID maps a local id of the sub that ReextractSub just compacted to its
 // id in the new one through the arena's epoch marks: -1 stays -1, and a
 // dead node is unmarked, which is what drops a stale witness.
 func (p *ncaPeel) newID(old graph.Node) graph.Node {
@@ -274,8 +274,8 @@ func (p *ncaPeel) recompact() {
 			members = append(members, graph.Node(ui))
 		}
 	}
-	next := a.g.ExtractSub(p.slot, &prev.CSR, members)
-	// ExtractSub recorded members in prev's id space; rewrite them into
+	next := a.g.ReextractSub(p.slot, prev, members)
+	// ReextractSub recorded members in prev's id space; rewrite them into
 	// source ids so GlobalOf keeps meaning the same thing across
 	// generations.
 	globals := next.Globals()

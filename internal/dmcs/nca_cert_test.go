@@ -150,7 +150,7 @@ func TestNCAMatchesPerRemovalTarjan(t *testing.T) {
 // Tarjan of the alive view.
 func checkCertificates(t *testing.T, p *ncaPeel) {
 	t.Helper()
-	v, c := p.s.v, &p.s.sub.CSR
+	v, c := p.s.v, p.s.sub
 	n := c.NumNodes()
 	art := v.ArticulationPoints()
 	children := make([]int32, n)

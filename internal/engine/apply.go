@@ -106,19 +106,27 @@ type ApplyStats struct {
 // while flights for touched components publish under the superseded
 // version, unreachable by post-swap lookups.
 //
-// Cost: the merge re-merges only the rows the batch touches and moves the
-// rest of the packed arrays with bulk copies (one memmove of the snapshot,
-// no per-edge work outside touched rows), and component maintenance is
-// incremental — insertions union in near-constant time, only components
-// that lost an edge are re-flooded, and the member lists are refilled
-// into one flat array. See graph.MergeCSR for the cost model.
+// Cost: the merge rebuilds only the row pages the batch touches and shares
+// every other page with the previous snapshot (memory proportional to the
+// batch, not to the graph), and component maintenance is incremental —
+// insertions union in near-constant time, only components that lost an
+// edge are re-flooded. What is still O(n) per Apply is the partition:
+// compID is relabelled and the member lists are refilled into one flat
+// array; a weighted snapshot also re-sums w_G. See graph.MergeCSR for the
+// cost model.
 //
 // On an engine opened through OpenDurable, the batch is appended to the
 // write-ahead log BEFORE the snapshot is published, and an append
 // failure fails the whole Apply: the error return is non-nil, nothing
 // was published, queries keep seeing the pre-batch version, and no
-// un-logged state is ever served or acknowledged. On an engine without
-// a WAL (New), Apply never returns an error.
+// un-logged state is ever served or acknowledged.
+//
+// A batch that would store a NaN, infinite or negative weight is rejected
+// whole, before anything else happens, with an error wrapping
+// graph.ErrBadWeight: nothing is merged, logged or published and the
+// epoch does not move (one such weight would turn w_G, and every later
+// score of the component, into NaN — durably, on a WAL-backed engine).
+// On an engine without a WAL (New) that is the only error Apply returns.
 func (e *Engine) Apply(b Batch) (ApplyStats, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
@@ -131,6 +139,9 @@ func (e *Engine) Apply(b Batch) (ApplyStats, error) {
 	// where injected errors fail an Apply; an injected panic propagates
 	// to the caller with applyMu released by the defer above.
 	_ = faultinject.Fire(faultinject.EngineApply)
+	if err := graph.CheckDeltas(b.ops); err != nil {
+		return ApplyStats{}, fmt.Errorf("engine: apply rejected: %w", err)
+	}
 	cur := e.snap.Load()
 	if len(b.ops) == 0 {
 		return ApplyStats{Epoch: cur.epoch, Components: len(cur.comps)}, nil

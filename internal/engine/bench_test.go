@@ -68,9 +68,10 @@ func BenchmarkEngineSmallQueriesNCA(b *testing.B) {
 
 // BenchmarkEngineApplyUpdates is the mutation-throughput benchmark: each
 // op applies one 8-edge toggle batch confined to a single component of a
-// large many-component graph. The per-op cost is the span-copy merge (one
-// memmove of the packed arrays) plus the flat partition refill; neither
-// allocates per component, which CI gates through allocs/op.
+// large many-component graph. The per-op cost is the paged merge (the
+// page table and the one or two row pages the batch touches) plus the
+// flat partition refill; neither allocates per component, which CI gates
+// through allocs/op.
 func BenchmarkEngineApplyUpdates(b *testing.B) {
 	e := New(smallQueryEngineGraph(benchComponents, benchCompSize), Options{Workers: 1})
 	b.ReportAllocs()

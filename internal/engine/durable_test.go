@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -254,5 +255,54 @@ func TestPeriodicCheckpointTriggers(t *testing.T) {
 	st := e.Stats()
 	if st.LastCheckpoint < 2 || st.DurableEpoch != 4 {
 		t.Fatalf("stats report last-checkpoint=%d durable=%d", st.LastCheckpoint, st.DurableEpoch)
+	}
+}
+
+// TestApplyRejectsBadWeights: a batch staged in code with a NaN, infinite
+// or negative weight is refused by Apply itself — the parsers are not the
+// only way in. Nothing is merged, logged or published, the epoch and the
+// log's appended epoch stay put, and a restart recovers the same bytes
+// (one such weight, once logged, made w_G NaN and every later query of
+// the component a failure across restarts).
+func TestApplyRejectsBadWeights(t *testing.T) {
+	dir := t.TempDir()
+	e, _, err := OpenDurable(durableFixture(), wal.Options{Dir: dir, Policy: wal.SyncAlways}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ok Batch
+	ok.SetWeight(0, 1, 2.5)
+	if _, err := e.Apply(ok); err != nil {
+		t.Fatal(err)
+	}
+	want := e.EncodeState(nil)
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		var b Batch
+		b.AddEdge(4, 5) // a valid op must not slip through beside the bad one
+		b.SetWeight(1, 2, w)
+		st, err := e.Apply(b)
+		if !errors.Is(err, graph.ErrBadWeight) {
+			t.Fatalf("Apply(SetWeight %v) = %+v, %v; want graph.ErrBadWeight", w, st, err)
+		}
+		if e.Epoch() != 1 || e.wal.AppendedEpoch() != 1 {
+			t.Fatalf("after rejected weight %v: epoch %d, appended %d; want 1, 1", w, e.Epoch(), e.wal.AppendedEpoch())
+		}
+	}
+	if !bytes.Equal(e.EncodeState(nil), want) {
+		t.Fatal("a rejected batch changed the served state")
+	}
+	if res, err := e.Search(context.Background(), Query{Nodes: []graph.Node{1}}); err != nil || math.IsNaN(res.Score) {
+		t.Fatalf("query after rejected batches: %+v, %v", res, err)
+	}
+	if err := e.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	e2, info, err := OpenDurable(nil, wal.Options{Dir: dir, Policy: wal.SyncAlways}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.CloseWAL()
+	if info.RecoveredEpoch != 1 || info.RecordsReplayed != 1 || !bytes.Equal(e2.EncodeState(nil), want) {
+		t.Fatalf("recovery = %+v, want epoch 1 from one record and the pre-rejection bytes", info)
 	}
 }

@@ -46,7 +46,9 @@ var ErrNodeOutOfRange = errors.New("engine: query node out of range")
 // on the component's first query and shared by every later one, so a
 // query against a small component of a huge graph touches only
 // component-sized memory end to end. A component spanning the whole graph
-// wraps the main CSR instead of copying it. Apply carries an
+// wraps the main CSR instead of copying it while that is still the
+// contiguous pack it was built as (a merged one is a page table, and its
+// component is extracted like any other). Apply carries an
 // already-built sub-CSR forward to the successor snapshot when the
 // component is untouched; a carried component whose sub was never built
 // rebuilds it lazily against the new CSR with its frozen w_G (the member
@@ -295,7 +297,7 @@ func (s *Snapshot) componentIndex(q []graph.Node) (int32, error) {
 // concurrent callers; the result is immutable and shared.
 func (s *Snapshot) SubCSR(id int32) *graph.SubCSR {
 	s.subOnce[id].Do(func() {
-		if len(s.comps[id]) == s.csr.NumNodes() && s.compWG[id] == s.csr.TotalWeight() {
+		if len(s.comps[id]) == s.csr.NumNodes() && s.compWG[id] == s.csr.TotalWeight() && s.csr.Contiguous() {
 			s.subs[id] = graph.WrapCSR(s.csr)
 		} else {
 			s.subs[id] = graph.NewSubCSRAt(s.csr, s.comps[id], s.compWG[id])

@@ -33,7 +33,7 @@ func walBenchBatch(i int) Batch {
 // with the production default fsync policy (interval). The reported
 // wal_overhead_ratio is durable time over plain time; CI gates it at
 // <= 1.5 — the WAL append (encode + buffered write) must stay a fraction
-// of the span-copy merge it rides on, not a second copy of it.
+// of the merge and partition update it rides on, not a second copy of them.
 //
 // The two engines alternate inside one loop so that both sides of the
 // ratio see the same machine: since the merge dropped to ~0.5 ms an op, a

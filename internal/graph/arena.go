@@ -23,9 +23,7 @@ package graph
 // for layer pruning, the phase-1 view and the phase-2 prefix view).
 // Slots ping-pong; entering slot i invalidates whatever it held before.
 type Arena struct {
-	epoch uint32
-	tag   []uint32 // epoch tags: table[g] valid iff tag[g] == epoch
-	table []int32  // source id -> local id (or any per-query node mark)
+	relabel
 
 	subStore [2]subStorage
 	subs     [2]SubCSR
@@ -36,8 +34,19 @@ type Arena struct {
 	nodes [2][]Node // generic node scratch (members list, BFS parents, ...)
 	marks [2][]bool // generic per-local-node flags (isQuery, inLayer, ...)
 	art   ArtScratch
+	resub CSR // ReextractSub's page-table view of the previous generation
 
 	parNext [][]Node // per-worker BFS frontier buffers (parallel peel)
+}
+
+// relabel is an epoch-tagged source-id -> local-id table (or any
+// per-query node mark) with O(1) reset: an entry is valid only while its
+// tag equals the current epoch. An Arena embeds one; NewSubCSR borrows a
+// pooled one.
+type relabel struct {
+	epoch uint32
+	tag   []uint32 // epoch tags: table[g] valid iff tag[g] == epoch
+	table []int32
 }
 
 // NewArena returns an empty arena; buffers are sized on first use.
@@ -46,7 +55,7 @@ func NewArena() *Arena { return &Arena{} }
 // BeginEpoch invalidates every entry of the relabelling/mark table and
 // sizes it for source ids in [0, n). O(1) except on growth and on the
 // 2^32nd call, when the tags are rezeroed.
-func (a *Arena) BeginEpoch(n int) {
+func (a *relabel) BeginEpoch(n int) {
 	if len(a.tag) < n {
 		tag := make([]uint32, n)
 		copy(tag, a.tag)
@@ -65,14 +74,14 @@ func (a *Arena) BeginEpoch(n int) {
 }
 
 // Mark tags source id g with the current epoch and associates val with it.
-func (a *Arena) Mark(g Node, val int32) {
+func (a *relabel) Mark(g Node, val int32) {
 	a.table[g] = val
 	a.tag[g] = a.epoch
 }
 
 // Marked reports whether g was marked in the current epoch and, if so,
 // its associated value.
-func (a *Arena) Marked(g Node) (int32, bool) {
+func (a *relabel) Marked(g Node) (int32, bool) {
 	if int(g) >= len(a.tag) || a.tag[g] != a.epoch {
 		return 0, false
 	}
@@ -82,39 +91,40 @@ func (a *Arena) Marked(g Node) (int32, bool) {
 // ExtractSub builds the compact relabelled sub-CSR of members (sorted
 // ascending, duplicate-free, ids in src's space) into the given slot,
 // reusing the slot's backing memory. Neighbors outside the member set are
-// dropped, so members need not be component-closed — re-compaction passes
-// the alive subset of a previous sub. The returned SubCSR's Globals() are
-// the member ids in src's id space; when src is itself a sub, the caller
-// rewrites them into true source ids via the previous generation's table.
-// The arena's current epoch is consumed to build the relabelling table.
+// dropped, so members need not be component-closed. The returned SubCSR's
+// Globals() are the member ids in src's id space. The arena's current
+// epoch is consumed to build the relabelling table.
 func (a *Arena) ExtractSub(slot int, src *CSR, members []Node) *SubCSR {
-	a.BeginEpoch(src.NumNodes())
-	for i, g := range members {
-		a.Mark(g, int32(i))
-	}
 	store := &a.subStore[slot]
 	dst := &a.subs[slot]
-	extractSub(dst, store, src, members, a.table, a.tag, a.epoch)
+	extractSub(dst, store, src, members, &a.relabel)
 	store.global = growNodes(store.global, len(members))
 	copy(store.global, members)
 	dst.global = store.global
 	return dst
 }
 
+// ReextractSub is ExtractSub with a sub as the source: re-compaction
+// passes the alive subset of the previous generation (local ids of prev,
+// which must live in the other slot). The one extraction routine reads
+// pages, so prev's flat arrays are presented as a page table cut from
+// them — headers only, in arena memory. Globals() come back in prev's id
+// space; the caller rewrites them into true source ids through prev.
+func (a *Arena) ReextractSub(slot int, prev *SubCSR, members []Node) *SubCSR {
+	a.resub.flat = prev.flatCSR
+	a.resub.paginate(a.resub.pages[:0])
+	return a.ExtractSub(slot, &a.resub, members)
+}
+
 // WrapFull points the given slot at src itself: an identity sub over the
-// whole snapshot, sharing its packed arrays (nothing is copied, and
-// Poison will never scribble on them — the slot's owned store is left
-// untouched). Used when the query's component spans the entire graph.
+// whole snapshot, sharing the arrays of a Contiguous src (nothing is
+// copied, and Poison will never scribble on them — the slot's owned store
+// is left untouched). Used when the query's component spans the entire
+// graph; for a merged src it packs a private copy on every call, so
+// per-query callers check Contiguous and extract instead.
 func (a *Arena) WrapFull(slot int, src *CSR) *SubCSR {
 	dst := &a.subs[slot]
-	dst.CSR = *src
-	dst.global = nil
-	dst.compW = src.totalW
-	var d float64
-	for _, w := range src.wdeg {
-		d += w
-	}
-	dst.compD = d
+	dst.wrap(src)
 	return dst
 }
 
@@ -132,7 +142,7 @@ func (a *Arena) ViewAll(slot int, sub *SubCSR) *CSRView {
 func (a *Arena) ViewAllWith(slot int, sub *SubCSR, wAlive, dAlive float64) *CSRView {
 	n := sub.NumNodes()
 	v := &a.views[slot]
-	v.c = &sub.CSR
+	v.c = &sub.flatCSR
 	v.alive = growBool(v.alive, n)
 	v.deg = growInt32(v.deg, n)
 	for i := 0; i < n; i++ {
@@ -152,7 +162,7 @@ func (a *Arena) ViewAllWith(slot int, sub *SubCSR, wAlive, dAlive float64) *CSRV
 func (a *Arena) ViewOf(slot int, sub *SubCSR, set []Node) *CSRView {
 	n := sub.NumNodes()
 	v := &a.views[slot]
-	v.c = &sub.CSR
+	v.c = &sub.flatCSR
 	v.alive = growBool(v.alive, n)
 	v.deg = growInt32(v.deg, n)
 	for i := 0; i < n; i++ {
@@ -166,7 +176,7 @@ func (a *Arena) ViewOf(slot int, sub *SubCSR, set []Node) *CSRView {
 	for _, u := range set {
 		v.alive[u] = true
 	}
-	c := &sub.CSR
+	c := &sub.flatCSR
 	for _, u := range set {
 		v.dAlive += c.wdeg[u]
 		adj := c.Neighbors(u)
@@ -272,6 +282,7 @@ func (a *Arena) Poison() {
 		// so the poisoned stores are what the next query would reuse.
 		a.subs[s] = SubCSR{}
 	}
+	a.resub = CSR{pages: a.resub.pages[:0]} // its pages pointed into a store
 	for i := range a.views {
 		v := &a.views[i]
 		poisonBool(v.alive[:cap(v.alive)])

@@ -106,25 +106,34 @@ func BenchmarkSortNodesSlices(b *testing.B) {
 	}
 }
 
-// BenchmarkSubCSRExtract measures the per-query component compaction of
-// the arena path: relabel one component of a multi-community graph into
-// a dense sub-CSR, reusing arena storage.
+// BenchmarkSubCSRExtract measures component compaction out of the 32k-node
+// serving-shaped snapshot: arena is the per-query path (relabel one
+// island into a dense sub-CSR, reusing arena storage); island and whale
+// are NewSubCSR, the engine's lazy per-component build — what one Apply's
+// invalidated island costs its next query, and the 16384-node component
+// read through the paged accessors. The island build must allocate
+// island-sized memory, not |G|-sized relabelling tables.
 func BenchmarkSubCSRExtract(b *testing.B) {
-	bld := NewBuilder(64 * 256)
-	for c := 0; c < 256; c++ {
-		base := c * 64
-		for i := 0; i < 64; i++ {
-			bld.AddEdge(Node(base+i), Node(base+(i+1)%64))
-			bld.AddEdge(Node(base+i), Node(base+(i+7)%64))
+	csr, _ := applyBenchFixture()
+	island, _ := csr.Component(100 * 64)
+	whale, _ := csr.Component(256 * 64)
+	b.Run("arena", func(b *testing.B) {
+		a := NewArena()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			a.ExtractSub(i%2, csr, island)
 		}
-	}
-	csr := NewCSR(bld.Build())
-	a := NewArena()
-	comp, _ := csr.Component(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.ExtractSub(i%2, csr, comp)
+	})
+	for _, tc := range []struct {
+		name    string
+		members []Node
+	}{{"island", island}, {"whale", whale}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewSubCSR(csr, tc.members)
+			}
+		})
 	}
 }
 
@@ -159,7 +168,7 @@ func applyBenchFixture() (*CSR, [2][]Delta) {
 }
 
 // BenchmarkMergeCSRSparseBatch measures an 8-edge batch merged into a
-// 32k-node snapshot: two dozen touched rows, everything else span-copied.
+// 32k-node snapshot: one row page rebuilt, every other page shared.
 func BenchmarkMergeCSRSparseBatch(b *testing.B) {
 	c, batches := applyBenchFixture()
 	b.ReportAllocs()

@@ -230,11 +230,11 @@ func BenchmarkLayeringBFS(b *testing.B) {
 	}
 	for _, tc := range []struct {
 		name string
-		c    *graph.CSR
+		c    *graph.SubCSR
 	}{
-		{"lfr16k", &graph.NewSubCSR(lfrCSR, giant).CSR},
-		{"expander16k", graph.NewCSR(expander.Build())},
-		{"island64", graph.NewCSR(island.Build())},
+		{"lfr16k", graph.NewSubCSR(lfrCSR, giant)},
+		{"expander16k", graph.WrapCSR(graph.NewCSR(expander.Build()))},
+		{"island64", graph.WrapCSR(graph.NewCSR(island.Build()))},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			n := tc.c.NumNodes()

@@ -123,37 +123,53 @@ func DecodeDeltas(b []byte, dst []Delta) ([]Delta, int, error) {
 // which are NOT recomputed on load precisely because their float addition
 // order would have to be re-derived to match.
 func AppendCSR(dst []byte, c *CSR) []byte {
-	n := c.NumNodes()
 	dst = append(dst, csrCodecVersion)
-	if c.weights != nil {
+	if c.weighted {
 		dst = append(dst, 1)
 	} else {
 		dst = append(dst, 0)
 	}
-	dst = binary.AppendUvarint(dst, uint64(n))
-	dst = binary.AppendUvarint(dst, uint64(len(c.targets)))
-	for _, o := range c.offsets {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(o))
+	dst = binary.AppendUvarint(dst, uint64(c.n))
+	dst = binary.AppendUvarint(dst, uint64(c.entries))
+	// The image is the contiguous layout whatever the pages look like:
+	// global offsets are rebuilt from each page's own, then every array is
+	// emitted page after page.
+	var base int32
+	for i := range c.pages {
+		offs := c.pages[i].offsets
+		for _, o := range offs[:len(offs)-1] {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(base+o-offs[0]))
+		}
+		base += offs[len(offs)-1] - offs[0]
 	}
-	for _, t := range c.targets {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(t))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(base))
+	for i := range c.pages {
+		p := &c.pages[i]
+		for _, t := range p.targets[p.offsets[0]:p.offsets[len(p.offsets)-1]] {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(t))
+		}
 	}
-	for _, w := range c.weights {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
+	for i := 0; c.weighted && i < len(c.pages); i++ {
+		p := &c.pages[i]
+		for _, w := range p.weights[p.offsets[0]:p.offsets[len(p.offsets)-1]] {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
+		}
 	}
-	for _, w := range c.wdeg {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
+	for i := range c.pages {
+		for _, w := range c.pages[i].wdeg {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(w))
+		}
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.totalW))
 	return dst
 }
 
 // DecodeCSR decodes an AppendCSR image from the front of b, returning
-// the snapshot and the number of bytes consumed. The structural
-// invariants every consumer of a CSR assumes are re-validated —
-// monotonic offsets bracketing the target array, in-range neighbor ids,
-// per-node strictly sorted adjacency with no self-loops — so a corrupt
-// checkpoint that survived its CRC by construction (or a fuzzer's
+// the snapshot (contiguous, like a Builder's) and the number of bytes
+// consumed. The structural invariants every consumer of a CSR assumes are
+// re-validated — monotonic offsets bracketing the target array, in-range
+// neighbor ids, per-node strictly sorted adjacency with no self-loops —
+// so a corrupt checkpoint that survived its CRC by construction (or a fuzzer's
 // synthetic one) is rejected here instead of crashing a traversal later.
 func DecodeCSR(b []byte) (*CSR, int, error) {
 	if len(b) < 2 {
@@ -187,7 +203,7 @@ func DecodeCSR(b []byte) (*CSR, int, error) {
 		return nil, 0, fmt.Errorf("%w: csr truncated (%d bytes, need %d)", ErrCodec, len(b)-off, need)
 	}
 
-	c := &CSR{
+	c := flatCSR{
 		offsets: make([]int32, n+1),
 		targets: make([]Node, m),
 		wdeg:    make([]float64, n),
@@ -235,5 +251,5 @@ func DecodeCSR(b []byte) (*CSR, int, error) {
 			prev = v
 		}
 	}
-	return c, off, nil
+	return newContiguousCSR(c), off, nil
 }

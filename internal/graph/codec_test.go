@@ -82,7 +82,7 @@ func TestCSRCodecRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Fatalf("weighted=%v consumed %d of %d bytes", weighted, n, len(enc))
 		}
-		csrEqual(t, got, want)
+		csrBitsEqual(t, got, want)
 
 		// Trailing bytes are left for the caller (the checkpoint codec
 		// appends the component vectors right after the CSR image).
@@ -90,7 +90,7 @@ func TestCSRCodecRoundTrip(t *testing.T) {
 		if err != nil || n2 != len(enc) {
 			t.Fatalf("weighted=%v trailing bytes: n=%d err=%v", weighted, n2, err)
 		}
-		csrEqual(t, got2, want)
+		csrBitsEqual(t, got2, want)
 	}
 }
 
@@ -101,7 +101,7 @@ func TestCSRCodecEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
-	csrEqual(t, got, want)
+	csrBitsEqual(t, got, want)
 }
 
 func TestCSRCodecBitExactAggregates(t *testing.T) {
@@ -116,15 +116,7 @@ func TestCSRCodecBitExactAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(got.totalW) != math.Float64bits(want.totalW) {
-		t.Fatalf("totalW bits drifted: got %x want %x",
-			math.Float64bits(got.totalW), math.Float64bits(want.totalW))
-	}
-	for i := range want.wdeg {
-		if math.Float64bits(got.wdeg[i]) != math.Float64bits(want.wdeg[i]) {
-			t.Fatalf("wdeg[%d] bits drifted", i)
-		}
-	}
+	csrBitsEqual(t, got, want)
 }
 
 func TestCSRCodecRejectsCorrupt(t *testing.T) {

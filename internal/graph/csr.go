@@ -1,62 +1,143 @@
 package graph
 
-import "container/heap"
+import (
+	"container/heap"
+	"slices"
+)
 
-// CSR is a compressed-sparse-row snapshot of a graph: all adjacency lists
-// packed into one contiguous slice with per-node offsets. It is the one
-// storage layout of this repository — a Builder packs straight into it,
-// Graph is a labelled view over it, and traversals (BFS, Dijkstra),
-// modularity evaluation, and the peeling searches all run on the packed
-// arrays; mutation during peeling is handled by CSRView, a mutable
-// alive-set overlay. A snapshot is immutable once built: Graph, the
-// engine and every query share the same arrays.
+// CSR is a compressed-sparse-row snapshot of a graph: the one storage
+// layout of this repository. A Builder packs straight into it, Graph is a
+// labelled view over it, and MergeCSR derives every later version from it.
 //
-// The snapshot also caches the aggregates the modularity formulas need on
-// every query — per-node weighted degrees (the d_v node weights of
-// Definition 2) and the total edge weight w_G — accumulated in the order
-// Builder.Build documents.
+// A snapshot is a page table over rows: pageRows consecutive node ids
+// share one page, which owns its rows' offsets, targets, weights and
+// cached weighted degrees. Builder.Build and DecodeCSR write one
+// contiguous set of arrays and cut the pages out of it as sub-slices (no
+// copy, no second layout in memory); MergeCSR copies the page table,
+// rebuilds only the pages a batch touches, and shares every other page
+// with the snapshot it merged into.
+//
+// Immutability is the whole safety argument: a page reachable from a
+// published snapshot is never written again, so readers draining on
+// version k and on its successors read the same pages with no lock.
+//
+// The peel's kernels do not read pages. They run on flatCSR, the
+// contiguous form a SubCSR embeds: a component is extracted into one
+// (NewSubCSR, Arena.ExtractSub), and a snapshot that still is the
+// contiguous pack it was born as lends its own arrays (WrapCSR).
+//
+// The snapshot caches the aggregates the modularity formulas need — the
+// per-node weighted degrees d_v of Definition 2 and the total edge weight
+// w_G — accumulated in the order Builder.Build documents. w_G is one
+// number per snapshot, never a sum of per-page partial sums: scores are
+// compared bit for bit, and regrouping the terms by page would change the
+// float association Build fixed.
 type CSR struct {
+	pages    []page
+	n        int     // |V|
+	entries  int     // adjacency entries, 2|E|
+	weighted bool    // pages carry per-edge weights
+	totalW   float64 // cached TotalWeight (|E| when unweighted)
+	flat     flatCSR // the arrays the pages were cut from; zero for a merged snapshot
+}
+
+// pageRows is the number of consecutive node ids per page: a constant of
+// the layout, chosen by measurement (CHANGES.md, PR 21), not an option.
+const (
+	pageShift = 8
+	pageRows  = 1 << pageShift
+	pageMask  = pageRows - 1
+)
+
+// page holds the rows of up to pageRows consecutive nodes. Row i is
+// targets[offsets[i]:offsets[i+1]], with weights parallel to targets and
+// wdeg[i] its cached weighted degree; len(offsets) is the row count + 1.
+// offsets[0] is 0 in a page MergeCSR built and the page's position in the
+// contiguous arrays in one cut from them (targets and weights then start
+// at the arrays' start, so that rows index them the same way).
+type page struct {
 	offsets []int32
 	targets []Node
-	weights []float64 // parallel to targets; nil for unweighted graphs
-	wdeg    []float64 // cached WeightedDegree per node (plain degree when unweighted)
-	totalW  float64   // cached TotalWeight (|E| when unweighted)
+	weights []float64 // nil for unweighted snapshots
+	wdeg    []float64
+}
+
+// newContiguousCSR wraps freshly written flat arrays as a snapshot.
+func newContiguousCSR(f flatCSR) *CSR {
+	c := &CSR{flat: f}
+	c.paginate(nil)
+	return c
+}
+
+// paginate points the snapshot at its flat arrays: the pages (appended to
+// buf) are sub-slices of them, the counts and w_G are theirs.
+func (c *CSR) paginate(buf []page) {
+	f := &c.flat
+	c.n, c.entries, c.weighted, c.totalW = f.NumNodes(), len(f.targets), f.weights != nil, f.totalW
+	buf = slices.Grow(buf, (c.n+pageMask)>>pageShift)
+	for lo := 0; lo < c.n; lo += pageRows {
+		hi := min(lo+pageRows, c.n)
+		p := page{offsets: f.offsets[lo : hi+1], targets: f.targets[:f.offsets[hi]], wdeg: f.wdeg[lo:hi]}
+		if c.weighted {
+			p.weights = f.weights[:f.offsets[hi]]
+		}
+		buf = append(buf, p)
+	}
+	c.pages = buf
+}
+
+// Contiguous reports whether the snapshot still owns the contiguous
+// arrays it was built or decoded into, which WrapCSR and Arena.WrapFull
+// share with the kernels at no cost. A MergeCSR product does not.
+func (c *CSR) Contiguous() bool { return c.flat.offsets != nil }
+
+// flatten returns the contiguous form of the snapshot: its own arrays
+// when it was born with them, otherwise a fresh pack of its pages.
+func (c *CSR) flatten() *flatCSR {
+	if c.Contiguous() {
+		return &c.flat
+	}
+	all := make([]Node, c.n)
+	for i := range all {
+		all[i] = Node(i)
+	}
+	return &NewSubCSR(c, all).flatCSR
 }
 
 // NumNodes returns |V|.
-func (c *CSR) NumNodes() int { return len(c.offsets) - 1 }
+func (c *CSR) NumNodes() int { return c.n }
 
 // NumEdges returns |E| (each undirected edge counted once).
-func (c *CSR) NumEdges() int { return len(c.targets) / 2 }
+func (c *CSR) NumEdges() int { return c.entries / 2 }
 
 // Degree returns the degree of u.
-func (c *CSR) Degree(u Node) int { return int(c.offsets[u+1] - c.offsets[u]) }
+func (c *CSR) Degree(u Node) int {
+	p, i := &c.pages[u>>pageShift], u&pageMask
+	return int(p.offsets[i+1] - p.offsets[i])
+}
 
 // Neighbors returns u's packed, sorted adjacency slice (do not modify).
 func (c *CSR) Neighbors(u Node) []Node {
-	return c.targets[c.offsets[u]:c.offsets[u+1]]
+	p, i := &c.pages[u>>pageShift], u&pageMask
+	return p.targets[p.offsets[i]:p.offsets[i+1]]
 }
 
 // Weighted reports whether the snapshot carries per-edge weights.
-func (c *CSR) Weighted() bool { return c.weights != nil }
+func (c *CSR) Weighted() bool { return c.weighted }
 
 // NeighborWeights returns the edge weights parallel to Neighbors(u), or nil
 // when the graph is unweighted (every edge weighs 1). Do not modify.
 func (c *CSR) NeighborWeights(u Node) []float64 {
-	if c.weights == nil {
+	if !c.weighted {
 		return nil
 	}
-	return c.weights[c.offsets[u]:c.offsets[u+1]]
+	p, i := &c.pages[u>>pageShift], u&pageMask
+	return p.weights[p.offsets[i]:p.offsets[i+1]]
 }
 
 // WeightedDegree returns the cached node weight d_u (the sum of adjacent
 // edge weights; the plain degree when unweighted).
-func (c *CSR) WeightedDegree(u Node) float64 { return c.wdeg[u] }
-
-// WeightedDegrees returns the full cached node-weight table, indexed by
-// node id. The caller must not modify it; it is shared by every query that
-// runs against the snapshot.
-func (c *CSR) WeightedDegrees() []float64 { return c.wdeg }
+func (c *CSR) WeightedDegree(u Node) float64 { return c.pages[u>>pageShift].wdeg[u&pageMask] }
 
 // TotalWeight returns the cached total edge weight w_G (|E| unweighted).
 func (c *CSR) TotalWeight() float64 { return c.totalW }
@@ -66,7 +147,7 @@ func (c *CSR) TotalWeight() float64 { return c.totalW }
 func (c *CSR) Volume(set []Node) float64 {
 	var t float64
 	for _, u := range set {
-		t += c.wdeg[u]
+		t += c.WeightedDegree(u)
 	}
 	return t
 }
@@ -80,7 +161,7 @@ func (c *CSR) Edges(fn func(u, v Node, w float64) bool) {
 	n := c.NumNodes()
 	for u := 0; u < n; u++ {
 		adj := c.Neighbors(Node(u))
-		if c.weights != nil {
+		if c.weighted {
 			ws := c.NeighborWeights(Node(u))
 			for i, v := range adj {
 				if Node(u) < v {
@@ -115,106 +196,12 @@ func (c *CSR) MultiSourceBFS(sources []Node) []int32 {
 }
 
 // MultiSourceBFSInto is MultiSourceBFS writing into caller-owned scratch:
-// dist must have length >= NumNodes and queue capacity >= NumNodes (each
-// node is enqueued at most once, so the queue never reallocates). Arenas
-// use it to make per-query traversal allocation-free.
+// dist must have length >= NumNodes and queue capacity >= NumNodes. It is
+// the flat kernel run on the snapshot's contiguous form (a whole-graph
+// BFS over a merged snapshot packs it first; searches never do that —
+// they flood through Neighbors and extract their component).
 func (c *CSR) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node) []int32 {
-	dist = dist[:c.NumNodes()]
-	for i := range dist {
-		dist[i] = INF
-	}
-	c.levelBFS(sources, dist, queue, len(dist), len(c.targets))
-	return dist
-}
-
-// bfsBottomUpFactor fixes when a BFS level is expanded bottom-up: when
-// the frontier's adjacency entries, times this factor, exceed what a
-// bottom-up step reads at worst (see levelBFS).
-const bfsBottomUpFactor = 4
-
-// levelBFS is the one BFS kernel of the package: a level-synchronous,
-// direction-optimizing multi-source BFS (Beamer et al.) over the packed
-// adjacency. On entry dist[u] == INF marks the nodes it may reach and any
-// other value excludes u for good (CSRView folds its dead nodes in that
-// way, so the inner loops pay one random read per entry); unvisited
-// counts the INF nodes and unvisitedEntries their adjacency entries.
-// Sources that are not INF — excluded or repeated — are skipped. It
-// writes every reached node's level into dist and returns how many
-// levels it expanded bottom-up.
-//
-// A level is expanded top-down (every frontier node claims its INF
-// neighbours: one read per frontier entry) while the frontier is light,
-// and bottom-up (every INF node scans its own entries for a neighbour on
-// the previous level and stops at the first) when
-//
-//	bfsBottomUpFactor * frontierEntries > unvisitedEntries + n,
-//
-// the right-hand side being everything a bottom-up step can read: one
-// pass over the node ids plus every unvisited entry. Layering a query's
-// component is the case it is for: degree-skewed graphs put most nodes
-// two or three hops out, the frontier's entries then outnumber the
-// unvisited ones, and almost every unvisited node finds a parent among
-// its first few entries. The BFS stops once no INF node is left, so the
-// last layers are never expanded at all. Levels are unique, so dist does
-// not depend on the directions taken.
-//
-// Cost on any input stays O(n + entries). A bottom-up step reads fewer
-// than bfsBottomUpFactor times its frontier's entries, and every entry is
-// a frontier entry once. Two bottom-up steps in a row shrink the
-// unvisited entries geometrically: the second needs factor*f' > m', where
-// f' are the entries the first one reached and m' those it left, and it
-// started from m = m' + f' > m'*(1 + 1/factor). A run of bottom-up steps
-// is therefore at most log_{1+1/factor}(entries) long; and since every one
-// of them needs factor*f > n, there are at most factor*entries/n in total.
-func (c *CSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited, unvisitedEntries int) (bottomUp int) {
-	offsets, targets := c.offsets, c.targets
-	queue = queue[:0]
-	for _, s := range sources {
-		if dist[s] == INF {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	unvisited -= len(queue)
-	head := 0
-	for d := int32(1); head < len(queue) && unvisited > 0; d++ {
-		frontier := queue[head:]
-		head = len(queue)
-		// Summing the frontier's degrees here, not as nodes are reached,
-		// keeps the expansion loops free of it and loads the very offsets
-		// the top-down loop reads next.
-		entries := 0
-		for _, u := range frontier {
-			entries += int(offsets[u+1] - offsets[u])
-		}
-		unvisitedEntries -= entries
-		if bfsBottomUpFactor*entries > unvisitedEntries+len(dist) {
-			bottomUp++
-			for u := range dist {
-				if dist[u] != INF {
-					continue
-				}
-				for _, w := range targets[offsets[u]:offsets[u+1]] {
-					if dist[w] == d-1 {
-						dist[u] = d
-						queue = append(queue, Node(u))
-						break
-					}
-				}
-			}
-		} else {
-			for _, u := range frontier {
-				for _, w := range targets[offsets[u]:offsets[u+1]] {
-					if dist[w] == INF {
-						dist[w] = d
-						queue = append(queue, w)
-					}
-				}
-			}
-		}
-		unvisited -= len(queue) - head
-	}
-	return bottomUp
+	return c.flatten().MultiSourceBFSInto(sources, dist, queue)
 }
 
 // Component returns the sorted connected component containing src

@@ -24,7 +24,7 @@ func i32at(base *int32, i int32) *int32 {
 // neighbor order, so scores stay bit-identical to the historical
 // map-backed implementation (float accumulation order is preserved).
 type CSRView struct {
-	c      *CSR
+	c      *flatCSR
 	alive  []bool
 	deg    []int32 // degree restricted to alive nodes
 	nAlive int
@@ -33,8 +33,10 @@ type CSRView struct {
 	dAlive float64 // sum over alive nodes of cached node weight (d_S)
 }
 
-// NewCSRView creates a view with every node of c alive.
-func NewCSRView(c *CSR) *CSRView {
+// NewCSRView creates a view with every node of snap alive, over its
+// contiguous form (a merged snapshot is packed first).
+func NewCSRView(snap *CSR) *CSRView {
+	c := snap.flatten()
 	n := c.NumNodes()
 	v := &CSRView{
 		c:      c,
@@ -57,7 +59,8 @@ func NewCSRView(c *CSR) *CSRView {
 // accumulated in set (first-occurrence) order over sorted adjacency, the
 // same order the peeling algorithms have always used, so downstream float
 // comparisons are reproducible.
-func NewCSRViewOf(c *CSR, set []Node) *CSRView {
+func NewCSRViewOf(snap *CSR, set []Node) *CSRView {
+	c := snap.flatten()
 	n := c.NumNodes()
 	v := &CSRView{
 		c:     c,
@@ -103,8 +106,8 @@ func NewCSRViewOf(c *CSR, set []Node) *CSRView {
 	return v
 }
 
-// CSR returns the underlying immutable snapshot.
-func (v *CSRView) CSR() *CSR { return v.c }
+// NumNodes returns the node count of the underlying arrays, alive or not.
+func (v *CSRView) NumNodes() int { return v.c.NumNodes() }
 
 // Alive reports whether node u is in the view.
 func (v *CSRView) Alive(u Node) bool { return v.alive[u] }
@@ -277,7 +280,7 @@ type ArtScratch struct {
 // edge loop pays one random read per target instead of two. low and
 // parent need no reset — both are written at discovery before any read —
 // and the reset loop is the only whole-table pass of a sweep.
-func (s *ArtScratch) reset(c *CSR, alive []bool, n int) {
+func (s *ArtScratch) reset(c *flatCSR, alive []bool, n int) {
 	s.isArt = growBool(s.isArt, n)
 	s.disc = growInt32(s.disc, n)
 	s.low = growInt32(s.low, n)

@@ -3,24 +3,30 @@ package graph
 import "slices"
 
 // This file is the dynamic-graph substrate: applying a batch of edge/node
-// mutations to a packed CSR snapshot produces the next snapshot by a
-// span-copy merge over the packed arrays — the same relabelling-free,
-// order-preserving style as SubCSR extraction — instead of round-tripping
-// through a Builder. Only the rows a batch touches are
-// re-merged entry by entry; every run of untouched rows between them moves
-// with one bulk copy. The component partition is maintained incrementally
-// on top: insertions union existing components, and only components that
+// mutations to a snapshot produces the next snapshot by copy-on-write over
+// its row pages — the same relabelling-free, order-preserving style as
+// SubCSR extraction — instead of round-tripping through a Builder. Only
+// the pages that hold a touched row (or a new node) are rebuilt, and
+// inside them only the touched rows are re-merged entry by entry; every
+// other page is shared with the predecessor by reference, which is safe
+// because no page of a snapshot is ever written after MergeCSR returns
+// it. The component partition is maintained incrementally on top:
+// insertions union existing components, and only components that
 // actually lost an edge are re-flooded.
 //
 // Cost of one batch on an n-node, m-edge snapshot with k components:
-// MergeCSR computes O(b log b + Σ deg of touched rows) for b ops, plus one
-// memmove of the packed arrays (targets, weights, wdeg) and a constant-shift
-// rewrite of the n offsets; a weighted snapshot additionally re-sums w_G in
-// one tight pass over the packed weights, because float addition is
-// order-sensitive and the sum must visit every term in Builder.Build's order.
-// UpdateComponents computes O(b + k) on the group forest plus the re-flood
-// of components that lost an edge, then labels the n nodes and lays the
-// member lists out in three closure-free passes over flat arrays.
+// MergeCSR computes O(b log b + Σ deg of touched rows) for b ops, copies
+// the n/pageRows page headers, and allocates and fills only the touched
+// pages — memory proportional to the batch, not to the graph. Two cases
+// still read or write everything: a weighted snapshot re-sums w_G in one
+// read-only pass over all pages, because float addition is
+// order-sensitive and the sum must visit every term in Builder.Build's
+// order (per-page partial sums would regroup it); and the batch that
+// turns an unweighted snapshot weighted rewrites every page with explicit
+// unit weights. UpdateComponents computes O(b + k) on the group forest
+// plus the re-flood of components that lost an edge, then labels the n
+// nodes and lays the member lists out in three closure-free passes over
+// flat arrays — compID and the member lists are still O(n) per batch.
 
 // DeltaOp enumerates the mutation kinds a Delta can carry.
 type DeltaOp uint8
@@ -89,10 +95,10 @@ func (c *CSR) edgeWeightOf(u, v Node) (float64, bool) {
 	if lo == len(adj) || adj[lo] != v {
 		return 0, false
 	}
-	if c.weights == nil {
+	if !c.weighted {
 		return 1, true
 	}
-	return c.weights[int(c.offsets[u])+lo], true
+	return c.NeighborWeights(u)[lo], true
 }
 
 // HasEdge reports whether the undirected edge (u,v) is present in the
@@ -130,12 +136,13 @@ type dirOp struct {
 
 // MergeCSR applies a batch of deltas to c and returns the merged snapshot
 // plus the normalized residue of the batch. c itself is never modified —
-// readers holding it keep a consistent view — and the merge runs entirely
-// on the packed arrays as a span copy: the rows the residue touches are
-// visited in ascending order and each is re-merged with its sorted ops,
-// while every run of untouched rows between them is moved by one bulk copy
-// of targets/weights/wdeg and a constant shift of its offsets. A batch
-// whose residue is empty and that adds no node returns c itself.
+// readers holding it keep a consistent view — and the merged snapshot
+// shares with c every page the residue leaves alone. A page is rebuilt
+// when it holds a touched row, when the node count grows into it, or (all
+// of them) when the batch turns an unweighted snapshot weighted; inside a
+// rebuilt page the touched rows are re-merged with their sorted ops and
+// the other rows are copied. A batch whose residue is empty and that adds
+// no node returns c itself.
 //
 // The result is bit-identical to a from-scratch Builder.Build pack of the
 // same graph. An untouched row keeps its entries, and its wdeg is the sum
@@ -234,30 +241,78 @@ func MergeCSR(c *CSR, ops []Delta) (*CSR, *MergeInfo) {
 		return int(a.dst - b.dst)
 	})
 
-	weighted := c.weights != nil
+	weighted := c.weighted
 	for i := 0; !weighted && i < len(dir); i++ {
 		weighted = dir[i].kind != dirDelete && dir[i].w != 1
 	}
-	total := len(c.targets) + 2*(len(info.Inserted)-len(info.Removed))
 	m := &CSR{
-		offsets: make([]int32, newN+1),
-		targets: make([]Node, total),
-		wdeg:    make([]float64, newN),
+		pages:    make([]page, (newN+pageMask)>>pageShift),
+		n:        newN,
+		entries:  c.entries + 2*(len(info.Inserted)-len(info.Removed)),
+		weighted: weighted,
 	}
+	copy(m.pages, c.pages)
+	grown := len(m.pages) // first page the node count grows into
+	if newN > oldN {
+		grown = oldN >> pageShift
+	}
+	for p, di := 0, 0; p < len(m.pages); p++ {
+		first := di
+		for di < len(dir) && int(dir[di].src)>>pageShift == p {
+			di++
+		}
+		if di > first || p >= grown || weighted != c.weighted {
+			var old page // no rows: a page past c's last
+			if p < len(c.pages) {
+				old = c.pages[p]
+			}
+			m.pages[p] = mergePage(&old, min(pageRows, newN-p<<pageShift), dir[first:di], weighted)
+		}
+	}
+
+	if !weighted {
+		m.totalW = float64(m.NumEdges())
+		return m, info
+	}
+	for u := Node(0); int(u) < newN; u++ {
+		ws := m.NeighborWeights(u)
+		for i, v := range m.Neighbors(u) {
+			if u < v {
+				m.totalW += ws[i]
+			}
+		}
+	}
+	return m, info
+}
+
+// mergePage builds the successor of page c: rows rows (at least c's), the
+// page's share of the batch's sorted ops applied, explicit weights iff
+// weighted. Untouched rows are copied, touched ones re-merged with their
+// ops; c is only read and the result shares nothing with it.
+func mergePage(c *page, rows int, ops []dirOp, weighted bool) page {
+	oldRows := len(c.wdeg)
+	room := len(ops) // an op adds at most one entry
+	if oldRows > 0 {
+		room += int(c.offsets[oldRows] - c.offsets[0])
+	}
+	// offsets and targets share one allocation: fewer long-lived small
+	// objects pinning heap spans between versions.
+	ints := make([]int32, rows+1+room)
+	m := page{offsets: ints[: rows+1 : rows+1], targets: ints[rows+1:], wdeg: make([]float64, rows)}
 	if weighted {
-		m.weights = make([]float64, total)
+		m.weights = make([]float64, room)
 	}
-	pos, row := 0, 0 // write cursor into the packed arrays; first row not yet emitted
-	for di := 0; di < len(dir); {
-		u := int(dir[di].src)
-		pos = m.copyRows(c, pos, row, u)
+	copy(m.wdeg, c.wdeg)
+	pos, di := 0, 0 // write cursor into the page's entries; next op
+	for u := 0; u < rows; u++ {
 		m.offsets[u] = int32(pos)
 		var lo, hi int32 // u's not yet merged old entries; none for a new node
-		if u < oldN {
+		if u < oldRows {
 			lo, hi = c.offsets[u], c.offsets[u+1]
 		}
-		for ; di < len(dir) && int(dir[di].src) == u; di++ {
-			op := dir[di]
+		first := di
+		for ; di < len(ops) && int(ops[di].src)&pageMask == u; di++ {
+			op := ops[di]
 			run := lo
 			for run < hi && c.targets[run] < op.dst {
 				run++
@@ -276,59 +331,31 @@ func MergeCSR(c *CSR, ops []Delta) (*CSR, *MergeInfo) {
 			}
 		}
 		pos = m.copyRun(c, pos, lo, hi)
+		if di == first {
+			continue // untouched: the copied wdeg stands
+		}
 		start := int(m.offsets[u])
+		d := float64(pos - start)
 		if weighted {
+			d = 0
 			for _, w := range m.weights[start:pos] {
-				m.wdeg[u] += w
-			}
-		} else {
-			m.wdeg[u] = float64(pos - start)
-		}
-		row = u + 1
-	}
-	pos = m.copyRows(c, pos, row, newN)
-	m.offsets[newN] = int32(pos)
-
-	if !weighted {
-		m.totalW = float64(m.NumEdges())
-		return m, info
-	}
-	for u := 0; u < newN; u++ {
-		lo, hi := m.offsets[u], m.offsets[u+1]
-		for i, v := range m.targets[lo:hi] {
-			if Node(u) < v {
-				m.totalW += m.weights[int(lo)+i]
+				d += w
 			}
 		}
+		m.wdeg[u] = d
 	}
-	return m, info
+	m.offsets[rows] = int32(pos)
+	m.targets = m.targets[:pos]
+	if weighted {
+		m.weights = m.weights[:pos]
+	}
+	return m
 }
 
-// copyRows emits the untouched rows [from,to) at packed position pos and
-// returns the position after them: rows of c move as one span — a bulk
-// copy of their entries and wdeg, their offsets shifted by a constant —
-// and rows beyond c's node count are new isolated nodes.
-func (m *CSR) copyRows(c *CSR, pos, from, to int) int {
-	if end := min(to, c.NumNodes()); from < end {
-		lo, hi := c.offsets[from], c.offsets[end]
-		shift := int32(pos) - lo
-		for i, o := range c.offsets[from:end] {
-			m.offsets[from+i] = o + shift
-		}
-		copy(m.wdeg[from:end], c.wdeg[from:end])
-		pos = m.copyRun(c, pos, lo, hi)
-		from = end
-	}
-	for ; from < to; from++ {
-		m.offsets[from] = int32(pos)
-	}
-	return pos
-}
-
-// copyRun copies c's packed entries [lo,hi) to position pos of m —
-// targets always, weights when m carries them (ones where c does not) —
-// and returns the position after the run.
-func (m *CSR) copyRun(c *CSR, pos int, lo, hi int32) int {
+// copyRun copies c's entries [lo,hi) to position pos of m — targets
+// always, weights when m carries them (ones where c does not) — and
+// returns the position after the run.
+func (m *page) copyRun(c *page, pos int, lo, hi int32) int {
 	n := copy(m.targets[pos:], c.targets[lo:hi])
 	if m.weights != nil {
 		if c.weights != nil {

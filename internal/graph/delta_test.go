@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -89,22 +91,42 @@ func (r *refModel) buildAs(weighted bool) *CSR {
 	return NewCSR(b.Build())
 }
 
-func csrEqual(t *testing.T, got, want *CSR) {
+// csrBitsEqual holds got to want through the accessors — shape, every row's
+// neighbors, weights and cached weighted degree, w_G, with every float
+// compared by bit pattern so a -0 for a +0 or a differently rounded sum
+// cannot pass as equal — and then through the durable image: whatever the
+// page layout of either side, AppendCSR must emit the same bytes.
+func csrBitsEqual(t *testing.T, got, want *CSR) {
 	t.Helper()
-	if !reflect.DeepEqual(got.offsets, want.offsets) {
-		t.Fatalf("offsets mismatch:\n got %v\nwant %v", got.offsets, want.offsets)
+	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || got.Weighted() != want.Weighted() {
+		t.Fatalf("shape (n, m, weighted) = (%d, %d, %v), want (%d, %d, %v)",
+			got.NumNodes(), got.NumEdges(), got.Weighted(), want.NumNodes(), want.NumEdges(), want.Weighted())
 	}
-	if !reflect.DeepEqual(got.targets, want.targets) {
-		t.Fatalf("targets mismatch:\n got %v\nwant %v", got.targets, want.targets)
+	for u := Node(0); int(u) < want.NumNodes(); u++ {
+		if !slices.Equal(got.Neighbors(u), want.Neighbors(u)) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", u, got.Neighbors(u), want.Neighbors(u))
+		}
+		if got.Degree(u) != want.Degree(u) {
+			t.Fatalf("Degree(%d) = %d, want %d", u, got.Degree(u), want.Degree(u))
+		}
+		gw, ww := got.NeighborWeights(u), want.NeighborWeights(u)
+		if len(gw) != len(ww) {
+			t.Fatalf("NeighborWeights(%d) = %v, want %v", u, gw, ww)
+		}
+		for i := range ww {
+			if math.Float64bits(gw[i]) != math.Float64bits(ww[i]) {
+				t.Fatalf("NeighborWeights(%d)[%d] = %v, want %v (bits differ)", u, i, gw[i], ww[i])
+			}
+		}
+		if math.Float64bits(got.WeightedDegree(u)) != math.Float64bits(want.WeightedDegree(u)) {
+			t.Fatalf("WeightedDegree(%d) = %v, want %v (bits differ)", u, got.WeightedDegree(u), want.WeightedDegree(u))
+		}
 	}
-	if !reflect.DeepEqual(got.weights, want.weights) {
-		t.Fatalf("weights mismatch:\n got %v\nwant %v", got.weights, want.weights)
+	if math.Float64bits(got.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
+		t.Fatalf("TotalWeight = %v, want %v (bits differ)", got.TotalWeight(), want.TotalWeight())
 	}
-	if !reflect.DeepEqual(got.wdeg, want.wdeg) {
-		t.Fatalf("wdeg mismatch:\n got %v\nwant %v", got.wdeg, want.wdeg)
-	}
-	if got.totalW != want.totalW {
-		t.Fatalf("totalW = %v, want %v", got.totalW, want.totalW)
+	if !bytes.Equal(AppendCSR(nil, got), AppendCSR(nil, want)) {
+		t.Fatalf("AppendCSR images differ although every accessor agrees")
 	}
 }
 
@@ -161,7 +183,7 @@ func TestMergeCSRMatchesRebuild(t *testing.T) {
 			ops := randomBatch(rng, cur.NumNodes(), 12, weighted)
 			next, _ := MergeCSR(cur, ops)
 			ref.apply(ops)
-			csrEqual(t, next, ref.build())
+			csrBitsEqual(t, next, ref.build())
 			cur = next
 		}
 	}
@@ -415,26 +437,6 @@ func TestUpdateComponentsCarried(t *testing.T) {
 	}
 }
 
-// csrBitsEqual is csrEqual with every float compared by bit pattern, so a
-// -0 for a +0 or a differently rounded sum cannot pass as equal.
-func csrBitsEqual(t *testing.T, got, want *CSR) {
-	t.Helper()
-	csrEqual(t, got, want)
-	for i := range want.weights {
-		if math.Float64bits(got.weights[i]) != math.Float64bits(want.weights[i]) {
-			t.Fatalf("weights[%d] = %v, want %v (bits differ)", i, got.weights[i], want.weights[i])
-		}
-	}
-	for u := range want.wdeg {
-		if math.Float64bits(got.wdeg[u]) != math.Float64bits(want.wdeg[u]) {
-			t.Fatalf("wdeg[%d] = %v, want %v (bits differ)", u, got.wdeg[u], want.wdeg[u])
-		}
-	}
-	if math.Float64bits(got.totalW) != math.Float64bits(want.totalW) {
-		t.Fatalf("totalW = %v, want %v (bits differ)", got.totalW, want.totalW)
-	}
-}
-
 // islandGraph builds n nodes as rings of island consecutive nodes with a
 // few random chords each: many components, and long runs of rows that a
 // sparse batch leaves untouched.
@@ -470,15 +472,11 @@ func islandGraph(rng *rand.Rand, n, island int, weighted bool) *Graph {
 // alone, and that the incremental partition equals a full re-flood.
 func mergeStep(t *testing.T, cur *CSR, ref *refModel, compID []int32, comps [][]Node, ops []Delta) (*CSR, []int32, [][]Node) {
 	t.Helper()
-	before := &CSR{
-		offsets: append([]int32(nil), cur.offsets...),
-		targets: append([]Node(nil), cur.targets...),
-		weights: append([]float64(nil), cur.weights...),
-		wdeg:    append([]float64(nil), cur.wdeg...),
-		totalW:  cur.totalW,
-	}
+	before := AppendCSR(nil, cur)
 	next, info := MergeCSR(cur, ops)
-	csrBitsEqual(t, cur, before)
+	if !bytes.Equal(AppendCSR(nil, cur), before) {
+		t.Fatalf("MergeCSR wrote into the snapshot it merged")
+	}
 
 	ref.apply(ops)
 	weighted := cur.Weighted()
@@ -499,10 +497,11 @@ func mergeStep(t *testing.T, cur *CSR, ref *refModel, compID []int32, comps [][]
 	return next, newID, newComps
 }
 
-// TestMergeCSRSpanBoundaries pins the edges of the span copy on a graph
-// large enough to have long untouched runs: each sparse batch is merged
-// into an unweighted and a weighted 600-node snapshot and compared bit
-// for bit with a from-scratch pack.
+// TestMergeCSRSpanBoundaries pins the edges of the row copy inside a
+// rebuilt page on a graph large enough to have long untouched runs (and
+// three row pages; TestMergeCSRPageBoundaries pins the page edges): each
+// sparse batch is merged into an unweighted and a weighted 600-node
+// snapshot and compared bit for bit with a from-scratch pack.
 func TestMergeCSRSpanBoundaries(t *testing.T) {
 	const n, island = 600, 40
 	cases := []struct {

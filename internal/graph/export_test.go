@@ -13,5 +13,5 @@ func (c *CSR) BFSBottomUpLevels(sources []Node) int {
 	for i := range dist {
 		dist[i] = INF
 	}
-	return c.levelBFS(sources, dist, make([]Node, 0, n), n, len(c.targets))
+	return c.flatten().levelBFS(sources, dist, make([]Node, 0, n), n, c.entries)
 }

@@ -71,9 +71,8 @@ func (g *Graph) Degree(u Node) int { return g.packed().Degree(u) }
 // snapshot, capped at its own length so that an append can never write
 // into the next row. The caller must not modify the returned slice.
 func (g *Graph) Neighbors(u Node) []Node {
-	c := g.packed()
-	lo, hi := c.offsets[u], c.offsets[u+1]
-	return c.targets[lo:hi:hi]
+	adj := g.packed().Neighbors(u)
+	return adj[:len(adj):len(adj)]
 }
 
 // HasEdge reports whether the undirected edge (u,v) exists.
@@ -96,7 +95,7 @@ func (g *Graph) Labels() []string { return g.labels }
 // weighted ones.
 func (g *Graph) EdgeWeight(u, v Node) float64 {
 	c := g.packed()
-	if c.weights == nil {
+	if !c.weighted {
 		return 1
 	}
 	if w, ok := c.edgeWeightOf(u, v); ok {
@@ -113,7 +112,7 @@ func (g *Graph) TotalWeight() float64 { return g.packed().totalW }
 
 // WeightedDegree returns the sum of adjacent edge weights of u (the node
 // weight in the paper's Definition 2).
-func (g *Graph) WeightedDegree(u Node) float64 { return g.packed().wdeg[u] }
+func (g *Graph) WeightedDegree(u Node) float64 { return g.packed().WeightedDegree(u) }
 
 // Edges calls fn once per undirected edge with u < v. Iteration stops early
 // if fn returns false.
@@ -199,15 +198,15 @@ func (g *Graph) InducedSubgraph(keep []Node) (*Graph, []Node) {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := g.packed()
+	c := g.packed().flatten()
 	return &Graph{
-		csr: &CSR{
+		csr: newContiguousCSR(flatCSR{
 			offsets: slices.Clone(c.offsets),
 			targets: slices.Clone(c.targets),
 			weights: slices.Clone(c.weights),
 			wdeg:    slices.Clone(c.wdeg),
 			totalW:  c.totalW,
-		},
+		}),
 		labels: slices.Clone(g.labels),
 	}
 }
@@ -289,7 +288,7 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 // The Builder may be reused afterwards.
 func (b *Builder) Build() *Graph {
 	n := b.n
-	c := &CSR{
+	c := flatCSR{
 		offsets: make([]int32, n+1),
 		targets: make([]Node, 2*len(b.edges)),
 		wdeg:    make([]float64, n),
@@ -348,7 +347,7 @@ func (b *Builder) Build() *Graph {
 		c.totalW = float64(len(b.edges))
 	}
 
-	g := &Graph{csr: c}
+	g := &Graph{csr: newContiguousCSR(c)}
 	if b.labels != nil {
 		g.labels = append([]string(nil), b.labels...)
 	}

@@ -2,12 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ParseEdgeList reads a whitespace-separated edge list, one edge per line.
@@ -84,21 +86,64 @@ func ParseWeight(tok string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad weight %q: %v", tok, err)
 	}
-	if !(w >= 0) || math.IsInf(w, 1) {
+	if !validWeight(w) {
 		return 0, fmt.Errorf("bad weight %q: want a finite, non-negative number", tok)
 	}
 	return w, nil
 }
 
-// WriteEdgeList writes g as "u v" lines using labels when present.
+// validWeight is the one rule for a storable edge weight: finite and
+// non-negative (false for NaN).
+func validWeight(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
+
+// ErrBadWeight is wrapped by CheckDeltas' rejections.
+var ErrBadWeight = errors.New("graph: bad edge weight")
+
+// CheckDeltas applies ParseWeight's rule to a batch built in code rather
+// than parsed: every weight an op would store must be finite and
+// non-negative. MergeCSR itself does not filter — a write-ahead log
+// replays to the bytes it recorded — so whoever admits a batch (the
+// engine's Apply) checks it first.
+func CheckDeltas(ops []Delta) error {
+	for i, d := range ops {
+		if (d.Op == DeltaAddEdge || d.Op == DeltaSetWeight) && !validWeight(d.W) {
+			return fmt.Errorf("%w: op %d gives edge (%d,%d) weight %v, want a finite, non-negative number", ErrBadWeight, i, d.U, d.V, d.W)
+		}
+	}
+	return nil
+}
+
+// writableLabel returns u's label, or an error naming it when the text
+// formats cannot hold it: ParseEdgeList and ParseCommunities split lines
+// on whitespace and skip lines that start with '#' or '%', so an empty
+// label, one with whitespace in it, or one with such a first character
+// would be written as a file that parses to a different graph.
+func writableLabel(g *Graph, u Node) (string, error) {
+	l := g.Label(u)
+	if l == "" || l[0] == '#' || l[0] == '%' || strings.IndexFunc(l, unicode.IsSpace) >= 0 {
+		return "", fmt.Errorf("graph: label %q of node %d cannot be written: empty, containing whitespace, or starting with '#' or '%%'", l, u)
+	}
+	return l, nil
+}
+
+// WriteEdgeList writes g as "u v" lines using labels when present. A
+// label that would not read back as the same token is an error (see
+// writableLabel), not a silently different file.
 func WriteEdgeList(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
 	var err error
-	g.Edges(func(u, v Node) bool {
+	g.EdgesW(func(u, v Node, wt float64) bool {
+		var lu, lv string
+		if lu, err = writableLabel(g, u); err != nil {
+			return false
+		}
+		if lv, err = writableLabel(g, v); err != nil {
+			return false
+		}
 		if g.Weighted() {
-			_, err = fmt.Fprintf(bw, "%s %s %g\n", g.Label(u), g.Label(v), g.EdgeWeight(u, v))
+			_, err = fmt.Fprintf(bw, "%s %s %g\n", lu, lv, wt)
 		} else {
-			_, err = fmt.Fprintf(bw, "%s %s\n", g.Label(u), g.Label(v))
+			_, err = fmt.Fprintf(bw, "%s %s\n", lu, lv)
 		}
 		return err == nil
 	})
@@ -143,7 +188,8 @@ func ParseCommunities(r io.Reader, g *Graph) ([][]Node, error) {
 	return comms, nil
 }
 
-// WriteCommunities writes one community per line using node labels.
+// WriteCommunities writes one community per line using node labels, with
+// WriteEdgeList's rule for labels that would not read back.
 func WriteCommunities(w io.Writer, g *Graph, comms [][]Node) error {
 	bw := bufio.NewWriter(w)
 	for _, c := range comms {
@@ -153,7 +199,11 @@ func WriteCommunities(w io.Writer, g *Graph, comms [][]Node) error {
 					return err
 				}
 			}
-			if _, err := bw.WriteString(g.Label(u)); err != nil {
+			l, err := writableLabel(g, u)
+			if err != nil {
+				return err
+			}
+			if _, err := bw.WriteString(l); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,10 @@
 package graph
 
 import (
+	"errors"
+	"io"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -121,5 +125,57 @@ func TestBuilderDuplicateEdgeLastWins(t *testing.T) {
 	b2.AddEdge(0, 1)
 	if g := b2.Build(); g.Weighted() {
 		t.Fatal("all weights reset: graph should be unweighted")
+	}
+}
+
+// TestWritersRefuseLabelsThatDoNotReadBack: a label the text formats
+// would read as a comment marker, as two tokens or as nothing is an error
+// naming it, not a file that parses to a different graph.
+func TestWritersRefuseLabelsThatDoNotReadBack(t *testing.T) {
+	for _, bad := range []string{"#", "#tag", "%x", "", "a b", "tab\there", " lead"} {
+		b := NewBuilder(2)
+		b.AddEdge(0, 1)
+		b.SetLabels([]string{"ok", bad})
+		g := b.Build()
+		var sb strings.Builder
+		if err := WriteEdgeList(&sb, g); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Fatalf("WriteEdgeList with label %q: err = %v, want one naming the label (wrote %q)", bad, err, sb.String())
+		}
+		if err := WriteCommunities(&sb, g, [][]Node{{0, 1}}); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Fatalf("WriteCommunities with label %q: err = %v, want one naming the label", bad, err)
+		}
+	}
+	// The parser accepts "0 #" (a second token may start with '#'); the
+	// writer, which would have to put that label first, must refuse.
+	g, err := ParseEdgeList(strings.NewReader("0 #\n1 #"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteEdgeList(io.Discard, g); err == nil {
+		t.Fatal(`WriteEdgeList wrote a graph with a node labelled "#"`)
+	}
+	// Labels that merely contain the markers are fine and round-trip.
+	g, err = ParseEdgeList(strings.NewReader("a#1 b%2 0.5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := WriteEdgeList(&sb, g); err != nil || sb.String() != "a#1 b%2 0.5\n" {
+		t.Fatalf("WriteEdgeList = %q, %v", sb.String(), err)
+	}
+}
+
+func TestCheckDeltas(t *testing.T) {
+	good := []Delta{{Op: DeltaAddEdge, U: 0, V: 1}, {Op: DeltaSetWeight, U: 1, V: 2, W: 0}, {Op: DeltaSetWeight, U: 1, V: 2, W: 1e308},
+		{Op: DeltaRemoveEdge, U: 0, V: 1, W: math.NaN()}, {Op: DeltaAddNode, U: 9, W: -1}} // W is not stored by these two
+	if err := CheckDeltas(good); err != nil {
+		t.Fatalf("CheckDeltas(valid batch) = %v", err)
+	}
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-300} {
+		for _, op := range []DeltaOp{DeltaAddEdge, DeltaSetWeight} {
+			if err := CheckDeltas(append(good[:2:2], Delta{Op: op, U: 3, V: 4, W: w})); !errors.Is(err, ErrBadWeight) {
+				t.Fatalf("CheckDeltas(op %d, weight %v) = %v, want ErrBadWeight", op, w, err)
+			}
+		}
 	}
 }

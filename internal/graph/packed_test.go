@@ -21,7 +21,7 @@ func refPack(n int, edges map[[2]Node]bool, weights map[[2]Node]float64, weighte
 		adj[e[0]] = append(adj[e[0]], e[1])
 		adj[e[1]] = append(adj[e[1]], e[0])
 	}
-	c := &CSR{offsets: make([]int32, n+1), targets: []Node{}, wdeg: make([]float64, n)}
+	c := flatCSR{offsets: make([]int32, n+1), targets: []Node{}, wdeg: make([]float64, n)}
 	if weighted {
 		c.weights = []float64{}
 	}
@@ -49,7 +49,7 @@ func refPack(n int, edges map[[2]Node]bool, weights map[[2]Node]float64, weighte
 	if !weighted {
 		c.totalW = float64(len(edges))
 	}
-	return c
+	return newContiguousCSR(c)
 }
 
 // refPack packs the delta tests' reference model with the reference loop
@@ -105,12 +105,12 @@ func checkPacked(t *testing.T, g *Graph, m *packModel, weighted bool) {
 	if g.NumNodes() != m.n || g.NumEdges() != len(m.edges) || g.Weighted() != weighted {
 		t.Fatalf("n=%d m=%d weighted=%v, want %d %d %v", g.NumNodes(), g.NumEdges(), g.Weighted(), m.n, len(m.edges), weighted)
 	}
-	if math.Float64bits(g.TotalWeight()) != math.Float64bits(want.totalW) {
-		t.Fatalf("TotalWeight = %v, want %v", g.TotalWeight(), want.totalW)
+	if math.Float64bits(g.TotalWeight()) != math.Float64bits(want.TotalWeight()) {
+		t.Fatalf("TotalWeight = %v, want %v", g.TotalWeight(), want.TotalWeight())
 	}
 	for u := Node(0); int(u) < m.n; u++ {
-		if math.Float64bits(g.WeightedDegree(u)) != math.Float64bits(want.wdeg[u]) {
-			t.Fatalf("WeightedDegree(%d) = %v, want %v", u, g.WeightedDegree(u), want.wdeg[u])
+		if math.Float64bits(g.WeightedDegree(u)) != math.Float64bits(want.WeightedDegree(u)) {
+			t.Fatalf("WeightedDegree(%d) = %v, want %v", u, g.WeightedDegree(u), want.WeightedDegree(u))
 		}
 		row := g.Neighbors(u)
 		if g.Degree(u) != len(row) || !slices.Equal(row, want.Neighbors(u)) {

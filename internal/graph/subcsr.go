@@ -1,11 +1,15 @@
 package graph
 
+import "sync"
+
 // SubCSR is a query-scoped compact snapshot: the induced subgraph of one
 // member set (typically a connected component) relabelled into dense local
-// ids 0..k-1 and packed into its own CSR, with a mapping back to the
-// source snapshot's ids. Peeling a 50-node community on a 10M-node graph
-// over the parent CSR still touches Θ(n) scratch per query; over a SubCSR
-// every traversal, articulation sweep, and candidate scan costs O(k).
+// ids 0..k-1 and packed into flat arrays of its own, with a mapping back
+// to the source snapshot's ids. It is the form the kernels read: a
+// snapshot's pages are only ever read to fill one. Peeling a 50-node
+// community on a 10M-node graph over the parent CSR would touch Θ(n)
+// scratch per query; over a SubCSR every traversal, articulation sweep,
+// and candidate scan costs O(k).
 //
 // The relabelling is monotonic (local order == source order), so the
 // packed local adjacency stays sorted and every order-sensitive float
@@ -15,14 +19,14 @@ package graph
 // bit-identical to scores computed on the parent (the differential tests
 // in internal/dmcs prove this end to end).
 //
-// The embedded CSR's TotalWeight is the PARENT graph's w_G, not the
+// The embedded arrays' TotalWeight is the PARENT graph's w_G, not the
 // member set's internal weight: modularity objectives normalize by the
 // whole graph even when the search is confined to one component. The
 // member set's own aggregates are exposed as InternalWeight (w_C) and
 // MemberWeightSum (d_S at full membership); WeightedDegree returns the
 // node's weighted degree in the parent graph.
 type SubCSR struct {
-	CSR
+	flatCSR
 	global []Node  // local -> source id; nil means identity (sub == source)
 	compW  float64 // internal edge weight of the member set (w_C)
 	compD  float64 // sum of member node weights (d_S at full membership)
@@ -76,6 +80,10 @@ func (s *SubCSR) InternalWeight() float64 { return s.compW }
 // member order.
 func (s *SubCSR) MemberWeightSum() float64 { return s.compD }
 
+// relabelPool lends NewSubCSR its source-id -> local-id table, so a lazy
+// sub build allocates component-sized memory, not two |G|-sized tables.
+var relabelPool = sync.Pool{New: func() any { return new(relabel) }}
+
 // NewSubCSR extracts the induced subgraph of members (sorted ascending,
 // duplicate-free) from c into a freshly allocated SubCSR. Neighbors
 // outside the member set are dropped, so the member set need not be
@@ -83,14 +91,10 @@ func (s *SubCSR) MemberWeightSum() float64 { return s.compD }
 // engine's snapshot) build one per component and share it; per-query
 // extraction goes through Arena.ExtractSub instead, which reuses buffers.
 func NewSubCSR(c *CSR, members []Node) *SubCSR {
-	table := make([]int32, c.NumNodes())
-	tag := make([]uint32, c.NumNodes())
-	for i, g := range members {
-		table[g] = int32(i)
-		tag[g] = 1
-	}
+	r := relabelPool.Get().(*relabel)
+	defer relabelPool.Put(r)
 	dst := &SubCSR{}
-	extractSub(dst, &subStorage{}, c, members, table, tag, 1)
+	extractSub(dst, &subStorage{}, c, members, r)
 	dst.global = append([]Node(nil), members...)
 	return dst
 }
@@ -108,15 +112,23 @@ func NewSubCSRAt(c *CSR, members []Node, wG float64) *SubCSR {
 	return dst
 }
 
-// WrapCSR returns the identity SubCSR over the whole snapshot: shared
-// packed arrays, no relabelling, w_C = w_G. It lets single-component
-// graphs use the query-scoped search path without copying the snapshot.
+// WrapCSR returns the identity SubCSR over the whole snapshot: no
+// relabelling, w_C = w_G. A Contiguous snapshot lends its own arrays, so
+// single-component graphs use the query-scoped search path without
+// copying anything; a merged one is packed first (callers that would
+// rather extract it like any other component check Contiguous).
 func WrapCSR(c *CSR) *SubCSR {
-	s := &SubCSR{CSR: *c, compW: c.totalW}
-	for _, d := range c.wdeg {
+	s := &SubCSR{}
+	s.wrap(c)
+	return s
+}
+
+// wrap makes s the identity sub over c's contiguous form.
+func (s *SubCSR) wrap(c *CSR) {
+	*s = SubCSR{flatCSR: *c.flatten(), compW: c.totalW}
+	for _, d := range s.wdeg {
 		s.compD += d
 	}
-	return s
 }
 
 // subStorage owns the backing slices a SubCSR header points into when the
@@ -130,11 +142,16 @@ type subStorage struct {
 	global  []Node
 }
 
-// extractSub builds the compact relabelled CSR of members into dst,
-// backed by store's slices (grown as needed). table/tag is the
-// source-id -> local-id map: an entry is valid iff tag[g] == epoch.
-// Neighbors with stale tags are dropped. The caller owns dst.global.
-func extractSub(dst *SubCSR, store *subStorage, src *CSR, members []Node, table []int32, tag []uint32, epoch uint32) {
+// extractSub builds the compact relabelled arrays of members into dst,
+// backed by store's slices (grown as needed), reading src's pages row by
+// row. It consumes one epoch of r for the source-id -> local-id map;
+// neighbors outside members are dropped. The caller owns dst.global.
+func extractSub(dst *SubCSR, store *subStorage, src *CSR, members []Node, r *relabel) {
+	r.BeginEpoch(src.NumNodes())
+	for i, g := range members {
+		r.Mark(g, int32(i))
+	}
+	table, tag, epoch := r.table, r.tag, r.epoch
 	k := len(members)
 	degSum := 0
 	for _, g := range members {
@@ -143,7 +160,7 @@ func extractSub(dst *SubCSR, store *subStorage, src *CSR, members []Node, table 
 	store.offsets = growInt32(store.offsets, k+1)
 	store.targets = growNodes(store.targets, degSum)
 	store.wdeg = growFloat64(store.wdeg, k)
-	weighted := src.weights != nil
+	weighted := src.weighted
 	if weighted {
 		store.weights = growFloat64(store.weights, degSum)
 	}
@@ -152,12 +169,14 @@ func extractSub(dst *SubCSR, store *subStorage, src *CSR, members []Node, table 
 	pos := 0
 	for i, g := range members {
 		store.offsets[i] = int32(pos)
-		d := src.wdeg[g]
+		pg, row := &src.pages[g>>pageShift], g&pageMask // one page lookup per row
+		lo, hi := pg.offsets[row], pg.offsets[row+1]
+		d := pg.wdeg[row]
 		store.wdeg[i] = d
 		compD += d
-		adj := src.Neighbors(g)
+		adj := pg.targets[lo:hi]
 		if weighted {
-			ws := src.NeighborWeights(g)
+			ws := pg.weights[lo:hi]
 			for j, w := range adj {
 				if tag[w] != epoch {
 					continue
@@ -224,13 +243,6 @@ func growFloat64(s []float64, n int) []float64 {
 func growBool(s []bool, n int) []bool {
 	if cap(s) < n {
 		return make([]bool, n)
-	}
-	return s[:n]
-}
-
-func growUint32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		return make([]uint32, n)
 	}
 	return s[:n]
 }

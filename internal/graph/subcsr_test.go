@@ -182,7 +182,7 @@ func TestArenaViewMatchesFresh(t *testing.T) {
 	sub := a.ExtractSub(0, c, comp)
 
 	av := a.ViewAll(0, sub)
-	fresh := NewCSRViewOf(&sub.CSR, allNodes(sub.NumNodes()))
+	fresh := NewCSRViewOf(newContiguousCSR(sub.flatCSR), allNodes(sub.NumNodes()))
 	compareViews(t, "ViewAll", av, fresh)
 
 	// a strict subset (every third member)
@@ -193,7 +193,7 @@ func TestArenaViewMatchesFresh(t *testing.T) {
 	a.Poison()
 	sub = a.ExtractSub(0, c, comp)
 	sv := a.ViewOf(1, sub, set)
-	freshSub := NewCSRViewOf(&sub.CSR, set)
+	freshSub := NewCSRViewOf(newContiguousCSR(sub.flatCSR), set)
 	compareViews(t, "ViewOf", sv, freshSub)
 }
 
@@ -216,7 +216,7 @@ func compareViews(t *testing.T, name string, got, want *CSRView) {
 	if got.NodeWeightSum() != want.NodeWeightSum() {
 		t.Fatalf("%s: NodeWeightSum %v != %v", name, got.NodeWeightSum(), want.NodeWeightSum())
 	}
-	for u := 0; u < got.CSR().NumNodes(); u++ {
+	for u := 0; u < got.NumNodes(); u++ {
 		if got.Alive(Node(u)) != want.Alive(Node(u)) || got.DegreeIn(Node(u)) != want.DegreeIn(Node(u)) {
 			t.Fatalf("%s: per-node state differs at %d", name, u)
 		}

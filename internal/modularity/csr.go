@@ -4,8 +4,8 @@ import "dmcs/internal/graph"
 
 // This file is the CSR half of the package: the goodness functions are
 // also evaluable over a packed graph.CSR snapshot, using flat membership
-// masks, the packed adjacency, and the snapshot's cached weighted-degree
-// table and total edge weight — no per-edge weight-map lookups. Servers
+// masks, the packed adjacency, and the snapshot's cached per-node weighted
+// degrees and total edge weight — no per-edge weight-map lookups. Servers
 // and baselines that score many candidate communities against one graph
 // build the CSR once and call these.
 
@@ -74,10 +74,9 @@ func DensityWeightedCSR(csr *graph.CSR, c []graph.Node) float64 {
 	if wg == 0 {
 		return 0
 	}
-	wdeg := csr.WeightedDegrees()
 	var wc, dc float64
 	for _, u := range members {
-		dc += wdeg[u]
+		dc += csr.WeightedDegree(u)
 		adj := csr.Neighbors(u)
 		if ws := csr.NeighborWeights(u); ws != nil {
 			for i, v := range adj {

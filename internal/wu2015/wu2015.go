@@ -90,7 +90,7 @@ func QueryBiasedDensity(v *graph.View, prox []float64) float64 {
 
 // QueryBiasedDensityCSR is QueryBiasedDensity over a CSR peeling view.
 func QueryBiasedDensityCSR(v *graph.CSRView, prox []float64) float64 {
-	return queryBiasedDensity(v.NumAliveEdges(), v.CSR().NumNodes(), v.Alive, prox)
+	return queryBiasedDensity(v.NumAliveEdges(), v.NumNodes(), v.Alive, prox)
 }
 
 func queryBiasedDensity(mAlive, n int, alive func(graph.Node) bool, prox []float64) float64 {
