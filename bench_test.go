@@ -259,9 +259,7 @@ func BenchmarkEngineBatch(b *testing.B) {
 // BenchmarkRootSearchFPAPruningLFR is the paper's efficiency experiment
 // through the library's front door, as dmcsbench's paper-lfr workload
 // runs it: lfr.Default(), single-node query sets, FPA with layer pruning
-// through the one-shot Search on a Graph. A call pays for the peel and
-// allocates its Result and Community; CI gates it at 2 allocs/op, so a
-// per-call pack or component flood cannot come back unnoticed.
+// through the one-shot Search on a Graph.
 func BenchmarkRootSearchFPAPruningLFR(b *testing.B) {
 	res, err := lfr.Generate(lfr.Default())
 	if err != nil {
@@ -283,6 +281,23 @@ func BenchmarkRootSearchFPAPruningLFR(b *testing.B) {
 		if _, err := dmcs.Search(res.G, qs[i%len(qs)], dmcs.VariantFPA, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRootSearchFPAPruningLFRAllocs: a Graph is packed when it is built
+// and partitioned on first use, so a one-shot Search pays for the peel and
+// allocates its Result and Community. A per-call CSR pack or component
+// flood coming back shows as 6 allocs and 439 KB per op.
+func TestRootSearchFPAPruningLFRAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := testing.Benchmark(BenchmarkRootSearchFPAPruningLFR)
+	if r.N == 0 {
+		t.Fatal("benchmark failed")
+	}
+	if got := r.AllocsPerOp(); got > 2 {
+		t.Fatalf("%d allocs/op, budget 2", got)
 	}
 }
 

@@ -82,6 +82,29 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Every numeric flag is a count, a rate, a size or a duration, and 0
+	// already means "the default": a negative value is never meant. Left
+	// alone, a negative -max-inflight panics in server.New and a negative
+	// rate builds a bucket that sheds every request forever.
+	flag.VisitAll(func(f *flag.Flag) {
+		negative := false
+		switch v := f.Value.(flag.Getter).Get().(type) {
+		case int:
+			negative = v < 0
+		case int64:
+			negative = v < 0
+		case float64:
+			negative = !(v >= 0) // NaN too
+		case time.Duration:
+			negative = v < 0
+		}
+		if negative {
+			usagef("-%s %s: must not be negative", f.Name, f.Value)
+		}
+	})
+	if *maxTimeout != 0 && *maxTimeout < *defTimeout {
+		usagef("-max-timeout %s is below -default-timeout %s", *maxTimeout, *defTimeout)
+	}
 
 	in := os.Stdin
 	if *graphPath != "-" {
@@ -198,6 +221,13 @@ func main() {
 	fmt.Printf("dmcsd: drained. served=%d cache-hits=%d stale-served=%d shed=%d rejected=%d timed-out=%d errors=%d invalidated=%d retained=%d durable-epoch=%d\n",
 		st.Queries, st.CacheHits, st.StaleServed, st.Shed, st.Rejected, st.TimedOut, st.Errors,
 		st.Invalidated, st.Retained, durable)
+}
+
+// usagef reports a flag value dmcsd cannot run with; exit status 2, as for
+// a flag the flag package itself rejects.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dmcsd: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {

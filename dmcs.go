@@ -73,31 +73,9 @@
 // duplicate-free queries get byte-identical answers to the serial entry
 // points.
 //
-// # Intra-query parallelism
+// # Fused batches
 //
-// Options.Parallelism opens a second axis of parallelism INSIDE one
-// query, for the rare whale component whose peel would otherwise pin a
-// single core for milliseconds:
-//
-//	res, err := dmcs.FPA(g, q, dmcs.Options{Parallelism: 8})
-//
-// Values <= 1 mean fully serial (the default); larger values fan the
-// peel's data-parallel phases — BFS layering, the farthest-layer
-// scoring fill, and NCA's candidate argmax — across up to that many
-// workers, capped at GOMAXPROCS. The setting only engages on components
-// of at least ~8k nodes; below that, gang coordination costs more than
-// the peel, and the search silently runs the serial kernels. Workers
-// write schedule-independent values (BFS levels, per-candidate scores)
-// to fixed positions and their winners merge under a total order, so
-// the parallel path is bit-identical to Parallelism == 1: same
-// community, same float score, same removal order, regardless of worker
-// count or schedule. Because results are identical, Parallelism does
-// not participate in the engine's cache key. The sequential residues
-// (layer pruning's prefix-score sweep, FPA's heap drain, NCA's
-// articulation-point pass) bound the speedup; see the README for the
-// Amdahl breakdown per variant.
-//
-// Engine.SearchBatch complements this with cross-query fusion: a batch
+// Engine.SearchBatch fuses a batch instead of fanning it out: a batch
 // is admitted against one snapshot, identical queries are deduplicated
 // into one peel, and the remainder is grouped by connected component so
 // the worker gang drains each component's queries back-to-back against

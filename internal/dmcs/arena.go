@@ -40,9 +40,6 @@ type Arena struct {
 	layerGen     int32        // reset per query; bumped per theta layer
 
 	nca ncaPeel // NCA state and certificate tables, grown by NCA searches only
-
-	parNode  []graph.Node // per-worker argmax winners (parallel NCA scan)
-	parScore []float64    // per-worker argmax scores
 }
 
 // NewArena returns an empty arena; buffers are sized by the first query.
@@ -72,8 +69,6 @@ func (a *Arena) Poison() {
 	poisonInt32s(a.layerFill)
 	poisonInt32s(a.layerInLayer)
 	a.layerGen = junk
-	poisonNodes(a.parNode)
-	poisonFloat64s(a.parScore)
 	a.ps = peelState{}
 	// a.nca's dist and skip are graph-arena buffers, poisoned above
 	poisonNodes(a.nca.parent)
@@ -125,13 +120,6 @@ func growInt32Slice(s []int32, n int) []int32 {
 func growFloat64Slice(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growThetaItems(s []thetaItem, n int) []thetaItem {
-	if cap(s) < n {
-		return make([]thetaItem, n)
 	}
 	return s[:n]
 }

@@ -179,3 +179,32 @@ func TestDeadlinePollerFirstCallChecks(t *testing.T) {
 		t.Error("cancel must be observed on the very next check")
 	}
 }
+
+// TestWarmArenaAllocs pins that groupLayersInto hands its grown
+// layer-cursor buffer back to the arena: a warm arena's pruning search
+// performs exactly two heap allocations — the Result and its Community
+// slice; a third one is a buffer that leaked out of the arena.
+func TestWarmArenaAllocs(t *testing.T) {
+	g := smallQueryGraph(4, 80)
+	csr := graph.NewCSR(g)
+	a := NewArena()
+	q := []graph.Node{3}
+	comp, err := queryComponentArena(a, csr, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp = append([]graph.Node(nil), comp...) // stable storage across epochs
+	for i := 0; i < 3; i++ {                  // warm every buffer
+		if _, err := searchExtract(a, csr, q, comp, VariantFPA, Options{LayerPruning: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := searchExtract(a, csr, q, comp, VariantFPA, Options{LayerPruning: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("warm-arena pruning search allocates %.1f times per run, want <= 2 (Result + Community)", allocs)
+	}
+}

@@ -146,17 +146,9 @@ type Options struct {
 	// with TimedOut set, exactly like a Timeout expiry. The engine wires a
 	// context.Context's Done channel here.
 	Cancel <-chan struct{}
-	// Parallelism bounds how many goroutines a single search may use for
-	// its heavy phases (BFS layering, Θ-heap fills, NCA candidate scans;
-	// layer pruning's prefix-score sweep is serial at every setting).
-	// Values <= 1 keep the search fully serial; larger values are capped
-	// at GOMAXPROCS and engage only on components above an internal size
-	// threshold (~8k nodes), so small queries never pay gang-scheduling
-	// overhead. Results are bit-identical to the serial search at any
-	// setting: workers write schedule-independent values to fixed
-	// positions and their winners merge under a total order, so
-	// Parallelism participates in no cache key and changes no answer,
-	// only latency.
+	// Parallelism is kept so that callers which set it still compile.
+	//
+	// Deprecated: ignored, every search is serial.
 	Parallelism int
 }
 
@@ -403,9 +395,6 @@ type peelState struct {
 	bestIdx   int
 	bestScore float64
 	poll      deadlinePoller
-	// par is the resolved worker count for this peel's parallel phases
-	// (1 = serial; see effectiveParallelism).
-	par int
 }
 
 // newPeelState resets the arena's embedded peel state around an
@@ -423,7 +412,6 @@ func newPeelState(a *Arena, sub *graph.SubCSR, v *graph.CSRView, origGlobals, un
 		origGlobals: origGlobals,
 		universe:    universe,
 		trace:       a.trace[:0],
-		par:         effectiveParallelism(opts.Parallelism, sub.NumNodes()),
 	}
 	s.bestScore = s.score()
 	if opts.Timeout > 0 {

@@ -79,7 +79,7 @@ func runFPA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, use
 		return fpaWithPruning(a, sub, protected, comp, opts, useTheta)
 	}
 	k := sub.NumNodes()
-	dist := bfsInto(a, sub, protected, effectiveParallelism(opts.Parallelism, k))
+	dist := bfsInto(a, sub, protected)
 	s := newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
 	maxD := groupLayersInto(a, k, dist)
 	for d := maxD; d >= 1; d-- {
@@ -89,6 +89,13 @@ func runFPA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, use
 		peelLayer(s, a.layer(d), useTheta)
 	}
 	return s.result(), nil
+}
+
+// bfsInto layers sub by distance from sources into the arena's slot-0
+// distance buffer.
+func bfsInto(a *Arena, sub *graph.SubCSR, sources []graph.Node) []int32 {
+	k := sub.NumNodes()
+	return sub.MultiSourceBFSInto(sources, a.g.Dist(0, k), a.g.Queue(k))
 }
 
 // groupLayersInto buckets the k local nodes by BFS distance into the
@@ -124,13 +131,12 @@ func groupLayersInto(a *Arena, k int, dist []int32) int {
 		nodes[off[d]+fill[d]] = graph.Node(u)
 		fill[d]++
 	}
-	// Hand every grown buffer back to the arena — layerFill included.
-	// Losing it (the pre-PR-7 bug) allocated a fresh cursor slice per
-	// query, and that steady drip of garbage forced constant GC cycles
-	// whose victim-cache flushes emptied the arena pool itself: each
-	// flush made some future query rebuild full component-sized scratch,
-	// and the added GC-worker wakeups scaled with GOMAXPROCS — the
-	// BENCH_5 inverse scaling of BenchmarkSmallQueriesFPAPruning.
+	// Hand every grown buffer back to the arena — layerFill included. A
+	// buffer that is not handed back is reallocated per query, and that
+	// steady garbage forces GC cycles whose victim-cache flushes empty
+	// the arena pool itself, so some later query rebuilds full
+	// component-sized scratch (TestWarmArenaAllocs holds the warm path
+	// at its two Result allocations).
 	a.layerOff, a.layerNodes, a.layerFill = off, nodes, fill
 	return int(maxD)
 }
@@ -154,14 +160,6 @@ func peelLayer(s *peelState, cand []graph.Node, useTheta bool) {
 // pushed and the stale one is skipped on pop (Lemma 5 makes these the
 // only updates needed). Layer membership is a generation-tagged arena
 // slice — the inLayer map of the historical implementation.
-//
-// The initial heap fill is the one parallelizable piece: each
-// candidate's Θ entry depends only on the pre-drain subgraph, so on
-// large layers workers score fixed chunks into fixed slice positions
-// (fillThetaChunk) and the heap built from the filled slice is
-// identical to the serial append loop's. The drain itself is a
-// sequential dependence chain — every pop depends on the pushes of the
-// previous removal — and stays serial (drainTheta, the hotpath kernel).
 func peelLayerTheta(s *peelState, cand []graph.Node) {
 	a := s.a
 	k := s.sub.NumNodes()
@@ -178,17 +176,9 @@ func peelLayerTheta(s *peelState, cand []graph.Node) {
 		mark[u] = gen
 	}
 	h := &a.pq
-	if par := s.par; par > 1 && len(cand) >= parallelMinLayer {
-		h.items = growThetaItems(h.items, len(cand))
-		items := h.items
-		graph.ParRange(par, len(cand), func(_, lo, hi int) {
-			fillThetaChunk(s, cand, items, lo, hi)
-		})
-	} else {
-		h.items = h.items[:0]
-		for _, u := range cand {
-			h.items = append(h.items, thetaOf(s, u))
-		}
+	h.items = h.items[:0]
+	for _, u := range cand {
+		h.items = append(h.items, thetaOf(s, u))
 	}
 	h.init()
 	drainTheta(s, mark, gen)
@@ -322,11 +312,10 @@ func dropLayer(sub *graph.SubCSR, dist []int32, layer []graph.Node, d int32, st 
 // process to its outermost layer only. Phase 1 removes nothing: it starts
 // from the component's own aggregates and walks the layer buckets
 // outermost-in, one read-only pass over the component's adjacency
-// (dropLayer), serial at every Parallelism. Phase 2 peels on an
-// arena-backed view of the chosen prefix.
+// (dropLayer). Phase 2 peels on an arena-backed view of the chosen prefix.
 func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, opts Options, useTheta bool) (*Result, error) {
 	k := sub.NumNodes()
-	dist := bfsInto(a, sub, protected, effectiveParallelism(opts.Parallelism, k))
+	dist := bfsInto(a, sub, protected)
 	maxD := groupLayersInto(a, k, dist)
 
 	// Phase 1 honours Cancel and Timeout at layer granularity; the best

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"dmcs/internal/graph"
+	"dmcs/internal/modularity"
 )
 
 // NCA and NCA-DR (Section 5.4, 6.2.5): every iteration removes, among the
@@ -78,7 +79,7 @@ type ncaPeel struct {
 func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, theta bool) *ncaPeel {
 	n := sub.NumNodes()
 	// minimum shortest-path distance from the query nodes, for tie-breaks
-	dist := bfsInto(a, sub, q, effectiveParallelism(opts.Parallelism, n))
+	dist := bfsInto(a, sub, q)
 	p := &a.nca
 	p.s = newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
 	p.nq, p.theta, p.root, p.slot = len(q), theta, q[0], 1
@@ -144,16 +145,41 @@ func (p *ncaPeel) step() bool {
 
 // scan returns the best candidate under the total order (pick score,
 // then distance from the query — farther removed first — then smaller
-// id), or -1. The order is total, so chunk maxima merged under it
-// reproduce the serial winner exactly.
+// id), or -1. A candidate is a non-skipped (alive, non-query) node
+// without a live articulation witness.
+//
+//dmcs:hotpath
 func (p *ncaPeel) scan() graph.Node {
-	n := p.s.sub.NumNodes()
-	dS := p.s.v.NodeWeightSum()
-	if p.s.par > 1 && n >= parallelMinNodes {
-		best, _ := ncaScanPar(p, dS, n, p.s.par)
-		return best
+	s := p.s
+	n := s.sub.NumNodes()
+	v, wG, dS := s.v, s.wG, s.v.NodeWeightSum()
+	// len == n lets the compiler drop the per-element bounds checks
+	skip, witness, k, wdeg, dist := p.skip[:n], p.witness[:n], p.k[:n], s.wdeg[:n], p.dist
+	var best graph.Node = -1
+	bestScore := math.Inf(-1)
+	for ui := 0; ui < n; ui++ {
+		if skip[ui] {
+			continue
+		}
+		if w := witness[ui]; w >= 0 && v.Alive(w) {
+			continue
+		}
+		var sc float64
+		if p.theta {
+			sc = modularity.ThetaF(wdeg[ui], k[ui])
+		} else {
+			sc = modularity.LambdaF(wG, dS, k[ui], wdeg[ui])
+		}
+		u := graph.Node(ui)
+		switch {
+		case sc > bestScore:
+			bestScore, best = sc, u
+		case sc == bestScore && best >= 0:
+			if dist[u] > dist[best] || (dist[u] == dist[best] && u < best) {
+				best = u
+			}
+		}
 	}
-	best, _ := ncaScanChunk(p, dS, 0, n)
 	return best
 }
 

@@ -52,22 +52,20 @@ func localQuery(t testing.TB, csr *graph.CSR, q []graph.Node) (*graph.SubCSR, []
 	return sub, lq, comp
 }
 
-// checkNCAAgainstReference pins both NCA variants, at every given
-// Parallelism, to the per-removal-Tarjan reference: community,
-// Float64bits(Score), Iterations and the full removal trace.
-func checkNCAAgainstReference(t *testing.T, name string, g *graph.Graph, q []graph.Node, pars ...int) {
+// checkNCAAgainstReference pins both NCA variants to the
+// per-removal-Tarjan reference: community, Float64bits(Score), Iterations
+// and the full removal trace.
+func checkNCAAgainstReference(t *testing.T, name string, g *graph.Graph, q []graph.Node) {
 	t.Helper()
 	csr := graph.NewCSR(g)
 	sub, lq, comp := localQuery(t, csr, q)
 	for _, variant := range []Variant{VariantNCA, VariantNCADR} {
 		want := refRunNCA(sub, lq, comp, Options{TrackOrder: true}, refPick(variant == VariantNCADR))
-		for _, par := range pars {
-			got, err := SearchCSR(csr, q, variant, Options{TrackOrder: true, Parallelism: par})
-			if err != nil {
-				t.Fatalf("%s %v par=%d: %v", name, variant, par, err)
-			}
-			assertSameResult(t, want, got, "%s %v par=%d q=%v", name, variant, par, q)
+		got, err := SearchCSR(csr, q, variant, Options{TrackOrder: true})
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, variant, err)
 		}
+		assertSameResult(t, want, got, "%s %v q=%v", name, variant, q)
 	}
 }
 
@@ -75,8 +73,6 @@ func checkNCAAgainstReference(t *testing.T, name string, g *graph.Graph, q []gra
 // obligation: it removes exactly the nodes, in exactly the order, that a
 // from-scratch Tarjan pass before every removal would.
 func TestNCAMatchesPerRemovalTarjan(t *testing.T) {
-	forceParallel(t)
-
 	sizes, sparse := []int{300, 1000, 2000}, 40
 	if testing.Short() {
 		sizes, sparse = []int{300}, 10
@@ -89,14 +85,10 @@ func TestNCAMatchesPerRemovalTarjan(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lfr n=%d mu=%v: %v", n, mu, err)
 			}
-			pars := []int{1}
-			if n <= 300 {
-				pars = []int{1, 4} // the gang scan per removal is slow under -race
-			}
 			for _, g := range []*graph.Graph{res.G, reweighted(res.G, int64(n))} {
 				for _, q := range ncaQueries(g, res.Communities[0][0]) {
 					name := fmt.Sprintf("lfr n=%d mu=%v weighted=%v", n, mu, g.Weighted())
-					checkNCAAgainstReference(t, name, g, q, pars...)
+					checkNCAAgainstReference(t, name, g, q)
 				}
 			}
 		}
@@ -116,7 +108,7 @@ func TestNCAMatchesPerRemovalTarjan(t *testing.T) {
 			g = reweighted(g, seed)
 		}
 		for _, q := range ncaQueries(g, hub) {
-			checkNCAAgainstReference(t, fmt.Sprintf("sparse seed=%d", seed), g, q, 1, 4)
+			checkNCAAgainstReference(t, fmt.Sprintf("sparse seed=%d", seed), g, q)
 		}
 	}
 
@@ -142,7 +134,7 @@ func TestNCAMatchesPerRemovalTarjan(t *testing.T) {
 		{"ring of cliques", ring, []graph.Node{0}},
 		{"ring of cliques x3", ring, []graph.Node{0, 13, 40}},
 	} {
-		checkNCAAgainstReference(t, c.name, c.g, c.q, 1, 4)
+		checkNCAAgainstReference(t, c.name, c.g, c.q)
 	}
 }
 
@@ -284,4 +276,33 @@ func FuzzNCACertificates(f *testing.F) {
 		want := refRunNCA(sub, lq, comp, Options{TrackOrder: true}, refPick(theta))
 		assertSameResult(t, want, got, "seed=%d n=%d extra=%d weighted=%v theta=%v q=%v", seed, n, extra, weighted, theta, q)
 	})
+}
+
+func assertSameResult(t *testing.T, want, got *Result, format string, args ...any) {
+	t.Helper()
+	if math.Float64bits(want.Score) != math.Float64bits(got.Score) {
+		t.Errorf(format+": score %v (%x) vs serial %v (%x)", append(args, got.Score, math.Float64bits(got.Score), want.Score, math.Float64bits(want.Score))...)
+	}
+	if want.Iterations != got.Iterations {
+		t.Errorf(format+": iterations %d vs serial %d", append(args, got.Iterations, want.Iterations)...)
+	}
+	if want.TimedOut != got.TimedOut {
+		t.Errorf(format+": timedOut %v vs serial %v", append(args, got.TimedOut, want.TimedOut)...)
+	}
+	if len(want.Community) != len(got.Community) {
+		t.Fatalf(format+": community size %d vs serial %d", append(args, len(got.Community), len(want.Community))...)
+	}
+	for i := range want.Community {
+		if want.Community[i] != got.Community[i] {
+			t.Fatalf(format+": community[%d] = %d vs serial %d", append(args, i, got.Community[i], want.Community[i])...)
+		}
+	}
+	if len(want.RemovalOrder) != len(got.RemovalOrder) {
+		t.Fatalf(format+": removal order length %d vs serial %d", append(args, len(got.RemovalOrder), len(want.RemovalOrder))...)
+	}
+	for i := range want.RemovalOrder {
+		if want.RemovalOrder[i] != got.RemovalOrder[i] {
+			t.Fatalf(format+": removalOrder[%d] = %d vs serial %d", append(args, i, got.RemovalOrder[i], want.RemovalOrder[i])...)
+		}
+	}
 }

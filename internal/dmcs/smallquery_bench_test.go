@@ -61,10 +61,33 @@ func BenchmarkSmallQueriesFPAPruning(b *testing.B) {
 
 // BenchmarkSmallQueriesNCA runs the non-articulation peel on the same
 // workload — a full candidate rescan per removal, the case the geometric
-// re-compaction of the peeling substrate targets. CI gates it at 2
-// allocs/op (Result and Community).
+// re-compaction of the peeling substrate targets.
 func BenchmarkSmallQueriesNCA(b *testing.B) {
 	benchSmallQueries(b, VariantNCA, Options{})
+}
+
+// TestSmallQueriesNCAAllocs: a warm-arena NCA search allocates its Result
+// and Community and nothing else — the certificate tables (spanning tree,
+// witnesses, k_{v,S}) live in the arena.
+func TestSmallQueriesNCAAllocs(t *testing.T) {
+	gateAllocs(t, BenchmarkSmallQueriesNCA, 2)
+}
+
+// gateAllocs fails t when bench allocates more than budget times per op.
+// The pooled arenas make the count meaningless under the race detector,
+// whose sync.Pool drops items at random.
+func gateAllocs(t *testing.T, bench func(*testing.B), budget int64) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := testing.Benchmark(bench)
+	if r.N == 0 {
+		t.Fatal("benchmark failed")
+	}
+	if got := r.AllocsPerOp(); got > budget {
+		t.Fatalf("%d allocs/op, budget %d", got, budget)
+	}
 }
 
 // BenchmarkSmallQueriesMulti exercises the Steiner-protect path: 3-node

@@ -96,7 +96,7 @@ func TestPrefixSweepMatchesRemoval(t *testing.T) {
 					q = append(q, sub.GlobalOf(graph.Node(l)))
 				}
 				a := NewArena()
-				dist := bfsInto(a, sub, steinerProtect(a, sub, lq), 1)
+				dist := bfsInto(a, sub, steinerProtect(a, sub, lq))
 				maxD := groupLayersInto(a, k, dist)
 				want, _ := removeBasedPhase1(a, sub, maxD, objectives[0])
 

@@ -7,13 +7,12 @@ import (
 	"dmcs/internal/lfr"
 )
 
-// whaleGraph is the intra-query parallelism fixture: ONE connected
+// whaleGraph is the large-component fixture: ONE connected
 // expander-style component of n nodes (ring for connectivity plus two
 // affine chord families, degree ~6). Unlike the ring+chord small-query
 // fixture, whose BFS layers stay a few dozen nodes wide, the affine
 // chords make frontiers grow multiplicatively — layers reach thousands
-// of nodes within a few hops, which is the regime the round-synchronous
-// kernels (parallel BFS, fused layer removal, parallel Θ-fill) target.
+// of nodes within a few hops.
 func whaleGraph(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for u := 0; u < n; u++ {
@@ -24,17 +23,17 @@ func whaleGraph(n int) *graph.Graph {
 	return b.Build()
 }
 
-// whaleNodes keeps the component above parallelMinNodes (8192) with
-// headroom, while holding a full serial peel to a few milliseconds so
-// the -cpu 1,8 CI comparison stays cheap.
+// whaleNodes makes the component 200 times a small-query community
+// while holding a full peel to a few milliseconds.
 const whaleNodes = 16384
 
 // benchWhale measures one full community search on the whale component.
 // Query node rotates so no per-node pathology dominates; the arena pool
 // keeps steady-state allocation out of the measurement, same as the
 // small-query suite. Building the fixture runs the collector often enough
-// to empty that pool, so one untimed search refills it: CI gates
-// allocs/op at 20 iterations, too few to hide an arena's first growth.
+// to empty that pool, so one untimed search refills it: allocs/op is
+// gated (TestWhaleFPAPruningAllocs), and an arena's first growth must not
+// count against it.
 func benchWhale(b *testing.B, opts Options) {
 	b.Helper()
 	csr := graph.NewCSR(whaleGraph(whaleNodes))
@@ -51,33 +50,25 @@ func benchWhale(b *testing.B, opts Options) {
 	}
 }
 
-// BenchmarkWhaleFPAPruningSerial is the serial baseline for the headline
-// whale workload: Section 5.7 layer pruning on a 16k-node component.
+// BenchmarkWhaleFPAPruningSerial is the headline whale workload: Section
+// 5.7 layer pruning on a 16k-node component.
 func BenchmarkWhaleFPAPruningSerial(b *testing.B) {
-	benchWhale(b, Options{LayerPruning: true, Parallelism: 1})
+	benchWhale(b, Options{LayerPruning: true})
 }
 
-// BenchmarkWhaleFPAPruningPar is the same workload with the parallel
-// peel requested. Parallelism is capped at GOMAXPROCS, so under
-// `-cpu 1` this resolves to the serial kernels plus dispatch checks —
-// CI gates that it stays within noise of the Serial twin there — and
-// under `-cpu 8` it exercises the gang kernels.
-func BenchmarkWhaleFPAPruningPar(b *testing.B) {
-	benchWhale(b, Options{LayerPruning: true, Parallelism: 8})
+// TestWhaleFPAPruningAllocs: the pruned whale peel allocates its Result
+// and Community and nothing else — per-layer scratch stays in the arena.
+func TestWhaleFPAPruningAllocs(t *testing.T) {
+	gateAllocs(t, BenchmarkWhaleFPAPruningSerial, 2)
 }
 
-// BenchmarkWhaleFPASerial / Par: the non-pruned peel, where the Θ-heap
-// drain is the serial residue and only the BFS and per-layer Θ-fill
-// parallelize (Amdahl bounds this pair well below the pruning pair).
+// BenchmarkWhaleFPASerial is the non-pruned peel, where the Θ-heap drain
+// dominates.
 func BenchmarkWhaleFPASerial(b *testing.B) {
-	benchWhale(b, Options{Parallelism: 1})
+	benchWhale(b, Options{})
 }
 
-func BenchmarkWhaleFPAPar(b *testing.B) {
-	benchWhale(b, Options{Parallelism: 8})
-}
-
-// BenchmarkWhaleFPAPruningLFR is the pruned serial peel on the shape the
+// BenchmarkWhaleFPAPruningLFR is the pruned peel on the shape the
 // serving benchmark's whale has: the giant component of LFR Default() at
 // whaleNodes, searched the way the engine does (prebuilt sub-CSR, owned
 // arena), so nothing but the peel is timed. Unlike the degree-6 expander

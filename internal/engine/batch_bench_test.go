@@ -96,6 +96,13 @@ func BenchmarkEngineSkewedBatchFanout(b *testing.B) {
 	}
 }
 
+// TestEngineSkewedBatchFusedGate: the fused batch must not lose to the
+// per-query fan-out it replaced.
+func TestEngineSkewedBatchFusedGate(t *testing.T) {
+	skipTimingGate(t)
+	gateRatio(t, 1.25, BenchmarkEngineSkewedBatchFused, BenchmarkEngineSkewedBatchFanout)
+}
+
 // BenchmarkEngineSkewedBatchSolo issues the batch as a serial per-query
 // Search loop — the client-side alternative to SearchBatch.
 func BenchmarkEngineSkewedBatchSolo(b *testing.B) {

@@ -57,12 +57,7 @@
 // engine returns exactly what the serial dmcs entry points return for
 // that slice against the same graph version, regardless of worker count,
 // shard count, batch composition, cache state, or which caller's
-// computation a collapsed query joined. That guarantee extends to
-// Options.Parallelism: a query requesting an intra-query parallel peel
-// (engaged only on components of ~8k+ nodes) gets a bit-identical result
-// to the serial peel, which is why Parallelism is deliberately absent
-// from the cache key — a serial caller may be served a parallel
-// caller's cached community and vice versa.
+// computation a collapsed query joined.
 //
 // SearchBatch fuses batches instead of fanning them out: all queries of
 // one call are admitted, keyed, and answered against a single snapshot

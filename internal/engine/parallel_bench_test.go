@@ -10,12 +10,12 @@ import (
 )
 
 // The parallel benchmark suite measures the contention story of the
-// serving path with b.RunParallel across -cpu sweeps (cmd/bench runs it
-// with -cpu 1,2,4,8 and keeps the -N suffix per entry):
+// serving path with b.RunParallel (sweep it with -cpu 1,2,4,8):
 //
 //   - EngineParallelCacheHit: pure warm-cache serving. This path must
-//     stay 0 allocs/op (CI gates it) and scale with cores — it takes no
-//     global lock, only the key's cache shard and one stats stripe.
+//     stay 0 allocs/op (TestEngineParallelCacheHitAllocs) and scale with
+//     cores — it takes no global lock, only the key's cache shard and one
+//     stats stripe.
 //   - EngineParallelMixed90/50: hit-ratio mixes. Misses recompute and
 //     re-insert under shard locks while hits stream past on other
 //     shards.
@@ -52,9 +52,7 @@ func prewarmScratch(e *Engine, p int) {
 }
 
 // BenchmarkEngineParallelCacheHit is the parallel steady-state serving
-// path: all goroutines answer distinct warm keys concurrently. Its
-// allocs/op is the parallel zero-alloc contract — CI gates it at 0 for
-// every -cpu count.
+// path: all goroutines answer distinct warm keys concurrently.
 func BenchmarkEngineParallelCacheHit(b *testing.B) {
 	e := New(smallQueryEngineGraph(benchComponents, benchCompSize), Options{})
 	warmAllComponents(b, e)
@@ -77,6 +75,17 @@ func BenchmarkEngineParallelCacheHit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestEngineParallelCacheHitAllocs: concurrent warm hits allocate nothing
+// at any core count.
+func TestEngineParallelCacheHitAllocs(t *testing.T) {
+	skipAllocGate(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		gateAllocs(t, mustBench(t, BenchmarkEngineParallelCacheHit), 0)
+	}
 }
 
 // benchmarkEngineParallelMixed serves hotPct% of queries from a small

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -31,9 +32,7 @@ func walBenchBatch(i int) Batch {
 // path: the same toggle-batch workload as BenchmarkEngineApplyUpdates
 // applied, op by op, first to a plain engine and then to a durable engine
 // with the production default fsync policy (interval). The reported
-// wal_overhead_ratio is durable time over plain time; CI gates it at
-// <= 1.5 — the WAL append (encode + buffered write) must stay a fraction
-// of the merge and partition update it rides on, not a second copy of them.
+// wal_overhead_ratio is durable time over plain time.
 //
 // The two engines alternate inside one loop so that both sides of the
 // ratio see the same machine: since the merge dropped to ~0.5 ms an op, a
@@ -66,6 +65,20 @@ func BenchmarkEngineApplyWALOverhead(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(durable)/float64(plain), "wal_overhead_ratio")
 	b.ReportMetric(float64(durable.Nanoseconds())/float64(b.N), "ns/op")
+}
+
+// TestEngineApplyWALOverheadGate: the WAL append (encode + buffered
+// write) stays a fraction of the merge and partition update it rides on,
+// not a second copy of them — wal_overhead_ratio <= 1.5 (measured 1.04-1.08).
+func TestEngineApplyWALOverheadGate(t *testing.T) {
+	skipTimingGate(t)
+	ratio := math.Inf(1)
+	for run := 0; run < 3 && ratio > 1.5; run++ {
+		ratio = min(ratio, mustBench(t, BenchmarkEngineApplyWALOverhead).Extra["wal_overhead_ratio"])
+	}
+	if ratio > 1.5 {
+		t.Fatalf("wal_overhead_ratio %.2f, bound 1.5", ratio)
+	}
 }
 
 // BenchmarkEngineApplyWALFsyncAlways records (not gates) the cost of the

@@ -3,8 +3,7 @@
 // serving stack (engine peel, engine apply, the dmcsd admission and
 // response paths), each of which can be armed at runtime with a latency,
 // an error, a panic, or a dropped-response directive. The chaos test
-// suites and cmd/loadgen's chaos profile drive it; production builds
-// carry the same code, disarmed.
+// suites drive it; production builds carry the same code, disarmed.
 //
 // The registry is designed around one constraint: when nothing is armed
 // — the permanent state of any real deployment — an injection point must
@@ -14,8 +13,8 @@
 //
 // with no allocation, no map lookup, no lock, and no time.Now call, so
 // injection points may sit on the engine's zero-alloc cache-hit path
-// without breaking its 0 allocs/op gate (CI asserts exactly that; see
-// the steady-state allocation gate in ci.yml). When at least one point
+// without breaking its 0 allocs/op gate (internal/engine's
+// TestEngineCacheHitInjectGate asserts exactly that). When at least one point
 // is armed, Fire loads the point's atomic.Pointer slot; points other
 // than the armed ones still allocate nothing.
 //
@@ -82,8 +81,7 @@ const (
 	numPoints
 )
 
-// String returns the point's registry name, as used in CONTRIBUTING.md
-// and cmd/loadgen -chaos profiles.
+// String returns the point's registry name, as used in CONTRIBUTING.md.
 func (p Point) String() string {
 	switch p {
 	case EngineSearch:

@@ -35,8 +35,6 @@ type Arena struct {
 	marks [2][]bool // generic per-local-node flags (isQuery, inLayer, ...)
 	art   ArtScratch
 	resub CSR // ReextractSub's page-table view of the previous generation
-
-	parNext [][]Node // per-worker BFS frontier buffers (parallel peel)
 }
 
 // relabel is an epoch-tagged source-id -> local-id table (or any
@@ -243,20 +241,6 @@ func (a *Arena) Marks(slot, n int) []bool {
 // Art returns the articulation-DFS scratch.
 func (a *Arena) Art() *ArtScratch { return &a.art }
 
-// ParNext returns workers per-worker frontier buffers for the parallel
-// BFS (each empty; grown buffers are kept across queries). The outer
-// slice is sized exactly so MultiSourceBFSParInto's worker w can write
-// its slot without racing its siblings.
-func (a *Arena) ParNext(workers int) [][]Node {
-	if cap(a.parNext) < workers {
-		next := make([][]Node, workers)
-		copy(next, a.parNext)
-		a.parNext = next
-	}
-	a.parNext = a.parNext[:workers]
-	return a.parNext
-}
-
 // Poison overwrites every arena-owned buffer with garbage while keeping
 // the epoch bookkeeping in a legal (worst-case) state: all table entries
 // tagged with the CURRENT epoch so any consumer that forgets to begin a
@@ -299,9 +283,6 @@ func (a *Arena) Poison() {
 	}
 	for i := range a.marks {
 		poisonBool(a.marks[i][:cap(a.marks[i])])
-	}
-	for i := range a.parNext {
-		poisonNodes(a.parNext[i][:cap(a.parNext[i])])
 	}
 	s := &a.art
 	poisonBool(s.isArt[:cap(s.isArt)])

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,6 +279,69 @@ func TestQueueFullSheds(t *testing.T) {
 	w := post(s, "/query", fmt.Sprintf(`{"nodes":[%d]}`, tgSmallSize))
 	wantCode(t, w, http.StatusTooManyRequests, "shed")
 	wg.Wait()
+}
+
+// TestOverloadOpenLoop offers four times the capacity, open loop: capacity
+// is fixed by construction (2 slots, every peel held 10 ms by injection, no
+// cache: 200 queries/s) and an arrival fires every 1.25 ms whether or not
+// earlier ones have returned. The overload sampler runs, as it does in
+// dmcsd, so the queue-full signal drives the state machine too. Every
+// response is a complete 200 that bit-matches the serial reference (one
+// graph version, so a stale answer must match it as well), or a 429
+// carrying the shed code and Retry-After; both occur, nothing else does,
+// everything returns, and the drained server holds no slot. Latency is not
+// asserted: on shared cores it does not repeat.
+func TestOverloadOpenLoop(t *testing.T) {
+	s, _ := newTestServer(t, engine.Options{Workers: 2, CacheSize: -1},
+		Config{MaxInflight: 2, SampleInterval: 50 * time.Millisecond})
+	g := serverTestGraph(tgSmallComms, tgSmallSize, tgWhaleSize)
+	var refs [tgSmallComms]*dmcs.Result
+	for c := range refs {
+		ref, err := dmcs.Search(g, []graph.Node{graph.Node(c * tgSmallSize)}, dmcs.VariantFPA, optsFPA())
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[c] = ref
+	}
+	faultinject.Set(faultinject.EnginePeel, faultinject.Injection{Latency: 10 * time.Millisecond})
+
+	var wg sync.WaitGroup
+	var admitted, shed atomic.Int64
+	tick := time.NewTicker(1250 * time.Microsecond)
+	defer tick.Stop()
+	for i := 0; i < 320; i++ {
+		<-tick.C
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			w := post(s, "/query", fmt.Sprintf(`{"nodes":[%d]}`, c*tgSmallSize))
+			switch w.Code {
+			case http.StatusOK:
+				var resp queryResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.TimedOut || !sameResponse(resp, refs[c]) {
+					t.Errorf("community %d: 200 is not the serial answer (err %v): %s", c, err, w.Body)
+				}
+				admitted.Add(1)
+			case http.StatusTooManyRequests:
+				var eb errorBody
+				if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil || eb.Code != "shed" || w.Header().Get("Retry-After") == "" {
+					t.Errorf("429 without the shed code and Retry-After: %v %s", w.Header(), w.Body)
+				}
+				shed.Add(1)
+			default:
+				t.Errorf("status %d: %s", w.Code, w.Body)
+			}
+		}(i % tgSmallComms)
+	}
+	waitOrDeadlock(t, &wg, 30*time.Second, "open-loop arrivals")
+	if admitted.Load() == 0 || shed.Load() == 0 {
+		t.Fatalf("admitted %d, shed %d: want both above zero", admitted.Load(), shed.Load())
+	}
+	s.StartDrain()
+	wantCode(t, post(s, "/query", `{"nodes":[0]}`), http.StatusServiceUnavailable, "draining")
+	if n := len(s.inflight); n != 0 {
+		t.Fatalf("%d inflight slots still held after every request returned", n)
+	}
 }
 
 func TestBudgetRejection(t *testing.T) {
