@@ -1,62 +1,29 @@
 // Command dmcsvet runs the dmcs static-analysis suite (internal/analysis)
-// over the module. It works two ways:
+// over the module, like staticcheck:
 //
-//	dmcsvet ./...                         # standalone, like staticcheck
-//	go vet -vettool=$(which dmcsvet) ./...  # as a vet tool
+//	dmcsvet ./...
 //
-// Standalone mode loads the matched packages (plus in-module deps) once
-// and prints every finding. Vet-tool mode speaks cmd/vet's unit-config
-// protocol: go vet invokes the tool once per package with a JSON .cfg
-// file; because the suite's analyzers are whole-program (hotpath
-// reachability and epoch-key obligations cross package boundaries), the
-// tool reloads the module from the unit's directory and reports only the
-// findings that land in the unit's own files, so each finding is printed
-// exactly once across the vet run.
+// It loads the matched packages (plus in-module deps) once — the suite's
+// analyzers are whole-program: hotpath reachability and epoch-key
+// obligations cross package boundaries — and prints every finding.
 //
 // Exit status: 0 clean, 1 operational error, 2 findings.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"dmcs/internal/analysis"
 )
 
 func main() {
-	args := os.Args[1:]
-
-	// go vet protocol handshake: -V=full prints an identity line used to
-	// fingerprint the tool for build caching; -flags declares the tool's
-	// flags (none) as a JSON array.
-	for _, a := range args {
-		if a == "-V=full" || a == "-V" {
-			// The buildID fingerprints the tool for go vet's action cache.
-			fmt.Printf("%s version devel buildID=dmcsvet-1\n", progName())
-			return
-		}
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(vetUnit(args[0]))
-	}
-	os.Exit(standalone(args))
+	os.Exit(run(os.Args[1:]))
 }
 
-func progName() string {
-	return filepath.Base(os.Args[0])
-}
-
-// standalone loads patterns (default ./...) rooted at the working
-// directory and prints all findings.
-func standalone(patterns []string) int {
+// run loads patterns (default ./...) rooted at the working directory and
+// prints all findings.
+func run(patterns []string) int {
 	wd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dmcsvet: %v\n", err)
@@ -79,123 +46,4 @@ func standalone(patterns []string) int {
 		return 2
 	}
 	return 0
-}
-
-// vetConfig is the subset of cmd/vet's unit-config JSON the tool needs.
-type vetConfig struct {
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one go vet unit. The whole module is reloaded (the
-// analyzers are whole-program) and findings are filtered to the unit's
-// own files.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmcsvet: %v\n", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "dmcsvet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// The analyzers only cover the module's shipped (non-test) code; test
-	// variants and external test packages produce nothing to check.
-	unitFiles := make(map[string]bool)
-	for _, f := range cfg.GoFiles {
-		if !strings.HasSuffix(f, "_test.go") {
-			unitFiles[f] = true
-		}
-	}
-	finish := func(code int) int {
-		if cfg.VetxOutput != "" {
-			// go vet requires the facts file to exist even when empty.
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintf(os.Stderr, "dmcsvet: %v\n", err)
-				return 1
-			}
-		}
-		return code
-	}
-	if len(unitFiles) == 0 || strings.Contains(cfg.ImportPath, ".test") ||
-		strings.HasSuffix(cfg.ImportPath, "_test") || strings.Contains(cfg.ImportPath, " [") {
-		return finish(0)
-	}
-
-	// go vet applies the vettool to every package in the build graph,
-	// standard library included; only units of the surrounding module are
-	// ours to check.
-	root, err := moduleRoot(cfg.Dir)
-	if err != nil {
-		return finish(0)
-	}
-	mod := moduleName(root)
-	if mod == "" || (cfg.ImportPath != mod && !strings.HasPrefix(cfg.ImportPath, mod+"/")) {
-		return finish(0)
-	}
-	prog, err := analysis.LoadPackages(root, "./...")
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return finish(0)
-		}
-		fmt.Fprintf(os.Stderr, "dmcsvet: %v\n", err)
-		return 1
-	}
-	diags, err := prog.Run(analysis.All()...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dmcsvet: %v\n", err)
-		return 1
-	}
-	found := 0
-	for _, d := range diags {
-		posn := prog.Fset.Position(d.Pos)
-		if !unitFiles[posn.Filename] {
-			continue
-		}
-		found++
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", posn, d.Analyzer, d.Message)
-	}
-	if found > 0 {
-		return finish(2)
-	}
-	return finish(0)
-}
-
-// moduleName reads the module path from root's go.mod.
-func moduleName(root string) string {
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return ""
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`)
-		}
-	}
-	return ""
-}
-
-// moduleRoot walks up from dir to the directory containing go.mod.
-func moduleRoot(dir string) (string, error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		d = parent
-	}
 }

@@ -33,7 +33,7 @@
 //
 //	eng := dmcs.NewEngine(g, dmcs.EngineOptions{Workers: 8})
 //	res, err := eng.Search(ctx, dmcs.EngineQuery{Nodes: []dmcs.Node{0}})
-//	batch := eng.SearchBatch(ctx, queries) // bounded fan-out, input order
+//	batch := eng.SearchBatch(ctx, queries) // one snapshot, duplicates share a peel, input order
 //
 // NewEngine starts from the graph's immutable, read-optimized snapshot
 // (CSR adjacency plus the cached degree/volume aggregates the modularity

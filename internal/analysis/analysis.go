@@ -9,8 +9,7 @@
 // API shape (Analyzer, Pass, Diagnostic) but is built entirely on the
 // standard library's go/ast, go/parser, go/types and go/importer, so the
 // module keeps its zero-dependency contract. cmd/dmcsvet wraps the suite
-// in a multichecker binary that runs standalone (dmcsvet ./...) and also
-// speaks the `go vet -vettool` unit-config protocol.
+// in a multichecker binary (dmcsvet ./...).
 //
 // # Annotations
 //

@@ -10,44 +10,41 @@ import (
 	"dmcs/internal/graph"
 )
 
-// Fused batch execution. SearchBatch used to be a thin fan-out that fed
-// every query through the full Search path independently; for the skewed
-// batches real workloads produce — most queries landing in one whale
-// component — that meant B admissions racing the cache, B singleflight
-// round-trips, and worker goroutines hopping between components so no
-// arena stayed warm for any of them. The fused path instead admits the
-// whole batch up front against ONE snapshot, answers hits immediately,
-// deduplicates identical misses inside the batch, groups the remaining
-// leaders by component id, and has the worker gang drain them in
-// component order — consecutive peels of the same component reuse the
-// snapshot's shared lazily-built sub-CSR (one build per group, however
-// many queries hit it) and keep each worker's arena sized and
-// cache-warm for that component. Per-query BFS layerings are NOT shared
-// across distinct node sets: a layering depends on the protected node
-// set, so sharing one would change results — only bitwise-identical
-// queries (the deduplicated ones) share a peel, which is exactly the
-// singleflight guarantee, applied intra-batch without its bookkeeping.
+// Fused batch execution. SearchBatch admits the whole batch up front
+// against ONE snapshot, answers hits immediately, deduplicates identical
+// misses inside the batch, groups the remaining leaders by component id,
+// and has the worker gang drain them in component order — consecutive
+// peels of the same component reuse the snapshot's shared lazily-built
+// sub-CSR (one build per group, however many queries hit it) and keep
+// each worker's arena sized and cache-warm for that component. Against
+// a per-query Search loop that saves B-1 snapshot loads, the flight
+// round-trip of every miss, and the goroutine hand-off behind it.
+// Per-query BFS layerings are NOT shared across distinct node sets: a
+// layering depends on the protected node set, so sharing one would
+// change results — only bitwise-identical queries (the deduplicated
+// ones) share a peel, which is exactly the singleflight guarantee,
+// applied intra-batch without its bookkeeping.
 //
-// Batch-level snapshot consistency is a deliberate upgrade: every query
-// of one SearchBatch call is admitted, keyed, and computed against the
-// same graph version, even if an Apply lands mid-batch (the old fan-out
-// loaded the snapshot per query, so one batch could straddle versions).
-// The only exception is the rare dup-fallback recompute below, which
-// goes through Search and therefore the then-current version.
+// Batch-level snapshot consistency: every query of one SearchBatch call
+// is admitted, keyed, and computed against the same graph version, even
+// if an Apply lands mid-batch — the duplicate-fallback recompute below
+// included.
 //
 // The fused path deliberately skips the flight table: batch-internal
 // duplicates are already collapsed, and registering B flights would put
 // B map insertions back on the path the fusion exists to shorten. A
 // concurrent Search that misses on the same key may therefore compute
 // it redundantly — results are bit-identical either way, and the cache
-// re-check under computeFused keeps the window small.
+// re-check under computeFused keeps the window small. Nothing here needs
+// a cache: with caching disabled the probes miss, the inserts no-op, and
+// the batch still dedups and drains the same way.
 
 // batchPending is one admitted cache-miss awaiting fused execution.
 type batchPending struct {
 	idx   int // position in qs/out
 	nodes []graph.Node
 	//dmcs:keyed
-	key  []byte // built by appendCacheKey at admission; epochkey tracks this field
+	key  string // admit's cache key, materialized; epochkey tracks this field
 	h    uint64
 	comp int32
 	v    dmcs.Variant
@@ -69,14 +66,9 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []Query) []BatchResult {
 	if len(qs) == 0 {
 		return out
 	}
-	if e.cache == nil {
-		// No cache means no keys to dedup or insert under; keep the
-		// simple fan-out with per-query Search semantics.
-		e.searchBatchFanout(ctx, qs, out)
-		return out
-	}
 	snap := e.snap.Load()
-	stripe := int(e.stripeCtr.Add(1) & uint32(e.stats.numStripes()-1))
+	ws := e.getScratch()
+	stripe := ws.stripe
 	pend := make([]batchPending, 0, len(qs))
 	firstByKey := make(map[string]int32, len(qs))
 	for i := range qs {
@@ -85,34 +77,27 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []Query) []BatchResult {
 			out[i] = BatchResult{Err: err}
 			continue
 		}
-		nodes := normalizeNodes(qs[i].Nodes)
-		opts := canonicalOptions(qs[i].Opts)
-		if opts.Timeout == 0 {
-			opts.Timeout = e.defaultTimeout
-		}
-		// Admission before keying, as in run(): the key is scoped to the
-		// query component's (identity, version) stamp on this snapshot.
-		id, err := snap.componentIndex(nodes)
+		opts, id, h, err := e.admit(snap, qs[i], ws)
 		if err != nil {
 			e.stats.recordError(stripe)
 			out[i] = BatchResult{Err: err}
 			continue
 		}
-		key := appendCacheKey(nil, snap.compKey[id], snap.compVer[id], nodes, qs[i].Variant, opts)
-		h := hashKey(key)
-		if res, ok := e.cache.get(h, key); ok {
+		if res, ok := e.cache.get(h, ws.key); ok {
 			e.stats.recordHit(stripe)
 			out[i] = BatchResult{Result: res}
 			continue
 		}
-		p := batchPending{idx: i, nodes: nodes, key: key, h: h, comp: id, v: qs[i].Variant, opts: opts, dup: -1}
-		if j, ok := firstByKey[string(key)]; ok {
+		// A miss outlives the admission buffers: copy what it needs.
+		p := batchPending{idx: i, nodes: slices.Clone(ws.nodes), key: string(ws.key), h: h, comp: id, v: qs[i].Variant, opts: opts, dup: -1}
+		if j, ok := firstByKey[p.key]; ok {
 			p.dup = j
 		} else {
-			firstByKey[string(key)] = int32(len(pend))
+			firstByKey[p.key] = int32(len(pend))
 		}
 		pend = append(pend, p)
 	}
+	e.putScratch(ws)
 	// Order the leaders so same-component work is contiguous: the worker
 	// gang pulls from this order, so a component's sub-CSR is built once
 	// (snapshot sync.Once) and each worker's arena stays warm for the
@@ -132,26 +117,24 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []Query) []BatchResult {
 			}
 			return pa.idx - pb.idx
 		})
-		workers := e.workers
-		if workers > len(order) {
-			workers = len(order)
-		}
+		workers := min(e.workers, len(order))
 		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 1; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				e.drainBatch(ctx, snap, pend, order, &next, out)
+				e.drainBatch(ctx, snap, pend, order, &next, out, stripe)
 			}()
 		}
-		e.drainBatch(ctx, snap, pend, order, &next, out)
+		e.drainBatch(ctx, snap, pend, order, &next, out, stripe)
 		wg.Wait()
 	}
 	// Duplicates: share the leader's completed result (one peel served
 	// them all — counted like a singleflight collapse). A leader that
 	// errored or timed out produced an answer tied to its own clock and
-	// cancellation timing, so its duplicates recompute individually.
+	// cancellation timing, so its duplicates recompute individually — on
+	// the batch's snapshot, through the full Search path.
 	for pi := range pend {
 		p := &pend[pi]
 		if p.dup < 0 {
@@ -163,7 +146,7 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []Query) []BatchResult {
 			out[p.idx] = lead
 			continue
 		}
-		res, err := e.Search(ctx, qs[p.idx])
+		res, _, err := e.run(ctx, snap, qs[p.idx], nil)
 		out[p.idx] = BatchResult{Result: res, Err: err}
 	}
 	return out
@@ -171,66 +154,42 @@ func (e *Engine) SearchBatch(ctx context.Context, qs []Query) []BatchResult {
 
 // drainBatch is one gang member's pull loop over the component-ordered
 // leader queue.
-func (e *Engine) drainBatch(ctx context.Context, snap *Snapshot, pend []batchPending, order []int32, next *atomic.Int64, out []BatchResult) {
-	ws := e.getScratch()
-	defer e.putScratch(ws)
+func (e *Engine) drainBatch(ctx context.Context, snap *Snapshot, pend []batchPending, order []int32, next *atomic.Int64, out []BatchResult, stripe int) {
 	for {
 		oi := int(next.Add(1)) - 1
 		if oi >= len(order) {
 			return
 		}
 		p := &pend[order[oi]]
-		//dmcs:allow arenapair computeFused's BatchResult holds only the peel's escaping Result, never arena-backed memory; ws is released by the deferred putScratch above
-		out[p.idx] = e.computeFused(ctx, snap, p, ws)
+		out[p.idx] = e.computeFused(ctx, snap, p, stripe)
 	}
 }
 
-// computeFused answers one deduplicated batch miss: re-check the cache
-// (a concurrent Search may have published the key since admission), then
-// peel through the same semaphore/cancellation/stats protocol as every
-// other computed query and publish the completed result.
-func (e *Engine) computeFused(ctx context.Context, snap *Snapshot, p *batchPending, ws *workerScratch) BatchResult {
-	if res, ok := e.cache.get(p.h, p.key); ok {
-		e.stats.recordHit(ws.stripe)
+// computeFused answers one deduplicated batch miss: fail it if the batch
+// has been cancelled (an uncontended slot acquire never looks, and the
+// peel polls only after building a lazy sub-CSR), re-check the cache (a
+// concurrent Search may have published the key since admission), then
+// peel through the one compute protocol and publish the completed
+// result.
+func (e *Engine) computeFused(ctx context.Context, snap *Snapshot, p *batchPending, stripe int) BatchResult {
+	if err := ctx.Err(); err != nil {
+		e.stats.recordError(stripe)
+		return BatchResult{Err: err}
+	}
+	key := []byte(p.key)
+	if res, ok := e.cache.get(p.h, key); ok {
+		e.stats.recordHit(stripe)
 		return BatchResult{Result: res}
 	}
-	ws.nodes = append(ws.nodes[:0], p.nodes...)
-	res, err := e.peelOwn(ctx, snap, p.comp, p.v, p.opts, ws)
+	res, err := e.peelOwn(ctx, snap, p.comp, p.nodes, p.v, p.opts, stripe)
 	if err != nil {
 		return BatchResult{Err: err}
 	}
-	e.stats.recordFused(ws.stripe)
+	e.stats.recordFused(stripe)
 	if !res.TimedOut {
 		// Same publication rule as the flight path: only results that ran
 		// to their natural end are shareable across callers.
-		e.cache.add(p.h, p.key, res)
+		e.cache.add(p.h, key, res)
 	}
 	return BatchResult{Result: res}
-}
-
-// searchBatchFanout is the cache-disabled batch path: per-query Search
-// calls pulled by a bounded goroutine pool, exactly the pre-fusion
-// semantics (each query loads the then-current snapshot).
-func (e *Engine) searchBatchFanout(ctx context.Context, qs []Query, out []BatchResult) {
-	workers := e.workers
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				res, err := e.Search(ctx, qs[i])
-				out[i] = BatchResult{Result: res, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -3,11 +3,14 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"dmcs/internal/dmcs"
+	"dmcs/internal/faultinject"
 	"dmcs/internal/graph"
 )
 
@@ -136,10 +139,10 @@ func TestFusedBatchCancelledContext(t *testing.T) {
 	}
 }
 
-// TestBatchFanoutWhenCacheDisabled: with the cache off there are no keys
-// to dedup under, so SearchBatch takes the per-query fan-out and still
-// matches serial results; the Fused counter stays zero.
-func TestBatchFanoutWhenCacheDisabled(t *testing.T) {
+// TestFusedBatchCacheDisabled is the cache-disabled row of the fused
+// path: nothing in it needs a cache, so the batch still bit-matches
+// serial, and its two identical queries still share one peel.
+func TestFusedBatchCacheDisabled(t *testing.T) {
 	res := testGraph(t, 300)
 	e := New(res.G, Options{Workers: 4, CacheSize: -1})
 	qs := []Query{{Nodes: []graph.Node{3}}, {Nodes: []graph.Node{3}}, {Nodes: []graph.Node{11}}}
@@ -149,12 +152,17 @@ func TestBatchFanoutWhenCacheDisabled(t *testing.T) {
 		if err != nil || out[i].Err != nil {
 			t.Fatalf("query %d: %v / %v", i, err, out[i].Err)
 		}
-		if !reflect.DeepEqual(out[i].Result.Community, want.Community) {
-			t.Fatalf("query %d: fanout result differs from serial", i)
+		if math.Float64bits(out[i].Result.Score) != math.Float64bits(want.Score) ||
+			!reflect.DeepEqual(out[i].Result.Community, want.Community) {
+			t.Fatalf("query %d: fused result differs from serial", i)
 		}
 	}
-	if st := e.Stats(); st.Fused != 0 {
-		t.Fatalf("fused = %d on the cache-disabled path, want 0", st.Fused)
+	if out[0].Result != out[1].Result {
+		t.Fatal("identical queries should share the leader's result pointer")
+	}
+	if st := e.Stats(); st.Queries != 3 || st.Computed != 2 || st.Fused != 2 || st.Collapsed != 1 || st.CacheEntries != 0 {
+		t.Fatalf("queries=%d computed=%d fused=%d collapsed=%d entries=%d, want 3/2/2/1/0",
+			st.Queries, st.Computed, st.Fused, st.Collapsed, st.CacheEntries)
 	}
 }
 
@@ -168,5 +176,70 @@ func TestFusedBatchEmpty(t *testing.T) {
 	}
 	if st := e.Stats(); st.Queries != 0 {
 		t.Fatalf("empty batch recorded %d queries", st.Queries)
+	}
+}
+
+// TestFusedBatchCancelMidBatch: a batch cancelled while it runs stops
+// working — at most the peel in flight finishes unwinding, the leaders
+// still queued fail with ctx.Err() without building a sub-CSR or
+// starting a peel, and the result already computed is kept.
+func TestFusedBatchCancelMidBatch(t *testing.T) {
+	const comps = 16
+	holdPeels(t, 20*time.Millisecond)
+	e := New(smallQueryEngineGraph(comps, 32), Options{Workers: 1})
+	qs := make([]Query, comps)
+	for c := range qs {
+		qs[c] = Query{Nodes: []graph.Node{graph.Node(c * 32)}}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	atCancel := make(chan uint64)
+	go func() {
+		for e.Stats().Computed == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		atCancel <- e.Stats().Computed
+	}()
+	out := e.SearchBatch(ctx, qs)
+	seen := <-atCancel
+	if got := e.Stats().Computed; got > seen+1 {
+		t.Errorf("Computed grew from %d to %d after the cancel, want at most the one peel in flight", seen, got)
+	}
+	done := 0
+	for i := range out {
+		switch {
+		case out[i].Err == nil:
+			done++
+		case !errors.Is(out[i].Err, context.Canceled):
+			t.Errorf("query %d: err = %v, want context.Canceled", i, out[i].Err)
+		}
+	}
+	if done == 0 || done == comps {
+		t.Errorf("%d of %d queries completed, want the ones before the cancel and no others", done, comps)
+	}
+	if st := e.Stats(); st.Queries != comps || st.Errors != uint64(comps-done) {
+		t.Errorf("queries=%d errors=%d, want %d/%d", st.Queries, st.Errors, comps, comps-done)
+	}
+}
+
+// TestFusedBatchPassesEngineSearchPoint: every query of a batch passes
+// the pre-admission fault point Search passes, once.
+func TestFusedBatchPassesEngineSearchPoint(t *testing.T) {
+	injected := errors.New("injected admission error")
+	faultinject.Set(faultinject.EngineSearch, faultinject.Injection{Err: injected})
+	t.Cleanup(faultinject.Reset)
+	e := New(smallQueryEngineGraph(4, 32), Options{Workers: 2})
+	qs := []Query{{Nodes: []graph.Node{0}}, {Nodes: []graph.Node{0}}, {Nodes: []graph.Node{32}}}
+	for i, r := range e.SearchBatch(context.Background(), qs) {
+		if r.Err != injected {
+			t.Errorf("query %d: err = %v, want the injected error", i, r.Err)
+		}
+	}
+	if n := faultinject.Fired(faultinject.EngineSearch); n != len(qs) {
+		t.Errorf("point fired %d times for %d queries", n, len(qs))
+	}
+	if st := e.Stats(); st.Queries != 3 || st.Errors != 3 || st.Computed != 0 {
+		t.Errorf("queries=%d errors=%d computed=%d, want 3/3/0", st.Queries, st.Errors, st.Computed)
 	}
 }

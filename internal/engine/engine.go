@@ -59,14 +59,18 @@
 // shard count, batch composition, cache state, or which caller's
 // computation a collapsed query joined.
 //
-// SearchBatch fuses batches instead of fanning them out: all queries of
-// one call are admitted, keyed, and answered against a single snapshot
-// (batch-level consistency even when Apply lands mid-batch), identical
-// queries collapse onto one peel before any work starts, and the misses
-// are grouped by connected component so the worker gang drains each
-// component's queries back-to-back against its shared sub-CSR. See
-// batch.go for the full design notes; Stats.Fused counts queries
-// computed through this path.
+// A miss is admitted once and computed one way. Search, every query of
+// a SearchBatch, and LookupStale pass one admission (admit: normalize,
+// canonical options, component, key); every peel — a flight's, a
+// joiner's own-clock fallback, the cache-disabled path, a fused batch
+// leader's — runs through one compute, which alone owns the worker
+// slot, the scratch bundle, panic isolation, the search stats, and the
+// abandoned-versus-deadline classification. The routes differ only in
+// whose cancel channel they pass and how they publish: see flight.go
+// for singleflight, batch.go for SearchBatch, which admits a whole batch
+// against a single snapshot, collapses identical queries before any
+// work starts, and drains the misses grouped by connected component
+// (Stats.Fused counts them).
 package engine
 
 import (
@@ -188,10 +192,11 @@ type Engine struct {
 // own stats stripe, which is what keeps the striped counters
 // contention-free.
 type workerScratch struct {
-	arena  *dmcs.Arena
-	nodes  []graph.Node // normalized query nodes
-	key    []byte       // cache key (+ flight-key suffix on the miss path)
-	stripe int          // stats stripe this bundle records on
+	arena *dmcs.Arena
+	nodes []graph.Node // normalized query nodes, written by admit
+	//dmcs:keyed
+	key    []byte // admit's cache key (+ flight-key suffix on the miss path)
+	stripe int    // stats stripe this bundle records on
 }
 
 // getScratch checks a worker bundle out of the pool; every path must
@@ -305,15 +310,27 @@ func (e *Engine) Search(ctx context.Context, q Query) (*dmcs.Result, error) {
 // engine must pass the same encoding — an entry keeps the first one it
 // was given. A nil enc is plain Search.
 func (e *Engine) SearchEncoded(ctx context.Context, q Query, enc func(*dmcs.Result) []byte) (*dmcs.Result, []byte, error) {
-	// The faultinject.EngineSearch point sits before everything — ON the
-	// cache-hit path, deliberately: its disarmed cost (one atomic load,
-	// zero allocations) is what the registry's zero-cost contract gates,
-	// and when armed it lets chaos suites fail or stall queries before
-	// admission.
-	if err := faultinject.Fire(faultinject.EngineSearch); err != nil {
-		e.stats.recordError(int(e.stripeCtr.Add(1) & uint32(e.stats.numStripes()-1)))
-		return nil, nil, err
-	}
+	return e.run(ctx, e.snap.Load(), q, enc)
+}
+
+// run answers one query against snap: admit, cache lookup, then — on a
+// miss — the flight (or, with caching disabled, an unshared peel). The
+// whole hit path reuses pooled buffers and performs no channel operation
+// and no allocation.
+//
+// The caller loads the snapshot pointer exactly once, so a query racing
+// an Apply runs consistently against one version end to end: its
+// component lookup and search read that version's arrays, its cache key
+// carries that version's (component identity, component version) stamp,
+// and a result it inserts afterwards is keyed under that stamp — visible
+// to any query whose component is at the same version, which is exactly
+// the set of queries owed a bit-identical answer.
+// Scratch discipline: the bundle is returned to the pool as soon as its
+// last buffer use is behind us — in particular BEFORE blocking on a
+// flight, so the number of live bundles (and their grown arenas) stays
+// bounded by the engine's actual parallelism, not by how many callers
+// are parked waiting on slow computations.
+func (e *Engine) run(ctx context.Context, snap *Snapshot, q Query, enc func(*dmcs.Result) []byte) (*dmcs.Result, []byte, error) {
 	// An already-cancelled context must fail deterministically — the
 	// cache-hit path never polls the context, and the flight wait selects
 	// randomly when both channels are ready. The error is recorded on a
@@ -324,40 +341,8 @@ func (e *Engine) SearchEncoded(ctx context.Context, q Query, enc func(*dmcs.Resu
 		e.stats.recordError(int(e.stripeCtr.Add(1) & uint32(e.stats.numStripes()-1)))
 		return nil, nil, err
 	}
-	return e.run(ctx, q, enc)
-}
-
-// run executes one admitted query: normalize, key, cache lookup, then —
-// on a miss — snapshot validation and the flight (or, with caching
-// disabled, an inline search). The whole hit path reuses pooled buffers
-// and performs no channel operation and no allocation.
-//
-// The snapshot pointer is loaded exactly once, so a query racing an
-// Apply runs consistently against one version end to end: its component
-// lookup and search read that version's arrays, its cache key carries
-// that version's (component identity, component version) stamp, and a
-// result it inserts afterwards is keyed under that stamp — visible to
-// any query whose component is at the same version, which is exactly the
-// set of queries owed a bit-identical answer.
-// Scratch discipline: the bundle is returned to the pool as soon as its
-// last buffer use is behind us — in particular BEFORE blocking on a
-// flight, so the number of live bundles (and their grown arenas) stays
-// bounded by the engine's actual parallelism, not by how many callers
-// are parked waiting on slow computations.
-func (e *Engine) run(ctx context.Context, q Query, enc func(*dmcs.Result) []byte) (*dmcs.Result, []byte, error) {
-	snap := e.snap.Load()
 	ws := e.getScratch()
-	ws.nodes = normalizeNodesInto(ws.nodes[:0], q.Nodes)
-	nodes := ws.nodes
-	opts := canonicalOptions(q.Opts)
-	if opts.Timeout == 0 {
-		opts.Timeout = e.defaultTimeout
-	}
-	// Admission (the component lookup) runs before keying: the cache key
-	// is scoped to the query's component, so it cannot be built until the
-	// component is known. The lookup is allocation-free, keeping the warm
-	// hit path at 0 allocs/op.
-	id, err := snap.componentIndex(nodes)
+	opts, id, h, err := e.admit(snap, q, ws)
 	if err != nil {
 		e.stats.recordError(ws.stripe)
 		e.putScratch(ws)
@@ -367,12 +352,10 @@ func (e *Engine) run(ctx context.Context, q Query, enc func(*dmcs.Result) []byte
 		// Cache-disabled path: peel on the caller's goroutine with the
 		// caller's context — exactly the serial semantics, bounded by the
 		// worker pool.
-		res, err := e.peelOwn(ctx, snap, id, q.Variant, opts, ws)
+		res, err := e.peelOwn(ctx, snap, id, ws.nodes, q.Variant, opts, ws.stripe)
 		e.putScratch(ws)
 		return res, nil, err
 	}
-	ws.key = appendCacheKey(ws.key[:0], snap.compKey[id], snap.compVer[id], nodes, q.Variant, opts)
-	h := hashKey(ws.key)
 	if res, wire, ok := e.cache.probe(h, ws.key); ok {
 		if wire == nil && enc != nil {
 			// First hit on this entry: encode outside the shard lock (enc is
@@ -389,64 +372,103 @@ func (e *Engine) run(ctx context.Context, q Query, enc func(*dmcs.Result) []byte
 		e.putScratch(ws)
 		return res, wire, nil
 	}
-	res, err := e.searchShared(ctx, snap, id, q.Variant, opts, ws, h, q)
+	res, err := e.searchShared(ctx, snap, id, q.Variant, opts, ws, h)
 	return res, nil, err
 }
 
-// peelOwn runs one unshared search on the caller's goroutine and clock:
-// take a worker slot, wire the caller's context into the search, peel
-// on the bundle's arena, and record the full stats sequence. It is the
-// single implementation of the semaphore/cancellation/stats protocol
-// shared by the cache-disabled path and the joiner's own-clock
-// fallback, so the two can never drift apart.
-func (e *Engine) peelOwn(ctx context.Context, snap *Snapshot, id int32, v dmcs.Variant, opts dmcs.Options, ws *workerScratch) (*dmcs.Result, error) {
-	// The slot wait runs under the query's own deadline budget: a budget
-	// that expires while QUEUED fails with ErrQueueTimeout — no peel ran,
-	// so there is no partial and nothing cacheable — and a contended wait
-	// that succeeds hands the peel only the REMAINING budget, so queue
-	// wait plus peel never exceed the configured Timeout.
-	remaining, aerr := e.acquireSlot(opts.Timeout, ctx.Done())
-	if aerr != nil {
-		if aerr == errSlotCancelled {
-			aerr = ctx.Err()
-		} else {
-			e.stats.recordTimedOut(ws.stripe)
-		}
-		e.stats.recordError(ws.stripe)
-		return nil, aerr
+// admit is the one admission every query takes — Search, each query of
+// a SearchBatch, and LookupStale: normalize the node set into ws.nodes,
+// canonicalize the options and apply the default timeout, resolve the
+// component on snap, and build the component-scoped cache key into
+// ws.key (it cannot be built before the component is known). It returns
+// the options the search runs with, the component id and the key's
+// hash, and allocates nothing on warm buffers: the hit path stays at 0
+// allocs/op.
+//
+// The faultinject.EngineSearch point sits before everything — ON the
+// cache-hit path, deliberately: its disarmed cost (one atomic load, zero
+// allocations) is what the registry's zero-cost contract gates, and when
+// armed it lets chaos suites fail or stall queries at admission.
+func (e *Engine) admit(snap *Snapshot, q Query, ws *workerScratch) (opts dmcs.Options, id int32, h uint64, err error) {
+	if err := faultinject.Fire(faultinject.EngineSearch); err != nil {
+		return opts, 0, 0, err
 	}
-	opts.Timeout = remaining
-	defer func() { <-e.sem }()
-	opts.Cancel = ctx.Done()
+	ws.nodes = normalizeNodesInto(ws.nodes[:0], q.Nodes)
+	opts = canonicalOptions(q.Opts)
+	if opts.Timeout == 0 {
+		opts.Timeout = e.defaultTimeout
+	}
+	if id, err = snap.componentIndex(ws.nodes); err != nil {
+		return opts, 0, 0, err
+	}
+	ws.key = appendCacheKey(ws.key[:0], snap.compKey[id], snap.compVer[id], ws.nodes, q.Variant, opts)
+	return opts, id, hashKey(ws.key), nil
+}
+
+// compute runs one peel under the engine's one slot / cancel / panic /
+// stats protocol; every computed search — flight, own-clock fallback,
+// cache-disabled, fused batch — goes through it, so the routes cannot
+// drift apart. cancel aborts the work: the caller's ctx.Done(), or a
+// flight's refcounted channel.
+//
+// The slot wait runs under the query's own deadline budget: a budget
+// that expires while QUEUED fails with ErrQueueTimeout — no peel ran, so
+// there is no partial and nothing cacheable — and a contended wait that
+// succeeds hands the peel only the REMAINING budget, so queue wait plus
+// peel never exceed the configured Timeout. The scratch bundle is checked
+// out only once the slot is held: a queued computation pins no arena.
+//
+// A peel that unwound early because cancel fired (a closed Cancel
+// surfaces as TimedOut) is abandoned: it counts as a computed search but
+// stays out of the latency window — its wall-clock is cancellation
+// timing — and its partial, which depends on when the cancel landed, is
+// dropped for errSlotCancelled, like a cancel that fired while queued. A
+// genuine Options.Timeout expiry keeps its TimedOut partial (the deadline
+// contract) and is counted here; a queue-timeout is counted by the caller
+// that owns the query.
+func (e *Engine) compute(snap *Snapshot, id int32, nodes []graph.Node, v dmcs.Variant, opts dmcs.Options, cancel <-chan struct{}) (*dmcs.Result, error) {
+	remaining, err := e.acquireSlot(opts.Timeout, cancel)
+	if err != nil {
+		return nil, err
+	}
+	opts.Timeout, opts.Cancel = remaining, cancel
+	ws := e.getScratch()
 	start := time.Now()
 	// The component's compact sub-CSR goes straight into the search:
 	// per-query work touches only component-sized packed arrays plus the
 	// arena's recycled scratch — never whole-graph-sized state.
-	// safeSearch confines a panicking peel to this query and discards the
-	// poisoned arena.
-	res, err := e.safeSearch(ws, snap.SubCSR(id), ws.nodes, snap.comps[id], v, opts)
-	if err != nil {
-		e.stats.recordSearch(ws.stripe, time.Since(start), false)
-		e.stats.recordError(ws.stripe)
-		return nil, err
-	}
-	if ctx.Err() != nil {
-		// The search unwound early through Options.Cancel; its partial
-		// community depends on when the cancellation landed, so surface
-		// the context error instead. The interrupted peel still counts
-		// as computed work, but not toward the latency window.
-		e.stats.recordSearch(ws.stripe, time.Since(start), false)
-		e.stats.recordError(ws.stripe)
-		return nil, ctx.Err()
-	}
-	if res.TimedOut {
-		// Peel-timeout: a genuine deadline expiry mid-peel. The partial
-		// is returned (documented best-so-far contract) but counted, and
-		// callers never cache it.
+	res, err := e.safeSearch(ws, snap.SubCSR(id), nodes, snap.comps[id], v, opts)
+	abandoned := err == nil && res.TimedOut && isClosed(cancel)
+	e.stats.recordSearch(ws.stripe, time.Since(start), err == nil && !abandoned)
+	if err == nil && res.TimedOut && !abandoned {
 		e.stats.recordTimedOut(ws.stripe)
 	}
-	e.stats.recordSearch(ws.stripe, time.Since(start), true)
-	e.stats.recordServed(ws.stripe, false)
+	e.putScratch(ws)
+	<-e.sem
+	if abandoned {
+		return nil, errSlotCancelled
+	}
+	return res, err
+}
+
+// peelOwn runs one unshared computation on the caller's context and
+// records the caller's outcome on stripe — the cache-disabled path, the
+// joiner's own-clock fallback, and the fused batch's leaders.
+func (e *Engine) peelOwn(ctx context.Context, snap *Snapshot, id int32, nodes []graph.Node, v dmcs.Variant, opts dmcs.Options, stripe int) (*dmcs.Result, error) {
+	res, err := e.compute(snap, id, nodes, v, opts, ctx.Done())
+	if err == errSlotCancelled || (err == nil && ctx.Err() != nil) {
+		// Cancelled while queued or mid-peel — or done by the time a
+		// complete search returned; either way the caller has left.
+		err = ctx.Err()
+	}
+	if err != nil {
+		if err == ErrQueueTimeout {
+			e.stats.recordTimedOut(stripe)
+		}
+		e.stats.recordError(stripe)
+		return nil, err
+	}
+	e.stats.recordServed(stripe, false)
 	return res, nil
 }
 
@@ -485,11 +507,6 @@ func normalizeNodesInto(dst, q []graph.Node) []graph.Node {
 		}
 	}
 	return out[:dup]
-}
-
-// normalizeNodes returns a sorted, deduplicated copy of q.
-func normalizeNodes(q []graph.Node) []graph.Node {
-	return normalizeNodesInto(nil, q)
 }
 
 // insertionSortMax is the query-set size up to which sortNodes uses

@@ -35,6 +35,12 @@ func testGraph(t testing.TB, n int) *lfr.Result {
 	return res
 }
 
+// normalizeNodes returns a sorted, deduplicated copy of q: what admit
+// makes of a query's node set, for the serial reference calls.
+func normalizeNodes(q []graph.Node) []graph.Node {
+	return normalizeNodesInto(nil, q)
+}
+
 // testQueries draws query sets of mixed sizes from the ground truth.
 func testQueries(t testing.TB, res *lfr.Result, numSets int) []Query {
 	t.Helper()

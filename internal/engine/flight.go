@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 	"strconv"
 	"time"
 
@@ -35,8 +36,15 @@ type flight struct {
 	// (the leader) and is joinable while > 0; once it reaches 0 the
 	// flight is dead — late arrivals for the same key start a fresh one.
 	waiters int
-	res     *dmcs.Result
-	err     error
+	// nodes and key are the leader's copies of the normalized query and
+	// its cache key, immutable once the flight is registered: what the
+	// computing goroutine peels and publishes under, and what a joiner's
+	// own-clock fallback reuses instead of re-admitting the query.
+	nodes []graph.Node
+	//dmcs:keyed
+	key string
+	res *dmcs.Result
+	err error
 }
 
 // appendFlightKey extends a cache key with the query's effective timeout.
@@ -55,11 +63,12 @@ func appendFlightKey(b []byte, timeout time.Duration) []byte {
 
 // searchShared is the miss path when caching is enabled: join the key's
 // in-flight computation if one is running, otherwise become the leader
-// of a new one. ws.key holds the cache key on entry; the component id
-// has already been validated against snap. searchShared takes ownership
-// of ws and returns it to the pool before blocking on the flight — a
-// parked waiter must not pin an arena-bearing bundle, or live bundles
-// would scale with concurrent callers instead of actual parallelism.
+// of a new one. ws holds the admitted nodes and cache key on entry; the
+// component id has already been validated against snap. searchShared
+// takes ownership of ws and returns it to the pool before blocking on
+// the flight — a parked waiter must not pin an arena-bearing bundle, or
+// live bundles would scale with concurrent callers instead of actual
+// parallelism.
 //
 // Joiners accept only complete (or errored) flight outcomes. A flight
 // that ends TimedOut hit a deadline measured from the LEADER's start —
@@ -80,7 +89,7 @@ func appendFlightKey(b []byte, timeout time.Duration) []byte {
 // complete.
 //
 //dmcs:owns ws
-func (e *Engine) searchShared(ctx context.Context, snap *Snapshot, id int32, v dmcs.Variant, opts dmcs.Options, ws *workerScratch, h uint64, q Query) (*dmcs.Result, error) {
+func (e *Engine) searchShared(ctx context.Context, snap *Snapshot, id int32, v dmcs.Variant, opts dmcs.Options, ws *workerScratch, h uint64) (*dmcs.Result, error) {
 	baseLen := len(ws.key)
 	ws.key = appendFlightKey(ws.key, opts.Timeout)
 	stripe := ws.stripe
@@ -106,35 +115,39 @@ func (e *Engine) searchShared(ctx context.Context, snap *Snapshot, id int32, v d
 		e.putScratch(ws) // a parked waiter must not pin an arena
 		res, err := e.awaitFlight(ctx, sh, f)
 		switch {
-		case err == ErrQueueTimeout:
-			// The flight's budget ran out on the LEADER's queue clock; a
-			// joiner that arrived later may have budget left, so it falls
-			// back to its own clock, exactly like the TimedOut case below.
-			return e.searchOwnClock(ctx, snap, id, v, opts, q)
+		case err == ErrQueueTimeout || (err == nil && res.TimedOut):
+			// The flight's budget ran out on the LEADER's clock, queued or
+			// mid-peel. This caller's clock is not shareable, so it runs one
+			// unshared peel — no flight — on the flight's node copy, and
+			// publishes it if it runs to completion.
+			res, err = e.peelOwn(ctx, snap, id, f.nodes, v, opts, stripe)
+			if err == nil && !res.TimedOut {
+				sh.mu.Lock()
+				sh.addLocked(f.key, res)
+				sh.mu.Unlock()
+			}
+			return res, err
 		case err != nil:
 			e.stats.recordError(stripe)
 			return nil, err
-		case res.TimedOut:
-			// Leader-clock deadline expiry: recompute on our own clock.
-			return e.searchOwnClock(ctx, snap, id, v, opts, q)
 		default:
 			e.stats.recordServed(stripe, true)
 			return res, nil
 		}
 	}
-	// Leader: materialize the flight key and the computing goroutine's
-	// node copy (the computation about to run allocates its Result
+	// Leader: materialize the flight key and the node copy the computing
+	// goroutine peels (the computation about to run allocates its Result
 	// anyway), then release the bundle before blocking.
-	f := &flight{done: make(chan struct{}), cancel: make(chan struct{}), waiters: 1}
+	fk := string(ws.key)
+	f := &flight{done: make(chan struct{}), cancel: make(chan struct{}), waiters: 1,
+		nodes: slices.Clone(ws.nodes), key: fk[:baseLen]}
 	if sh.flights == nil {
 		sh.flights = make(map[string]*flight)
 	}
-	fk := string(ws.key)
 	sh.flights[fk] = f
 	sh.mu.Unlock()
-	nodes := append([]graph.Node(nil), ws.nodes...)
 	e.putScratch(ws)
-	go e.computeFlight(f, sh, fk, baseLen, snap, id, nodes, v, opts)
+	go e.computeFlight(f, sh, fk, snap, id, v, opts)
 	res, err := e.awaitFlight(ctx, sh, f)
 	if err != nil {
 		// A flight queue-timeout IS this leader's queue-timeout: the
@@ -170,76 +183,19 @@ func (e *Engine) awaitFlight(ctx context.Context, sh *cacheShard, f *flight) (*d
 	}
 }
 
-// searchOwnClock is the joiner fallback when a shared computation timed
-// out on the leader's clock: one unshared peel with this caller's own
-// deadline, through the same peelOwn helper as the cache-disabled path,
-// published to the cache if it runs to completion. It deliberately does
-// not register a flight — the whole point is that this caller's clock
-// is not shareable. The fallback is rare (it requires a flight to hit
-// its deadline), so it checks out a fresh bundle and re-derives its
-// buffers rather than taxing every joiner with copies up front.
-func (e *Engine) searchOwnClock(ctx context.Context, snap *Snapshot, id int32, v dmcs.Variant, opts dmcs.Options, q Query) (*dmcs.Result, error) {
-	ws := e.getScratch()
-	ws.nodes = normalizeNodesInto(ws.nodes[:0], q.Nodes)
-	res, err := e.peelOwn(ctx, snap, id, v, opts, ws)
-	if err == nil && !res.TimedOut {
-		ws.key = appendCacheKey(ws.key[:0], snap.compKey[id], snap.compVer[id], ws.nodes, v, opts)
-		e.cache.add(hashKey(ws.key), ws.key, res)
-	}
-	e.putScratch(ws)
-	return res, err
-}
-
-// computeFlight runs the flight's single peel: acquire a worker slot
-// (bailing out if every waiter leaves while queued), search with the
-// flight's refcounted cancel channel, then publish — removing the
-// flight and, for complete results, inserting the cache entry under one
-// shard lock, so no concurrent miss can slip between the two and start
-// a duplicate computation.
+// computeFlight runs the flight's single computation with the flight's
+// refcounted cancel channel, then publishes — removing the flight and,
+// for complete results, inserting the cache entry under one shard lock,
+// so no concurrent miss can slip between the two and start a duplicate
+// computation. A flight abandoned by its last waiter, queued or
+// mid-peel, ends in context.Canceled for nobody; a flight whose budget
+// expired while queued hands every waiter ErrQueueTimeout.
 //
 //dmcs:keyed fk
-func (e *Engine) computeFlight(f *flight, sh *cacheShard, fk string, baseLen int, snap *Snapshot, id int32, nodes []graph.Node, v dmcs.Variant, opts dmcs.Options) {
-	var res *dmcs.Result
-	var err error
-	remaining, aerr := e.acquireSlot(opts.Timeout, f.cancel)
-	switch aerr {
-	case nil:
-		opts.Timeout = remaining
-		ws := e.getScratch()
-		opts.Cancel = f.cancel
-		start := time.Now()
-		// safeSearch confines a panicking peel to this flight: every
-		// waiter gets the *PanicError, the poisoned arena is discarded,
-		// and the engine keeps serving.
-		res, err = e.safeSearch(ws, snap.SubCSR(id), nodes, snap.comps[id], v, opts)
-		// An abandoned peel is one that unwound early because the last
-		// waiter left (a closed Cancel surfaces as TimedOut). It still
-		// counts as a computed search — the work happened — but its
-		// wall-clock is cancellation timing, not search cost, so it stays
-		// out of the latency window; and its partial community depends on
-		// when the cancellation landed, so it is never published. (A
-		// genuine Options.Timeout expiry with waiters still present keeps
-		// its TimedOut result: that is the documented deadline contract,
-		// and it is still never cached.)
-		abandoned := err == nil && res.TimedOut && isClosed(f.cancel)
-		e.stats.recordSearch(ws.stripe, time.Since(start), err == nil && !abandoned)
-		if err == nil && res.TimedOut && !abandoned {
-			e.stats.recordTimedOut(ws.stripe)
-		}
-		e.putScratch(ws)
-		<-e.sem
-		if abandoned {
-			res, err = nil, context.Canceled
-		}
-	case errSlotCancelled:
-		// Abandoned before a worker slot freed up: nobody is waiting and
-		// no peel ran, so there is nothing worth computing or counting.
+func (e *Engine) computeFlight(f *flight, sh *cacheShard, fk string, snap *Snapshot, id int32, v dmcs.Variant, opts dmcs.Options) {
+	res, err := e.compute(snap, id, f.nodes, v, opts, f.cancel)
+	if err == errSlotCancelled {
 		err = context.Canceled
-	default:
-		// The flight's budget expired while queued — no peel ran, nothing
-		// is cacheable, and every waiter sees ErrQueueTimeout (joiners
-		// fall back to their own clocks; see searchShared).
-		err = aerr
 	}
 	sh.mu.Lock()
 	// Guard against having been superseded: if every waiter left and a
@@ -249,7 +205,7 @@ func (e *Engine) computeFlight(f *flight, sh *cacheShard, fk string, baseLen int
 		delete(sh.flights, fk)
 	}
 	if err == nil && !res.TimedOut {
-		sh.addLocked(fk[:baseLen], res)
+		sh.addLocked(f.key, res)
 	}
 	sh.mu.Unlock()
 	f.res, f.err = res, err

@@ -42,8 +42,9 @@ import (
 // and Stats.Errors, and nothing about the query is ever cached.
 var ErrQueueTimeout = errors.New("engine: query timed out while queued (search never started)")
 
-// errSlotCancelled is acquireSlot's "the cancel channel fired first"
-// outcome; callers map it onto their own cancellation error.
+// errSlotCancelled is the "the cancel channel fired first" outcome of
+// acquireSlot and, for a peel abandoned midway, of compute; compute's
+// callers map it onto their own cancellation error.
 var errSlotCancelled = errors.New("engine: slot wait cancelled")
 
 // PanicError is what a query whose peel panicked returns: the panic is
@@ -100,13 +101,12 @@ func (e *Engine) acquireSlot(timeout time.Duration, cancel <-chan struct{}) (tim
 	}
 }
 
-// safeSearch runs one peel with per-query panic isolation. It is the
-// single funnel every engine-executed search goes through (solo,
-// flight, and fused paths alike), so the isolation and the
-// fault-injection point cannot be bypassed. On a recovered panic the
-// bundle's arena — whose epoch tags and scratch slots may be mid-peel —
-// is replaced with a fresh one before the bundle can return to the
-// pool, and the caller gets a *PanicError.
+// safeSearch runs one peel with per-query panic isolation. compute is
+// its one caller and every engine-executed search goes through compute,
+// so the isolation and the fault-injection point cannot be bypassed. On
+// a recovered panic the bundle's arena — whose epoch tags and scratch
+// slots may be mid-peel — is replaced with a fresh one before the bundle
+// can return to the pool, and the caller gets a *PanicError.
 //
 // The faultinject.EnginePeel point fires here: injected latency models
 // a slow peel, an injected error a failing one, an injected panic a
@@ -162,22 +162,18 @@ func (e *Engine) NoteShed() {
 // Options.StaleRetention > 0; otherwise LookupStale degenerates to a
 // current-version probe. A query whose nodes are invalid on the current
 // snapshot (out of range, or spanning components) has no current
-// component and returns ok == false.
+// component and returns ok == false — as does any other admission
+// failure (LookupStale passes the same admit as a query, the
+// faultinject.EngineSearch point included).
 func (e *Engine) LookupStale(q Query, maxBehind int) (res *dmcs.Result, version uint64, stale, ok bool) {
-	if e.cache == nil {
-		return nil, 0, false, false
-	}
 	snap := e.snap.Load()
 	ws := e.getScratch()
 	defer e.putScratch(ws)
-	ws.nodes = normalizeNodesInto(ws.nodes[:0], q.Nodes)
-	opts := canonicalOptions(q.Opts)
-	id, err := snap.componentIndex(ws.nodes)
+	opts, id, h, err := e.admit(snap, q, ws)
 	if err != nil {
 		return nil, 0, false, false
 	}
-	ws.key = appendCacheKey(ws.key[:0], snap.compKey[id], snap.compVer[id], ws.nodes, q.Variant, opts)
-	if res, hit := e.cache.get(hashKey(ws.key), ws.key); hit {
+	if res, hit := e.cache.get(h, ws.key); hit {
 		e.stats.recordHit(ws.stripe)
 		return res, snap.compVer[id], false, true
 	}

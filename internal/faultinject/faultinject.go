@@ -40,7 +40,8 @@ import (
 type Point uint8
 
 const (
-	// EngineSearch fires at the top of Engine.Search, before admission —
+	// EngineSearch fires at the top of the engine's admission, once per
+	// query — Engine.Search, every query of a SearchBatch, LookupStale —
 	// on the cache-hit path, which is exactly why it exists: it is the
 	// point the zero-cost-when-disabled gate measures.
 	EngineSearch Point = iota

@@ -2,17 +2,16 @@ package modularity
 
 import "dmcs/internal/graph"
 
-// This file is the CSR half of the package: the goodness functions are
-// also evaluable over a packed graph.CSR snapshot, using flat membership
-// masks, the packed adjacency, and the snapshot's cached per-node weighted
-// degrees and total edge weight — no per-edge weight-map lookups. Servers
-// and baselines that score many candidate communities against one graph
-// build the CSR once and call these.
+// This file is the CSR half of the package: the sufficient statistics
+// and the density modularity evaluated over a packed graph.CSR snapshot,
+// using flat membership masks, the packed adjacency, and the snapshot's
+// cached per-node weighted degrees and total edge weight — no per-edge
+// weight-map lookups. StatsOf and Density on a Graph are these, applied
+// to the Graph's own packed arrays.
 
 // StatsOfCSR computes the sufficient statistics of the node set c within
 // the snapshot: internal edge count l_C, degree sum d_C (degrees in G),
-// and |C|. Duplicate nodes in c are counted once. It returns exactly what
-// StatsOf returns on the originating Graph.
+// and |C|. Duplicate nodes in c are counted once.
 func StatsOfCSR(csr *graph.CSR, c []graph.Node) Stats {
 	in := make([]bool, csr.NumNodes())
 	members := make([]graph.Node, 0, len(c))
@@ -34,30 +33,19 @@ func StatsOfCSR(csr *graph.CSR, c []graph.Node) Stats {
 	return s
 }
 
-// ClassicCSR evaluates the classic modularity of Definition 1 over the
-// snapshot (see Classic).
-func ClassicCSR(csr *graph.CSR, c []graph.Node) float64 {
-	return ClassicParts(StatsOfCSR(csr, c), int64(csr.NumEdges()))
-}
-
 // DensityCSR evaluates the paper's density modularity (Definition 2,
 // unweighted form) over the snapshot (see Density).
 func DensityCSR(csr *graph.CSR, c []graph.Node) float64 {
 	return DensityParts(StatsOfCSR(csr, c), int64(csr.NumEdges()))
 }
 
-// GeneralizedDensityCSR evaluates the generalized modularity density
-// comparator over the snapshot (see GeneralizedDensity).
-func GeneralizedDensityCSR(csr *graph.CSR, c []graph.Node, chi float64) float64 {
-	return GeneralizedDensityParts(StatsOfCSR(csr, c), int64(csr.NumEdges()), chi)
-}
-
 // DensityWeightedCSR evaluates the weighted Definition 2 over the
 // snapshot: DM = (w_C − d_C²/(4 w_G)) / |C|, with w_C summed over the
 // packed weights, d_C over the cached node-weight table, and w_G the
-// cached total. Unlike DensityWeighted on a Graph (which iterates a map
-// in nondeterministic order), accumulation follows the packed adjacency,
-// so repeated calls are bit-reproducible.
+// cached total. Members are summed in first-occurrence order of c, where
+// DensityWeighted on a Graph sums them in sorted order: on an unsorted c
+// the two differ in the low bits, which is why DensityWeighted keeps its
+// own sweep and does not delegate here.
 func DensityWeightedCSR(csr *graph.CSR, c []graph.Node) float64 {
 	in := make([]bool, csr.NumNodes())
 	members := make([]graph.Node, 0, len(c))

@@ -7,7 +7,9 @@
 // All functions exist in two forms: one that takes a graph and an explicit
 // node set, and a "parts" form over the sufficient statistics
 // (l_C, d_C, |C|, |E|) so peeling algorithms can evaluate objectives
-// incrementally without touching the graph.
+// incrementally without touching the graph. A Graph is a view over one
+// packed CSR, so the graph forms of the unweighted functions are computed
+// by the CSR forms of csr.go.
 package modularity
 
 import (
@@ -29,21 +31,7 @@ type Stats struct {
 // StatsOf computes the sufficient statistics of the node set C in g.
 // Duplicate nodes in C are counted once.
 func StatsOf(g *graph.Graph, c []graph.Node) Stats {
-	in := make(map[graph.Node]bool, len(c))
-	for _, u := range c {
-		in[u] = true
-	}
-	var s Stats
-	s.Size = len(in)
-	for u := range in {
-		s.D += int64(g.Degree(u))
-		for _, v := range g.Neighbors(u) {
-			if in[v] && u < v {
-				s.L++
-			}
-		}
-	}
-	return s
+	return StatsOfCSR(graph.NewCSR(g), c)
 }
 
 // StatsOfView computes the sufficient statistics of the alive set of v.
@@ -86,7 +74,7 @@ func ClassicPartsF(wC, dC, wG float64) float64 {
 //
 // It returns 0 for empty communities.
 func Density(g *graph.Graph, c []graph.Node) float64 {
-	return DensityParts(StatsOf(g, c), int64(g.NumEdges()))
+	return DensityCSR(graph.NewCSR(g), c)
 }
 
 // DensityParts is Density over precomputed statistics.
