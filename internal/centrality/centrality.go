@@ -1,8 +1,8 @@
-// Package centrality implements the node centralities used by the paper:
-// betweenness centrality (Brandes 2001) — both the node form used in the
-// Section 6.3.2 case study and the edge form that drives the Girvan–Newman
-// divisive baseline — and eigenvector centrality by power iteration
-// (Zaki & Meira 2014).
+// Package centrality implements the node centralities of the paper's
+// Section 6.3.2 case study: betweenness centrality (Brandes 2001) and
+// eigenvector centrality by power iteration (Zaki & Meira 2014). The edge
+// betweenness that drives the Girvan–Newman baseline lives with it, in
+// internal/detect.
 package centrality
 
 import (
@@ -65,77 +65,6 @@ func Betweenness(g *graph.Graph) []float64 {
 		cb[i] /= 2
 	}
 	return cb
-}
-
-// EdgeBetweenness computes exact edge betweenness centrality, keyed by
-// (u,v) with u < v. This is the edge score of the Girvan–Newman algorithm.
-func EdgeBetweenness(g *graph.Graph) map[[2]graph.Node]float64 {
-	return EdgeBetweennessView(graph.NewView(g))
-}
-
-// EdgeBetweennessView computes edge betweenness over the alive subgraph of
-// a view (GN removes edges incrementally; views let it rescore cheaply).
-func EdgeBetweennessView(v *graph.View) map[[2]graph.Node]float64 {
-	g := v.Graph()
-	n := g.NumNodes()
-	out := make(map[[2]graph.Node]float64)
-	dist := make([]int32, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	preds := make([][]graph.Node, n)
-	stack := make([]graph.Node, 0, n)
-	queue := make([]graph.Node, 0, n)
-
-	for s := 0; s < n; s++ {
-		if !v.Alive(graph.Node(s)) {
-			continue
-		}
-		stack = stack[:0]
-		queue = queue[:0]
-		for i := 0; i < n; i++ {
-			dist[i] = -1
-			sigma[i] = 0
-			delta[i] = 0
-			preds[i] = preds[i][:0]
-		}
-		src := graph.Node(s)
-		dist[src] = 0
-		sigma[src] = 1
-		queue = append(queue, src)
-		for head := 0; head < len(queue); head++ {
-			x := queue[head]
-			stack = append(stack, x)
-			for _, w := range g.Neighbors(x) {
-				if !v.Alive(w) {
-					continue
-				}
-				if dist[w] < 0 {
-					dist[w] = dist[x] + 1
-					queue = append(queue, w)
-				}
-				if dist[w] == dist[x]+1 {
-					sigma[w] += sigma[x]
-					preds[w] = append(preds[w], x)
-				}
-			}
-		}
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			for _, x := range preds[w] {
-				c := sigma[x] / sigma[w] * (1 + delta[w])
-				delta[x] += c
-				a, b := x, w
-				if a > b {
-					a, b = b, a
-				}
-				out[[2]graph.Node{a, b}] += c
-			}
-		}
-	}
-	for k := range out {
-		out[k] /= 2
-	}
-	return out
 }
 
 // Eigenvector computes eigenvector centrality by power iteration,

@@ -61,36 +61,6 @@ func TestBetweennessCycleUniform(t *testing.T) {
 	}
 }
 
-func TestEdgeBetweennessBridge(t *testing.T) {
-	// two triangles joined by bridge (2,3): the bridge carries all 9
-	// cross pairs; triangle edges carry far less.
-	g := graph.FromEdges(6, [][2]graph.Node{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}})
-	eb := EdgeBetweenness(g)
-	bridge := eb[[2]graph.Node{2, 3}]
-	if math.Abs(bridge-9) > 1e-9 {
-		t.Fatalf("bridge betweenness=%v want 9", bridge)
-	}
-	for k, v := range eb {
-		if k != [2]graph.Node{2, 3} && v >= bridge {
-			t.Fatalf("edge %v betweenness %v >= bridge", k, v)
-		}
-	}
-}
-
-func TestEdgeBetweennessViewRespectsRemovals(t *testing.T) {
-	g := graph.FromEdges(6, [][2]graph.Node{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 3}})
-	v := graph.NewView(g)
-	v.Remove(3) // kill the bridge endpoint
-	eb := EdgeBetweennessView(v)
-	if _, ok := eb[[2]graph.Node{2, 3}]; ok {
-		t.Fatal("removed node's edges must not be scored")
-	}
-	// remaining triangle edges all get scored
-	if len(eb) == 0 {
-		t.Fatal("remaining edges should have scores")
-	}
-}
-
 func TestEigenvectorStar(t *testing.T) {
 	// star: center has the highest eigenvector centrality
 	ev := Eigenvector(star(8), 200, 1e-10)

@@ -62,6 +62,12 @@ func TestGirvanNewmanDisconnectedQuery(t *testing.T) {
 	if GirvanNewman(g, nil, 0) != nil {
 		t.Fatal("empty query should fail")
 	}
+	// Regression: ids outside [0, n) used to panic in the component check.
+	for _, q := range [][]graph.Node{{0, 7}, {7}, {-1, 0}} {
+		if c := GirvanNewman(g, q, 0); c != nil {
+			t.Fatalf("out-of-range query %v should fail, got %v", q, c)
+		}
+	}
 }
 
 func TestGirvanNewmanMaxRemovals(t *testing.T) {
@@ -97,6 +103,12 @@ func TestCNMEdgelessAndDisconnected(t *testing.T) {
 	g := graph.FromEdges(4, [][2]graph.Node{{0, 1}, {2, 3}})
 	if CNM(g, []graph.Node{0, 3}) != nil {
 		t.Fatal("disconnected query should be nil")
+	}
+	// Regression: ids outside [0, n) used to panic in the component check.
+	for _, q := range [][]graph.Node{{0, 7}, {7}, {-1, 0}} {
+		if c := CNM(g, q); c != nil {
+			t.Fatalf("out-of-range query %v should be nil, got %v", q, c)
+		}
 	}
 }
 

@@ -17,9 +17,8 @@ import (
 // requested), which must escape to the caller.
 //
 // Arenas are not safe for concurrent use. internal/engine owns one per
-// worker; the package-level entry points (Search, SearchCSR,
-// SearchComponentCSR) draw from a sync.Pool, so they too stop allocating
-// scratch once the pool is warm.
+// worker; the package-level entry points (Search, SearchCSR) draw from a
+// sync.Pool, so they too stop allocating scratch once the pool is warm.
 type Arena struct {
 	g graph.Arena
 

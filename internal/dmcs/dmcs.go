@@ -19,7 +19,7 @@
 // total edge weight w_G — with a graph.CSRView tracking the alive subgraph
 // and its sufficient statistics (w_C, d_S) incrementally during peeling.
 // A graph.Graph is born packed and memoises its component partition, so
-// the *graph.Graph entry points (Search, SearchComponent, NCA, FPA, …)
+// the *graph.Graph entry points (Search, NCA, FPA, …)
 // run on the graph's own snapshot and look the query's component up
 // instead of flooding it; SearchCSR serves snapshots that come without a
 // partition, and internal/engine, which maintains its partition across
@@ -179,16 +179,9 @@ func Search(g *graph.Graph, q []graph.Node, variant Variant, opts Options) (*Res
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
 	if sub := g.WholeSub(); sub != nil {
-		return searchSub(a, sub, q, comp, variant, opts)
+		return SearchSub(a, sub, q, comp, variant, opts)
 	}
 	return searchExtract(a, graph.NewCSR(g), q, comp, variant, opts)
-}
-
-// SearchComponent runs the selected variant on a precomputed connected
-// component of g (see SearchComponentCSR for the component contract),
-// against g's shared snapshot.
-func SearchComponent(g *graph.Graph, q, comp []graph.Node, variant Variant, opts Options) (*Result, error) {
-	return SearchComponentCSR(graph.NewCSR(g), q, comp, variant, opts)
 }
 
 // queryComponent validates the query against g's memoised partition and
@@ -233,27 +226,6 @@ func SearchCSR(c *graph.CSR, q []graph.Node, variant Variant, opts Options) (*Re
 	return searchExtract(a, c, q, comp, variant, opts)
 }
 
-// SearchComponentCSR runs the selected variant on a precomputed connected
-// component. comp must be the sorted connected component of the snapshot
-// containing every query node — a member list of CSR.Components or
-// UpdateComponents. Callers that hold the partition (the Graph entry
-// points, internal/engine) skip the per-query BFS + sort; comp is only
-// read, so one slice may serve concurrent searches.
-//
-// The search itself is query-scoped: the component is relabelled into a
-// compact sub-CSR (skipped when it spans the whole snapshot) and every
-// peel structure is sized to the component, so the per-query cost is
-// O(|component|), not O(|G|). Scratch comes from a pooled Arena; callers
-// that want per-worker arenas (and a prebuilt sub-CSR) use SearchSub.
-func SearchComponentCSR(c *graph.CSR, q, comp []graph.Node, variant Variant, opts Options) (*Result, error) {
-	if len(q) == 0 {
-		return nil, ErrEmptyQuery
-	}
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return searchExtract(a, c, q, comp, variant, opts)
-}
-
 // searchExtract compacts comp into the arena's sub-CSR slot (or wraps the
 // snapshot when the component spans it and its arrays are contiguous, as
 // a Builder's are) and dispatches.
@@ -264,23 +236,22 @@ func searchExtract(a *Arena, c *graph.CSR, q, comp []graph.Node, variant Variant
 	} else {
 		sub = a.g.ExtractSub(0, c, comp)
 	}
-	return searchSub(a, sub, q, comp, variant, opts)
+	return SearchSub(a, sub, q, comp, variant, opts)
 }
 
 // SearchSub runs the selected variant against a prebuilt sub-CSR using
 // caller-owned scratch: sub must be the compact snapshot of comp (the
-// sorted connected component containing every query node, in source ids),
-// either extracted with graph.NewSubCSR or wrapped with graph.WrapCSR.
-// The engine calls it with its per-worker arena and its per-component
-// sub-CSR cache, so steady-state serving touches only component-sized
-// memory and allocates nothing but the Result. sub and comp are only
-// read; the arena is exclusively owned for the duration of the call.
+// sorted connected component containing every query node, in source ids:
+// a member list of CSR.Components or UpdateComponents), either extracted
+// with graph.NewSubCSR or wrapped with graph.WrapCSR. Every peel structure
+// is sized to the component, so the per-query cost is O(|component|), not
+// O(|G|). The engine calls it with its per-worker arena and its
+// per-component sub-CSR cache, so steady-state serving touches only
+// component-sized memory and allocates nothing but the Result. sub and
+// comp are only read (one slice may serve concurrent searches); the arena
+// is exclusively owned for the duration of the call. It translates the
+// query into local ids and dispatches.
 func SearchSub(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, variant Variant, opts Options) (*Result, error) {
-	return searchSub(a, sub, q, comp, variant, opts)
-}
-
-// searchSub translates the query into local ids and dispatches.
-func searchSub(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, variant Variant, opts Options) (*Result, error) {
 	if len(q) == 0 {
 		return nil, ErrEmptyQuery
 	}

@@ -29,8 +29,9 @@ func isConnectedSet(g *graph.Graph, c []graph.Node) bool {
 	if len(c) == 0 {
 		return false
 	}
-	v := graph.NewViewOf(g, c)
-	return graph.ConnectedWithin(v)
+	sub, _ := g.InducedSubgraph(c)
+	_, k := graph.ConnectedComponents(sub)
+	return k == 1
 }
 
 func containsAll(c []graph.Node, want ...graph.Node) bool {

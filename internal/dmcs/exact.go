@@ -15,7 +15,8 @@ var ErrTooLarge = errors.New("dmcs: graph too large for exact search")
 // that contains the query nodes, for graphs with at most maxNodes nodes
 // (≤ 24). It exists to measure the optimality gap of the heuristics — the
 // problem is NP-hard (Theorem 3), so this is exponential and intended for
-// tests and calibration only.
+// tests and calibration only. The query is validated as Search validates
+// it: ErrEmptyQuery, an out-of-range error, ErrDisconnected.
 func ExactSmall(g *graph.Graph, q []graph.Node, maxNodes int) (*Result, error) {
 	n := g.NumNodes()
 	if maxNodes <= 0 || maxNodes > 24 {
@@ -24,11 +25,8 @@ func ExactSmall(g *graph.Graph, q []graph.Node, maxNodes int) (*Result, error) {
 	if n > maxNodes {
 		return nil, ErrTooLarge
 	}
-	if len(q) == 0 {
-		return nil, ErrEmptyQuery
-	}
-	if !graph.SameComponent(g, q) {
-		return nil, ErrDisconnected
+	if _, err := queryComponent(g, q); err != nil {
+		return nil, err
 	}
 	// One packed snapshot serves the 2^n subset evaluations: connectivity
 	// floods and density scoring both run on the flat adjacency.

@@ -38,6 +38,14 @@ func TestExactSmallErrors(t *testing.T) {
 	if _, err := ExactSmall(big, []graph.Node{0}, 0); err != ErrTooLarge {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}
+	// Regression: an id outside [0, n) used to index a BFS distance array
+	// (or shift a query mask) unvalidated; it gets Search's error.
+	for _, q := range [][]graph.Node{{0, 7}, {7}, {-1, 0}} {
+		_, want := Search(g, q, VariantFPA, Options{})
+		if _, err := ExactSmall(g, q, 0); err != errOutOfRange || err != want {
+			t.Fatalf("ExactSmall(%v): got %v, Search says %v", q, err, want)
+		}
+	}
 }
 
 // Property: the exact optimum upper-bounds every heuristic, and the

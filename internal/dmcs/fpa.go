@@ -72,7 +72,7 @@ type thetaItem struct {
 // otherwise the density modularity gain Λ is rescanned over the remaining
 // layer candidates each iteration (unstable, the 150× slowdown of Section
 // 6.2.5). q is in local ids; comp is the sorted source-id component (see
-// SearchComponentCSR), used only to reconstruct the result.
+// SearchSub), used only to reconstruct the result.
 func runFPA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, useTheta bool) (*Result, error) {
 	protected := steinerProtect(a, sub, q)
 	if opts.LayerPruning {

@@ -1,13 +1,18 @@
 package dmcs
 
-// This file preserves the pre-CSR, map-backed implementation of the four
-// search variants as a frozen reference. The production code now runs
-// entirely on graph.CSR + graph.CSRView (flat arrays, no edge-weight-map
-// lookups); TestDifferentialLegacyVsCSR asserts that the port returns
-// bit-identical communities and scores on random weighted and unweighted
-// graphs. The reference deliberately mirrors the historical code path:
-// graph.Graph adjacency, graph.View alive-tracking, and
-// Graph.EdgeWeight/WeightedDegree/TotalWeight hashed-map evaluation.
+// This file preserves the original implementation of the four search
+// variants as a frozen reference; TestDifferentialLegacyVsCSR asserts that
+// the production peel returns bit-identical communities and scores on
+// random weighted and unweighted graphs. Since a Graph is its packed CSR
+// and graph.CSRView is the only alive set, the reference reads the same
+// arrays as production. What it stays independent in is the algorithm:
+// the Θ heap is the standard library's container/heap (production
+// hand-rolls the same moves on a concrete type), the layer-pruning sweep
+// removes each layer node by node (production scores prefixes without
+// removing), the NCA loop runs a full Tarjan sweep before every removal (production
+// carries certificates), and weights are evaluated per neighbour through
+// Graph.EdgeWeight (a binary search per call) instead of the parallel
+// weights row. It goes when ROADMAP item 1(a)'s naive reference exists.
 
 import (
 	"container/heap"
@@ -20,7 +25,7 @@ import (
 )
 
 // legacySearch is the historical Search: validate the query, extract the
-// sorted component, dispatch the variant — all over the map-backed Graph.
+// sorted component, dispatch the variant.
 func legacySearch(g *graph.Graph, q []graph.Node, variant Variant, opts Options) (*Result, error) {
 	comp, err := legacyQueryComponent(g, q)
 	if err != nil {
@@ -54,15 +59,13 @@ func legacyQueryComponent(g *graph.Graph, q []graph.Node) ([]graph.Node, error) 
 	if !graph.SameComponent(g, q) {
 		return nil, ErrDisconnected
 	}
-	v := graph.NewView(g)
-	comp := graph.ComponentOf(v, q[0])
-	slices.Sort(comp)
+	comp, _ := graph.NewCSR(g).Component(q[0])
 	return comp, nil
 }
 
 type legacyPeelState struct {
 	g         *graph.Graph
-	v         *graph.View
+	v         *graph.CSRView
 	weighted  bool
 	wG        float64
 	wC        float64
@@ -80,7 +83,7 @@ type legacyPeelState struct {
 func newLegacyPeelState(g *graph.Graph, comp []graph.Node, opts Options) *legacyPeelState {
 	s := &legacyPeelState{
 		g:        g,
-		v:        graph.NewViewOf(g, comp),
+		v:        graph.NewCSRViewOf(graph.NewCSR(g), comp),
 		weighted: g.Weighted(),
 		wG:       g.TotalWeight(),
 		opts:     opts,
@@ -116,9 +119,11 @@ func (s *legacyPeelState) kOf(u graph.Node) float64 {
 		return float64(s.v.DegreeIn(u))
 	}
 	var k float64
-	s.v.EachNeighbor(u, func(w graph.Node) {
-		k += s.g.EdgeWeight(u, w)
-	})
+	for _, w := range s.g.Neighbors(u) {
+		if s.v.Alive(w) {
+			k += s.g.EdgeWeight(u, w)
+		}
+	}
 	return k
 }
 
@@ -199,7 +204,7 @@ func legacyRunNCA(g *graph.Graph, q, comp []graph.Node, opts Options, pick pickF
 		if s.expired() {
 			break
 		}
-		art := graph.ArticulationPoints(s.v)
+		art := s.v.ArticulationPoints()
 		var best graph.Node = -1
 		bestScore := math.Inf(-1)
 		for _, u := range comp {
@@ -315,7 +320,7 @@ func legacyRunFPA(g *graph.Graph, q, comp []graph.Node, opts Options, useTheta b
 		return legacyFPAWithPruning(g, comp, protected, opts, useTheta)
 	}
 	s := newLegacyPeelState(g, comp, opts)
-	dist := graph.MultiSourceBFSView(s.v, protected)
+	dist := s.v.MultiSourceBFS(protected)
 	layers, maxD := groupLayers(comp, dist)
 	for d := maxD; d >= 1; d-- {
 		if s.expired() {
@@ -387,8 +392,8 @@ func legacyPeelLayerLambda(s *legacyPeelState, cand []graph.Node) {
 }
 
 func legacyFPAWithPruning(g *graph.Graph, comp, protected []graph.Node, opts Options, useTheta bool) (*Result, error) {
-	vAll := graph.NewViewOf(g, comp)
-	dist := graph.MultiSourceBFSView(vAll, protected)
+	vAll := graph.NewCSRViewOf(graph.NewCSR(g), comp)
+	dist := vAll.MultiSourceBFS(protected)
 	layers, maxD := groupLayers(comp, dist)
 	wG := g.TotalWeight()
 	weighted := g.Weighted()
@@ -414,7 +419,11 @@ func legacyFPAWithPruning(g *graph.Graph, comp, protected []graph.Node, opts Opt
 			return float64(vAll.DegreeIn(u))
 		}
 		var k float64
-		vAll.EachNeighbor(u, func(w graph.Node) { k += g.EdgeWeight(u, w) })
+		for _, w := range g.Neighbors(u) {
+			if vAll.Alive(w) {
+				k += g.EdgeWeight(u, w)
+			}
+		}
 		return k
 	}
 	scoreOf := func() float64 {

@@ -26,8 +26,7 @@ func reweighted(g *graph.Graph, seed int64) *graph.Graph {
 
 // ncaQueries returns a 1-node and a 3-node query inside start's component.
 func ncaQueries(g *graph.Graph, start graph.Node) [][]graph.Node {
-	comp := graph.ComponentOf(graph.NewView(g), start)
-	slices.Sort(comp)
+	comp, _ := graph.NewCSR(g).Component(start)
 	qs := [][]graph.Node{{start}}
 	if len(comp) >= 4 {
 		qs = append(qs, []graph.Node{comp[0], comp[len(comp)/2], comp[len(comp)-1]})

@@ -431,9 +431,6 @@ func TestSnapshotAggregatesMatchGraph(t *testing.T) {
 			t.Errorf("WeightedDegree(%d) = %v, want %v", u, c.WeightedDegree(graph.Node(u)), g.WeightedDegree(graph.Node(u)))
 		}
 	}
-	if got, want := c.Volume([]graph.Node{1, 2}), g.WeightedDegree(1)+g.WeightedDegree(2); got != want {
-		t.Errorf("Volume = %v, want %v", got, want)
-	}
 }
 
 func TestWeightedBatchMatchesSerial(t *testing.T) {

@@ -128,17 +128,15 @@ func checkBFS(t *testing.T, what string, c *graph.CSR, sources []graph.Node, rng
 	n := c.NumNodes()
 	sameDist(t, what+" CSR", c.MultiSourceBFSInto(sources, dist[:n], queue), queueBFS(c, nil, sources))
 
-	v := graph.NewCSRView(c)
 	alive := make([]bool, n)
+	var members []graph.Node
 	for u := range alive {
-		alive[u] = true
-	}
-	for u := range alive {
-		if graph.Node(u) == sources[0] || rng.Intn(5) == 0 {
-			v.Remove(graph.Node(u))
-			alive[u] = false
+		if graph.Node(u) != sources[0] && rng.Intn(5) != 0 {
+			alive[u] = true
+			members = append(members, graph.Node(u))
 		}
 	}
+	v := graph.NewCSRViewOf(c, members)
 	sameDist(t, what+" view", v.MultiSourceBFSInto(sources, dist[:n], queue), queueBFS(c, alive, sources))
 }
 
@@ -168,6 +166,18 @@ func TestBFSMatchesQueueBFS(t *testing.T) {
 			sources[i] = graph.Node(rng.Intn(n))
 		}
 		checkBFS(t, "random", c, sources, rng, dist, queue)
+	}
+}
+
+// TestCSRBFSMatchesGraphBFS checks the single-source wrappers, CSR.BFS and
+// the Graph form over it, against the queue BFS.
+func TestCSRBFSMatchesGraphBFS(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		g := gen.ErdosRenyi(35, 0.1, seed)
+		c := graph.NewCSR(g)
+		want := queueBFS(c, nil, []graph.Node{0})
+		sameDist(t, "CSR.BFS", c.BFS(0), want)
+		sameDist(t, "graph.BFS", graph.BFS(g, 0), want)
 	}
 }
 

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"slices"
-)
+import "slices"
 
 // CSR is a compressed-sparse-row snapshot of a graph: the one storage
 // layout of this repository. A Builder packs straight into it, Graph is a
@@ -142,16 +139,6 @@ func (c *CSR) WeightedDegree(u Node) float64 { return c.pages[u>>pageShift].wdeg
 // TotalWeight returns the cached total edge weight w_G (|E| unweighted).
 func (c *CSR) TotalWeight() float64 { return c.totalW }
 
-// Volume returns the sum of cached node weights over set — the d_C volume
-// aggregate of the modularity definitions (vol(C) = Σ_{u∈C} d_u).
-func (c *CSR) Volume(set []Node) float64 {
-	var t float64
-	for _, u := range set {
-		t += c.WeightedDegree(u)
-	}
-	return t
-}
-
 // Edges calls fn once per undirected edge with u < v, passing the edge
 // weight (1 for unweighted snapshots). Iteration follows the packed
 // adjacency — ascending u, ascending v — and stops early if fn returns
@@ -251,43 +238,6 @@ func (c *CSR) Components() (compID []int32, comps [][]Node) {
 		sizes = append(sizes, int32(len(queue)))
 	}
 	return compID, memberLists(compID, sizes)
-}
-
-// Dijkstra computes weighted shortest-path distances from the sources
-// over the packed weights (unit weights when the snapshot is unweighted,
-// degenerating to BFS distances). Unreachable nodes get -1.
-func (c *CSR) Dijkstra(sources []Node) []float64 {
-	dist := make([]float64, c.NumNodes())
-	for i := range dist {
-		dist[i] = -1
-	}
-	h := &dijkstraHeap{}
-	for _, s := range sources {
-		if dist[s] < 0 {
-			dist[s] = 0
-			heap.Push(h, dijkstraItem{s, 0})
-		}
-	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(dijkstraItem)
-		if it.dist > dist[it.node] {
-			continue
-		}
-		adj := c.Neighbors(it.node)
-		ws := c.NeighborWeights(it.node)
-		for i, w := range adj {
-			step := 1.0
-			if ws != nil {
-				step = ws[i]
-			}
-			nd := it.dist + step
-			if dist[w] < 0 || nd < dist[w] {
-				dist[w] = nd
-				heap.Push(h, dijkstraItem{w, nd})
-			}
-		}
-	}
-	return dist
 }
 
 // Triangles counts the triangles incident to every node using the packed

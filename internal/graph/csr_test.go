@@ -31,24 +31,6 @@ func TestCSRMatchesGraph(t *testing.T) {
 	}
 }
 
-func TestCSRBFSMatchesGraphBFS(t *testing.T) {
-	check := func(seed int64) bool {
-		g := randomGraph(35, 0.1, seed)
-		c := NewCSR(g)
-		want := MultiSourceBFSView(NewView(g), []Node{0}) // a plain queue BFS
-		got := c.BFS(0)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCSRTrianglesClique(t *testing.T) {
 	// every node of K5 is in C(4,2)=6 triangles
 	c := NewCSR(complete(5))
@@ -98,22 +80,12 @@ func TestAvgClustering(t *testing.T) {
 	}
 }
 
-// BenchmarkCSRTraversal and BenchmarkViewTraversal compare the BFS kernel
-// over the packed arrays with the plain queue BFS over a View's per-node
-// alive checks (Graph's own BFS is the packed kernel).
+// BenchmarkCSRTraversal times the BFS kernel over the packed arrays.
 func BenchmarkCSRTraversal(b *testing.B) {
 	g := benchRandom(3000, 0.004)
 	c := NewCSR(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.BFS(0)
-	}
-}
-
-func BenchmarkViewTraversal(b *testing.B) {
-	v := NewView(benchRandom(3000, 0.004))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MultiSourceBFSView(v, []Node{0})
 	}
 }

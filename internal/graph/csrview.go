@@ -13,16 +13,17 @@ func i32at(base *int32, i int32) *int32 {
 }
 
 // CSRView is a mutable "alive set" over an immutable CSR snapshot — the
-// peeling substrate every search algorithm in this repository runs on.
-// Like View it tracks alive nodes and alive degrees in O(deg) per
-// Remove/Restore, but it additionally maintains the two weighted
-// aggregates the modularity objectives need — the alive internal edge
-// weight w_C and the alive node-weight sum d_S — straight from the CSR's
-// packed weights slice and cached node-weight table. No edge-weight map
-// is ever consulted: on unweighted snapshots every edge counts 1, on
+// one peeling substrate in this repository: the DMCS searches, the kcore /
+// kecc / wu2015 baselines and the frozen reference peel all remove nodes
+// from it. It tracks alive nodes and alive degrees in O(deg) per Remove
+// and maintains the two weighted aggregates the modularity objectives
+// need — the alive internal edge weight w_C and the alive node-weight sum
+// d_S — straight from the CSR's packed weights slice and cached
+// node-weight table. On unweighted snapshots every edge counts 1; on
 // weighted snapshots the packed parallel weights array is read in
-// neighbor order, so scores stay bit-identical to the historical
-// map-backed implementation (float accumulation order is preserved).
+// neighbor order, and that accumulation order is part of the contract:
+// scores are compared bit for bit across implementations
+// (TestDifferentialLegacyVsCSR), so it must not change.
 type CSRView struct {
 	c      *flatCSR
 	alive  []bool
@@ -31,27 +32,6 @@ type CSRView struct {
 	mAlive int
 	wAlive float64 // alive internal edge weight w_C (mAlive when unweighted)
 	dAlive float64 // sum over alive nodes of cached node weight (d_S)
-}
-
-// NewCSRView creates a view with every node of snap alive, over its
-// contiguous form (a merged snapshot is packed first).
-func NewCSRView(snap *CSR) *CSRView {
-	c := snap.flatten()
-	n := c.NumNodes()
-	v := &CSRView{
-		c:      c,
-		alive:  make([]bool, n),
-		deg:    make([]int32, n),
-		nAlive: n,
-		mAlive: len(c.targets) / 2,
-		wAlive: c.totalW,
-	}
-	for u := range v.alive {
-		v.alive[u] = true
-		v.deg[u] = int32(c.Degree(Node(u)))
-		v.dAlive += c.wdeg[u]
-	}
-	return v
 }
 
 // NewCSRViewOf creates a view in which exactly the nodes of set are alive.
@@ -143,7 +123,7 @@ func (v *CSRView) WeightedDegreeIn(u Node) float64 {
 
 // InternalWeight returns w_C, the total weight of edges with both
 // endpoints alive (NumAliveEdges when unweighted). It is maintained
-// incrementally across Remove/Restore.
+// incrementally across Remove.
 func (v *CSRView) InternalWeight() float64 { return v.wAlive }
 
 // NodeWeightSum returns d_S, the sum of cached node weights (weighted
@@ -171,35 +151,6 @@ func (v *CSRView) Remove(u Node) {
 	v.deg[u] = 0
 }
 
-// Restore re-inserts a previously removed node, reversing Remove.
-func (v *CSRView) Restore(u Node) {
-	if v.alive[u] {
-		return
-	}
-	v.alive[u] = true
-	v.nAlive++
-	var d int32
-	for _, w := range v.c.Neighbors(u) {
-		if v.alive[w] {
-			d++
-			v.deg[w]++
-			v.mAlive++
-		}
-	}
-	v.deg[u] = d
-	v.wAlive += v.WeightedDegreeIn(u)
-	v.dAlive += v.c.wdeg[u]
-}
-
-// EachNeighbor calls fn for every alive neighbor of u.
-func (v *CSRView) EachNeighbor(u Node, fn func(w Node)) {
-	for _, w := range v.c.Neighbors(u) {
-		if v.alive[w] {
-			fn(w)
-		}
-	}
-}
-
 // LiveNodes returns the alive node set in ascending order.
 func (v *CSRView) LiveNodes() []Node {
 	out := make([]Node, 0, v.nAlive)
@@ -209,19 +160,6 @@ func (v *CSRView) LiveNodes() []Node {
 		}
 	}
 	return out
-}
-
-// Clone returns an independent copy of the view sharing the immutable CSR.
-func (v *CSRView) Clone() *CSRView {
-	return &CSRView{
-		c:      v.c,
-		alive:  append([]bool(nil), v.alive...),
-		deg:    append([]int32(nil), v.deg...),
-		nAlive: v.nAlive,
-		mAlive: v.mAlive,
-		wAlive: v.wAlive,
-		dAlive: v.dAlive,
-	}
 }
 
 // MultiSourceBFS computes, for every node, the minimum unweighted distance
@@ -301,10 +239,11 @@ func (s *ArtScratch) reset(c *flatCSR, alive []bool, n int) {
 }
 
 // ArticulationPoints returns a boolean mask over the alive nodes: mask[u]
-// is true when removing u disconnects the alive subgraph. It is the same
-// iterative Hopcroft–Tarjan low-link DFS as ArticulationPoints over a
-// Graph view, running on the packed CSR adjacency (identical sorted
-// neighbor order, so DFS trees — and therefore results — match exactly).
+// is true when removing u disconnects the alive subgraph. It is the
+// Hopcroft–Tarjan DFS-tree low-link algorithm (the paper's Section
+// 5.2.1), implemented iteratively so deep graphs cannot overflow the
+// goroutine stack, in O(|V|+|E|) over the alive subgraph. Dead nodes keep
+// mask[u] = false.
 func (v *CSRView) ArticulationPoints() []bool {
 	return v.ArticulationPointsInto(new(ArtScratch))
 }

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 // randomWeightedGraph builds a random graph whose every edge carries a
@@ -20,39 +22,117 @@ func randomWeightedGraph(n int, p float64, seed int64) *Graph {
 	return b.Build()
 }
 
-func TestCSRViewMatchesViewUnweighted(t *testing.T) {
-	g := randomGraph(40, 0.15, 7)
-	c := NewCSR(g)
-	v := NewView(g)
-	cv := NewCSRView(c)
-	rng := rand.New(rand.NewSource(1))
-	order := rng.Perm(40)
-	for _, u := range order[:30] {
-		v.Remove(Node(u))
-		cv.Remove(Node(u))
-		if v.NumAlive() != cv.NumAlive() || v.NumAliveEdges() != cv.NumAliveEdges() {
-			t.Fatalf("alive %d/%d edges %d/%d", v.NumAlive(), cv.NumAlive(),
-				v.NumAliveEdges(), cv.NumAliveEdges())
-		}
-		for x := Node(0); int(x) < 40; x++ {
-			if v.DegreeIn(x) != cv.DegreeIn(x) || v.Alive(x) != cv.Alive(x) {
-				t.Fatalf("node %d: deg %d/%d alive %v/%v", x,
-					v.DegreeIn(x), cv.DegreeIn(x), v.Alive(x), cv.Alive(x))
-			}
-		}
-		if cv.InternalWeight() != float64(cv.NumAliveEdges()) {
-			t.Fatalf("unweighted InternalWeight=%g want %d", cv.InternalWeight(), cv.NumAliveEdges())
+// allAlive is the view the peels start from: every node of g alive.
+func allAlive(g *Graph) *CSRView {
+	all := make([]Node, g.NumNodes())
+	for i := range all {
+		all[i] = Node(i)
+	}
+	return NewCSRViewOf(NewCSR(g), all)
+}
+
+func TestViewInitialState(t *testing.T) {
+	v := allAlive(complete(5))
+	if v.NumAlive() != 5 || v.NumAliveEdges() != 10 {
+		t.Fatalf("alive=%d edges=%d", v.NumAlive(), v.NumAliveEdges())
+	}
+	for u := Node(0); u < 5; u++ {
+		if v.DegreeIn(u) != 4 {
+			t.Fatalf("DegreeIn(%d)=%d want 4", u, v.DegreeIn(u))
 		}
 	}
 }
 
+func TestViewRemoveUpdatesDegreesAndEdges(t *testing.T) {
+	v := allAlive(complete(5))
+	v.Remove(0)
+	if v.NumAlive() != 4 || v.NumAliveEdges() != 6 {
+		t.Fatalf("after remove: alive=%d edges=%d", v.NumAlive(), v.NumAliveEdges())
+	}
+	if v.DegreeIn(1) != 3 {
+		t.Fatalf("DegreeIn(1)=%d want 3", v.DegreeIn(1))
+	}
+	v.Remove(0) // idempotent
+	if v.NumAlive() != 4 {
+		t.Fatal("double remove changed count")
+	}
+}
+
+// Property: after any sequence of removals the view's edge count equals the
+// count of edges with both endpoints alive, DegreeIn matches a direct
+// recount, and the unweighted w_C is that edge count.
+func TestViewInvariantsUnderRandomRemovals(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(30, 0.2, seed^0x5f)
+		v := allAlive(g)
+		order := rng.Perm(30)
+		for _, u := range order[:20] {
+			v.Remove(Node(u))
+			// recount
+			m := 0
+			for x := 0; x < g.NumNodes(); x++ {
+				if !v.Alive(Node(x)) {
+					continue
+				}
+				d := 0
+				for _, w := range g.Neighbors(Node(x)) {
+					if v.Alive(w) {
+						d++
+						if Node(x) < w {
+							m++
+						}
+					}
+				}
+				if d != v.DegreeIn(Node(x)) {
+					return false
+				}
+			}
+			if m != v.NumAliveEdges() || v.InternalWeight() != float64(m) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestViewLiveNodesAndInduced(t *testing.T) {
+	g := complete(6)
+	v := allAlive(g)
+	v.Remove(1)
+	v.Remove(4)
+	live := v.LiveNodes()
+	if want := []Node{0, 2, 3, 5}; !slices.Equal(live, want) {
+		t.Fatalf("live=%v want %v", live, want)
+	}
+	sub, back := g.InducedSubgraph(live)
+	if sub.NumNodes() != 4 || sub.NumEdges() != 6 {
+		t.Fatalf("induced n=%d m=%d", sub.NumNodes(), sub.NumEdges())
+	}
+	if back[1] != 2 {
+		t.Fatalf("back=%v", back)
+	}
+}
+
+func TestViewSumDegreesUsesOriginalDegrees(t *testing.T) {
+	v := allAlive(complete(4)) // all degrees 3
+	v.Remove(0)
+	// d_S sums *original* degrees of alive nodes: 3 nodes × degree 3.
+	if s := v.NodeWeightSum(); s != 9 {
+		t.Fatalf("NodeWeightSum=%g want 9", s)
+	}
+}
+
 // The incremental weighted aggregates must equal a direct recount after
-// any removal/restore sequence (within float tolerance — the recount sums
-// in a different order).
+// any removal sequence (within float tolerance — the recount sums in a
+// different order). d_S sums the nodes' weighted degrees in the whole
+// graph, not in the alive subgraph.
 func TestCSRViewWeightedAggregates(t *testing.T) {
 	g := randomWeightedGraph(30, 0.25, 3)
-	c := NewCSR(g)
-	cv := NewCSRView(c)
+	cv := allAlive(g)
 	rng := rand.New(rand.NewSource(2))
 	recheck := func() {
 		var wC, dS float64
@@ -75,18 +155,9 @@ func TestCSRViewWeightedAggregates(t *testing.T) {
 		}
 	}
 	recheck()
-	removed := make([]Node, 0, 30)
 	for _, u := range rng.Perm(30)[:20] {
 		cv.Remove(Node(u))
-		removed = append(removed, Node(u))
 		recheck()
-	}
-	for _, u := range removed {
-		cv.Restore(u)
-		recheck()
-	}
-	if cv.NumAlive() != 30 {
-		t.Fatalf("NumAlive=%d after full restore", cv.NumAlive())
 	}
 }
 
@@ -94,8 +165,7 @@ func TestCSRViewWeightedAggregates(t *testing.T) {
 // exactly what the peeling objectives call k_{v,S}.
 func TestCSRViewWeightedDegreeIn(t *testing.T) {
 	g := randomWeightedGraph(25, 0.3, 11)
-	c := NewCSR(g)
-	cv := NewCSRView(c)
+	cv := allAlive(g)
 	cv.Remove(3)
 	cv.Remove(17)
 	for u := Node(0); int(u) < 25; u++ {
@@ -135,65 +205,6 @@ func TestNewCSRViewOfDuplicatesAndSubset(t *testing.T) {
 	}
 }
 
-func TestCSRViewArticulationPointsMatchView(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		g := randomGraph(35, 0.12, seed)
-		c := NewCSR(g)
-		v := NewView(g)
-		cv := NewCSRView(c)
-		rng := rand.New(rand.NewSource(seed * 31))
-		for _, u := range rng.Perm(35)[:10] {
-			v.Remove(Node(u))
-			cv.Remove(Node(u))
-		}
-		want := ArticulationPoints(v)
-		got := cv.ArticulationPoints()
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("seed %d node %d: art %v vs %v", seed, i, want[i], got[i])
-			}
-		}
-	}
-}
-
-func TestCSRViewMultiSourceBFSMatchesView(t *testing.T) {
-	g := randomGraph(40, 0.1, 5)
-	c := NewCSR(g)
-	v := NewView(g)
-	cv := NewCSRView(c)
-	for _, u := range []Node{1, 7, 13, 22} {
-		v.Remove(u)
-		cv.Remove(u)
-	}
-	src := []Node{0, 9, 7} // 7 is dead: must be skipped by both
-	want := MultiSourceBFSView(v, src)
-	got := cv.MultiSourceBFS(src)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("dist[%d]=%d want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestCSRMultiSourceBFSAndDijkstra(t *testing.T) {
-	g := randomWeightedGraph(30, 0.2, 9)
-	c := NewCSR(g)
-	wantB := MultiSourceBFS(g, []Node{0, 4})
-	gotB := c.MultiSourceBFS([]Node{0, 4})
-	for i := range wantB {
-		if wantB[i] != gotB[i] {
-			t.Fatalf("bfs dist[%d]=%d want %d", i, gotB[i], wantB[i])
-		}
-	}
-	wantD := Dijkstra(g, []Node{0})
-	gotD := c.Dijkstra([]Node{0})
-	for i := range wantD {
-		if wantD[i] != gotD[i] {
-			t.Fatalf("dijkstra dist[%d]=%g want %g", i, gotD[i], wantD[i])
-		}
-	}
-}
-
 func TestCSREdgesIterator(t *testing.T) {
 	g := randomWeightedGraph(20, 0.3, 13)
 	c := NewCSR(g)
@@ -215,19 +226,5 @@ func TestCSREdgesIterator(t *testing.T) {
 	}
 	if d := sum - g.TotalWeight(); d > 1e-9 || d < -1e-9 {
 		t.Fatalf("edge-weight sum %g want %g", sum, g.TotalWeight())
-	}
-}
-
-func TestCSRViewCloneIndependent(t *testing.T) {
-	g := randomWeightedGraph(15, 0.3, 1)
-	c := NewCSR(g)
-	v := NewCSRView(c)
-	cl := v.Clone()
-	cl.Remove(0)
-	if !v.Alive(0) || cl.Alive(0) {
-		t.Fatal("clone removal leaked")
-	}
-	if v.InternalWeight() == cl.InternalWeight() && v.DegreeIn(0) > 0 {
-		t.Fatal("clone aggregates not independent")
 	}
 }

@@ -67,7 +67,7 @@ func FuzzParseEdgeList(f *testing.F) {
 		// once the writer puts it first).
 		var buf bytes.Buffer
 		if err := WriteEdgeList(&buf, g); err != nil {
-			for _, l := range g.Labels() {
+			for _, l := range g.labels {
 				if l[0] == '#' || l[0] == '%' {
 					return
 				}

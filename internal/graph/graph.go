@@ -1,7 +1,10 @@
 // Package graph provides the undirected-graph substrate used by every
-// algorithm in this repository: construction, adjacency access, mutable
-// subgraph views for peeling algorithms, traversals (BFS, Dijkstra),
-// connectivity, diameter, articulation points, and plain-text I/O.
+// algorithm in this repository: construction and plain-text I/O (Builder,
+// Graph), the packed CSR snapshot and its per-component SubCSR, the one
+// mutable alive set peeling algorithms remove nodes from (CSRView, with
+// its articulation-point sweep and alive-restricted BFS), whole-graph BFS,
+// connected components and diameter, and the delta / merge / codec
+// machinery the serving layers version snapshots with.
 //
 // Graphs are simple (no self-loops, no parallel edges) and undirected.
 // Nodes are dense indices of type Node ([0, N)). Loaders that read edge
@@ -86,9 +89,6 @@ func (g *Graph) Label(u Node) string {
 	}
 	return g.labels[u]
 }
-
-// Labels returns the label table (nil when the graph is unlabeled).
-func (g *Graph) Labels() []string { return g.labels }
 
 // EdgeWeight returns the weight of edge (u,v). Unweighted graphs (and
 // missing edges) report 1 so the unweighted formulas fall out of the
@@ -194,21 +194,6 @@ func (g *Graph) InducedSubgraph(keep []Node) (*Graph, []Node) {
 		}
 	}
 	return sub, back
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := g.packed().flatten()
-	return &Graph{
-		csr: newContiguousCSR(flatCSR{
-			offsets: slices.Clone(c.offsets),
-			targets: slices.Clone(c.targets),
-			weights: slices.Clone(c.weights),
-			wdeg:    slices.Clone(c.wdeg),
-			totalW:  c.totalW,
-		}),
-		labels: slices.Clone(g.labels),
-	}
 }
 
 // Builder accumulates edges and produces an immutable Graph. Self-loops

@@ -156,18 +156,6 @@ func TestInducedSubgraphKeepsWeightsAndLabels(t *testing.T) {
 	}
 }
 
-func TestCloneIsIndependent(t *testing.T) {
-	g := complete(4)
-	c := g.Clone()
-	if c.NumNodes() != 4 || c.NumEdges() != 6 {
-		t.Fatal("clone shape mismatch")
-	}
-	c.csr.flat.targets[0], c.csr.flat.offsets[1], c.csr.flat.wdeg[0] = 3, 0, 9 // mutate the clone's internals
-	if g.Degree(0) != 3 || g.Neighbors(0)[0] != 1 || g.WeightedDegree(0) != 3 {
-		t.Fatal("mutating clone affected original")
-	}
-}
-
 func TestWeightsDefaultToOne(t *testing.T) {
 	g := complete(3)
 	if g.Weighted() {

@@ -166,8 +166,8 @@ func TestGraphBornPacked(t *testing.T) {
 		m.n = len(labels)
 		g := b.Build()
 		checkPacked(t, g, m, true)
-		if !slices.Equal(g.Labels(), labels) || g.Label(7) != "h" {
-			t.Fatalf("labels = %v", g.Labels())
+		if !slices.Equal(g.labels, labels) || g.Label(7) != "h" {
+			t.Fatalf("labels = %v", g.labels)
 		}
 
 		// Every weight reset by a later AddEdge: the graph is unweighted.
@@ -228,7 +228,6 @@ func TestGraphBornPacked(t *testing.T) {
 			g := b.Build()
 			weighted := len(m.weights) > 0
 			checkPacked(t, g, m, weighted)
-			checkPacked(t, g.Clone(), m, weighted)
 
 			// InducedSubgraph re-packs a relabelled subset through the Builder.
 			var keep []Node

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -112,7 +113,7 @@ func TestWrapCSRIdentity(t *testing.T) {
 	g := subTestGraph(rng, 60, true)
 	c := NewCSR(g)
 	sub := WrapCSR(c)
-	v := NewCSRView(c)
+	v := allAlive(g)
 	if sub.InternalWeight() != v.InternalWeight() {
 		t.Errorf("InternalWeight = %v, want %v", sub.InternalWeight(), v.InternalWeight())
 	}
@@ -229,7 +230,7 @@ func TestArticulationPointsIntoMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := subTestGraph(rng, 80, false)
 	c := NewCSR(g)
-	v := NewCSRView(c)
+	v := allAlive(g)
 	var scratch ArtScratch
 	for round := 0; round < 20; round++ {
 		want := v.ArticulationPoints()
@@ -257,8 +258,8 @@ func TestArticulationPointsIntoMatches(t *testing.T) {
 func TestArticulationWitnessesInto(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c := NewCSR(randomGraph(60, 0.04, seed))
-		v := NewCSRView(c)
+		g := randomGraph(60, 0.04, seed)
+		c, v := NewCSR(g), allAlive(g)
 		for i := 0; i < 10; i++ {
 			v.Remove(Node(rng.Intn(c.NumNodes())))
 		}
@@ -285,11 +286,10 @@ func TestArticulationWitnessesInto(t *testing.T) {
 			if w < 0 || !v.Alive(w) {
 				t.Fatalf("seed %d: articulation point %d has witness %d", seed, u, w)
 			}
-			v.Remove(u)
-			if v.MultiSourceBFS([]Node{root})[w] != INF {
+			without := NewCSRViewOf(c, slices.DeleteFunc(v.LiveNodes(), func(x Node) bool { return x == u }))
+			if without.MultiSourceBFS([]Node{root})[w] != INF {
 				t.Fatalf("seed %d: witness %d still reaches root %d without %d", seed, w, root, u)
 			}
-			v.Restore(u)
 		}
 	}
 }

@@ -86,27 +86,34 @@ func Community(g *graph.Graph, q []graph.Node, k int) []graph.Node {
 	if len(q) == 0 {
 		return nil
 	}
-	core := Decompose(g)
+	return community(g, Decompose(g), q, k)
+}
+
+// community is Community given g's core numbers: the nodes of core number
+// ≥ k that an alive-restricted BFS from q[0] reaches, provided it reaches
+// the rest of q too.
+func community(g *graph.Graph, core []int32, q []graph.Node, k int) []graph.Node {
 	for _, u := range q {
 		if int(core[u]) < k {
 			return nil
 		}
 	}
 	var keep []graph.Node
-	for u := 0; u < g.NumNodes(); u++ {
+	for u := range core {
 		if int(core[u]) >= k {
 			keep = append(keep, graph.Node(u))
 		}
 	}
-	v := graph.NewViewOf(g, keep)
-	comp := graph.ComponentOf(v, q[0])
-	in := make(map[graph.Node]bool, len(comp))
-	for _, u := range comp {
-		in[u] = true
-	}
+	dist := graph.NewCSRViewOf(graph.NewCSR(g), keep).MultiSourceBFS(q[:1])
 	for _, u := range q[1:] {
-		if !in[u] {
+		if dist[u] == graph.INF {
 			return nil
+		}
+	}
+	comp := keep[:0]
+	for _, u := range keep {
+		if dist[u] != graph.INF {
+			comp = append(comp, u)
 		}
 	}
 	return comp
@@ -127,13 +134,10 @@ func HighestCore(g *graph.Graph, q []graph.Node) ([]graph.Node, int) {
 			kmax = int(core[u])
 		}
 	}
-	for k := kmax; k >= 1; k-- {
-		if c := Community(g, q, k); c != nil {
+	for k := kmax; k >= 0; k-- {
+		if c := community(g, core, q, k); c != nil {
 			return c, k
 		}
-	}
-	if c := Community(g, q, 0); c != nil {
-		return c, 0
 	}
 	return nil, 0
 }

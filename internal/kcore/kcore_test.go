@@ -2,6 +2,7 @@ package kcore
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -72,7 +73,11 @@ func TestDecomposeMatchesNaive(t *testing.T) {
 	naive := func(g *graph.Graph) []int32 {
 		n := g.NumNodes()
 		core := make([]int32, n)
-		v := graph.NewView(g)
+		all := make([]graph.Node, n)
+		for u := range all {
+			all[u] = graph.Node(u)
+		}
+		v := graph.NewCSRViewOf(graph.NewCSR(g), all)
 		for k := int32(1); v.NumAlive() > 0; k++ {
 			for {
 				removed := false
@@ -194,6 +199,47 @@ func TestHighestCore(t *testing.T) {
 	c, k = HighestCore(g, []graph.Node{0, 6})
 	if k != 1 || len(c) != 7 {
 		t.Fatalf("mixed highcore k=%d size=%d want 1/7", k, len(c))
+	}
+}
+
+// Regression: HighestCore used to call Community, and with it Decompose,
+// once per candidate k. Two K40s joined through a degree-2 node make it
+// walk k = 39 … 2 for a query with one node in each, so the bytes it
+// allocates must stay below those of the same walk made through Community,
+// which pays a decomposition per k; before the fix they were above (one
+// decomposition more).
+func TestHighestCoreDecomposesOnce(t *testing.T) {
+	const n = 40
+	b := graph.NewBuilder(2*n + 1)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			b.AddEdge(graph.Node(i), graph.Node(j))
+			b.AddEdge(graph.Node(n+i), graph.Node(n+j))
+		}
+	}
+	b.AddEdge(n-1, 2*n)
+	b.AddEdge(2*n, n)
+	g := b.Build()
+	q := []graph.Node{0, 2*n - 1}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var k int
+	got := allocated(func() { _, k = HighestCore(g, q) })
+	if k != 2 {
+		t.Fatalf("highcore k=%d want 2 (the joining node's core number)", k)
+	}
+	walk := allocated(func() {
+		for k := n - 1; k >= 2; k-- {
+			Community(g, q, k)
+		}
+	})
+	if got >= walk {
+		t.Fatalf("HighestCore allocated %d bytes, the Community walk over the same %d values of k %d", got, n-2, walk)
 	}
 }
 

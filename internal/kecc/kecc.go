@@ -201,9 +201,10 @@ func subtract(set, minus []graph.Node) []graph.Node {
 }
 
 // peelAndSplit removes nodes with degree < k (iteratively) within the
-// induced subgraph over set, then returns its connected components.
+// induced subgraph over set, then returns its connected components, each
+// in set order.
 func peelAndSplit(g *graph.Graph, set []graph.Node, k int) [][]graph.Node {
-	v := graph.NewViewOf(g, set)
+	v := graph.NewCSRViewOf(graph.NewCSR(g), set)
 	queue := make([]graph.Node, 0)
 	for _, u := range set {
 		if v.DegreeIn(u) < k {
@@ -223,16 +224,30 @@ func peelAndSplit(g *graph.Graph, set []graph.Node, k int) [][]graph.Node {
 			}
 		}
 	}
-	var comps [][]graph.Node
-	seen := make(map[graph.Node]bool)
+	// One alive-restricted BFS per component, from the first survivor not
+	// yet emitted; what it does not reach stays in rest for the next one.
+	var rest []graph.Node
 	for _, u := range set {
-		if v.Alive(u) && !seen[u] {
-			comp := graph.ComponentOf(v, u)
-			for _, x := range comp {
-				seen[x] = true
-			}
-			comps = append(comps, comp)
+		if v.Alive(u) {
+			rest = append(rest, u)
 		}
+	}
+	var comps [][]graph.Node
+	dist := make([]int32, g.NumNodes())
+	bfsQueue := make([]graph.Node, 0, len(rest))
+	for len(rest) > 0 {
+		v.MultiSourceBFSInto(rest[:1], dist, bfsQueue)
+		var comp []graph.Node
+		next := rest[:0]
+		for _, x := range rest {
+			if dist[x] != graph.INF {
+				comp = append(comp, x)
+			} else {
+				next = append(next, x)
+			}
+		}
+		comps = append(comps, comp)
+		rest = next
 	}
 	return comps
 }

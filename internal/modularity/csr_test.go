@@ -1,7 +1,6 @@
 package modularity
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -99,34 +98,5 @@ func TestCSRGoodnessMatchesGraphForms(t *testing.T) {
 		if got, want := GeneralizedDensity(g, set, 1.5), GeneralizedDensityParts(ref, m, 1.5); got != want {
 			t.Fatalf("GeneralizedDensity=%v want %v", got, want)
 		}
-	}
-}
-
-func TestDensityWeightedCSRMatchesMapForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	b := graph.NewBuilder(25)
-	for u := 0; u < 25; u++ {
-		for v := u + 1; v < 25; v++ {
-			if rng.Float64() < 0.25 {
-				b.SetWeight(graph.Node(u), graph.Node(v), 0.5+3*rng.Float64())
-			}
-		}
-	}
-	g := b.Build()
-	csr := graph.NewCSR(g)
-	for trial := 0; trial < 10; trial++ {
-		set := randomSet(rng, 25, 2+rng.Intn(15))
-		got := DensityWeightedCSR(csr, set)
-		want := DensityWeighted(g, set)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("DensityWeightedCSR=%v want %v", got, want)
-		}
-	}
-	// unweighted snapshots fall back to unit weights and the unweighted DM
-	gu := graph.FromEdges(4, [][2]graph.Node{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
-	cu := graph.NewCSR(gu)
-	set := []graph.Node{0, 1, 2}
-	if got, want := DensityWeightedCSR(cu, set), Density(gu, set); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("unweighted DensityWeightedCSR=%v want %v", got, want)
 	}
 }

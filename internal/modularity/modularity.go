@@ -34,15 +34,6 @@ func StatsOf(g *graph.Graph, c []graph.Node) Stats {
 	return StatsOfCSR(graph.NewCSR(g), c)
 }
 
-// StatsOfView computes the sufficient statistics of the alive set of v.
-func StatsOfView(v *graph.View) Stats {
-	return Stats{
-		L:    int64(v.NumAliveEdges()),
-		D:    v.SumDegrees(),
-		Size: v.NumAlive(),
-	}
-}
-
 // Classic evaluates the classic modularity of Definition 1:
 //
 //	CM(G,C) = (1/2|E|) (2 l_C − d_C²/(2|E|)) = l_C/|E| − d_C²/(4|E|²).

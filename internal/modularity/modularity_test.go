@@ -116,16 +116,6 @@ func TestStatsOfDedupsNodes(t *testing.T) {
 	}
 }
 
-func TestStatsOfViewMatchesStatsOf(t *testing.T) {
-	g, _, ab := figure1Toy()
-	v := graph.NewViewOf(g, ab)
-	sv := StatsOfView(v)
-	ss := StatsOf(g, ab)
-	if sv != ss {
-		t.Fatalf("view stats %+v != set stats %+v", sv, ss)
-	}
-}
-
 func TestEmptyAndDegenerateInputs(t *testing.T) {
 	g := graph.FromEdges(3, [][2]graph.Node{{0, 1}})
 	if Classic(g, nil) != 0 {
@@ -343,7 +333,7 @@ func TestThetaBasics(t *testing.T) {
 // Lemma 5: Θ is stable — removing a node changes Θ only for its neighbors.
 func TestThetaStability(t *testing.T) {
 	g, _, ab := figure1Toy()
-	v := graph.NewViewOf(g, ab)
+	v := graph.NewCSRViewOf(graph.NewCSR(g), ab)
 	theta := func(u graph.Node) float64 {
 		return Theta(int64(g.Degree(u)), int64(v.DegreeIn(u)))
 	}
@@ -372,16 +362,16 @@ func TestThetaStability(t *testing.T) {
 // (because d_S shrinks).
 func TestLambdaInstability(t *testing.T) {
 	g, _, ab := figure1Toy()
-	v := graph.NewViewOf(g, ab)
+	v := graph.NewCSRViewOf(graph.NewCSR(g), ab)
 	m := int64(g.NumEdges())
-	dS := StatsOfView(v).D
+	dS := int64(v.NodeWeightSum())
 	// Node 3 (in A) is not adjacent to node 7 (in B).
 	if g.HasEdge(3, 7) {
 		t.Fatal("test setup: 3 and 7 must not be adjacent")
 	}
 	lBefore := Lambda(m, dS, int64(v.DegreeIn(3)), int64(g.Degree(3)))
 	v.Remove(7)
-	dS = StatsOfView(v).D
+	dS = int64(v.NodeWeightSum())
 	lAfter := Lambda(m, dS, int64(v.DegreeIn(3)), int64(g.Degree(3)))
 	if lBefore == lAfter {
 		t.Fatal("Λ of a non-neighbor should change after removal (instability)")

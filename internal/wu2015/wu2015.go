@@ -80,23 +80,14 @@ func Proximity(g *graph.Graph, q []graph.Node, opt Options) []float64 {
 	return r
 }
 
-// QueryBiasedDensity scores the alive set of the view: internal edges
+// QueryBiasedDensityCSR scores the alive set of the view: internal edges
 // divided by the total query-biased node weight Σ 1/r(v). Unreachable
 // nodes (r = 0) make the score 0, reflecting that they should never be in
 // the community.
-func QueryBiasedDensity(v *graph.View, prox []float64) float64 {
-	return queryBiasedDensity(v.NumAliveEdges(), v.Graph().NumNodes(), v.Alive, prox)
-}
-
-// QueryBiasedDensityCSR is QueryBiasedDensity over a CSR peeling view.
 func QueryBiasedDensityCSR(v *graph.CSRView, prox []float64) float64 {
-	return queryBiasedDensity(v.NumAliveEdges(), v.NumNodes(), v.Alive, prox)
-}
-
-func queryBiasedDensity(mAlive, n int, alive func(graph.Node) bool, prox []float64) float64 {
 	var wsum float64
-	for u := 0; u < n; u++ {
-		if !alive(graph.Node(u)) {
+	for u := 0; u < v.NumNodes(); u++ {
+		if !v.Alive(graph.Node(u)) {
 			continue
 		}
 		p := prox[u]
@@ -108,7 +99,7 @@ func queryBiasedDensity(mAlive, n int, alive func(graph.Node) bool, prox []float
 	if wsum == 0 {
 		return 0
 	}
-	return float64(mAlive) / wsum
+	return float64(v.NumAliveEdges()) / wsum
 }
 
 // Search runs the greedy node-deletion algorithm: starting from the

@@ -58,9 +58,10 @@ func TestProximityUnreachable(t *testing.T) {
 func TestQueryBiasedDensityPrefersNearClique(t *testing.T) {
 	g := twoCliquesBridge()
 	prox := Proximity(g, []graph.Node{0}, Options{})
-	left := graph.NewViewOf(g, []graph.Node{0, 1, 2, 3, 4})
-	whole := graph.NewView(g)
-	if QueryBiasedDensity(left, prox) <= QueryBiasedDensity(whole, prox) {
+	c := graph.NewCSR(g)
+	left := graph.NewCSRViewOf(c, []graph.Node{0, 1, 2, 3, 4})
+	whole := graph.NewCSRViewOf(c, []graph.Node{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	if QueryBiasedDensityCSR(left, prox) <= QueryBiasedDensityCSR(whole, prox) {
 		t.Fatal("query-biased density should prefer the near clique over the whole graph")
 	}
 }
@@ -68,8 +69,8 @@ func TestQueryBiasedDensityPrefersNearClique(t *testing.T) {
 func TestQueryBiasedDensityUnreachableZero(t *testing.T) {
 	g := graph.FromEdges(4, [][2]graph.Node{{0, 1}, {2, 3}})
 	prox := Proximity(g, []graph.Node{0}, Options{})
-	v := graph.NewView(g) // includes unreachable nodes
-	if QueryBiasedDensity(v, prox) != 0 {
+	v := graph.NewCSRViewOf(graph.NewCSR(g), []graph.Node{0, 1, 2, 3}) // includes unreachable nodes
+	if QueryBiasedDensityCSR(v, prox) != 0 {
 		t.Fatal("sets with unreachable nodes should score 0")
 	}
 }
