@@ -242,7 +242,7 @@ func searchExtract(a *Arena, c *graph.CSR, q, comp []graph.Node, variant Variant
 // SearchSub runs the selected variant against a prebuilt sub-CSR using
 // caller-owned scratch: sub must be the compact snapshot of comp (the
 // sorted connected component containing every query node, in source ids:
-// a member list of CSR.Components or UpdateComponents), either extracted
+// a member list of CSR.Components or UpdatePartition), either extracted
 // with graph.NewSubCSR or wrapped with graph.WrapCSR. Every peel structure
 // is sized to the component, so the per-query cost is O(|component|), not
 // O(|G|). The engine calls it with its per-worker arena and its

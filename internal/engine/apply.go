@@ -110,9 +110,13 @@ type ApplyStats struct {
 // every other page with the previous snapshot (memory proportional to the
 // batch, not to the graph), and component maintenance is incremental —
 // insertions union in near-constant time, only components that lost an
-// edge are re-flooded. What is still O(n) per Apply is the partition:
-// compID is relabelled and the member lists are refilled into one flat
-// array; a weighted snapshot also re-sums w_G. See graph.MergeCSR for the
+// edge are re-flooded. A batch that changes no component's members (it
+// adds no node, inserts edges only inside a component, and splits none)
+// keeps the previous partition, shared with the new snapshot, and costs
+// O(batch + components) plus that re-flood. A batch that adds a node,
+// merges components or splits one still relabels compID for all n nodes
+// and refills the member lists into one flat array; a weighted snapshot
+// also re-sums w_G. See graph.MergeCSR and graph.UpdatePartition for the
 // cost model.
 //
 // On an engine opened through OpenDurable, the batch is appended to the
@@ -155,7 +159,7 @@ func (e *Engine) Apply(b Batch) (ApplyStats, error) {
 		// the log's epoch sequence stays dense and replayable.
 		return ApplyStats{Epoch: cur.epoch, Components: len(cur.comps)}, nil
 	}
-	compID, comps, carried, reflooded := graph.UpdateComponents(csr, cur.compID, len(cur.comps), info)
+	compID, comps, carried, reflooded := graph.UpdatePartition(csr, cur.compID, cur.comps, info)
 	next, invalidated, retained := newSnapshotFrom(cur, csr, compID, comps, carried, cur.epoch+1, e.staleRetention)
 	if e.wal != nil {
 		// Durability point: the raw staged ops (replay renormalizes them

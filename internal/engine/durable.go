@@ -18,7 +18,7 @@ import (
 // exactly the last durable epoch by loading the newest checkpoint and
 // replaying the log suffix.
 //
-// Replay is bit-exact by construction: MergeCSR, UpdateComponents, and
+// Replay is bit-exact by construction: MergeCSR, UpdatePartition, and
 // newSnapshotFrom are deterministic functions of (previous snapshot,
 // ops), so replaying the logged ops reproduces not just the adjacency
 // but the full component version vector — stable keys, versions, frozen
@@ -161,7 +161,7 @@ func replaySnapshot(cur *Snapshot, r *wal.Record, staleRetention int) (*Snapshot
 	if info.NodesAdded == 0 && len(info.Inserted) == 0 && len(info.Removed) == 0 && info.WeightsChanged == 0 {
 		return nil, fmt.Errorf("engine: replay diverged at epoch %d: logged batch normalized to a no-op", r.Epoch)
 	}
-	compID, comps, carried, _ := graph.UpdateComponents(csr, cur.compID, len(cur.comps), info)
+	compID, comps, carried, _ := graph.UpdatePartition(csr, cur.compID, cur.comps, info)
 	next, _, _ := newSnapshotFrom(cur, csr, compID, comps, carried, cur.epoch+1, staleRetention)
 	if next.epoch != r.Epoch {
 		return nil, fmt.Errorf("engine: replay diverged: produced epoch %d for record %d", next.epoch, r.Epoch)

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -49,48 +50,68 @@ func chordBatch(round int) Batch {
 	return b
 }
 
-// applyBytes is the mean heap allocation of one Apply of an 8-edge
-// one-island batch, over 50 of them.
+// applyBytes is the heap allocation of one Apply of an 8-edge one-island
+// batch: the mean over 50 of them, and the least such mean of three
+// windows. A collection that empties a sync.Pool only ever adds a refill
+// to a window, so the minimum reads what Apply itself allocates.
 func applyBytes(t *testing.T, e *Engine) uint64 {
 	t.Helper()
-	const rounds = 50
+	const rounds, windows = 50, 3
 	for r := 0; r < 2; r++ { // first calls may size lazily built state
 		if _, err := e.Apply(chordBatch(r)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := 0; r < rounds; r++ {
-		if st, err := e.Apply(chordBatch(r)); err != nil || st.Invalidated != 1 {
-			t.Fatalf("Apply: %+v, %v", st, err)
+	least := uint64(math.MaxUint64)
+	for w := 0; w < windows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for r := 0; r < rounds; r++ {
+			if st, err := e.Apply(chordBatch(r)); err != nil || st.Invalidated != 1 {
+				t.Fatalf("Apply: %+v, %v", st, err)
+			}
 		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/rounds)
 	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / rounds
+	return least
 }
 
 // TestApplyBytesProportionalToBatch is the memory bound of the paged
 // snapshot as a plain test: on a 32768-node, 257-component graph shaped
 // like the serving benchmark's, an 8-edge batch inside one island
-// allocates the one row page it touches plus the partition (compID and
-// the member lists, still O(n): about 8 bytes a node) and the restamped
-// component vectors — under 400 KB where the whole-CSR copy took 1.9 MB.
-// Doubling the whale must cost only what the partition arrays grow by:
-// nothing proportional to the edges (the doubled whale adds 180k of
-// them, 1.4 MB of packed entries).
+// allocates the one row page it touches, the page table (a header per
+// 256 nodes), the carried map and the restamped component vectors. It
+// changes no component's members, so the partition is shared with the
+// previous snapshot instead of rebuilt — under 96 KB, where the rebuilt
+// partition alone took 274 KB and the whole-CSR copy 1.9 MB. Doubling the
+// whale may cost only what the page table grows by, at most a byte a
+// node: neither a rebuilt partition (8 bytes a node) nor anything
+// proportional to the edges (the doubled whale adds 180k of them, 1.4 MB
+// of packed entries).
+//
+// Both bounds assume the re-flood's pooled mark table (8 bytes a node)
+// survives at least one window of 50 Applies: each refill adds about
+// 5 KB to a window's mean at 32768 nodes and 8 KB with the whale doubled,
+// so a failure by a few KB may be sync.Pool having been cleared in every
+// window, not Apply allocating more. Under the race detector sync.Pool
+// drops a quarter of what is put back, so there the bounds are the
+// rebuilt partition's: 400 KB, and 10 bytes a node of growth, which still
+// catches anything edge-sized.
 func TestApplyBytesProportionalToBatch(t *testing.T) {
 	const whale = 16384
+	maxBase, perNode := int64(96<<10), int64(1)
+	if raceEnabled {
+		maxBase, perNode = 400<<10, 10
+	}
 	base := applyBytes(t, New(servingShapedGraph(256, whale), Options{Workers: 1}))
-	if base > 400<<10 {
-		t.Fatalf("one 8-edge Apply allocates %d bytes, want <= %d", base, 400<<10)
+	if int64(base) > maxBase {
+		t.Fatalf("one 8-edge Apply allocates %d bytes, want <= %d", base, maxBase)
 	}
 	doubled := applyBytes(t, New(servingShapedGraph(256, 2*whale), Options{Workers: 1}))
-	// compID + member list (4 + 4 bytes a node) and a page header per 256
-	// nodes; 10 bytes a node leaves room for size-class rounding.
-	if grow := int64(doubled) - int64(base); grow > 10*whale {
-		t.Fatalf("doubling the whale raised one Apply from %d to %d bytes (+%d), want at most +%d: something edge-sized is copied again",
-			base, doubled, grow, 10*whale)
+	if grow := int64(doubled) - int64(base); grow > perNode*whale {
+		t.Fatalf("doubling the whale raised one Apply from %d to %d bytes (+%d), want at most +%d: something node- or edge-sized is copied again",
+			base, doubled, grow, perNode*whale)
 	}
 	t.Logf("bytes per Apply: %d at 32768 nodes, %d with the whale doubled", base, doubled)
 }

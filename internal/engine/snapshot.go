@@ -120,7 +120,9 @@ func newSnapshotParts(csr *graph.CSR, compID []int32, comps [][]graph.Node, epoc
 
 // newSnapshotFrom builds the successor of prev after a merge: component
 // id -> old id correspondence comes from carried (see
-// graph.UpdateComponents). A carried component keeps its identity,
+// graph.UpdatePartition, which hands back prev's own compID and comps when
+// the batch changed no component's members: snapshots never write their
+// partition, so sharing it is safe). A carried component keeps its identity,
 // version, frozen w_G, staleness ancestry, and — when already built — its
 // sub-CSR. Every other component is stamped fresh: a new identity, the
 // new epoch as its version, the new graph's total weight as its w_G, and

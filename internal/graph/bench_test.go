@@ -141,8 +141,12 @@ func BenchmarkSubCSRExtract(b *testing.B) {
 // 256 ring+chord islands of 64 nodes and one 16384-node component, 32768
 // nodes in 257 components. The returned batches toggle the same 8 chords
 // of one island off and on again, so chained merges return to the start.
-func applyBenchFixture() (*CSR, [2][]Delta) {
-	const islands, size, whale = 256, 64, 16384
+func applyBenchFixture() (*CSR, [2][]Delta) { return applyBenchFixtureWhale(16384) }
+
+// applyBenchFixtureWhale is applyBenchFixture with a whale of the given
+// size.
+func applyBenchFixtureWhale(whale int) (*CSR, [2][]Delta) {
+	const islands, size = 256, 64
 	rng := rand.New(rand.NewSource(5))
 	b := NewBuilder(islands*size + whale)
 	for base := 0; base < islands*size; base += size {
@@ -178,29 +182,77 @@ func BenchmarkMergeCSRSparseBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkUpdateComponents measures the partition update after the same
-// batches: one island re-flooded on a removal, 256 components carried.
-func BenchmarkUpdateComponents(b *testing.B) {
-	c, batches := applyBenchFixture()
-	// The two batches toggle between two graphs; step[k] is the update that
-	// leaves graph k for the other one.
-	type step struct {
-		next     *CSR
-		info     *MergeInfo
-		compID   []int32
-		numComps int
-	}
-	var steps [2]step
+// partitionStep is one partition update of the toggle fixture: the merged
+// snapshot and residue of one batch, and the partition it starts from.
+type partitionStep struct {
+	next   *CSR
+	info   *MergeInfo
+	compID []int32
+	comps  [][]Node
+}
+
+// partitionSteps merges the fixture's two batches in turn; step k is the
+// update that leaves graph k for the other one, so the two steps toggle
+// between two graphs forever.
+func partitionSteps(c *CSR, batches [2][]Delta) [2]partitionStep {
+	var steps [2]partitionStep
 	for k := range steps {
 		compID, comps := c.Components()
 		next, info := MergeCSR(c, batches[k])
-		steps[k] = step{next, info, compID, len(comps)}
+		steps[k] = partitionStep{next, info, compID, comps}
 		c = next
 	}
+	return steps
+}
+
+// BenchmarkUpdateComponents measures the general partition update after
+// the same batches: one island re-flooded on a removal, 256 components
+// carried, and compID and the member lists rebuilt for all 32768 nodes.
+func BenchmarkUpdateComponents(b *testing.B) {
+	steps := partitionSteps(applyBenchFixture())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := &steps[i%2]
-		UpdateComponents(s.next, s.compID, s.numComps, s.info)
+		UpdateComponents(s.next, s.compID, len(s.comps), s.info)
+	}
+}
+
+// BenchmarkUpdatePartition is BenchmarkUpdateComponents through the path
+// Apply takes: the toggled chords never change the island's members, so
+// the old partition is shared and only the island is re-flooded.
+func BenchmarkUpdatePartition(b *testing.B) {
+	benchUpdatePartition(b, 16384)
+}
+
+func benchUpdatePartition(b *testing.B, whale int) {
+	steps := partitionSteps(applyBenchFixtureWhale(whale))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &steps[i%2]
+		UpdatePartition(s.next, s.compID, s.comps, s.info)
+	}
+}
+
+// TestUpdatePartitionAllocs gates the shared-partition path: one
+// allocation (the carried map, 4 bytes a component) per 8-edge batch,
+// and the same count and size with the whale, and so n, doubled. A batch
+// that falls back to UpdateComponents allocates about 8 bytes a node and
+// a dozen slices.
+func TestUpdatePartitionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const budget, maxBytes = 1, 2 << 10
+	for _, whale := range []int{16384, 32768} {
+		r := testing.Benchmark(func(b *testing.B) { benchUpdatePartition(b, whale) })
+		if r.N == 0 {
+			t.Fatal("benchmark failed")
+		}
+		if r.AllocsPerOp() > budget || r.AllocedBytesPerOp() > maxBytes {
+			t.Fatalf("whale %d: %d allocs and %d bytes per update, budget %d and %d",
+				whale, r.AllocsPerOp(), r.AllocedBytesPerOp(), budget, maxBytes)
+		}
 	}
 }

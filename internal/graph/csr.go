@@ -210,7 +210,7 @@ func (c *CSR) Component(src Node) ([]Node, []int32) {
 // connected-component partition in canonical form: compID maps every node
 // to a component id assigned in first-seen ascending-node order, and
 // comps[id] is that component's member list, sorted ascending. It is the
-// from-scratch form of what UpdateComponents maintains incrementally, and
+// from-scratch form of what UpdatePartition maintains incrementally, and
 // the only whole-graph flood in the package.
 func (c *CSR) Components() (compID []int32, comps [][]Node) {
 	n := c.NumNodes()

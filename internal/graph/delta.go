@@ -23,10 +23,12 @@ import "slices"
 // order-sensitive and the sum must visit every term in Builder.Build's
 // order (per-page partial sums would regroup it); and the batch that
 // turns an unweighted snapshot weighted rewrites every page with explicit
-// unit weights. UpdateComponents computes O(b + k) on the group forest
-// plus the re-flood of components that lost an edge, then labels the n
-// nodes and lays the member lists out in three closure-free passes over
-// flat arrays — compID and the member lists are still O(n) per batch.
+// unit weights. UpdatePartition costs O(b + k) plus the re-flood of
+// components that lost an edge when the batch adds no node, merges no
+// components and splits none: the old compID and member lists are shared
+// with the successor. Any other batch takes UpdateComponents, which also
+// labels the n nodes and lays the member lists out in three closure-free
+// passes over flat arrays — O(n) per batch.
 
 // DeltaOp enumerates the mutation kinds a Delta can carry.
 type DeltaOp uint8
@@ -63,7 +65,7 @@ type Delta struct {
 // actually inserted (absent before, present after) and actually removed
 // (present before, absent after), plus bookkeeping counts. Ops that
 // cancel out within the batch, re-adds of existing edges, and removals of
-// absent edges leave no trace here. UpdateComponents consumes it to
+// absent edges leave no trace here. UpdatePartition consumes it to
 // maintain the component partition incrementally.
 type MergeInfo struct {
 	Inserted       [][2]Node // now present, previously absent; u < v, sorted
@@ -370,16 +372,95 @@ func (m *page) copyRun(c *page, pos int, lo, hi int32) int {
 	return pos + n
 }
 
+// UpdatePartition is UpdateComponents with oldComps, the pre-merge member
+// lists, in place of their count, and the same results in value. When the
+// batch provably leaves every component's member set as it was — it adds
+// no node, every inserted edge has both ends in one old component, and
+// every component that lost an edge is still connected — it returns
+// oldCompID and oldComps themselves, shared with the caller: O(b + k) plus
+// the re-flood of the components that lost an edge, instead of relabelling
+// all n nodes. carried is then the identity except -1 on every component
+// an insert, removal or reweight touched. Any other batch goes to
+// UpdateComponents; a batch that splits a component gets there only
+// after the split is found, so it pays, on top of that O(n) path, a flood
+// of at most the components that lost an edge. The old partition is only
+// read, never written, so a successor snapshot may share its
+// predecessor's.
+func UpdatePartition(c *CSR, oldCompID []int32, oldComps [][]Node, info *MergeInfo) (compID []int32, comps [][]Node, carried []int32, refloodedNodes int) {
+	general := info.NodesAdded > 0
+	for _, e := range info.Inserted {
+		general = general || oldCompID[e[0]] != oldCompID[e[1]]
+	}
+	if !general {
+		refloodedNodes, general = refloodSplits(c, oldCompID, oldComps, info.Removed)
+	}
+	if general {
+		return UpdateComponents(c, oldCompID, len(oldComps), info)
+	}
+	carried = make([]int32, len(oldComps))
+	for id := range carried {
+		carried[id] = int32(id)
+	}
+	for _, es := range [...][][2]Node{info.Inserted, info.Removed, info.WeightEdges} {
+		for _, e := range es {
+			carried[oldCompID[e[0]]] = -1
+		}
+	}
+	return oldCompID, oldComps, carried, refloodedNodes
+}
+
+// refloodSplits floods c from one endpoint of each removed edge, once per
+// old component, and reports the flooded components' total size and
+// whether any of them split (its flood fell short of its old member
+// count). It assumes every edge of c lies inside one old component, so a
+// flood never leaves its own. The marks come from the pooled relabel
+// table, and the BFS queue is threaded through its values: table[u] is
+// the node enqueued after u, or -1 while u is the tail.
+func refloodSplits(c *CSR, oldCompID []int32, oldComps [][]Node, removed [][2]Node) (flooded int, split bool) {
+	if len(removed) == 0 {
+		return 0, false
+	}
+	r := relabelPool.Get().(*relabel)
+	defer relabelPool.Put(r)
+	r.BeginEpoch(c.NumNodes())
+	for _, e := range removed {
+		if _, done := r.Marked(e[0]); done {
+			continue // its component was already flooded whole
+		}
+		r.Mark(e[0], -1)
+		tail, reached := e[0], 1
+		for u := e[0]; u >= 0; u = r.table[u] {
+			for _, w := range c.Neighbors(u) {
+				if _, seen := r.Marked(w); !seen {
+					r.Mark(w, -1)
+					r.table[tail] = w
+					tail = w
+					reached++
+				}
+			}
+		}
+		if reached != len(oldComps[oldCompID[e[0]]]) {
+			return 0, true
+		}
+		flooded += reached
+	}
+	return flooded, false
+}
+
 // UpdateComponents maintains the connected-component partition across one
 // merge: c is the merged snapshot, oldCompID/numOldComps the partition of
-// the pre-merge snapshot, and info the merge residue. Insertions union
-// the endpoint components in near-constant time; only components that
-// actually lost an edge are re-flooded (a removal may split one into
-// many). New nodes start as singletons and join components through their
-// inserted edges. refloodedNodes counts exactly the nodes visited by
-// re-flooding — an insert-only batch reports 0, and a batch with
-// removals reports at most the sizes of the post-union components the
-// removals landed in (a removal inside a group the batch also merged
+// the pre-merge snapshot, and info the merge residue. It is the general
+// path: it handles any batch and always builds a fresh compID and fresh
+// member lists, O(n). UpdatePartition calls it only for a batch that
+// changes some component's members.
+//
+// Insertions union the endpoint components in near-constant time; only
+// components that actually lost an edge are re-flooded (a removal may
+// split one into many). New nodes start as singletons and join components
+// through their inserted edges. refloodedNodes counts exactly the nodes
+// visited by re-flooding — an insert-only batch reports 0, and a batch
+// with removals reports at most the sizes of the post-union components
+// the removals landed in (a removal inside a group the batch also merged
 // re-floods the whole merged group).
 //
 // The returned partition is in canonical form: component ids are assigned

@@ -315,6 +315,123 @@ func checkCarried(t *testing.T, old, next *CSR, oldComps, comps [][]Node, carrie
 	}
 }
 
+// updatePartitionStep runs UpdatePartition and UpdateComponents on the
+// same merge and holds them to each other: compID, comps, carried and
+// refloodedNodes equal in value, and UpdatePartition's compID and comps
+// the old slices themselves exactly when the batch left every member set
+// as it was. It returns UpdatePartition's partition and carried map, and
+// whether the old partition was shared.
+func updatePartitionStep(t *testing.T, next *CSR, oldCompID []int32, oldComps [][]Node, info *MergeInfo) (compID []int32, comps [][]Node, carried []int32, shared bool) {
+	t.Helper()
+	wantID, wantComps, wantCarried, wantFlooded := UpdateComponents(next, oldCompID, len(oldComps), info)
+	compID, comps, carried, flooded := UpdatePartition(next, oldCompID, oldComps, info)
+	if !slices.Equal(compID, wantID) || !reflect.DeepEqual(comps, wantComps) {
+		t.Fatalf("UpdatePartition partition differs from UpdateComponents:\n got %v %v\nwant %v %v", compID, comps, wantID, wantComps)
+	}
+	if !slices.Equal(carried, wantCarried) {
+		t.Fatalf("UpdatePartition carried = %v, UpdateComponents %v", carried, wantCarried)
+	}
+	if flooded != wantFlooded {
+		t.Fatalf("UpdatePartition reflooded %d nodes, UpdateComponents %d", flooded, wantFlooded)
+	}
+	shared = &compID[0] == &oldCompID[0]
+	if unchanged := slices.Equal(wantID, oldCompID); shared != unchanged {
+		t.Fatalf("UpdatePartition shared the old compID = %v, but membership unchanged = %v", shared, unchanged)
+	}
+	if shared && &comps[0] != &oldComps[0] {
+		t.Fatal("UpdatePartition shared the old compID but not the old member lists")
+	}
+	return compID, comps, carried, shared
+}
+
+// TestUpdatePartitionMatchesUpdateComponents holds the shared-partition
+// path to the general one on every kind of batch, named cases first and
+// then random batches, most of them confined to one ring island so that
+// both paths are taken often.
+func TestUpdatePartitionMatchesUpdateComponents(t *testing.T) {
+	// Three components: square 0-1-2-3 with chord 0-2, path 4-5-6, pair 7-8.
+	base := FromEdges(9, [][2]Node{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {4, 5}, {5, 6}, {7, 8}})
+	type batch struct {
+		ops    []Delta
+		shared bool // the batch leaves every component's members as they were
+	}
+	cases := []struct {
+		name    string
+		batches []batch
+	}{
+		{"chord toggle", []batch{
+			{[]Delta{{Op: DeltaRemoveEdge, U: 0, V: 2}}, true},
+			{[]Delta{{Op: DeltaAddEdge, U: 2, V: 0}}, true},
+		}},
+		{"reweight only", []batch{{[]Delta{{Op: DeltaSetWeight, U: 4, V: 5, W: 2.5}}, true}}},
+		{"inserts inside one component", []batch{{[]Delta{{Op: DeltaAddEdge, U: 1, V: 3}, {Op: DeltaAddEdge, U: 4, V: 6}}, true}}},
+		{"merge", []batch{{[]Delta{{Op: DeltaAddEdge, U: 3, V: 4}}, false}}},
+		{"split", []batch{{[]Delta{{Op: DeltaRemoveEdge, U: 4, V: 5}}, false}}},
+		{"remove plus re-add inside one component", []batch{
+			{[]Delta{{Op: DeltaRemoveEdge, U: 5, V: 6}, {Op: DeltaAddEdge, U: 4, V: 6}}, true},
+			{[]Delta{{Op: DeltaRemoveEdge, U: 0, V: 1}, {Op: DeltaAddEdge, U: 1, V: 0}}, true},
+		}},
+		{"two removals in one component", []batch{{[]Delta{{Op: DeltaRemoveEdge, U: 0, V: 1}, {Op: DeltaRemoveEdge, U: 2, V: 0}}, true}}},
+		{"one removal keeps, one splits", []batch{{[]Delta{{Op: DeltaRemoveEdge, U: 0, V: 2}, {Op: DeltaRemoveEdge, U: 7, V: 8}}, false}}},
+		{"growth by AddNode", []batch{{[]Delta{{Op: DeltaAddNode, U: 9}}, false}}},
+		{"growth by an edge to a new node", []batch{{[]Delta{{Op: DeltaAddEdge, U: 8, V: 9}}, false}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := NewCSR(base)
+			compID, comps := cur.Components()
+			for i, b := range tc.batches {
+				next, info := MergeCSR(cur, b.ops)
+				var shared bool
+				compID, comps, _, shared = updatePartitionStep(t, next, compID, comps, info)
+				if shared != b.shared {
+					t.Fatalf("batch %d: shared = %v, want %v", i, shared, b.shared)
+				}
+				cur = next
+			}
+		})
+	}
+
+	const islands, size = 20, 10
+	for _, weighted := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(23))
+		cur := NewCSR(islandGraph(rng, islands*size, size, weighted))
+		compID, comps := cur.Components()
+		var sharedN, generalN int
+		for round := 0; round < 150; round++ {
+			var ops []Delta
+			island := Node(rng.Intn(islands) * size)
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				u, v := island+Node(rng.Intn(size)), island+Node(rng.Intn(size))
+				switch rng.Intn(16) {
+				case 0:
+					v = Node(rng.Intn(cur.NumNodes())) // may merge two components
+				case 1:
+					ops = append(ops, Delta{Op: DeltaAddNode, U: Node(cur.NumNodes())})
+					continue
+				}
+				d := Delta{Op: DeltaOp(rng.Intn(3)), U: u, V: v, W: 1} // add, remove or reweight
+				if weighted {
+					d.W = 0.5 + 2*rng.Float64()
+				}
+				ops = append(ops, d)
+			}
+			next, info := MergeCSR(cur, ops)
+			var shared bool
+			compID, comps, _, shared = updatePartitionStep(t, next, compID, comps, info)
+			if shared {
+				sharedN++
+			} else {
+				generalN++
+			}
+			cur = next
+		}
+		if sharedN < 30 || generalN < 30 {
+			t.Fatalf("weighted=%v: %d shared and %d general batches; the draw should exercise both paths", weighted, sharedN, generalN)
+		}
+	}
+}
+
 // TestUpdateComponentsRefloodScope pins the incremental contract: inserts
 // re-flood nothing, and removals re-flood only the affected component.
 func TestUpdateComponentsRefloodScope(t *testing.T) {
@@ -488,7 +605,7 @@ func mergeStep(t *testing.T, cur *CSR, ref *refModel, compID []int32, comps [][]
 		t.Fatalf("NodesAdded = %d, want %d", info.NodesAdded, want)
 	}
 
-	newID, newComps, carried, _ := UpdateComponents(next, compID, len(comps), info)
+	newID, newComps, carried, _ := updatePartitionStep(t, next, compID, comps, info)
 	checkCarried(t, cur, next, comps, newComps, carried, info)
 	wantID, wantComps := next.Components()
 	if !reflect.DeepEqual(newID, wantID) || !reflect.DeepEqual(newComps, wantComps) {

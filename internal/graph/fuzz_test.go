@@ -133,7 +133,8 @@ var fuzzWideIDs = [14]Node{0, 1, 2, 3, 4, 254, 255, 256, 257, 300, 511, 512, 600
 // a small base snapshot through MergeCSR, and cross-checks every round
 // against the map-backed reference model (packed arrays must match bit
 // for bit), the MergeInfo residue, and the incrementally maintained
-// component partition.
+// component partition (UpdatePartition against UpdateComponents, and both
+// against a re-flood).
 func FuzzMergeCSR(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 8, 1, 1, 2, 0, 2, 3, 4, 16})
 	f.Add([]byte{3, 9, 0, 0, 0, 9, 9, 4, 1, 9, 1, 0})
@@ -227,7 +228,7 @@ func FuzzMergeCSR(f *testing.F) {
 
 			oldComps := comps
 			var carried []int32
-			compID, comps, carried, _ = UpdateComponents(next, compID, len(comps), info)
+			compID, comps, carried, _ = updatePartitionStep(t, next, compID, comps, info)
 			checkCarried(t, cur, next, oldComps, comps, carried, info)
 			wantID, wantComps := next.Components()
 			if len(comps) != len(wantComps) {

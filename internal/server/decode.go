@@ -37,9 +37,11 @@ import (
 // the two to the same answer wherever the recogniser accepts. The caps
 // below are checked once, in decodeQuery, after either decoder.
 
-// Decode caps. maxNodeID bounds node ids accepted on the update wire:
-// MergeCSR grows the node table to the highest id seen, so an
-// unbounded id would let one 20-byte line allocate gigabytes.
+// Decode caps. maxNodeID bounds node ids accepted on either wire. It is
+// not what keeps an update small: MergeCSR grows the node table to the
+// highest id seen, and an id near maxNodeID would still let one 20-byte
+// line allocate gigabytes, so handleApply also caps a batch's growth at
+// Config.MaxUpdateOps nodes.
 const (
 	defaultMaxRequestBytes = 1 << 20 // 1 MiB body cap
 	defaultMaxQueryNodes   = 1024
@@ -312,12 +314,14 @@ func (r queryRequest) timeoutOf(def, max time.Duration) time.Duration {
 // numeric node ids, and `apply`/`query` lines are rejected — the HTTP
 // body IS one atomic batch, applied as a whole by the handler. A weight
 // must be finite and non-negative (graph.ParseWeight). maxOps caps the
-// staged op count (0 means the package default).
-func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
+// staged op count (0 means the package default). top is the highest node
+// id the batch names, or -1 when it names none; the handler holds it to
+// the growth cap, which depends on the graph the batch will meet.
+func parseUpdateOps(body []byte, maxOps int) (b engine.Batch, top graph.Node, err error) {
 	if maxOps <= 0 {
 		maxOps = defaultMaxUpdateOps
 	}
-	var b engine.Batch
+	top = -1
 	lineNo := 0
 	for next := 0; next < len(body); {
 		line := body[next:]
@@ -327,7 +331,7 @@ func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 		next += len(line) + 1
 		lineNo++
 		if len(line) >= maxUpdateLineBytes {
-			return b, fmt.Errorf("server: reading update body: %w", bufio.ErrTooLong)
+			return b, top, fmt.Errorf("server: reading update body: %w", bufio.ErrTooLong)
 		}
 		fields := bytes.Fields(line)
 		if len(fields) == 0 || fields[0][0] == '#' {
@@ -336,67 +340,70 @@ func parseUpdateOps(body []byte, maxOps int) (engine.Batch, error) {
 		cmd := updateKeyword(fields[0])
 		args := fields[1:]
 		if b.Len() >= maxOps {
-			return b, fmt.Errorf("server: line %d: batch exceeds %d ops", lineNo, maxOps)
+			return b, top, fmt.Errorf("server: line %d: batch exceeds %d ops", lineNo, maxOps)
 		}
 		switch cmd {
 		case "add", "setw":
 			if len(args) < 2 {
-				return b, fmt.Errorf("server: line %d: %s wants 2 node ids", lineNo, cmd)
+				return b, top, fmt.Errorf("server: line %d: %s wants 2 node ids", lineNo, cmd)
 			}
 			u, err := parseNodeID(args[0])
 			if err != nil {
-				return b, fmt.Errorf("server: line %d: %v", lineNo, err)
+				return b, top, fmt.Errorf("server: line %d: %v", lineNo, err)
 			}
 			v, err := parseNodeID(args[1])
 			if err != nil {
-				return b, fmt.Errorf("server: line %d: %v", lineNo, err)
+				return b, top, fmt.Errorf("server: line %d: %v", lineNo, err)
 			}
+			top = max(top, u, v)
 			switch {
 			case len(args) >= 3:
 				w, err := graph.ParseWeight(string(args[2]))
 				if err != nil {
-					return b, fmt.Errorf("server: line %d: %v", lineNo, err)
+					return b, top, fmt.Errorf("server: line %d: %v", lineNo, err)
 				}
 				b.SetWeight(u, v, w)
 			case cmd == "setw":
-				return b, fmt.Errorf("server: line %d: setw wants an explicit weight", lineNo)
+				return b, top, fmt.Errorf("server: line %d: setw wants an explicit weight", lineNo)
 			default:
 				b.AddEdge(u, v)
 			}
 		case "del":
 			if len(args) < 2 {
-				return b, fmt.Errorf("server: line %d: del wants 2 node ids", lineNo)
+				return b, top, fmt.Errorf("server: line %d: del wants 2 node ids", lineNo)
 			}
 			u, err := parseNodeID(args[0])
 			if err != nil {
-				return b, fmt.Errorf("server: line %d: %v", lineNo, err)
+				return b, top, fmt.Errorf("server: line %d: %v", lineNo, err)
 			}
 			v, err := parseNodeID(args[1])
 			if err != nil {
-				return b, fmt.Errorf("server: line %d: %v", lineNo, err)
+				return b, top, fmt.Errorf("server: line %d: %v", lineNo, err)
 			}
+			top = max(top, u, v)
 			b.RemoveEdge(u, v)
 		case "node":
 			if len(args) < 1 {
-				return b, fmt.Errorf("server: line %d: node wants at least 1 id", lineNo)
+				return b, top, fmt.Errorf("server: line %d: node wants at least 1 id", lineNo)
 			}
 			for _, tok := range args {
 				// One node line stages one op per id — re-check the cap per
 				// op, not per line, or a single long line could blow it.
 				if b.Len() >= maxOps {
-					return b, fmt.Errorf("server: line %d: batch exceeds %d ops", lineNo, maxOps)
+					return b, top, fmt.Errorf("server: line %d: batch exceeds %d ops", lineNo, maxOps)
 				}
 				u, err := parseNodeID(tok)
 				if err != nil {
-					return b, fmt.Errorf("server: line %d: %v", lineNo, err)
+					return b, top, fmt.Errorf("server: line %d: %v", lineNo, err)
 				}
+				top = max(top, u)
 				b.AddNode(u)
 			}
 		default:
-			return b, fmt.Errorf("server: line %d: unknown op %q (want add/setw/del/node)", lineNo, strings.ToLower(string(fields[0])))
+			return b, top, fmt.Errorf("server: line %d: unknown op %q (want add/setw/del/node)", lineNo, strings.ToLower(string(fields[0])))
 		}
 	}
-	return b, nil
+	return b, top, nil
 }
 
 // updateKeyword returns the update-stream op tok spells in any letter

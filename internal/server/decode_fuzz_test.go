@@ -84,7 +84,7 @@ func FuzzParseUpdateOps(f *testing.F) {
 	f.Add([]byte("setw 1 2 NaN\nadd 3 4 -Inf\n"))
 	const maxOps = 128
 	f.Fuzz(func(t *testing.T, body []byte) {
-		b, err := parseUpdateOps(body, maxOps)
+		b, _, err := parseUpdateOps(body, maxOps)
 		if err != nil {
 			return
 		}

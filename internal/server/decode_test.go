@@ -136,7 +136,7 @@ func TestParseUpdateOps(t *testing.T) {
 		})},
 	}
 	for _, tc := range ok {
-		got, err := parseUpdateOps([]byte(tc.body), 0)
+		got, _, err := parseUpdateOps([]byte(tc.body), 0)
 		if err != nil {
 			t.Errorf("%q: unexpected error %v", tc.body, err)
 		} else if got.Len() != tc.want.Len() || (got.Len() > 0 && !reflect.DeepEqual(got, tc.want)) {
@@ -171,7 +171,7 @@ func TestParseUpdateOps(t *testing.T) {
 		{"add 1 2 " + strings.Repeat("9", maxUpdateLineBytes), 0, "server: reading update body: bufio.Scanner: token too long"},
 	}
 	for _, tc := range bad {
-		_, err := parseUpdateOps([]byte(tc.body), tc.maxOps)
+		_, _, err := parseUpdateOps([]byte(tc.body), tc.maxOps)
 		if err == nil || err.Error() != tc.want {
 			t.Errorf("%.40q: error %v, want %s", tc.body, err, tc.want)
 		}
@@ -184,7 +184,7 @@ func BenchmarkParseUpdateOps(b *testing.B) {
 	body := []byte(strings.Repeat("add 6405 6412\n", 8))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := parseUpdateOps(body, 0); err != nil {
+		if _, _, err := parseUpdateOps(body, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

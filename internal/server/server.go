@@ -69,7 +69,12 @@ type Config struct {
 	// be recorded). Answers at the component's current version are exact
 	// — never flagged stale — regardless of this knob. Default 8.
 	StaleMaxBehind int
-	// Request caps fed to the decoders.
+	// Request caps fed to the decoders. MaxUpdateOps (default 65536) caps
+	// the ops of one /apply batch and, by the same number, how far it may
+	// grow the graph: a batch naming a node id >= NumNodes()+MaxUpdateOps
+	// is refused with 400 "invalid" before anything is merged or logged,
+	// so one short line cannot make Apply allocate a node table gigabytes
+	// long. Growth of exactly MaxUpdateOps nodes is accepted.
 	MaxRequestBytes int64
 	MaxQueryNodes   int
 	MaxUpdateOps    int
@@ -120,7 +125,7 @@ func (c *Config) defaults() {
 	if c.MaxQueryNodes == 0 {
 		c.MaxQueryNodes = defaultMaxQueryNodes
 	}
-	if c.MaxUpdateOps == 0 {
+	if c.MaxUpdateOps <= 0 { // the decoder reads any non-positive cap as the default too
 		c.MaxUpdateOps = defaultMaxUpdateOps
 	}
 	if c.SampleInterval == 0 {
@@ -629,9 +634,14 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "injected", err.Error(), 0)
 		return
 	}
-	batch, err := parseUpdateOps(body, s.cfg.MaxUpdateOps)
+	batch, top, err := parseUpdateOps(body, s.cfg.MaxUpdateOps)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid", err.Error(), 0)
+		return
+	}
+	if n := s.eng.Snapshot().CSR().NumNodes(); int(top) >= n+s.cfg.MaxUpdateOps {
+		writeError(w, http.StatusBadRequest, "invalid", fmt.Sprintf(
+			"server: node id %d is not below %d nodes, the graph's %d plus the %d-op batch cap", top, n+s.cfg.MaxUpdateOps, n, s.cfg.MaxUpdateOps), 0)
 		return
 	}
 	st, err := s.eng.Apply(batch)

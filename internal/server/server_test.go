@@ -231,6 +231,46 @@ func TestApplyRejectsHostileWeights(t *testing.T) {
 	}
 }
 
+// TestApplyCapsNodeGrowth: a batch may grow the graph by at most
+// MaxUpdateOps nodes. Naming a node id at or past NumNodes()+MaxUpdateOps,
+// in any op, is a 400 before the engine sees the batch: nothing is merged
+// or logged and the epoch stays. (A lone `node 67108864`, under the wire's
+// id cap, used to make one Apply on a 4-node graph allocate 8.6 GiB, and
+// recovery replayed it.) Growth of exactly the cap is accepted.
+func TestApplyCapsNodeGrowth(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	wopts := wal.Options{Dir: t.TempDir()}
+	g := graph.FromEdges(4, [][2]graph.Node{{0, 1}, {1, 2}, {2, 3}})
+	eng, _, err := engine.OpenDurable(g, wopts, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(eng, Config{MaxUpdateOps: 8, SampleInterval: -1})
+	for _, body := range []string{"node 12\n", "add 0 1\nadd 3 12\n", "del 0 1000\n", "node 5 67108864\n"} {
+		wantCode(t, post(s, "/apply", body), http.StatusBadRequest, "invalid")
+		if eng.Epoch() != 0 || eng.Snapshot().CSR().NumNodes() != 4 {
+			t.Fatalf("after refusing %q: epoch %d, %d nodes; want 0 and 4", body, eng.Epoch(), eng.Snapshot().CSR().NumNodes())
+		}
+	}
+	w := post(s, "/apply", "add 3 4\nnode 11\n")
+	if ar := decodeBody[applyResponse](t, w); w.Code != http.StatusOK || ar.Epoch != 1 || ar.NodesAdded != 8 {
+		t.Fatalf("growth of exactly the cap: %d %+v, want 200 with epoch 1 and 8 nodes added", w.Code, ar)
+	}
+	s.Close()
+	if err := eng.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	eng, rec, err := engine.OpenDurable(nil, wopts, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.CloseWAL()
+	if rec.RecoveredEpoch != 1 || rec.RecordsReplayed != 1 || eng.Snapshot().CSR().NumNodes() != 12 {
+		t.Fatalf("recovery = %+v with %d nodes, want the one accepted batch and 12 nodes", rec, eng.Snapshot().CSR().NumNodes())
+	}
+}
+
 func TestRateLimitSheds(t *testing.T) {
 	// Expensive bucket: burst covers exactly one whale query
 	// (cost = 512/256 = 2), refill glacial. Cheap bucket untouched.
