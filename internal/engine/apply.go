@@ -91,20 +91,22 @@ type ApplyStats struct {
 // after Apply returns run on the new version.
 //
 // Invalidation is component-scoped and airtight: every cache key, flight
-// key, and sub-CSR is scoped to a (component identity, component version)
-// pair, and Apply advances the versions only of the components the batch
-// actually touched. Results for untouched components stay servable — no
-// eager cache clear, no cross-shard sweep; entries for superseded
-// component versions become unreachable on the fresh path the instant the
-// new snapshot is published (LookupStale may still probe them, flagged,
-// within StaleRetention) and age out of the LRU naturally. No query can
-// ever observe a community computed against a superseded version of its
-// component — not even a result that a slow pre-batch query inserts into
-// the cache after the swap. In-flight singleflight computations are
-// deliberately left running: flights for untouched components remain
-// joinable and their results cacheable (their key is still current),
-// while flights for touched components publish under the superseded
-// version, unreachable by post-swap lookups.
+// key, and sub-CSR belongs to one component version record (identity,
+// version, frozen w_G), and Apply stamps a fresh record only for the
+// components the batch actually touched; every other component's record
+// is carried to the new snapshot by pointer, built sub-CSR included.
+// Results for untouched components stay servable — no eager cache clear,
+// no cross-shard sweep; entries for superseded component versions become
+// unreachable on the fresh path the instant the new snapshot is published
+// (LookupStale may still probe them, flagged, within StaleRetention) and
+// age out of the LRU naturally. No query can ever observe a community
+// computed against a superseded version of its component — not even a
+// result that a slow pre-batch query inserts into the cache after the
+// swap. In-flight singleflight computations are deliberately left
+// running: flights for untouched components remain joinable and their
+// results cacheable (their key is still current), while flights for
+// touched components publish under the superseded version, unreachable by
+// post-swap lookups.
 //
 // Cost: the merge rebuilds only the row pages the batch touches and shares
 // every other page with the previous snapshot (memory proportional to the

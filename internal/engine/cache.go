@@ -19,9 +19,10 @@ import (
 // different keys proceed without contending on any global lock.
 // Component-version keying makes this safe under mutation without any
 // cross-shard coordination: Apply never needs to atomically invalidate
-// the cache, because entries of superseded component versions can no
-// longer match any fresh-path lookup — while entries of components the
-// Apply did not touch keep matching, which is the whole point of
+// the cache, because a touched component gets a fresh version record
+// (a new identity) and entries of the superseded one can no longer match
+// any fresh-path lookup — while a component the Apply did not touch keeps
+// its record, so its entries keep matching, which is the whole point of
 // component-scoped epochs (see the package doc).
 //
 // Within a shard the LRU is array-backed and intrusive: entries live in
@@ -274,8 +275,8 @@ func (s *cacheShard) moveToFrontLocked(i int32) {
 }
 
 // clear drops every cached entry. The serving path never calls it —
-// Apply invalidates logically, by advancing touched components'
-// versions, and deliberately leaves untouched components' entries warm;
+// Apply invalidates logically, by stamping touched components with fresh
+// version records, and deliberately leaves untouched components' entries warm;
 // superseded entries age out through LRU churn (or stay probeable by
 // LookupStale within StaleRetention). clear remains for tests and for
 // callers that want to release result memory wholesale. Shards are

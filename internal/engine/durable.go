@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dmcs/internal/graph"
 	"dmcs/internal/wal"
@@ -131,19 +129,15 @@ func newSnapshotFromCheckpoint(cp *wal.Checkpoint) (*Snapshot, error) {
 		}
 	}
 	s := &Snapshot{
-		csr:      cp.CSR,
-		compID:   cp.CompID,
-		comps:    comps,
-		epoch:    cp.Epoch,
-		compKey:  cp.CompKeys,
-		compVer:  cp.CompVers,
-		compWG:   cp.CompWG,
-		compHist: make([][]compRef, nc),
-
+		csr:         cp.CSR,
+		compID:      cp.CompID,
+		comps:       comps,
+		cv:          make([]*compVersion, nc),
+		epoch:       cp.Epoch,
 		nextCompKey: cp.NextCompKey,
-		subOnce:     make([]sync.Once, nc),
-		subBuilt:    make([]atomic.Bool, nc),
-		subs:        make([]*graph.SubCSR, nc),
+	}
+	for id := range s.cv {
+		s.cv[id] = &compVersion{key: cp.CompKeys[id], ver: cp.CompVers[id], wG: cp.CompWG[id]}
 	}
 	return s, nil
 }
@@ -195,27 +189,31 @@ func verifyStamps(s *Snapshot, logged []wal.ComponentStamp) error {
 // components the producing Apply touched.
 func touchedStamps(s *Snapshot) []wal.ComponentStamp {
 	var stamps []wal.ComponentStamp
-	for id, ver := range s.compVer {
-		if ver == s.epoch {
-			stamps = append(stamps, wal.ComponentStamp{Key: s.compKey[id], Ver: ver})
+	for _, v := range s.cv {
+		if v.ver == s.epoch {
+			stamps = append(stamps, wal.ComponentStamp{Key: v.key, Ver: v.ver})
 		}
 	}
 	return stamps
 }
 
-// checkpointOf captures snap as a checkpoint image. Read-only on the
-// snapshot; the returned checkpoint aliases the snapshot's immutable
-// slices, which is safe because both sides are never mutated.
+// checkpointOf captures snap as a checkpoint image: the version vector
+// is read out of the component records, and the CSR and compID are
+// aliased, which is safe because neither side ever mutates them.
 func checkpointOf(snap *Snapshot) *wal.Checkpoint {
-	return &wal.Checkpoint{
+	cp := &wal.Checkpoint{
 		Epoch:       snap.epoch,
 		NextCompKey: snap.nextCompKey,
 		CSR:         snap.csr,
 		CompID:      snap.compID,
-		CompKeys:    snap.compKey,
-		CompVers:    snap.compVer,
-		CompWG:      snap.compWG,
+		CompKeys:    make([]uint64, len(snap.cv)),
+		CompVers:    make([]uint64, len(snap.cv)),
+		CompWG:      make([]float64, len(snap.cv)),
 	}
+	for id, v := range snap.cv {
+		cp.CompKeys[id], cp.CompVers[id], cp.CompWG[id] = v.key, v.ver, v.wG
+	}
+	return cp
 }
 
 // Checkpoint persists the current snapshot as the newest checkpoint and

@@ -29,28 +29,33 @@
 //
 // # Component-scoped epochs
 //
-// Invalidation is per component, not per graph. Every component carries a
-// stable identity and a version — the epoch at which it last changed —
-// and every cache key, singleflight key, and fused-batch admission key is
-// prefixed with that (identity, version) pair instead of the global
-// epoch. An Apply advances only the versions of the components its batch
-// touched (an edge inserted, removed, or re-weighted inside it, or a
-// merge/split involving it); results, sub-CSRs, and in-flight
-// computations for every untouched component remain valid, warm, and
-// joinable across the swap. Under churn concentrated away from the hot
-// query set, the hit ratio therefore stays high instead of collapsing to
-// zero on every mutation.
+// Invalidation is per component, not per graph. Every component of a
+// snapshot points at one immutable version record: a stable identity,
+// a version (the epoch at which the component last changed), the
+// normalization weight w_G it was stamped with, its stale-read ancestry,
+// and its lazily built sub-CSR. Every cache key, singleflight key, and
+// fused-batch admission key is prefixed with the record's (identity,
+// version) pair instead of the global epoch. An Apply stamps a fresh
+// record — a new identity at the new epoch — only for the components its
+// batch touched (an edge inserted, removed, or re-weighted inside it, or
+// a merge/split involving it); every untouched component's record is
+// carried to the successor by pointer, so its results, its sub-CSR, and
+// its in-flight computations remain valid, warm, and joinable across the
+// swap. Under churn concentrated away from the hot query set, the hit
+// ratio therefore stays high instead of collapsing to zero on every
+// mutation. The global epoch is only the WAL's sequence number and the
+// version a fresh stamp takes.
 //
 // A component's version pins its full scoring context: the member
-// adjacency and the normalization weight w_G the modularity objectives
-// divide by, both frozen at the stamping epoch. Served answers bit-match
-// the serial reference for the graph as of that component's version —
-// never a hybrid of two versions. The deliberate consequence on
-// multi-component graphs: churn in one component does not shift the
-// normalization term of answers served for other, untouched components;
-// their answers stay bit-stable until the component itself changes.
-// "Stale" is a per-component notion as well — see LookupStale — and a
-// degraded-mode answer for an untouched component is not stale at all.
+// adjacency and the w_G the modularity objectives divide by, both frozen
+// at the stamping epoch. Served answers bit-match the serial reference
+// for the graph as of that component's version — never a hybrid of two
+// versions. The deliberate consequence on multi-component graphs: churn
+// in one component does not shift the normalization term of answers
+// served for other, untouched components; their answers stay bit-stable
+// until the component itself changes. "Stale" is a per-component notion
+// as well — see LookupStale — and a degraded-mode answer for an
+// untouched component is not stale at all.
 //
 // Queries are deterministic: node sets are normalized (sorted,
 // deduplicated) on entry, and for a given normalized set and options the
@@ -401,7 +406,7 @@ func (e *Engine) admit(snap *Snapshot, q Query, ws *workerScratch) (opts dmcs.Op
 	if id, err = snap.componentIndex(ws.nodes); err != nil {
 		return opts, 0, 0, err
 	}
-	ws.key = appendCacheKey(ws.key[:0], snap.compKey[id], snap.compVer[id], ws.nodes, q.Variant, opts)
+	ws.key = appendCacheKey(ws.key[:0], snap.cv[id].key, snap.cv[id].ver, ws.nodes, q.Variant, opts)
 	return opts, id, hashKey(ws.key), nil
 }
 

@@ -16,9 +16,10 @@ import (
 // same (component version, key, effective timeout) join it. Everyone —
 // leader included — waits on done, so a thundering herd of N identical
 // misses costs one peel instead of N. Because flight keys carry the
-// component's (identity, version) stamp rather than the global epoch, an
-// Apply that does not touch a flight's component leaves the flight
-// joinable — and its eventual result cacheable and servable — across the
+// (identity, version) of the component's version record rather than the
+// global epoch, an Apply that does not touch a flight's component — and
+// so carries its record to the successor unchanged — leaves the flight
+// joinable, and its eventual result cacheable and servable, across the
 // snapshot swap.
 //
 // Cancellation is refcounted, which is what makes joining safe: a

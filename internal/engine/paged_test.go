@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"dmcs/internal/dmcs"
 	"dmcs/internal/graph"
 )
 
@@ -81,10 +83,12 @@ func applyBytes(t *testing.T, e *Engine) uint64 {
 // snapshot as a plain test: on a 32768-node, 257-component graph shaped
 // like the serving benchmark's, an 8-edge batch inside one island
 // allocates the one row page it touches, the page table (a header per
-// 256 nodes), the carried map and the restamped component vectors. It
-// changes no component's members, so the partition is shared with the
-// previous snapshot instead of rebuilt — under 96 KB, where the rebuilt
-// partition alone took 274 KB and the whole-CSR copy 1.9 MB. Doubling the
+// 256 nodes), the carried map, a pointer per component to its version
+// record and one fresh record. It changes no component's members, so the
+// partition is shared with the previous snapshot instead of rebuilt —
+// under 40 KB (it measures 26 KB), where seven per-component vectors
+// restamped in place of the record pointers took 44 KB, the rebuilt
+// partition alone 274 KB and the whole-CSR copy 1.9 MB. Doubling the
 // whale may cost only what the page table grows by, at most a byte a
 // node: neither a rebuilt partition (8 bytes a node) nor anything
 // proportional to the edges (the doubled whale adds 180k of them, 1.4 MB
@@ -100,7 +104,7 @@ func applyBytes(t *testing.T, e *Engine) uint64 {
 // catches anything edge-sized.
 func TestApplyBytesProportionalToBatch(t *testing.T) {
 	const whale = 16384
-	maxBase, perNode := int64(96<<10), int64(1)
+	maxBase, perNode := int64(40<<10), int64(1)
 	if raceEnabled {
 		maxBase, perNode = 400<<10, 10
 	}
@@ -114,6 +118,77 @@ func TestApplyBytesProportionalToBatch(t *testing.T) {
 			base, doubled, grow, perNode*whale)
 	}
 	t.Logf("bytes per Apply: %d at 32768 nodes, %d with the whale doubled", base, doubled)
+}
+
+// TestApplyCarriesOneSubBuild: a sub-CSR is built once per component
+// version, not once per snapshot. A component carried by an Apply shares
+// its version record with the predecessor, so whichever snapshot builds
+// the sub first builds it for both — including a successor building it
+// for a predecessor that never had. On a connected graph the record is
+// shared by a contiguous snapshot (whose whole-graph component wraps the
+// main CSR) and a page-table successor (which would extract it), and
+// both must answer bit-identically whichever of them built the sub.
+func TestApplyCarriesOneSubBuild(t *testing.T) {
+	e := New(smallQueryEngineGraph(3, 40), Options{Workers: 1})
+	old := e.Snapshot()
+	var b Batch
+	b.RemoveEdge(0, 1) // touches component 0 only
+	if st, err := e.Apply(b); err != nil || st.Retained != 2 {
+		t.Fatalf("Apply: %+v, %v", st, err)
+	}
+	next := e.Snapshot()
+	q := []graph.Node{40}
+	a, _ := old.ComponentID(q)
+	n, _ := next.ComponentID(q)
+	if old.ComponentKey(a) != next.ComponentKey(n) || old.ComponentVersion(a) != next.ComponentVersion(n) {
+		t.Fatal("untouched component was not carried")
+	}
+	if built := next.SubCSR(n); old.SubCSR(a) != built {
+		t.Fatal("a carried component's sub-CSR was built twice: once per snapshot instead of once per version")
+	}
+
+	queries := []Query{
+		{Nodes: []graph.Node{0}},
+		{Nodes: []graph.Node{3, 90}, Variant: dmcs.VariantNCA},
+		{Nodes: []graph.Node{17}, Opts: dmcs.Options{Objective: dmcs.ClassicModularity}},
+	}
+	for _, oldFirst := range []bool{true, false} {
+		e := New(servingShapedGraph(0, 400), Options{Workers: 1})
+		old := e.Snapshot()
+		var b Batch
+		b.AddNode(400)
+		if st, err := e.Apply(b); err != nil || st.Retained != 1 {
+			t.Fatalf("Apply: %+v, %v", st, err)
+		}
+		next := e.Snapshot()
+		if !old.CSR().Contiguous() || next.CSR().Contiguous() || old.NumComponents() != 1 || next.NumComponents() != 2 {
+			t.Fatal("fixture: want a contiguous whole-graph snapshot and a page-table successor carrying its component")
+		}
+		snaps := []*Snapshot{old, next}
+		if !oldFirst {
+			snaps[0], snaps[1] = next, old
+		}
+		arena := dmcs.NewArena()
+		var want []*dmcs.Result
+		for i, s := range snaps {
+			for j, q := range queries {
+				id, err := s.ComponentID(q.Nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dmcs.SearchSub(arena, s.SubCSR(id), q.Nodes, s.ComponentMembers(id), q.Variant, canonicalOptions(q.Opts))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					want = append(want, got)
+				} else if math.Float64bits(got.Score) != math.Float64bits(want[j].Score) || !slices.Equal(got.Community, want[j].Community) {
+					t.Fatalf("oldFirst=%v query %v: snapshots sharing one version answer %v (score %v) and %v (score %v)",
+						oldFirst, q.Nodes, want[j].Community, want[j].Score, got.Community, got.Score)
+				}
+			}
+		}
+	}
 }
 
 // TestReadersOnOldSnapshotsWhileApplyChains: queries drain on the

@@ -175,9 +175,9 @@ func (e *Engine) LookupStale(q Query, maxBehind int) (res *dmcs.Result, version 
 	}
 	if res, hit := e.cache.get(h, ws.key); hit {
 		e.stats.recordHit(ws.stripe)
-		return res, snap.compVer[id], false, true
+		return res, snap.cv[id].ver, false, true
 	}
-	hist := snap.compHist[id]
+	hist := snap.cv[id].hist
 	if maxBehind >= 0 && len(hist) > maxBehind {
 		hist = hist[:maxBehind]
 	}
