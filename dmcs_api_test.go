@@ -255,6 +255,57 @@ func TestRootSearchMatchesSearchCSR(t *testing.T) {
 	}
 }
 
+// TestRepeatedQueryMatchesDeduplicated: a query node listed more than
+// once is the same query. For every variant, with and without layer
+// pruning, a query with repeats answers exactly as its first-occurrence
+// deduplication does — community, Float64bits(score), iterations and
+// removal order. NCA and NCA-DR once stopped when the alive count fell to
+// len(q), so [0 0 0 0] on the first fixture stopped after one removal
+// with the whole graph.
+func TestRepeatedQueryMatchesDeduplicated(t *testing.T) {
+	weightedG, _ := componentsFixture(true, false)
+	plainG, _ := componentsFixture(false, false)
+	cases := []struct {
+		name string
+		g    *dmcs.Graph
+		q    []dmcs.Node
+	}{
+		{"path-and-triangle", dmcs.FromEdges(5, [][2]dmcs.Node{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {2, 4}}), []dmcs.Node{0, 0, 0, 0}},
+		{"two-cliques", twoCliques(), []dmcs.Node{2, 2}},
+		{"two-cliques-multi", twoCliques(), []dmcs.Node{3, 1, 3, 1}},
+		{"components", plainG, []dmcs.Node{5, 31, 5, 60, 31}},
+		{"components-weighted", weightedG, []dmcs.Node{31, 31, 5}},
+	}
+	variants := []dmcs.Variant{dmcs.VariantFPA, dmcs.VariantNCA, dmcs.VariantNCADR, dmcs.VariantFPADMG}
+	for _, tc := range cases {
+		var dedup []dmcs.Node
+		for _, u := range tc.q {
+			if !slices.Contains(dedup, u) {
+				dedup = append(dedup, u)
+			}
+		}
+		c := dmcs.NewCSR(tc.g)
+		for _, v := range variants {
+			for _, opts := range []dmcs.Options{{TrackOrder: true}, {LayerPruning: true, TrackOrder: true}} {
+				what := fmt.Sprintf("%s q=%v %v pruning=%v", tc.name, tc.q, v, opts.LayerPruning)
+				want, err := dmcs.Search(tc.g, dedup, v, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dmcs.Search(tc.g, tc.q, v, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, what+" Search", got, want)
+				if got, err = dmcs.SearchCSR(c, tc.q, v, opts); err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, what+" SearchCSR", got, want)
+			}
+		}
+	}
+}
+
 func sameResult(t *testing.T, what string, got, want *dmcs.Result) {
 	t.Helper()
 	if !slices.Equal(got.Community, want.Community) || math.Float64bits(got.Score) != math.Float64bits(want.Score) ||

@@ -32,11 +32,10 @@ type Arena struct {
 	comp2     []graph.Node // pruning phase-2 prefix members (local ids)
 	compBuf   []graph.Node // SearchCSR component flood queue / member list
 
-	layerOff     []int32      // layer bucket offsets (len maxD+2)
-	layerNodes   []graph.Node // bucketed layer members, outermost-last
-	layerFill    []int32      // bucket fill cursors
-	layerInLayer []int32      // per-local-node layer generation tag
-	layerGen     int32        // reset per query; bumped per theta layer
+	layerOff   []int32      // layer bucket offsets (len maxD+2)
+	layerNodes []graph.Node // bucketed layer members, outermost-last
+	layerFill  []int32      // bucket fill cursors
+	layerCross []int32      // edges between consecutive BFS levels (layerInto)
 
 	nca ncaPeel // NCA state and certificate tables, grown by NCA searches only
 }
@@ -58,6 +57,12 @@ func (a *Arena) Poison() {
 	for i := range items {
 		items[i] = thetaItem{junk, junk, junk}
 	}
+	// pos is poisoned to 1, every node claiming the heap's root: a
+	// negative junk value would read as "not queued" and prove nothing.
+	pos := a.pq.pos[:cap(a.pq.pos)]
+	for i := range pos {
+		pos[i] = 1
+	}
 	poisonNodes(a.protected)
 	poisonNodes(a.localQ)
 	poisonNodes(a.remaining)
@@ -66,8 +71,7 @@ func (a *Arena) Poison() {
 	poisonInt32s(a.layerOff)
 	poisonNodes(a.layerNodes)
 	poisonInt32s(a.layerFill)
-	poisonInt32s(a.layerInLayer)
-	a.layerGen = junk
+	poisonInt32s(a.layerCross)
 	a.ps = peelState{}
 	// a.nca's dist and skip are graph-arena buffers, poisoned above
 	poisonNodes(a.nca.parent)
@@ -123,15 +127,25 @@ func growFloat64Slice(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// thetaPQ is the production Θ max-heap: the same ordering and the same
-// binary-heap algorithm as container/heap over thetaHeap (Init = sift
-// down from the last parent; Push = append + sift up; Pop = swap root
-// with last, sift down, shrink), but on a concrete element type, so no
-// per-push interface boxing and no allocation on a warm arena. Mirroring
-// container/heap's moves exactly keeps the pop order — and therefore the
-// peel order — bit-identical to the frozen legacy implementation even
-// when entries compare equal.
-type thetaPQ struct{ items []thetaItem }
+// thetaPQ is the production Θ max-heap, indexed by node: pos[u] is 1 +
+// u's index in items, or 0 when u is not queued, so a neighbour whose Θ a
+// removal changed is re-scored where it sits instead of being pushed
+// again. It holds at most one layer, and never a stale entry.
+//
+// The pop order is that of the frozen lazy heap (thetaHeap over
+// container/heap) although the moves differ. Both pop, at every step,
+// the best current (Θ, k, id) of the alive queued nodes under a total
+// order: Θ descending, then k ascending, then id ascending. Items are
+// distinct nodes, so no two compare equal, and the maximum does not
+// depend on the heap's shape. With non-negative weights a removal only
+// lowers a neighbour's k (k is a fresh in-order sum over its alive
+// neighbours), so its Θ = d/k only rises and its item only moves up;
+// update tries a sift down when the sift up did not move it, so a graph
+// given negative weights through the Builder keeps the order as well.
+type thetaPQ struct {
+	items []thetaItem
+	pos   []int32 // 1 + heap index per local node; 0 when absent
+}
 
 func (h *thetaPQ) less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
@@ -144,40 +158,65 @@ func (h *thetaPQ) less(i, j int) bool {
 	return a.node < b.node
 }
 
+func (h *thetaPQ) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i].node] = int32(i + 1)
+	h.pos[h.items[j].node] = int32(j + 1)
+}
+
+// init indexes and heapifies items.
 func (h *thetaPQ) init() {
+	for i, it := range h.items {
+		h.pos[it.node] = int32(i + 1)
+	}
 	n := len(h.items)
 	for i := n/2 - 1; i >= 0; i-- {
 		h.down(i, n)
 	}
 }
 
-func (h *thetaPQ) push(it thetaItem) {
-	h.items = append(h.items, it)
-	h.up(len(h.items) - 1)
-}
-
-func (h *thetaPQ) pop() thetaItem {
+// pop removes the best node and returns it.
+func (h *thetaPQ) pop() graph.Node {
 	n := len(h.items) - 1
-	h.items[0], h.items[n] = h.items[n], h.items[0]
+	h.swap(0, n)
 	h.down(0, n)
-	it := h.items[n]
+	u := h.items[n].node
+	h.pos[u] = 0
 	h.items = h.items[:n]
-	return it
+	return u
 }
 
-func (h *thetaPQ) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h.items[i], h.items[j] = h.items[j], h.items[i]
-		j = i
+// update rewrites the item at heap index i and restores the heap order.
+func (h *thetaPQ) update(i int, it thetaItem) {
+	h.items[i] = it
+	if !h.up(i) {
+		h.down(i, len(h.items))
 	}
 }
 
-func (h *thetaPQ) down(i0, n int) {
-	i := i0
+// reset empties the heap, leaving pos all-zero.
+func (h *thetaPQ) reset() {
+	for _, it := range h.items {
+		h.pos[it.node] = 0
+	}
+	h.items = h.items[:0]
+}
+
+// up sifts item j towards the root and reports whether it moved.
+func (h *thetaPQ) up(j int) bool {
+	j0 := j
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+	return j != j0
+}
+
+func (h *thetaPQ) down(i, n int) {
 	for {
 		j1 := 2*i + 1
 		if j1 >= n || j1 < 0 {
@@ -190,7 +229,7 @@ func (h *thetaPQ) down(i0, n int) {
 		if !h.less(j, i) {
 			break
 		}
-		h.items[i], h.items[j] = h.items[j], h.items[i]
+		h.swap(i, j)
 		i = j
 	}
 }

@@ -139,6 +139,45 @@ func TestTimeoutStillTriggers(t *testing.T) {
 	}
 }
 
+// TestThetaIndexClearAfterDrain: the Θ heap's position table is
+// all-zero after a drain, both when the drain removes the whole layer and
+// when it expires with every node still queued, so no later layer or
+// query inherits a stale claim.
+func TestThetaIndexClearAfterDrain(t *testing.T) {
+	g := diffRandomGraph(rand.New(rand.NewSource(5)), 60, 0.1, false)
+	csr := graph.NewCSR(g)
+	comp, _ := csr.Component(0)
+	sub := graph.NewSubCSR(csr, comp)
+	cancelled := make(chan struct{})
+	close(cancelled)
+	for _, opts := range []Options{{}, {Cancel: cancelled}} {
+		a := NewArena()
+		a.Poison()
+		a.pq.pos = a.pq.pos[:0] // as SearchSub starts a query
+		s := newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
+		var layer []graph.Node
+		for u := 1; u < sub.NumNodes(); u++ {
+			layer = append(layer, graph.Node(u))
+		}
+		peelLayerTheta(s, layer)
+		removed := len(layer)
+		if opts.Cancel != nil {
+			removed = 0
+		}
+		if len(s.trace) != removed {
+			t.Fatalf("cancel=%v: drain removed %d nodes, want %d", opts.Cancel != nil, len(s.trace), removed)
+		}
+		if len(a.pq.items) != 0 {
+			t.Fatalf("cancel=%v: %d items left queued", opts.Cancel != nil, len(a.pq.items))
+		}
+		for u, p := range a.pq.pos {
+			if p != 0 {
+				t.Fatalf("cancel=%v: pos[%d] = %d after the drain", opts.Cancel != nil, u, p)
+			}
+		}
+	}
+}
+
 // TestCancelStillTriggers pins the unchanged per-removal cancellation
 // cadence: a pre-closed Cancel channel stops the search immediately.
 func TestCancelStillTriggers(t *testing.T) {

@@ -255,7 +255,7 @@ func SearchSub(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, variant Varian
 	if len(q) == 0 {
 		return nil, ErrEmptyQuery
 	}
-	a.layerGen = 0 // new query: peelLayerTheta re-seeds its tags
+	a.pq.pos = a.pq.pos[:0] // new query: the first Θ layer clears the heap index
 	lq := a.localQ[:0]
 	for _, u := range q {
 		l, ok := sub.LocalOf(u)

@@ -58,9 +58,8 @@ func steinerProtect(a *Arena, sub *graph.SubCSR, q []graph.Node) []graph.Node {
 	return out
 }
 
-// thetaItem is a candidate in the Θ max-heap. k caches the candidate's
-// (weighted) subgraph degree at push time; entries whose k is stale are
-// skipped.
+// thetaItem is a candidate in the Θ max-heap: its Θ and the (weighted)
+// subgraph degree k it was computed from, which breaks ties on Θ.
 type thetaItem struct {
 	node  graph.Node
 	theta float64
@@ -155,55 +154,41 @@ func peelLayer(s *peelState, cand []graph.Node, useTheta bool) {
 	}
 }
 
-// peelLayerTheta removes the layer in density-ratio order using a lazy
-// max-heap: when a removal changes a neighbor's Θ, a fresh entry is
-// pushed and the stale one is skipped on pop (Lemma 5 makes these the
-// only updates needed). Layer membership is a generation-tagged arena
-// slice — the inLayer map of the historical implementation.
+// peelLayerTheta removes the layer in density-ratio order through the
+// arena's indexed Θ heap. The heap's position table is cleared by the
+// first Θ layer of a query (SearchSub truncates it to mark a new query)
+// and every drain leaves it all-zero again.
 func peelLayerTheta(s *peelState, cand []graph.Node) {
-	a := s.a
-	k := s.sub.NumNodes()
-	mark := growInt32Slice(a.layerInLayer, k)
-	if a.layerGen == 0 { // first theta layer of this query: forget stale tags
-		for i := range mark {
-			mark[i] = 0
-		}
+	h := &s.a.pq
+	if k := s.sub.NumNodes(); len(h.pos) != k {
+		h.pos = growInt32Slice(h.pos, k)
+		clear(h.pos)
 	}
-	a.layerInLayer = mark
-	a.layerGen++
-	gen := a.layerGen
-	for _, u := range cand {
-		mark[u] = gen
-	}
-	h := &a.pq
 	h.items = h.items[:0]
 	for _, u := range cand {
 		h.items = append(h.items, thetaOf(s, u))
 	}
 	h.init()
-	drainTheta(s, mark, gen)
+	drainTheta(s)
 }
 
-// drainTheta pops the Θ heap to empty, removing live candidates and
-// lazily re-scoring their still-queued neighbors.
+// drainTheta pops the Θ heap to empty, removing each popped node and
+// re-scoring, in place, its neighbours still queued (Lemma 5 makes these
+// the only Θ values a removal changes). On expiry it empties the heap.
 //
 //dmcs:hotpath
-func drainTheta(s *peelState, mark []int32, gen int32) {
+func drainTheta(s *peelState) {
 	h := &s.a.pq
 	for len(h.items) > 0 {
 		if s.expired() {
-			break
+			h.reset()
+			return
 		}
-		it := h.pop()
-		u := it.node
-		if !s.v.Alive(u) || s.kOf(u) != it.k {
-			continue // removed or stale entry
-		}
+		u := h.pop()
 		s.remove(u)
-		mark[u] = 0
 		for _, w := range s.sub.Neighbors(u) {
-			if s.v.Alive(w) && mark[w] == gen {
-				h.push(thetaOf(s, w))
+			if i := h.pos[w] - 1; i >= 0 {
+				h.update(int(i), thetaOf(s, w))
 			}
 		}
 	}
@@ -252,10 +237,10 @@ type prefixStats struct {
 
 // dropLayer returns the statistics of the prefix left when layer — the
 // nodes at distance d, ascending, the outermost layer of the prefix st
-// describes — is removed. It only reads sub and dist; the values are,
-// bit for bit, the ones an all-alive CSRView of sub holds after Remove(u)
-// for every u of every layer so far, in slice order (the reference
-// TestPrefixSweepMatchesRemoval keeps).
+// describes — is removed. It only reads sub, dist and cross (layerInto);
+// the values are, bit for bit, the ones an all-alive CSRView of sub holds
+// after Remove(u) for every u of every layer so far, in slice order (the
+// reference TestPrefixSweepMatchesRemoval keeps).
 //
 // d_S loses each node's weight in that same order. For w_C, Remove
 // subtracts k_{u,S}: u's entries to nodes still alive, summed in
@@ -263,18 +248,19 @@ type prefixStats struct {
 // and so are the nodes of its own layer with a smaller id, so the alive
 // neighbours are those with dist < d, or dist == d and a larger id. On a
 // weighted snapshot that term sequence is summed per node and subtracted
-// per node, which keeps every rounding. On an unweighted snapshot each
-// k_{u,S} is an integer and so is w_C, exact in any order, and the layer's
-// loss is its edge count into the prefix that remains: the entries to the
-// layer below, plus half the entries that stay inside the layer. A BFS
-// layer's entries go one layer down, one layer up, or stay, and its up
-// entries are the down entries of the layer dropped before it, so
+// per node, which keeps every rounding; it is the one case that reads the
+// layer's adjacency. On an unweighted snapshot each k_{u,S} is an integer
+// and so is w_C, exact in any order, and the layer's loss is its edge
+// count into the prefix that remains: the entries to the layer below,
+// plus half the entries that stay inside the layer. A BFS layer's entries
+// go one layer down, one layer up, or stay; its down entries are the BFS's
+// cross[d], and its up entries are the down entries of the layer dropped
+// before it, so
 //
 //	lost = down + (entries - down - st.down)/2
 //
-// needs one comparison per entry and none between ids (a per-node
-// `w > u` test mispredicts on every row).
-func dropLayer(sub *graph.SubCSR, dist []int32, layer []graph.Node, d int32, st prefixStats) prefixStats {
+// needs the layer's degrees and no adjacency at all.
+func dropLayer(sub *graph.SubCSR, dist, cross []int32, layer []graph.Node, d int32, st prefixStats) prefixStats {
 	wdeg := sub.WeightedDegrees()
 	if sub.Weighted() {
 		for _, u := range layer {
@@ -291,13 +277,9 @@ func dropLayer(sub *graph.SubCSR, dist []int32, layer []graph.Node, d int32, st 
 		st.size -= len(layer)
 		return st
 	}
-	down, entries := 0, 0
+	down, entries := int(cross[d]), 0
 	for _, u := range layer {
-		adj := sub.Neighbors(u)
-		for _, w := range adj {
-			down += int(uint32(dist[w]-d) >> 31) // 1 iff dist[w] < d
-		}
-		entries += len(adj)
+		entries += sub.Degree(u)
 		st.dS -= wdeg[u]
 	}
 	st.wC -= float64(down + (entries-down-st.down)/2)
@@ -306,16 +288,31 @@ func dropLayer(sub *graph.SubCSR, dist []int32, layer []graph.Node, d int32, st 
 	return st
 }
 
+// layerInto layers sub by distance from sources into the arena's slot-0
+// distance buffer. On an unweighted sub it also counts the edges between
+// consecutive layers (graph.SubCSR.LayerBFSInto), which is all dropLayer
+// needs of the adjacency; a weighted sub sums its weights per node there
+// instead, so cross is nil and the BFS counts nothing.
+func layerInto(a *Arena, sub *graph.SubCSR, sources []graph.Node) (dist, cross []int32) {
+	if sub.Weighted() {
+		return bfsInto(a, sub, sources), nil
+	}
+	k := sub.NumNodes()
+	a.layerCross = growInt32Slice(a.layerCross, k)
+	return sub.LayerBFSInto(sources, a.g.Dist(0, k), a.g.Queue(k), a.layerCross), a.layerCross
+}
+
 // fpaWithPruning implements the Section 5.7 layer-based pruning strategy:
 // (1) iteratively drop whole outermost layers, scoring each prefix
 // subgraph; (2) keep the best-scoring prefix and apply the node-removal
 // process to its outermost layer only. Phase 1 removes nothing: it starts
 // from the component's own aggregates and walks the layer buckets
-// outermost-in, one read-only pass over the component's adjacency
-// (dropLayer). Phase 2 peels on an arena-backed view of the chosen prefix.
+// outermost-in (dropLayer), reading the layering BFS's cross-level counts
+// and the layers' degrees — no adjacency unless the sub is weighted.
+// Phase 2 peels on an arena-backed view of the chosen prefix.
 func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, opts Options, useTheta bool) (*Result, error) {
 	k := sub.NumNodes()
-	dist := bfsInto(a, sub, protected)
+	dist, cross := layerInto(a, sub, protected)
 	maxD := groupLayersInto(a, k, dist)
 
 	// Phase 1 honours Cancel and Timeout at layer granularity; the best
@@ -328,7 +325,7 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 		deadline = time.Now().Add(opts.Timeout)
 		poll.deadline = deadline
 	}
-	bestJ, phase1, timedOut := bestPrefix(a, sub, dist, maxD, opts, &poll)
+	bestJ, phase1, timedOut := bestPrefix(a, sub, dist, cross, maxD, opts, &poll)
 
 	// Phase 2: fresh peel over the selected prefix, removing only its
 	// outermost layer. comp2 holds the prefix members in local ids.
@@ -363,7 +360,7 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 // outermost layer in turn and returns the distance bound of the best one
 // (ties go to the smaller prefix, as in the peel), the number of nodes in
 // the layers it dropped, and whether poll expired before the last layer.
-func bestPrefix(a *Arena, sub *graph.SubCSR, dist []int32, maxD int, opts Options, poll *deadlinePoller) (bestJ, dropped int, timedOut bool) {
+func bestPrefix(a *Arena, sub *graph.SubCSR, dist, cross []int32, maxD int, opts Options, poll *deadlinePoller) (bestJ, dropped int, timedOut bool) {
 	wG := sub.TotalWeight()
 	st := prefixStats{wC: sub.InternalWeight(), dS: sub.MemberWeightSum(), size: sub.NumNodes()}
 	bestJ, bestScore := maxD, scoreStats(st, wG, opts)
@@ -372,7 +369,7 @@ func bestPrefix(a *Arena, sub *graph.SubCSR, dist []int32, maxD int, opts Option
 			return bestJ, dropped, true
 		}
 		layer := a.layer(d)
-		st = dropLayer(sub, dist, layer, int32(d), st)
+		st = dropLayer(sub, dist, cross, layer, int32(d), st)
 		dropped += len(layer)
 		if sc := scoreStats(st, wG, opts); sc >= bestScore {
 			bestScore, bestJ = sc, d-1

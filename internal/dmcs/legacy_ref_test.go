@@ -266,10 +266,10 @@ func legacySteinerProtect(g *graph.Graph, q []graph.Node) []graph.Node {
 	return out
 }
 
-// thetaHeap is the historical container/heap-backed Θ max-heap. The
-// production path uses the concrete thetaPQ (same ordering, same
-// binary-heap moves, no interface boxing); this one stays as the frozen
-// reference it must match pop-for-pop.
+// thetaHeap is the historical container/heap-backed lazy Θ max-heap. The
+// production path uses the indexed thetaPQ, whose moves differ but whose
+// pops follow the same total order (see thetaPQ); this one stays as the
+// frozen reference it must match pop-for-pop.
 type thetaHeap []thetaItem
 
 func (h thetaHeap) Len() int { return len(h) }

@@ -61,7 +61,7 @@ const recompactMinAlive = 32
 // them. All tables are indexed by the current sub's local ids.
 type ncaPeel struct {
 	s     *peelState
-	nq    int        // |Q|: the peel stops when only the query is left
+	nq    int        // |Q| (distinct): the peel stops when only the query is left
 	theta bool       // pick by Θ (NCA-DR) instead of Λ (NCA)
 	root  graph.Node // spanning-tree and Tarjan root: a query node
 	slot  int        // arena sub/view slot the next re-compaction fills
@@ -82,11 +82,14 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 	dist := bfsInto(a, sub, q)
 	p := &a.nca
 	p.s = newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
-	p.nq, p.theta, p.root, p.slot = len(q), theta, q[0], 1
+	p.nq, p.theta, p.root, p.slot = 0, theta, q[0], 1
 	p.dist = dist
 	p.skip = a.g.Marks(0, n)
-	for _, u := range q {
-		p.skip[u] = true
+	for _, u := range q { // a repeated query node must not raise the stop size
+		if !p.skip[u] {
+			p.skip[u] = true
+			p.nq++
+		}
 	}
 	p.parent = growNodeSlice(p.parent, n)
 	p.nchild = growInt32Slice(p.nchild, n)

@@ -96,7 +96,7 @@ func TestPrefixSweepMatchesRemoval(t *testing.T) {
 					q = append(q, sub.GlobalOf(graph.Node(l)))
 				}
 				a := NewArena()
-				dist := bfsInto(a, sub, steinerProtect(a, sub, lq))
+				dist, cross := layerInto(a, sub, steinerProtect(a, sub, lq))
 				maxD := groupLayersInto(a, k, dist)
 				want, _ := removeBasedPhase1(a, sub, maxD, objectives[0])
 
@@ -110,13 +110,13 @@ func TestPrefixSweepMatchesRemoval(t *testing.T) {
 					if d == 0 {
 						break
 					}
-					st = dropLayer(sub, dist, a.layer(d), int32(d), st)
+					st = dropLayer(sub, dist, cross, a.layer(d), int32(d), st)
 				}
 
 				for _, opts := range objectives {
 					_, wantJ := removeBasedPhase1(a, sub, maxD, opts)
 					var poll deadlinePoller
-					gotJ, dropped, timedOut := bestPrefix(a, sub, dist, maxD, opts, &poll)
+					gotJ, dropped, timedOut := bestPrefix(a, sub, dist, cross, maxD, opts, &poll)
 					if gotJ != wantJ || dropped != k-len(a.layer(0)) || timedOut {
 						t.Fatalf("weighted=%v seed=%d q=%v objective=%d: bestPrefix = (%d, %d, %v), removal-based loop picks %d of %d layers, drops %d nodes",
 							weighted, seed, q, opts.Objective, gotJ, dropped, timedOut, wantJ, maxD, k-len(a.layer(0)))

@@ -74,7 +74,8 @@ func BenchmarkWhaleFPASerial(b *testing.B) {
 // arena), so nothing but the peel is timed. Unlike the degree-6 expander
 // above it has degree skew (d_max 300) and two BFS layers that hold
 // almost every node: the fixture on which the layering BFS's bottom-up
-// step and phase 1's read-only sweep show whole.
+// step and phase 1's read-only sweep show whole. One untimed search
+// grows the arena, so allocs/op counts a warm search only.
 func BenchmarkWhaleFPAPruningLFR(b *testing.B) {
 	cfg := lfr.Default()
 	cfg.N = whaleNodes
@@ -89,6 +90,9 @@ func BenchmarkWhaleFPAPruningLFR(b *testing.B) {
 	}
 	sub, a := graph.NewSubCSR(csr, whale), NewArena()
 	opts := Options{LayerPruning: true}
+	if _, err := SearchSub(a, sub, whale[:1], whale, VariantFPA, opts); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,4 +101,11 @@ func BenchmarkWhaleFPAPruningLFR(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestWhaleFPAPruningLFRAllocs: on the skewed whale too, a warm pruned
+// peel allocates its Result and Community and nothing else — the cross
+// counts and the Θ heap's index live in the arena.
+func TestWhaleFPAPruningLFRAllocs(t *testing.T) {
+	gateAllocs(t, BenchmarkWhaleFPAPruningLFR, 2)
 }

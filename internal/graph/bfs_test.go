@@ -92,7 +92,8 @@ func bfsShapes(t testing.TB) []bfsShape {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// two components and an isolated node: sources only ever in the first
+	// two components and an isolated node (60): sources in the first, or
+	// the isolated node alone
 	split := graph.NewBuilder(61)
 	for i := 1; i < 30; i++ {
 		split.AddEdge(graph.Node(i-1), graph.Node(i))
@@ -106,7 +107,7 @@ func bfsShapes(t testing.TB) []bfsShape {
 		{name: "caterpillar", g: cat.Build(), sources: [][]graph.Node{{0}, {401}, {3, 797}}, longTail: true},
 		{name: "ring-of-cliques", g: ring, sources: [][]graph.Node{{0}, {0, 50}, {4, 4, 60, 4}}, minBottomUp: 2},
 		{name: "lfr", g: res.G, sources: [][]graph.Node{{0}, {17, 1234}, {5, 5, 900, 1999}}, minBottomUp: 2},
-		{name: "unreachable", g: split.Build(), sources: [][]graph.Node{{0}, {29, 3}, {12, 12}}},
+		{name: "unreachable", g: split.Build(), sources: [][]graph.Node{{0}, {29, 3}, {12, 12}, {60}}},
 	}
 }
 
@@ -206,6 +207,118 @@ func TestBFSBottomUpLevelsBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// crossShapes extends the BFS table with the shapes the cross counts
+// need beyond it: a level expanded bottom-up whose frontier has fewer
+// entries than the level it reaches (a source, ten nodes joined to all of
+// twenty more, those twenty on a ring), and a one-node graph.
+func crossShapes(t *testing.T) []bfsShape {
+	const a, b = 10, 20
+	bip := graph.NewBuilder(1 + a + b)
+	for i := 1; i <= a; i++ {
+		bip.AddEdge(0, graph.Node(i))
+		for j := a + 1; j <= a+b; j++ {
+			bip.AddEdge(graph.Node(i), graph.Node(j))
+		}
+	}
+	for j := 0; j < b; j++ {
+		bip.AddEdge(graph.Node(a+1+j), graph.Node(a+1+(j+1)%b))
+	}
+	return append(bfsShapes(t),
+		bfsShape{name: "bipartite+ring", g: bip.Build(), sources: [][]graph.Node{{0}, {0, 0}}},
+		bfsShape{name: "single-node", g: graph.NewBuilder(1).Build(), sources: [][]graph.Node{{0}, {0, 0}}},
+	)
+}
+
+// TestLayerBFSCrossCounts is the cross counts' proof obligation: for
+// every level d, cross[d] equals a pair-by-pair count of the edges with
+// one endpoint at level d-1 and the other at level d, and cross[0] and
+// every entry past the last level are zero — on a dirty buffer, over
+// every shape of the BFS table and random graphs, with one, several and
+// repeated sources. The test replays the kernel's direction rule from the
+// level sizes (checked against the number of bottom-up levels the kernel
+// reports) and requires all three ways of counting to have run: top-down,
+// bottom-up from the new level, and bottom-up from the frontier.
+func TestLayerBFSCrossCounts(t *testing.T) {
+	var topDown, fromNew, fromFrontier int
+	check := func(what string, c *graph.CSR, sources []graph.Node) {
+		t.Helper()
+		n := c.NumNodes()
+		sub := graph.WrapCSR(c)
+		cross := make([]int32, n)
+		for i := range cross {
+			cross[i] = -0x5A5A
+		}
+		dist := sub.LayerBFSInto(sources, make([]int32, n), make([]graph.Node, 0, n), cross)
+		sameDist(t, what, dist, queueBFS(c, nil, sources))
+
+		want := make([]int32, n)
+		levelNodes, levelEntries := make([]int, n+1), make([]int, n+1)
+		for u := 0; u < n; u++ {
+			du := dist[u]
+			if du == graph.INF {
+				continue
+			}
+			levelNodes[du]++
+			levelEntries[du] += c.Degree(graph.Node(u))
+			for _, w := range c.Neighbors(graph.Node(u)) {
+				if dw := dist[w]; graph.Node(u) < w && dw != graph.INF && (dw == du+1 || dw == du-1) {
+					want[max(du, dw)]++
+				}
+			}
+		}
+		for d := range want {
+			if cross[d] != want[d] {
+				t.Fatalf("%s %v: cross[%d] = %d, pair count %d", what, sources, d, cross[d], want[d])
+			}
+		}
+
+		// Replay the direction rule: the step for level d runs while
+		// level d-1 is non-empty and some node is unreached.
+		bottomUp, reached, unvisitedEntries := 0, 0, 2*c.NumEdges()
+		for d := 1; d <= n && levelNodes[d-1] > 0; d++ {
+			reached += levelNodes[d-1]
+			if reached == n {
+				break
+			}
+			unvisitedEntries -= levelEntries[d-1]
+			if graph.BFSBottomUpFactor*levelEntries[d-1] <= unvisitedEntries+n {
+				topDown++
+				continue
+			}
+			bottomUp++
+			if levelEntries[d] <= levelEntries[d-1] {
+				fromNew++
+			} else {
+				fromFrontier++
+			}
+		}
+		if got := c.BFSBottomUpLevels(sources); got != bottomUp {
+			t.Fatalf("%s %v: kernel took %d bottom-up levels, the replayed rule %d", what, sources, got, bottomUp)
+		}
+	}
+	for _, sh := range crossShapes(t) {
+		c := graph.NewCSR(sh.g)
+		for _, sources := range sh.sources {
+			check(sh.name, c, sources)
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	for seed := int64(0); seed < 40; seed++ {
+		n := 20 + rng.Intn(300)
+		p := []float64{0.5, 1.2, 3, 12, 60}[seed%5] / float64(n)
+		c := graph.NewCSR(gen.ErdosRenyi(n, p, seed))
+		sources := make([]graph.Node, 1+rng.Intn(4))
+		for i := range sources {
+			sources[i] = graph.Node(rng.Intn(n))
+		}
+		check("random", c, sources)
+	}
+	if topDown == 0 || fromNew == 0 || fromFrontier == 0 {
+		t.Fatalf("counted %d levels top-down, %d bottom-up from the new level, %d bottom-up from the frontier; every way must run", topDown, fromNew, fromFrontier)
+	}
+	t.Logf("levels counted top-down %d, bottom-up from the new level %d, from the frontier %d", topDown, fromNew, fromFrontier)
 }
 
 // BenchmarkLayeringBFS times the BFS that layers a query's component, on

@@ -188,7 +188,7 @@ func (v *CSRView) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node)
 			dist[u] = dead
 		}
 	}
-	c.levelBFS(sources, dist, queue, v.nAlive, entries)
+	c.levelBFS(sources, dist, queue, v.nAlive, entries, nil)
 	if v.nAlive < len(dist) {
 		for u := range dist {
 			if dist[u] == dead {

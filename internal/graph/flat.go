@@ -54,11 +54,18 @@ func (c *flatCSR) TotalWeight() float64 { return c.totalW }
 // NumNodes (each node is enqueued at most once, so the queue never
 // reallocates). Arenas use it to make per-query traversal allocation-free.
 func (c *flatCSR) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node) []int32 {
+	return c.layerBFSInto(sources, dist, queue, nil)
+}
+
+// layerBFSInto is MultiSourceBFSInto with levelBFS's optional cross-level
+// edge counts.
+func (c *flatCSR) layerBFSInto(sources []Node, dist []int32, queue []Node, cross []int32) []int32 {
 	dist = dist[:c.NumNodes()]
 	for i := range dist {
 		dist[i] = INF
 	}
-	c.levelBFS(sources, dist, queue, len(dist), len(c.targets))
+	clear(cross)
+	c.levelBFS(sources, dist, queue, len(dist), len(c.targets), cross)
 	return dist
 }
 
@@ -93,16 +100,29 @@ const bfsBottomUpFactor = 4
 // last layers are never expanded at all. Levels are unique, so dist does
 // not depend on the directions taken.
 //
-// Cost on any input stays O(n + entries). A bottom-up step reads fewer
-// than bfsBottomUpFactor times its frontier's entries, and every entry is
-// a frontier entry once. Two bottom-up steps in a row shrink the
-// unvisited entries geometrically: the second needs factor*f' > m', where
-// f' are the entries the first one reached and m' those it left, and it
-// started from m = m' + f' > m'*(1 + 1/factor). A run of bottom-up steps
-// is therefore at most log_{1+1/factor}(entries) long; and since every one
-// of them needs factor*f > n, there are at most factor*entries/n in total.
-func (c *flatCSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited, unvisitedEntries int) (bottomUp int) {
-	offsets, targets := c.offsets, c.targets
+// A non-nil cross (length >= len(dist), zeroed by the caller) receives,
+// for every level d >= 1, the number of edges between levels d-1 and d.
+// A top-down step counts them for free: it already loads dist[w] for
+// every frontier entry, and those that land on level d are the edges. A
+// bottom-up step stops early, so it counts afterwards from whichever side
+// has fewer entries: the new level's entries into d-1, or the frontier's
+// into d. Each step is its own function: with the counting loop written
+// out beside the plain one in levelBFS's body, the BFS that counts
+// nothing ran 10-20 % slower on a 16k-node expander (same-binary A/B,
+// 2-vCPU Xeon, Go 1.24).
+//
+// Cost on any input stays O(n + entries), counting or not. A bottom-up
+// step reads fewer than bfsBottomUpFactor times its frontier's entries,
+// and every entry is a frontier entry once. Two bottom-up steps in a row
+// shrink the unvisited entries geometrically: the second needs
+// factor*f' > m', where f' are the entries the first one reached and m'
+// those it left, and it started from m = m' + f' > m'*(1 + 1/factor). A
+// run of bottom-up steps is therefore at most log_{1+1/factor}(entries)
+// long; and since every one of them needs factor*f > n, there are at most
+// factor*entries/n in total. A bottom-up count reads at most the
+// frontier's entries again.
+func (c *flatCSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited, unvisitedEntries int, cross []int32) (bottomUp int) {
+	offsets := c.offsets
 	queue = queue[:0]
 	for _, s := range sources {
 		if dist[s] == INF {
@@ -125,29 +145,97 @@ func (c *flatCSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited
 		unvisitedEntries -= entries
 		if bfsBottomUpFactor*entries > unvisitedEntries+len(dist) {
 			bottomUp++
-			for u := range dist {
-				if dist[u] != INF {
-					continue
+			queue = c.bottomUpStep(dist, queue, d)
+			if cross != nil {
+				level, reached := queue[head:], 0
+				for _, u := range level {
+					reached += int(offsets[u+1] - offsets[u])
 				}
-				for _, w := range targets[offsets[u]:offsets[u+1]] {
-					if dist[w] == d-1 {
-						dist[u] = d
-						queue = append(queue, Node(u))
-						break
-					}
+				if reached <= entries {
+					cross[d] = c.entriesTo(level, dist, d-1)
+				} else {
+					cross[d] = c.entriesTo(frontier, dist, d)
 				}
 			}
+		} else if cross != nil {
+			queue, cross[d] = c.topDownCounting(frontier, dist, queue, d)
 		} else {
-			for _, u := range frontier {
-				for _, w := range targets[offsets[u]:offsets[u+1]] {
-					if dist[w] == INF {
-						dist[w] = d
-						queue = append(queue, w)
-					}
-				}
-			}
+			queue = c.topDownStep(frontier, dist, queue, d)
 		}
 		unvisited -= len(queue) - head
 	}
 	return bottomUp
+}
+
+// bottomUpStep expands level d bottom-up: every INF node takes level d
+// at its first neighbour on level d-1.
+func (c *flatCSR) bottomUpStep(dist []int32, queue []Node, d int32) []Node {
+	offsets, targets := c.offsets, c.targets
+	for u := range dist {
+		if dist[u] != INF {
+			continue
+		}
+		for _, w := range targets[offsets[u]:offsets[u+1]] {
+			if dist[w] == d-1 {
+				dist[u] = d
+				queue = append(queue, Node(u))
+				break
+			}
+		}
+	}
+	return queue
+}
+
+// topDownStep expands level d top-down: every frontier node claims its
+// INF neighbours.
+func (c *flatCSR) topDownStep(frontier []Node, dist []int32, queue []Node, d int32) []Node {
+	offsets, targets := c.offsets, c.targets
+	for _, u := range frontier {
+		for _, w := range targets[offsets[u]:offsets[u+1]] {
+			if dist[w] == INF {
+				dist[w] = d
+				queue = append(queue, w)
+			}
+		}
+	}
+	return queue
+}
+
+// topDownCounting is levelBFS's top-down step that also counts the
+// frontier's entries landing on the new level d.
+func (c *flatCSR) topDownCounting(frontier []Node, dist []int32, queue []Node, d int32) ([]Node, int32) {
+	x := int32(0)
+	for _, u := range frontier {
+		for _, w := range c.targets[c.offsets[u]:c.offsets[u+1]] {
+			dw := dist[w]
+			if dw == INF {
+				dw = d
+				dist[w] = d
+				queue = append(queue, w)
+			}
+			x += b2i(dw == d)
+		}
+	}
+	return queue, x
+}
+
+// entriesTo counts the adjacency entries of nodes that lead to level.
+func (c *flatCSR) entriesTo(nodes []Node, dist []int32, level int32) int32 {
+	x := int32(0)
+	for _, u := range nodes {
+		for _, w := range c.targets[c.offsets[u]:c.offsets[u+1]] {
+			x += b2i(dist[w] == level)
+		}
+	}
+	return x
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a flag move, not
+// a branch, which matters in loops whose condition is data-dependent.
+func b2i(b bool) int32 {
+	var x int32
+	if b {
+		x = 1
+	}
+	return x
 }
