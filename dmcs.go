@@ -260,9 +260,9 @@ type BatchResult = engine.BatchResult
 var (
 	ErrEmptyQuery   = dmcs.ErrEmptyQuery
 	ErrDisconnected = dmcs.ErrDisconnected
-	// ErrNodeOutOfRange is returned by the Engine for query nodes outside
-	// the graph.
-	ErrNodeOutOfRange = engine.ErrNodeOutOfRange
+	// ErrNodeOutOfRange is returned for query nodes outside the graph, by
+	// the searches and the Engine alike.
+	ErrNodeOutOfRange = dmcs.ErrNodeOutOfRange
 	// ErrQueueTimeout is returned by the Engine when a query's timeout
 	// budget expired while it was still queued for a worker slot: the
 	// search never started, so there is no partial result and nothing is

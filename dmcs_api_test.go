@@ -2,6 +2,7 @@ package dmcs_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -84,6 +85,18 @@ func TestPublicErrors(t *testing.T) {
 	}
 	if _, err := dmcs.FPA(g, []dmcs.Node{0, 2}, dmcs.Options{}); err != dmcs.ErrDisconnected {
 		t.Fatalf("want ErrDisconnected, got %v", err)
+	}
+	// A node outside the graph gets one sentinel, whichever entry point
+	// the query takes.
+	path := dmcs.FromEdges(3, [][2]dmcs.Node{{0, 1}, {1, 2}})
+	q := []dmcs.Node{7}
+	_, errSearch := dmcs.Search(path, q, dmcs.VariantFPA, dmcs.Options{})
+	_, errCSR := dmcs.SearchCSR(dmcs.NewCSR(path), q, dmcs.VariantNCA, dmcs.Options{})
+	_, errEngine := dmcs.NewEngine(path, dmcs.EngineOptions{}).Search(context.Background(), dmcs.EngineQuery{Nodes: q})
+	for i, err := range []error{errSearch, errCSR, errEngine} {
+		if !errors.Is(err, dmcs.ErrNodeOutOfRange) {
+			t.Errorf("entry point %d: got %v, want ErrNodeOutOfRange", i, err)
+		}
 	}
 }
 

@@ -132,16 +132,16 @@ func growFloat64Slice(s []float64, n int) []float64 {
 // removal changed is re-scored where it sits instead of being pushed
 // again. It holds at most one layer, and never a stale entry.
 //
-// The pop order is that of the frozen lazy heap (thetaHeap over
-// container/heap) although the moves differ. Both pop, at every step,
-// the best current (Θ, k, id) of the alive queued nodes under a total
-// order: Θ descending, then k ascending, then id ascending. Items are
-// distinct nodes, so no two compare equal, and the maximum does not
-// depend on the heap's shape. With non-negative weights a removal only
-// lowers a neighbour's k (k is a fresh in-order sum over its alive
-// neighbours), so its Θ = d/k only rises and its item only moves up;
-// update tries a sift down when the sift up did not move it, so a graph
-// given negative weights through the Builder keeps the order as well.
+// Its pops are the naive reference's direct argmax over the layer
+// (naive_ref_test.go): at every step the best current (Θ, k, id) of the
+// alive queued nodes under a total order, Θ descending, then k
+// ascending, then id ascending. Items are distinct nodes, so no two
+// compare equal, and the maximum does not depend on the heap's shape.
+// With non-negative weights a removal only lowers a neighbour's k (k is a
+// fresh in-order sum over its alive neighbours), so its Θ = d/k only
+// rises and its item only moves up; update tries a sift down when the
+// sift up did not move it, so a graph given negative weights through the
+// Builder keeps the order as well.
 type thetaPQ struct {
 	items []thetaItem
 	pos   []int32 // 1 + heap index per local node; 0 when absent

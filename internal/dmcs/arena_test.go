@@ -1,6 +1,7 @@
 package dmcs
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,10 +10,40 @@ import (
 	"dmcs/internal/graph"
 )
 
+// diffRandomGraph builds a connected-ish random graph; weighted draws a
+// weight in (0.5, 3) per edge, otherwise the graph is plain unweighted.
+func diffRandomGraph(rng *rand.Rand, n int, p float64, weighted bool) *graph.Graph {
+	b := graph.NewBuilder(n)
+	// a random spanning path keeps most of the graph in one component so
+	// the searches have something to peel
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		u, v := graph.Node(perm[i-1]), graph.Node(perm[i])
+		if weighted {
+			b.SetWeight(u, v, 0.5+2.5*rng.Float64())
+		} else {
+			b.AddEdge(u, v)
+		}
+	}
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				if weighted {
+					b.SetWeight(graph.Node(u), graph.Node(v), 0.5+2.5*rng.Float64())
+				} else {
+					b.AddEdge(graph.Node(u), graph.Node(v))
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
 // TestArenaReuseMatchesFresh drives one arena through a long mixed-query
 // sequence — poisoning every buffer between queries — and checks each
-// result against a fresh map-backed legacy search. Any read of stale (or
-// poisoned) arena state shows up as a community/score mismatch.
+// result against the same search on a fresh arena (which the differential
+// tests tie to the naive reference). Any read of stale (or poisoned)
+// arena state shows up as a community/score mismatch.
 func TestArenaReuseMatchesFresh(t *testing.T) {
 	variants := []Variant{VariantFPA, VariantNCA, VariantNCADR, VariantFPADMG}
 	for _, weighted := range []bool{false, true} {
@@ -32,20 +63,20 @@ func TestArenaReuseMatchesFresh(t *testing.T) {
 			}
 			variant := variants[seed%len(variants)]
 			opts := Options{LayerPruning: seed%2 == 0 && (variant == VariantFPA || variant == VariantFPADMG)}
+			search := func(a *Arena) *Result {
+				comp, err := queryComponentArena(a, csr, q)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				r, err := searchExtract(a, csr, q, comp, variant, opts)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				return r
+			}
 			a.Poison() // worst legal arena state: garbage everywhere
-			comp, err := queryComponentArena(a, csr, q)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			got, err := searchExtract(a, csr, q, comp, variant, opts)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			want, err := legacySearch(g, q, variant, opts)
-			if err != nil {
-				t.Fatalf("seed %d: legacy: %v", seed, err)
-			}
-			if !reflect.DeepEqual(got.Community, want.Community) || got.Score != want.Score ||
+			got, want := search(a), search(NewArena())
+			if !reflect.DeepEqual(got.Community, want.Community) || math.Float64bits(got.Score) != math.Float64bits(want.Score) ||
 				got.Iterations != want.Iterations {
 				t.Fatalf("seed %d (%v weighted=%v): poisoned-arena result diverged\n got %v (%v)\nwant %v (%v)",
 					seed, variant, weighted, got.Community, got.Score, want.Community, want.Score)

@@ -122,24 +122,8 @@ func BenchmarkWeightedFPACSRPrebuilt(b *testing.B) {
 	}
 }
 
-// BenchmarkWeightedFPALegacy runs the frozen Graph/View reference
-// implementation (legacy_ref_test.go) on the identical workload — every
-// k_{v,S} and w_C evaluation is a Graph.EdgeWeight lookup (a binary search
-// into the packed row; a hashed map lookup before Graphs were born
-// packed). The gap to BenchmarkWeightedFPACSR* is the win of peeling over
-// the packed weights in place.
-func BenchmarkWeightedFPALegacy(b *testing.B) {
-	g, q := weightedBenchGraph(b, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := legacySearch(g, q, VariantFPA, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWeightedFPAPruningCSR / ...Legacy compare the layer-pruning
-// strategy (the paper's production configuration) on weighted graphs.
+// BenchmarkWeightedFPAPruningCSR measures the layer-pruning strategy (the
+// paper's production configuration) on weighted graphs.
 func BenchmarkWeightedFPAPruningCSR(b *testing.B) {
 	g, q := weightedBenchGraph(b, 5000)
 	csr := graph.NewCSR(g)
@@ -151,35 +135,15 @@ func BenchmarkWeightedFPAPruningCSR(b *testing.B) {
 	}
 }
 
-func BenchmarkWeightedFPAPruningLegacy(b *testing.B) {
-	g, q := weightedBenchGraph(b, 5000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := legacySearch(g, q, VariantFPA, Options{LayerPruning: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWeightedNCACSR / ...Legacy compare the quadratic NCA loop,
-// whose per-iteration candidate scan evaluates k_{v,S} for every alive
-// node — the heaviest edge-weight consumer of the four variants.
+// BenchmarkWeightedNCACSR measures the quadratic NCA loop, whose
+// per-iteration candidate scan reads k_{v,S} for every alive node — the
+// heaviest edge-weight consumer of the four variants.
 func BenchmarkWeightedNCACSR(b *testing.B) {
 	g, q := weightedBenchGraph(b, 1000)
 	csr := graph.NewCSR(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SearchCSR(csr, q, VariantNCA, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWeightedNCALegacy(b *testing.B) {
-	g, q := weightedBenchGraph(b, 1000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := legacySearch(g, q, VariantNCA, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

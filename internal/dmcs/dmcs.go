@@ -49,10 +49,12 @@
 // worst case.
 //
 // The whole substrate is float-exact: relabelling is monotonic and
-// weight accumulation follows the same sorted-adjacency order the
-// historical map-backed implementation used, so communities AND scores
-// are bit-identical (see TestDifferentialLegacyVsCSR and
-// TestArenaReuseMatchesFresh, which re-proves it on poisoned arenas).
+// weight accumulation follows the sorted-adjacency order graph.Builder
+// and graph.CSRView document, so communities AND scores are bit-identical
+// to a stdlib-only transcription of the paper's peel over an edge list
+// (naive_ref_test.go, checked by the TestDifferential* tests and
+// TestNCAMatchesReference), and on poisoned arenas to fresh ones
+// (TestArenaReuseMatchesFresh).
 //
 // The hot-path and arena contracts in this package are machine-checked:
 // the peel kernels carry //dmcs:hotpath annotations and internal/analysis
@@ -76,8 +78,8 @@ var (
 	// ErrDisconnected is returned when the query nodes are not in one
 	// connected component, so no community can contain them all.
 	ErrDisconnected = errors.New("dmcs: query nodes are not in one connected component")
-
-	errOutOfRange = errors.New("dmcs: query node out of range")
+	// ErrNodeOutOfRange is returned for a query node outside [0, NumNodes).
+	ErrNodeOutOfRange = errors.New("dmcs: query node out of range")
 )
 
 // Objective selects the goodness function used to pick the best
@@ -194,7 +196,7 @@ func queryComponent(g *graph.Graph, q []graph.Node) ([]graph.Node, error) {
 	compID, comps := g.Components()
 	for _, u := range q {
 		if u < 0 || int(u) >= len(compID) {
-			return nil, errOutOfRange
+			return nil, ErrNodeOutOfRange
 		}
 	}
 	id := compID[q[0]]
@@ -260,7 +262,7 @@ func SearchSub(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, variant Varian
 	for _, u := range q {
 		l, ok := sub.LocalOf(u)
 		if !ok {
-			return nil, errOutOfRange
+			return nil, ErrNodeOutOfRange
 		}
 		lq = append(lq, l)
 	}
@@ -502,7 +504,7 @@ func queryComponentArena(a *Arena, c *graph.CSR, q []graph.Node) ([]graph.Node, 
 	}
 	for _, u := range q {
 		if u < 0 || int(u) >= c.NumNodes() {
-			return nil, errOutOfRange
+			return nil, ErrNodeOutOfRange
 		}
 	}
 	a.g.BeginEpoch(c.NumNodes())

@@ -16,7 +16,7 @@ var ErrTooLarge = errors.New("dmcs: graph too large for exact search")
 // (≤ 24). It exists to measure the optimality gap of the heuristics — the
 // problem is NP-hard (Theorem 3), so this is exponential and intended for
 // tests and calibration only. The query is validated as Search validates
-// it: ErrEmptyQuery, an out-of-range error, ErrDisconnected.
+// it: ErrEmptyQuery, ErrNodeOutOfRange, ErrDisconnected.
 func ExactSmall(g *graph.Graph, q []graph.Node, maxNodes int) (*Result, error) {
 	n := g.NumNodes()
 	if maxNodes <= 0 || maxNodes > 24 {

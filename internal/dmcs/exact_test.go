@@ -42,7 +42,7 @@ func TestExactSmallErrors(t *testing.T) {
 	// (or shift a query mask) unvalidated; it gets Search's error.
 	for _, q := range [][]graph.Node{{0, 7}, {7}, {-1, 0}} {
 		_, want := Search(g, q, VariantFPA, Options{})
-		if _, err := ExactSmall(g, q, 0); err != errOutOfRange || err != want {
+		if _, err := ExactSmall(g, q, 0); err != ErrNodeOutOfRange || err != want {
 			t.Fatalf("ExactSmall(%v): got %v, Search says %v", q, err, want)
 		}
 	}

@@ -42,7 +42,8 @@ import (
 // the articulation points — the removal, and a BFS rebuild of the tree.
 // Either way the removed node is the one the textbook loop removes, so
 // communities, scores, iteration counts and removal orders are
-// bit-identical to it (TestNCAMatchesPerRemovalTarjan).
+// bit-identical to it (FuzzNCACertificates checks every step; the naive
+// reference's flood-per-candidate loop checks whole peels).
 //
 // The loop runs entirely in the compact local id space of sub, and it
 // re-compacts geometrically: whenever the alive set halves, the sub-CSR

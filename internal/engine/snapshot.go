@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"sort"
 	"sync"
 
@@ -9,8 +8,9 @@ import (
 	"dmcs/internal/graph"
 )
 
-// ErrNodeOutOfRange is returned for query nodes outside [0, NumNodes).
-var ErrNodeOutOfRange = errors.New("engine: query node out of range")
+// ErrNodeOutOfRange is returned for query nodes outside [0, NumNodes):
+// the serial searches' own sentinel.
+var ErrNodeOutOfRange = dmcs.ErrNodeOutOfRange
 
 // Snapshot is the immutable, read-optimized view of one graph version
 // that every query served by an Engine runs against: the packed CSR

@@ -167,42 +167,10 @@ func (a *Arena) ViewOf(slot int, sub *SubCSR, set []Node) *CSRView {
 		v.alive[i] = false
 		v.deg[i] = 0
 	}
-	v.nAlive = len(set)
-	v.mAlive = 0
-	v.wAlive = 0
-	v.dAlive = 0
 	for _, u := range set {
 		v.alive[u] = true
 	}
-	c := &sub.flatCSR
-	for _, u := range set {
-		v.dAlive += c.wdeg[u]
-		adj := c.Neighbors(u)
-		if c.weights != nil {
-			ws := c.NeighborWeights(u)
-			for i, w := range adj {
-				if v.alive[w] {
-					v.deg[u]++
-					if u < w {
-						v.mAlive++
-						v.wAlive += ws[i]
-					}
-				}
-			}
-		} else {
-			for _, w := range adj {
-				if v.alive[w] {
-					v.deg[u]++
-					if u < w {
-						v.mAlive++
-					}
-				}
-			}
-		}
-	}
-	if c.weights == nil {
-		v.wAlive = float64(v.mAlive)
-	}
+	v.accumulate(set)
 	return v
 }
 

@@ -13,17 +13,17 @@ func i32at(base *int32, i int32) *int32 {
 }
 
 // CSRView is a mutable "alive set" over an immutable CSR snapshot — the
-// one peeling substrate in this repository: the DMCS searches, the kcore /
-// kecc / wu2015 baselines and the frozen reference peel all remove nodes
-// from it. It tracks alive nodes and alive degrees in O(deg) per Remove
-// and maintains the two weighted aggregates the modularity objectives
-// need — the alive internal edge weight w_C and the alive node-weight sum
-// d_S — straight from the CSR's packed weights slice and cached
-// node-weight table. On unweighted snapshots every edge counts 1; on
-// weighted snapshots the packed parallel weights array is read in
-// neighbor order, and that accumulation order is part of the contract:
-// scores are compared bit for bit across implementations
-// (TestDifferentialLegacyVsCSR), so it must not change.
+// one peeling substrate in this repository: the DMCS searches and the
+// kcore / kecc / wu2015 baselines all remove nodes from it. It tracks
+// alive nodes and alive degrees in O(deg) per Remove and maintains the
+// two weighted aggregates the modularity objectives need — the alive
+// internal edge weight w_C and the alive node-weight sum d_S — straight
+// from the CSR's packed weights slice and cached node-weight table. On
+// unweighted snapshots every edge counts 1; on weighted snapshots the
+// packed parallel weights array is read in neighbor order, and that
+// accumulation order is part of the contract: scores are compared bit for
+// bit against the dmcs package's naive reference peel
+// (TestDifferentialReferenceVsCSR), so it must not change.
 type CSRView struct {
 	c      *flatCSR
 	alive  []bool
@@ -51,10 +51,20 @@ func NewCSRViewOf(snap *CSR, set []Node) *CSRView {
 	for _, u := range set {
 		if !v.alive[u] {
 			v.alive[u] = true
-			v.nAlive++
 			members = append(members, u)
 		}
 	}
+	v.accumulate(members)
+	return v
+}
+
+// accumulate sets the view's counts and aggregates from its alive flags
+// and zeroed degrees: members lists every alive node once, and the
+// aggregates are summed in its order, each row in sorted-adjacency order.
+// It is the one accumulation order of NewCSRViewOf and Arena.ViewOf.
+func (v *CSRView) accumulate(members []Node) {
+	c := v.c
+	v.nAlive, v.mAlive, v.wAlive, v.dAlive = len(members), 0, 0, 0
 	for _, u := range members {
 		v.dAlive += c.wdeg[u]
 		adj := c.Neighbors(u)
@@ -83,7 +93,6 @@ func NewCSRViewOf(snap *CSR, set []Node) *CSRView {
 	if c.weights == nil {
 		v.wAlive = float64(v.mAlive)
 	}
-	return v
 }
 
 // NumNodes returns the node count of the underlying arrays, alive or not.
