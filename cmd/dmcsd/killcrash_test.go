@@ -1,22 +1,22 @@
-// Kill-crash recovery differential: a dmcsd child with a data directory
-// is SIGKILLed at randomized points under live apply + query traffic,
-// restarted, and its recovered state is compared bit-for-bit against a
-// serial in-process reference replayed to the same epoch. The assertions
-// are exactly the durability contract:
+// Kill-crash recovery against the model (internal/dmcsref): a dmcsd
+// child with a data directory is SIGKILLed at randomized points under
+// live apply + query traffic and restarted, and its recovered state image
+// is held to the model's rule 3 — the durability contract:
 //
 //   - no lost acknowledged Apply: the recovered epoch is at least the
 //     last epoch a client saw a 200 for;
-//   - no partially merged batch: the recovered epoch corresponds to a
-//     whole number of sent batches, and the state dump byte-matches the
-//     reference replayed to that batch count — a half-applied batch
-//     cannot match any prefix;
+//   - no partially merged batch: the recovered state is the model's at
+//     the recovered epoch, bit for bit, and a half-applied batch matches
+//     no epoch;
 //   - torn tails truncated, not mis-replayed: every restart recovers or
 //     the test fails loudly; iterations accumulate in ONE data
 //     directory, so each recovery builds on the previous crash's.
+//
+// Every complete query answer the children return is held to rules 1
+// and 2 on the way.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,8 +32,8 @@ import (
 	"testing"
 	"time"
 
-	"dmcs/internal/engine"
-	"dmcs/internal/graph"
+	"dmcs/internal/dmcsref"
+	"dmcs/internal/dmcsref/refstate"
 )
 
 // binPath is the dmcsd binary TestMain builds once for every test in
@@ -58,36 +58,21 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// seedGraph is the boot graph: a 16-node double ring, node labels equal
-// to node ids because they appear in ascending order.
-func seedGraphFile(t *testing.T) string {
+// seedGraphFile writes the generator's starting graph as an edge list,
+// whose edges introduce the nodes in ascending order, so node labels
+// equal node ids.
+func seedGraphFile(t *testing.T, gen *dmcsref.Gen) string {
 	t.Helper()
 	var sb strings.Builder
-	for i := 0; i < 16; i++ {
-		fmt.Fprintf(&sb, "%d %d\n", i, (i+1)%16)
-	}
-	for i := 0; i < 16; i += 2 {
-		fmt.Fprintf(&sb, "%d %d\n", i, (i+2)%16)
+	_, edges := gen.Graph()
+	for _, e := range edges {
+		fmt.Fprintf(&sb, "%d %d\n", e.U, e.V)
 	}
 	path := filepath.Join(t.TempDir(), "seed.txt")
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
-}
-
-func seedEngine(t *testing.T, path string) *engine.Engine {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	g, err := graph.ParseEdgeList(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return engine.New(g, engine.Options{})
 }
 
 // child is one running dmcsd process.
@@ -179,67 +164,13 @@ func killCrashIters() int {
 }
 
 func TestKillCrashRecovery(t *testing.T) {
-	graphFile := seedGraphFile(t)
+	const islands, size = 3, 8
+	gen := dmcsref.NewGen(0xbeef, islands, size)
+	graphFile := seedGraphFile(t, gen)
+	m := dmcsref.NewModel(gen.Graph())
 	dataDir := filepath.Join(t.TempDir(), "data")
-	ref := seedEngine(t, graphFile)
 	rng := rand.New(rand.NewSource(0x5eed))
 	client := &http.Client{Timeout: 5 * time.Second}
-
-	// Every sent batch, in order; batch i (0-indexed) produces epoch i+1.
-	// Each is a single guaranteed-effective op (a strictly increasing
-	// weight), so the epoch sequence is dense and a recovered epoch E
-	// means exactly batches[0:E] are in the state.
-	type refOp struct {
-		u, v graph.Node
-		w    float64
-	}
-	var (
-		mu        sync.Mutex
-		sent      []refOp
-		lastAcked uint64
-	)
-	refEpoch := 0
-	syncRef := func(t *testing.T, epoch uint64) {
-		t.Helper()
-		mu.Lock()
-		defer mu.Unlock()
-		if epoch > uint64(len(sent)) {
-			t.Fatalf("recovered epoch %d exceeds the %d batches ever sent", epoch, len(sent))
-		}
-		for uint64(refEpoch) < epoch {
-			op := sent[refEpoch]
-			var b engine.Batch
-			b.SetWeight(op.u, op.v, op.w)
-			st, err := ref.Apply(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Epoch != uint64(refEpoch)+1 {
-				t.Fatalf("reference batch %d produced epoch %d", refEpoch, st.Epoch)
-			}
-			refEpoch++
-		}
-		// The kill can catch the mutator with one batch in flight that the
-		// server never applied; recovery proves it is not in the state, so
-		// drop it — the next iteration's batches follow the recovered epoch
-		// directly and the epoch -> batch mapping stays dense.
-		sent = sent[:epoch]
-	}
-
-	// The mutator's rng is separate from the kill-timing rng above: the
-	// mutator goroutine calls nextOp (under mu) while the main goroutine
-	// is still drawing sleep durations.
-	oprng := rand.New(rand.NewSource(0xbeef))
-	seq := 0.0
-	nextOp := func() refOp {
-		seq++
-		u := graph.Node(oprng.Intn(24))
-		v := graph.Node(oprng.Intn(24))
-		for v == u {
-			v = graph.Node(oprng.Intn(24))
-		}
-		return refOp{u: u, v: v, w: 1 + seq/8}
-	}
 
 	c := startChild(t, graphFile, dataDir)
 	defer func() { c.kill() }()
@@ -249,45 +180,69 @@ func TestKillCrashRecovery(t *testing.T) {
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 
-		// Query traffic: read-side load racing the applies and the kill.
+		// Query traffic: read-side load racing the applies and the kill,
+		// every complete answer held to the model.
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			qrng := rand.New(rand.NewSource(int64(it)))
+			qgen := dmcsref.NewGen(int64(it), islands, size)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				body := fmt.Sprintf(`{"nodes":[%d]}`, qrng.Intn(16))
-				resp, err := client.Post("http://"+addr+"/query", "application/json", strings.NewReader(body))
+				q := qgen.Query()
+				q.Peel = dmcsref.Peel{Variant: q.Peel.Variant, Pruning: q.Peel.Variant == "FPA"}
+				nodes, _ := json.Marshal(q.Nodes)
+				from := m.Acked()
+				resp, err := client.Post("http://"+addr+"/query", "application/json",
+					strings.NewReader(fmt.Sprintf(`{"nodes":%s,"variant":%q}`, nodes, q.Peel.Variant)))
 				if err != nil {
 					return // child died mid-request: expected
 				}
-				io.Copy(io.Discard, resp.Body)
+				var ans struct {
+					Community []int   `json:"community"`
+					Score     float64 `json:"score"`
+					TimedOut  bool    `json:"timed_out"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&ans)
 				resp.Body.Close()
+				switch {
+				case err != nil:
+					return // torn by the kill
+				case resp.StatusCode == http.StatusOK && !ans.TimedOut:
+					err = m.Check(q, dmcsref.Answer{Community: ans.Community, Score: ans.Score}, from)
+				case resp.StatusCode == http.StatusBadRequest:
+					err = m.Check(q, dmcsref.Answer{Err: dmcsref.ErrInvalid}, from)
+				}
+				if err != nil {
+					t.Errorf("iter %d: %v", it, err)
+					return
+				}
 			}
 		}(c.addr)
 
-		// Sequential mutator: each batch is recorded BEFORE it is sent, so
-		// a batch the server applied but never acknowledged (killed while
-		// responding) is still replayable by the reference.
+		// Sequential mutator, the one writer: the model takes each batch
+		// BEFORE it is sent, so a batch the server applied but never
+		// acknowledged (killed while responding) is in the model too.
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
+			var sb strings.Builder
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				mu.Lock()
-				op := nextOp()
-				sent = append(sent, op)
-				mu.Unlock()
-				body := fmt.Sprintf("setw %d %d %g\n", op.u, op.v, op.w)
-				resp, err := client.Post("http://"+addr+"/apply", "text/plain", strings.NewReader(body))
+				ops := gen.Ops()
+				sb.Reset()
+				for _, op := range ops {
+					fmt.Fprintln(&sb, op)
+				}
+				want := m.Apply(ops)
+				resp, err := client.Post("http://"+addr+"/apply", "text/plain", strings.NewReader(sb.String()))
 				if err != nil {
 					return // child died mid-request: the unacked-tail case
 				}
@@ -297,11 +252,11 @@ func TestKillCrashRecovery(t *testing.T) {
 				err = json.NewDecoder(resp.Body).Decode(&ack)
 				resp.Body.Close()
 				if err == nil && resp.StatusCode == http.StatusOK {
-					mu.Lock()
-					if ack.Epoch > lastAcked {
-						lastAcked = ack.Epoch
+					if ack.Epoch != want {
+						t.Errorf("iter %d: apply acknowledged epoch %d, model at %d", it, ack.Epoch, want)
+						return
 					}
-					mu.Unlock()
+					m.Ack(ack.Epoch)
 				}
 			}
 		}(c.addr)
@@ -311,8 +266,13 @@ func TestKillCrashRecovery(t *testing.T) {
 		c.kill()
 		close(stop)
 		wg.Wait()
+		if t.Failed() {
+			return
+		}
 
-		// Restart on the same directory and differentiate.
+		// Restart on the same directory and hold the recovered state to
+		// the model. /stats must report the durability block and the
+		// epoch of the image /debug/state serves.
 		c = startChild(t, graphFile, dataDir)
 		resp, err := client.Get("http://" + c.addr + "/stats")
 		if err != nil {
@@ -331,30 +291,27 @@ func TestKillCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: decode stats: %v", it, err)
 		}
-		epoch := stats.Server.Epoch
-		mu.Lock()
-		acked := lastAcked
-		mu.Unlock()
-		if epoch < acked {
-			t.Fatalf("iter %d: LOST ACKNOWLEDGED APPLY: recovered epoch %d < last acked %d", it, epoch, acked)
-		}
 		if stats.Durable == nil {
 			t.Fatalf("iter %d: recovered server reports no durability block", it)
 		}
-
-		dumpResp, err := client.Get("http://" + c.addr + "/debug/state")
+		resp, err = client.Get("http://" + c.addr + "/debug/state")
 		if err != nil {
 			t.Fatalf("iter %d: state dump: %v", it, err)
 		}
-		dump, err := io.ReadAll(dumpResp.Body)
-		dumpResp.Body.Close()
+		dump, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("iter %d: read state dump: %v", it, err)
 		}
-		syncRef(t, epoch)
-		if want := ref.EncodeState(nil); !bytes.Equal(dump, want) {
-			t.Fatalf("iter %d: recovered state at epoch %d does not bit-match the serial reference (%d vs %d bytes)",
-				it, epoch, len(dump), len(want))
+		st, err := refstate.Decode(dump)
+		if err != nil {
+			t.Fatalf("iter %d: decode state dump: %v", it, err)
+		}
+		if stats.Server.Epoch != st.Epoch {
+			t.Fatalf("iter %d: /stats reports epoch %d, the state image %d", it, stats.Server.Epoch, st.Epoch)
+		}
+		if err := m.Recovered(st); err != nil {
+			t.Fatalf("iter %d: %v", it, err)
 		}
 	}
 }

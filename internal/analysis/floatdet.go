@@ -10,7 +10,7 @@ import (
 // Map iteration order is randomized per run, float addition is not
 // associative, and the DMCS density-modularity scores are float
 // reductions whose bit-exactness the repository's differential tests
-// (naive reference vs CSR, serial vs engine, pre- vs post-Apply) depend on — so
+// (reference peel vs CSR, serial vs engine, pre- vs post-Apply) depend on — so
 // an accumulation like
 //
 //	for _, w := range weights { total += w } // finding

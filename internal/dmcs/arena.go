@@ -132,8 +132,8 @@ func growFloat64Slice(s []float64, n int) []float64 {
 // removal changed is re-scored where it sits instead of being pushed
 // again. It holds at most one layer, and never a stale entry.
 //
-// Its pops are the naive reference's direct argmax over the layer
-// (naive_ref_test.go): at every step the best current (Θ, k, id) of the
+// Its pops are the reference peel's direct argmax over the layer
+// (internal/dmcsref): at every step the best current (Θ, k, id) of the
 // alive queued nodes under a total order, Θ descending, then k
 // ascending, then id ascending. Items are distinct nodes, so no two
 // compare equal, and the maximum does not depend on the heap's shape.

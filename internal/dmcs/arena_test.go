@@ -42,7 +42,7 @@ func diffRandomGraph(rng *rand.Rand, n int, p float64, weighted bool) *graph.Gra
 // TestArenaReuseMatchesFresh drives one arena through a long mixed-query
 // sequence — poisoning every buffer between queries — and checks each
 // result against the same search on a fresh arena (which the differential
-// tests tie to the naive reference). Any read of stale (or poisoned)
+// tests tie to the reference peel). Any read of stale (or poisoned)
 // arena state shows up as a community/score mismatch.
 func TestArenaReuseMatchesFresh(t *testing.T) {
 	variants := []Variant{VariantFPA, VariantNCA, VariantNCADR, VariantFPADMG}

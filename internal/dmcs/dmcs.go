@@ -52,7 +52,7 @@
 // weight accumulation follows the sorted-adjacency order graph.Builder
 // and graph.CSRView document, so communities AND scores are bit-identical
 // to a stdlib-only transcription of the paper's peel over an edge list
-// (naive_ref_test.go, checked by the TestDifferential* tests and
+// (internal/dmcsref, checked by the TestDifferential* tests and
 // TestNCAMatchesReference), and on poisoned arenas to fresh ones
 // (TestArenaReuseMatchesFresh).
 //

@@ -42,7 +42,7 @@ import (
 // the articulation points — the removal, and a BFS rebuild of the tree.
 // Either way the removed node is the one the textbook loop removes, so
 // communities, scores, iteration counts and removal orders are
-// bit-identical to it (FuzzNCACertificates checks every step; the naive
+// bit-identical to it (FuzzNCACertificates checks every step; the
 // reference's flood-per-candidate loop checks whole peels).
 //
 // The loop runs entirely in the compact local id space of sub, and it

@@ -67,8 +67,8 @@ func withIslands(g *graph.Graph) *graph.Graph {
 // the floats, what the view holds after Remove has taken layers
 // maxD..j+1 apart node by node; and the prefix bestPrefix picks must be
 // the one the removal-based loop picks, under every objective. (The
-// differential tests check the whole pruned search against the naive
-// reference.)
+// differential tests check the whole pruned search against the
+// reference peel.)
 func TestPrefixSweepMatchesRemoval(t *testing.T) {
 	objectives := []Options{
 		{LayerPruning: true},

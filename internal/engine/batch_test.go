@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
 	"time"
@@ -13,54 +12,6 @@ import (
 	"dmcs/internal/faultinject"
 	"dmcs/internal/graph"
 )
-
-// TestFusedBatchMatchesPerQuerySerial is the fused-path half of the
-// differential obligation: a skewed, duplicate-heavy, mixed-variant
-// batch through the fused SearchBatch must return exactly what issuing
-// each query alone through serial dmcs returns.
-func TestFusedBatchMatchesPerQuerySerial(t *testing.T) {
-	res := testGraph(t, 500)
-	rng := rand.New(rand.NewSource(9))
-	var qs []Query
-	// Skew: many queries on one node's component, duplicates included.
-	hot := graph.Node(rng.Intn(res.G.NumNodes()))
-	for i := 0; i < 24; i++ {
-		qs = append(qs, Query{Nodes: []graph.Node{hot}})
-	}
-	for i := 0; i < 16; i++ {
-		u := graph.Node(rng.Intn(res.G.NumNodes()))
-		v := dmcs.VariantFPA
-		var opts dmcs.Options
-		switch i % 4 {
-		case 1:
-			v = dmcs.VariantNCA
-		case 2:
-			opts.LayerPruning = true
-		case 3:
-			v = dmcs.VariantFPADMG
-			opts.Objective = dmcs.ClassicModularity
-		}
-		qs = append(qs, Query{Nodes: []graph.Node{u}, Variant: v, Opts: opts})
-	}
-	qs = append(qs, Query{}) // empty query: must error, not derail the batch
-
-	e := New(res.G, Options{Workers: 4})
-	got := e.SearchBatch(context.Background(), qs)
-	for i, q := range qs {
-		want, wantErr := dmcs.Search(res.G, normalizeNodes(q.Nodes), q.Variant, q.Opts)
-		if (got[i].Err == nil) != (wantErr == nil) {
-			t.Fatalf("query %d: err=%v, serial err=%v", i, got[i].Err, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if got[i].Result.Score != want.Score ||
-			got[i].Result.Iterations != want.Iterations ||
-			!reflect.DeepEqual(got[i].Result.Community, want.Community) {
-			t.Fatalf("query %d (%v %v): fused result differs from serial", i, q.Nodes, q.Variant)
-		}
-	}
-}
 
 // TestFusedBatchDedupStats pins the fused path's accounting: B identical
 // misses in one batch cost one peel — one Fused/Computed count, B-1

@@ -26,8 +26,7 @@ import (
 // component-scoped epochs (see the package doc).
 //
 // Within a shard the LRU is array-backed and intrusive: entries live in
-// one slab indexed by int32, with prev/next links stored inline and a
-// free list threaded through the same slab. Compared to the previous
+// one slab indexed by int32, with prev/next links stored inline. Compared to the previous
 // container/list implementation this eliminates the per-entry
 // list.Element allocation and the pointer chase per touch — a hit is a
 // map probe plus two slab index updates on memory the shard owns
@@ -57,10 +56,9 @@ type cacheShard struct {
 	mu sync.Mutex
 	//dmcs:keyed
 	byKey   map[string]int32
-	entries []cacheEntry // slab; prev/next/free links are slab indices
+	entries []cacheEntry // slab; prev/next links are slab indices
 	head    int32        // most recently used; -1 when empty
 	tail    int32        // least recently used; -1 when empty
-	free    int32        // free-list head threaded through next; -1 when none
 	cap     int32        // max entries this shard holds
 	//dmcs:keyed
 	flights map[string]*flight
@@ -70,8 +68,8 @@ type cacheShard struct {
 // cacheEntry is one slab slot. wire is the entry's answer as the
 // caller of SearchEncoded put it on its wire: nil until the entry's first
 // hit through SearchEncoded, immutable once attached, and dropped with
-// res — when the key's result is replaced, when eviction recycles the
-// slot, and on clear — so the encoded bytes live under the cache's one
+// res — when the key's result is replaced and when eviction recycles the
+// slot — so the encoded bytes live under the cache's one
 // eviction policy and one capacity bound. An entry that has been hit
 // therefore costs its Result plus about one response body.
 type cacheEntry struct {
@@ -126,7 +124,7 @@ func newResultCache(capacity, shards int) *resultCache {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.byKey = make(map[string]int32, perShard)
-		s.head, s.tail, s.free = -1, -1, -1
+		s.head, s.tail = -1, -1
 		s.cap = int32(perShard)
 	}
 	return c
@@ -221,15 +219,11 @@ func (s *cacheShard) addLocked(key string, res *dmcs.Result) {
 		return
 	}
 	var i int32
-	switch {
-	case s.free >= 0:
-		i = s.free
-		s.free = s.entries[i].next
-	case int32(len(s.entries)) < s.cap:
+	if int32(len(s.entries)) < s.cap {
 		s.entries = append(s.entries, cacheEntry{})
 		i = int32(len(s.entries) - 1)
-	default:
-		// Recycle the LRU slot in place: no allocation, no free-list hop.
+	} else {
+		// Recycle the LRU slot in place: no allocation.
 		i = s.tail
 		s.detachLocked(i)
 		delete(s.byKey, s.entries[i].key)
@@ -272,35 +266,6 @@ func (s *cacheShard) moveToFrontLocked(i int32) {
 	}
 	s.detachLocked(i)
 	s.pushFrontLocked(i)
-}
-
-// clear drops every cached entry. The serving path never calls it —
-// Apply invalidates logically, by stamping touched components with fresh
-// version records, and deliberately leaves untouched components' entries warm;
-// superseded entries age out through LRU churn (or stay probeable by
-// LookupStale within StaleRetention). clear remains for tests and for
-// callers that want to release result memory wholesale. Shards are
-// cleared one lock at a time — there is no cross-shard atomicity and
-// none is needed, because version keying (not clearing) is what makes
-// superseded entries unservable. In-flight computations are left
-// untouched: a flight for a touched component publishes under its
-// superseded version key, which no fresh-path lookup can match.
-func (c *resultCache) clear() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		clear(s.byKey)
-		// Drop the slab's key/result references so the GC can reclaim
-		// retired results, then reuse the backing array.
-		s.entries = s.entries[:cap(s.entries)]
-		clear(s.entries)
-		s.entries = s.entries[:0]
-		s.head, s.tail, s.free = -1, -1, -1
-		s.mu.Unlock()
-	}
 }
 
 // len returns the number of cached entries across all shards.

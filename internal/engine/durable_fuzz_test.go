@@ -4,17 +4,17 @@ import (
 	"bytes"
 	"testing"
 
+	"dmcs/internal/dmcsref"
+	"dmcs/internal/dmcsref/refstate"
 	"dmcs/internal/graph"
 	"dmcs/internal/wal"
 )
 
 // FuzzCheckpointRoundTrip drives a durable engine with a fuzzed delta
-// stream and asserts the checkpoint pipeline is lossless end to end:
-// the canonical state encoding decodes back to an identical image, and
-// an engine recovered from the persisted checkpoint + log is
-// bit-identical to both the original engine and a reference rebuilt by
-// replaying the same batches through the MergeCSR pipeline without any
-// durability layer.
+// stream and asserts the checkpoint pipeline is lossless end to end: the
+// live state is the model's (internal/dmcsref), the canonical state
+// encoding decodes back to an identical image, and an engine recovered
+// from the persisted checkpoint + log is bit-identical to the original.
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 1, 2, 3, 2, 3, 4})
@@ -24,47 +24,40 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decode the fuzz bytes as a stream of small deltas, 4 bytes per
 		// op: kind, u, v, weight-ish.
-		var batches []Batch
-		var cur Batch
+		var batches [][]dmcsref.Op
+		var cur []dmcsref.Op
 		for i := 0; i+3 < len(data); i += 4 {
-			u, v := graph.Node(data[i+1]%16), graph.Node(data[i+2]%16)
-			switch data[i] % 5 {
-			case 0:
-				cur.AddEdge(u, v)
-			case 1:
-				cur.SetWeight(u, v, float64(data[i+3])/8)
-			case 2:
-				cur.RemoveEdge(u, v)
-			case 3:
-				cur.AddNode(u)
-			case 4: // batch boundary
-				batches = append(batches, cur)
-				cur = Batch{}
+			op := dmcsref.Op{U: int(data[i+1] % 16), V: int(data[i+2] % 16), W: float64(data[i+3]) / 8}
+			if k := data[i] % 5; k < 4 {
+				op.Kind = [...]dmcsref.OpKind{dmcsref.AddEdge, dmcsref.SetWeight, dmcsref.RemoveEdge, dmcsref.AddNode}[k]
+				cur = append(cur, op)
+			} else { // batch boundary
+				batches, cur = append(batches, cur), nil
 			}
 		}
 		batches = append(batches, cur)
 
 		dir := t.TempDir()
 		seed := durableFixture()
+		var edges []dmcsref.Edge
+		graph.NewCSR(seed).Edges(func(u, v graph.Node, w float64) bool {
+			edges = append(edges, dmcsref.Edge{U: int(u), V: int(v), W: w})
+			return true
+		})
+		m := dmcsref.NewModel(seed.NumNodes(), edges)
 		e, _, err := OpenDurable(seed, wal.Options{Dir: dir, Policy: wal.SyncOff}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := New(durableFixture(), Options{})
-		for _, b := range batches {
-			st, err := e.Apply(b)
-			if err != nil {
-				t.Fatalf("durable apply: %v", err)
-			}
-			rst, _ := ref.Apply(b)
-			if st.Epoch != rst.Epoch {
-				t.Fatalf("durable engine at epoch %d, reference at %d", st.Epoch, rst.Epoch)
+		for _, ops := range batches {
+			if err := applyBoth(e, m, ops); err != nil {
+				t.Fatal(err)
 			}
 		}
 
 		enc := e.EncodeState(nil)
-		if refEnc := ref.EncodeState(nil); !bytes.Equal(enc, refEnc) {
-			t.Fatal("durable engine state diverged from the no-WAL reference")
+		if err := refstate.Check(m.CheckState, enc); err != nil {
+			t.Fatalf("durable engine state diverged from the model: %v", err)
 		}
 		// The canonical encoding decodes and re-encodes byte-identically.
 		cp, err := wal.DecodeCheckpoint(enc)

@@ -61,42 +61,6 @@ func testQueries(t testing.TB, res *lfr.Result, numSets int) []Query {
 	return qs
 }
 
-func TestBatchMatchesSerial(t *testing.T) {
-	res := testGraph(t, 400)
-	qs := testQueries(t, res, 6)
-	// Add the slower variants on a few queries so every code path is
-	// compared, not just FPA.
-	qs = append(qs,
-		Query{Nodes: qs[0].Nodes, Variant: dmcs.VariantFPADMG},
-		Query{Nodes: qs[1].Nodes, Variant: dmcs.VariantNCA},
-		Query{Nodes: qs[2].Nodes, Variant: dmcs.VariantNCADR},
-		Query{Nodes: qs[3].Nodes, Opts: dmcs.Options{LayerPruning: true}},
-		Query{Nodes: qs[4].Nodes, Opts: dmcs.Options{Objective: dmcs.ClassicModularity}},
-	)
-
-	e := New(res.G, Options{Workers: 8})
-	got := e.SearchBatch(context.Background(), qs)
-	for i, q := range qs {
-		want, wantErr := dmcs.Search(res.G, normalizeNodes(q.Nodes), q.Variant, q.Opts)
-		if (got[i].Err == nil) != (wantErr == nil) {
-			t.Fatalf("query %d: err=%v, serial err=%v", i, got[i].Err, wantErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if !reflect.DeepEqual(got[i].Result.Community, want.Community) {
-			t.Errorf("query %d (%v): community mismatch\n got %v\nwant %v",
-				i, q.Nodes, got[i].Result.Community, want.Community)
-		}
-		if got[i].Result.Score != want.Score {
-			t.Errorf("query %d: score %v != serial %v", i, got[i].Result.Score, want.Score)
-		}
-		if got[i].Result.Iterations != want.Iterations {
-			t.Errorf("query %d: iterations %d != serial %d", i, got[i].Result.Iterations, want.Iterations)
-		}
-	}
-}
-
 func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	res := testGraph(t, 400)
 	qs := testQueries(t, res, 5)
@@ -229,18 +193,6 @@ func TestShardedCachePerShardEviction(t *testing.T) {
 		if _, ok := cacheGet(c, k); !ok {
 			t.Errorf("key %q should have survived", k)
 		}
-	}
-	c.clear()
-	if c.len() != 0 {
-		t.Errorf("len after clear = %d, want 0", c.len())
-	}
-	if _, ok := cacheGet(c, full[1]); ok {
-		t.Error("cleared key still served")
-	}
-	// The slab must be reusable after clear.
-	cachePut(c, full[1], r)
-	if _, ok := cacheGet(c, full[1]); !ok {
-		t.Error("insert after clear failed")
 	}
 }
 
@@ -429,32 +381,6 @@ func TestSnapshotAggregatesMatchGraph(t *testing.T) {
 	for u := 0; u < g.NumNodes(); u++ {
 		if c.WeightedDegree(graph.Node(u)) != g.WeightedDegree(graph.Node(u)) {
 			t.Errorf("WeightedDegree(%d) = %v, want %v", u, c.WeightedDegree(graph.Node(u)), g.WeightedDegree(graph.Node(u)))
-		}
-	}
-}
-
-func TestWeightedBatchMatchesSerial(t *testing.T) {
-	// A weighted graph exercises the packed-weights CSR search end to end.
-	b := graph.NewBuilder(8)
-	edges := [][2]graph.Node{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 5}, {5, 3}, {5, 6}, {6, 7}}
-	for i, e := range edges {
-		b.SetWeight(e[0], e[1], float64(i%3)+0.5)
-	}
-	g := b.Build()
-	e := New(g, Options{Workers: 4})
-	qs := []Query{{Nodes: []graph.Node{0}}, {Nodes: []graph.Node{4}}, {Nodes: []graph.Node{2, 5}}}
-	got := e.SearchBatch(context.Background(), qs)
-	for i, q := range qs {
-		want, err := dmcs.Search(g, q.Nodes, q.Variant, q.Opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].Err != nil {
-			t.Fatal(got[i].Err)
-		}
-		if !reflect.DeepEqual(got[i].Result.Community, want.Community) || got[i].Result.Score != want.Score {
-			t.Errorf("query %d: engine (%v, %v) != serial (%v, %v)",
-				i, got[i].Result.Community, got[i].Result.Score, want.Community, want.Score)
 		}
 	}
 }

@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"bytes"
-	"context"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"dmcs/internal/dmcs"
@@ -189,81 +186,4 @@ func TestApplyCarriesOneSubBuild(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestReadersOnOldSnapshotsWhileApplyChains: queries drain on the
-// snapshot they admitted against while the writer publishes successors
-// that share almost all of its pages. Four readers keep building subs,
-// probing edges and flooding the partition on whatever snapshot they
-// loaded — and hold its state image to what it was when they loaded it —
-// while Apply chains. Meaningful under -race: no page reachable from a
-// published snapshot may be written.
-func TestReadersOnOldSnapshotsWhileApplyChains(t *testing.T) {
-	e := New(servingShapedGraph(40, 1500), Options{Workers: 1})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := e.Snapshot()
-				c := s.CSR()
-				image := graph.AppendCSR(nil, c)
-				id := int32(rng.Intn(s.NumComponents()))
-				members := s.ComponentMembers(id)
-				sub := graph.NewSubCSR(c, members)
-				entries := 0
-				for _, u := range members {
-					for _, v := range c.Neighbors(u) {
-						if !c.HasEdge(v, u) {
-							t.Errorf("epoch %d: edge (%d,%d) has no reverse", s.Epoch(), u, v)
-							return
-						}
-						entries++
-					}
-				}
-				if _, comps := c.Components(); len(comps) != s.NumComponents() || sub.NumEdges()*2 != entries {
-					t.Errorf("epoch %d: %d components flooded, snapshot says %d; sub has %d entries, rows have %d",
-						s.Epoch(), len(comps), s.NumComponents(), sub.NumEdges()*2, entries)
-					return
-				}
-				if _, err := e.Search(context.Background(), Query{Nodes: members[:1]}); err != nil {
-					t.Errorf("search during churn: %v", err)
-					return
-				}
-				if !bytes.Equal(graph.AppendCSR(nil, c), image) {
-					t.Errorf("epoch %d: the snapshot changed while a reader held it", s.Epoch())
-					return
-				}
-			}
-		}(int64(r))
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 300; i++ {
-		var b Batch
-		island := graph.Node(rng.Intn(40) * 64)
-		for k := 0; k < 4; k++ {
-			u := island + graph.Node(rng.Intn(57))
-			if rng.Intn(2) == 0 {
-				b.RemoveEdge(u, u+7)
-			} else {
-				b.AddEdge(u, u+7)
-			}
-		}
-		if i%50 == 49 {
-			b.AddEdge(island, graph.Node(40*64+rng.Intn(1500))) // merge an island into the whale
-		}
-		if _, err := e.Apply(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

@@ -308,12 +308,11 @@ func TestStatsStaleStripeExcluded(t *testing.T) {
 }
 
 // TestShardedCacheRacesApply stress-races the whole serving surface
-// under -race: sharded get/add via Search, direct clear(), and Apply's
-// epoch bumps (which clear too), all concurrently. Beyond being
-// race-free, the end state must be exact: the engine's Queries counter
-// equals the number of Search calls made, no query ever errors (the
-// toggled edge is chord-covered, so components never split), and the
-// cache never exceeds its capacity.
+// under -race: sharded get/add via Search, Stats readers, and Apply's
+// epoch bumps, all concurrently. Beyond being race-free, the end state
+// must be exact: the engine's Queries counter equals the number of Search
+// calls made, no query ever errors (the toggled edge is chord-covered, so
+// components never split), and the cache never exceeds its capacity.
 func TestShardedCacheRacesApply(t *testing.T) {
 	const comps, size = 8, 40
 	e := New(smallQueryEngineGraph(comps, size), Options{Workers: 4, CacheSize: 32})
@@ -355,7 +354,7 @@ func TestShardedCacheRacesApply(t *testing.T) {
 			e.Apply(b)
 		}
 	}()
-	go func() { // direct clear + stats reader
+	go func() { // stats reader
 		defer bg.Done()
 		for {
 			select {
@@ -363,7 +362,6 @@ func TestShardedCacheRacesApply(t *testing.T) {
 				return
 			default:
 			}
-			e.cache.clear()
 			_ = e.Stats()
 			time.Sleep(time.Millisecond)
 		}
@@ -381,107 +379,5 @@ func TestShardedCacheRacesApply(t *testing.T) {
 	}
 	if n := e.cache.len(); n > 32 {
 		t.Errorf("cache holds %d entries, capacity 32", n)
-	}
-}
-
-// TestEngineMatchesSerialAcrossServingConfigs is the determinism
-// contract of the serving rebuild: for every variant, the engine's
-// answer is bit-identical to serial dmcs.SearchSub against the same
-// snapshot — regardless of worker count (which also varies the shard and
-// stripe counts), cache state, or whether a query was computed, served
-// from cache, or collapsed onto a concurrent identical query.
-func TestEngineMatchesSerialAcrossServingConfigs(t *testing.T) {
-	res := testGraph(t, 300)
-	ref := NewSnapshot(res.G)
-	arena := dmcs.NewArena()
-	serial := func(q Query) (*dmcs.Result, error) {
-		nodes := normalizeNodes(q.Nodes)
-		id, err := ref.componentIndex(nodes)
-		if err != nil {
-			return nil, err
-		}
-		return dmcs.SearchSub(arena, ref.SubCSR(id), nodes, ref.comps[id], q.Variant, canonicalOptions(q.Opts))
-	}
-
-	var qs []Query
-	for _, v := range []dmcs.Variant{dmcs.VariantFPA, dmcs.VariantNCA, dmcs.VariantNCADR, dmcs.VariantFPADMG} {
-		qs = append(qs,
-			Query{Nodes: []graph.Node{0}, Variant: v},
-			Query{Nodes: []graph.Node{5, 40}, Variant: v},
-		)
-	}
-	qs = append(qs,
-		Query{Nodes: []graph.Node{7}, Opts: dmcs.Options{LayerPruning: true}},
-		Query{Nodes: []graph.Node{7}, Opts: dmcs.Options{Objective: dmcs.ClassicModularity}},
-		Query{Nodes: []graph.Node{7}, Opts: dmcs.Options{Objective: dmcs.GeneralizedModularityDensity, Chi: 2}},
-	)
-	want := make([]*dmcs.Result, len(qs))
-	for i, q := range qs {
-		w, err := serial(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = w
-	}
-	blast := Query{Nodes: []graph.Node{9}, Variant: dmcs.VariantNCA}
-	wantBlast, err := serial(blast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer faultinject.Reset()
-
-	for _, workers := range []int{1, 2, 8} {
-		for _, cacheSize := range []int{-1, 64} {
-			e := New(res.G, Options{Workers: workers, CacheSize: cacheSize})
-			// Two rounds over the batch (second round hits when caching),
-			// then a concurrent same-query blast to force joining.
-			for round := 0; round < 2; round++ {
-				got := e.SearchBatch(context.Background(), qs)
-				for i := range qs {
-					if got[i].Err != nil {
-						t.Fatalf("workers=%d cache=%d round=%d query %d: %v",
-							workers, cacheSize, round, i, got[i].Err)
-					}
-					if !reflect.DeepEqual(got[i].Result.Community, want[i].Community) ||
-						got[i].Result.Score != want[i].Score ||
-						got[i].Result.Iterations != want[i].Iterations {
-						t.Fatalf("workers=%d cache=%d round=%d query %d: engine (%v, %v) != SearchSub (%v, %v)",
-							workers, cacheSize, round, i,
-							got[i].Result.Community, got[i].Result.Score,
-							want[i].Community, want[i].Score)
-					}
-				}
-			}
-			// The blast: eight callers released together on a key no
-			// round has touched, its peel held open so the followers find
-			// it in flight. With caching on that is one computation — each
-			// follower joins the flight or hits the entry it published.
-			faultinject.Set(faultinject.EnginePeel, faultinject.Injection{Latency: 20 * time.Millisecond})
-			before := e.Stats().Computed
-			release := make(chan struct{})
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					<-release
-					r, err := e.Search(context.Background(), blast)
-					if err != nil {
-						t.Errorf("concurrent blast: %v", err)
-						return
-					}
-					if !reflect.DeepEqual(r.Community, wantBlast.Community) || r.Score != wantBlast.Score {
-						t.Errorf("concurrent blast: (%v, %v) != SearchSub (%v, %v)",
-							r.Community, r.Score, wantBlast.Community, wantBlast.Score)
-					}
-				}()
-			}
-			close(release)
-			wg.Wait()
-			faultinject.Clear(faultinject.EnginePeel)
-			if computed := e.Stats().Computed - before; cacheSize > 0 && computed != 1 {
-				t.Errorf("workers=%d: the blast computed %d times, want 1", workers, computed)
-			}
-		}
 	}
 }

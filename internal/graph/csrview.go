@@ -22,7 +22,7 @@ func i32at(base *int32, i int32) *int32 {
 // unweighted snapshots every edge counts 1; on weighted snapshots the
 // packed parallel weights array is read in neighbor order, and that
 // accumulation order is part of the contract: scores are compared bit for
-// bit against the dmcs package's naive reference peel
+// bit against the reference peel in internal/dmcsref
 // (TestDifferentialReferenceVsCSR), so it must not change.
 type CSRView struct {
 	c      *flatCSR

@@ -14,96 +14,46 @@ import (
 	"time"
 
 	"dmcs/internal/dmcs"
+	"dmcs/internal/dmcsref"
+	"dmcs/internal/dmcsref/refstate"
 	"dmcs/internal/engine"
 	"dmcs/internal/faultinject"
 	"dmcs/internal/graph"
 )
 
-// The chaos suite: hammer the full serving tier over real HTTP while a
-// mutator toggles the graph between two known versions and a chaos
+// The chaos storm: hammer the full serving tier over real HTTP while a
+// mutator applies generated batches (internal/dmcsref) and a chaos
 // goroutine arms and clears every injection point (latency, errors,
 // panics, slow Apply, dropped responses). Run under -race in CI.
 //
 // The invariants checked on every single response:
 //
-//   - No hybrid-epoch results. The mutator only ever toggles a fixed
-//     chord set inside community 0, so at every instant the graph is in
-//     exactly one of two versions (epoch parity picks which — a no-op
-//     toggle never bumps the epoch). Every complete answer for the
-//     sentinel query must be bit-identical (members and score) to the
-//     serial reference answer of ONE version; a result computed partly
-//     against each would match neither.
-//   - Stale answers are exact for the epoch they claim: parity of the
-//     reported epoch selects the reference answer.
+//   - Every complete answer holds to the model. A fresh answer is the
+//     model's at the version its component had at some epoch since the
+//     newest Apply acknowledged before the request was sent: a result
+//     computed partly against two versions matches neither. A stale
+//     answer is exact for the version it names, and that version was
+//     superseded. A well-formed query the model refuses gets a 400.
 //   - Refusals are always explicit, well-formed JSON with the documented
 //     codes; injected faults surface as 500s, never as wrong answers.
 //   - Shutdown completes: after the storm, drain + close finish under a
-//     watchdog and a final serial-vs-engine comparison proves the
-//     surviving state (arenas, cache, snapshot) is uncorrupted.
+//     watchdog, and the engine's answers still hold to the model, so the
+//     panics and poisoned arenas along the way left nothing behind.
 func TestChaosServingStorm(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
-	// Two graph versions: A = the plain fixture, B = A plus extra chords
-	// inside community 0. Both built independently for serial reference
-	// answers.
-	buildVersion := func(withChords bool) *graph.Graph {
-		b := graph.NewBuilder(tgSmallComms*tgSmallSize + tgWhaleSize)
-		for c := 0; c < tgSmallComms; c++ {
-			base := c * tgSmallSize
-			for i := 0; i < tgSmallSize; i++ {
-				u := graph.Node(base + i)
-				b.AddEdge(u, graph.Node(base+(i+1)%tgSmallSize))
-				b.AddEdge(u, graph.Node(base+(i+3)%tgSmallSize))
-			}
-		}
-		wbase := tgSmallComms * tgSmallSize
-		for i := 0; i < tgWhaleSize; i++ {
-			u := graph.Node(wbase + i)
-			b.AddEdge(u, graph.Node(wbase+(i+1)%tgWhaleSize))
-			b.AddEdge(u, graph.Node(wbase+(i+7)%tgWhaleSize))
-		}
-		if withChords {
-			for _, e := range chaosChords() {
-				b.AddEdge(e[0], e[1])
-			}
-		}
-		return b.Build()
-	}
-	gA, gB := buildVersion(false), buildVersion(true)
-	opts := optsFPA()
-	sentinel := []graph.Node{0}
-	ansA, err := dmcs.Search(gA, sentinel, dmcs.VariantFPA, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ansB, err := dmcs.Search(gB, sentinel, dmcs.VariantFPA, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sameAnswer(ansA, ansB) {
-		t.Fatal("fixture defect: both graph versions give the same sentinel answer; the hybrid check would be vacuous")
-	}
-	// Community 1 is untouched by every toggle. Under component-scoped
-	// epochs its version stays pinned at 0 with w_G frozen at version A's
-	// context, so every complete answer — cache hit or recompute, at any
-	// global epoch — must be bit-identical to the version-A reference and
-	// must never be flagged stale. (Before per-component versions, its
-	// score shifted with the global edge mass and needed a per-version
-	// reference pair; the frozen-w_G contract is exactly what removed
-	// that churn.)
-	stableQ := []graph.Node{tgSmallSize}
-	stableA, err := dmcs.Search(gA, stableQ, dmcs.VariantFPA, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng := engine.New(buildVersion(false), engine.Options{StaleRetention: 8})
+	const islands, size = 8, 16
+	gen := dmcsref.NewGen(1, islands, size)
+	n, edges := gen.Graph()
+	m := dmcsref.NewModel(n, edges)
+	eng := engine.New(refstate.Graph(n, edges), engine.Options{StaleRetention: 8})
 	// Live sampler with a deliberately twitchy SLO so the storm actually
-	// drives the overload states, not just the happy path.
+	// drives the overload states, not just the happy path. Two bridged
+	// islands make an expensive component.
 	s := New(eng, Config{
 		SampleInterval: 10 * time.Millisecond,
-		ExpensiveNodes: 256,
+		ExpensiveNodes: 2 * size,
 		Overload:       OverloadConfig{SLO: 2 * time.Millisecond, CalmSamples: 2},
 	})
 	ts := httptest.NewServer(s)
@@ -115,61 +65,44 @@ func TestChaosServingStorm(t *testing.T) {
 	stop := make(chan struct{})
 	var (
 		wg       sync.WaitGroup
-		complete atomic.Int64 // complete 200s checked against a reference
+		complete atomic.Int64 // complete 200s checked against the model
 		staleOK  atomic.Int64
 		refused  atomic.Int64
 		faulted  atomic.Int64 // transport-level failures (dropped responses)
 	)
 	client := &http.Client{Timeout: 5 * time.Second}
 
-	checkAnswer := func(resp queryResponse, refA, refB *dmcs.Result) error {
-		if resp.Stale {
-			// Stale answers report the exact epoch they were computed
-			// against; parity selects the one reference they must match.
-			want := refA
-			if resp.Epoch%2 == 1 {
-				want = refB
-			}
-			if !sameResponse(resp, want) {
-				return fmt.Errorf("stale answer for epoch %d does not match that epoch's reference", resp.Epoch)
-			}
-			staleOK.Add(1)
-			return nil
-		}
-		if !sameResponse(resp, refA) && !sameResponse(resp, refB) {
-			return fmt.Errorf("HYBRID result: %d nodes score %v matches neither graph version (epoch %d)",
-				resp.Size, resp.Score, resp.Epoch)
-		}
-		return nil
-	}
-
-	// Query workers: sentinel and stable queries, mixed budgets, some
-	// garbage requests.
+	// Query workers: each repeats a few generated queries, so answers get
+	// cached and go stale, as dmcsd runs them (FPA with layer pruning, the
+	// other variants without); mixed budgets, some no_stale, some garbage.
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			qgen := dmcsref.NewGen(int64(10+w), islands, size)
+			pool := make([]dmcsref.Query, 6)
+			for i := range pool {
+				pool[i] = qgen.Query()
+				pool[i].Peel = dmcsref.Peel{Variant: pool[i].Peel.Variant, Pruning: pool[i].Peel.Variant == "FPA"}
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				var body string
-				refA, refB := ansA, ansB
-				switch (w + i) % 5 {
-				case 0:
-					body = `{"nodes":[0],"timeout_ms":500}`
-				case 1:
-					body = fmt.Sprintf(`{"nodes":[%d],"timeout_ms":500}`, tgSmallSize)
-					refA, refB = stableA, stableA // untouched: version A is the only legal answer
-				case 2:
-					body = `{"nodes":[0],"timeout_ms":1}` // likely queue/peel timeout under chaos
-				case 3:
-					body = fmt.Sprintf(`{"nodes":[%d],"timeout_ms":500}`, tgWhaleBase)
-				case 4:
-					body = `{"nodes":[` // malformed on purpose
+				q := pool[(i*7+w)%len(pool)]
+				nodes, _ := json.Marshal(q.Nodes)
+				timeout := 500
+				if q.Deadline {
+					timeout = 1 // likely a queue/peel timeout under chaos
 				}
+				body := fmt.Sprintf(`{"nodes":%s,"variant":%q,"timeout_ms":%d,"no_stale":%v}`, nodes, q.Peel.Variant, timeout, i%7 == 0)
+				malformed := i%6 == 5
+				if malformed {
+					body = `{"nodes":[`
+				}
+				from := m.Acked()
 				hr, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
 				if err != nil {
 					faulted.Add(1)
@@ -191,16 +124,16 @@ func TestChaosServingStorm(t *testing.T) {
 					if resp.TimedOut {
 						continue // partial: best-so-far, no exactness contract
 					}
-					if (w+i)%5 == 3 {
-						continue // whale query: no reference precomputed
+					ans := dmcsref.Answer{Score: resp.Score, Versioned: resp.Stale, Stale: resp.Stale, Version: resp.Epoch}
+					for _, u := range resp.Community {
+						ans.Community = append(ans.Community, int(u))
 					}
-					if (w+i)%5 == 1 && resp.Stale {
-						t.Errorf("untouched community served stale (version %d)", resp.Epoch)
-						return
-					}
-					if err := checkAnswer(resp, refA, refB); err != nil {
+					if err := m.Check(q, ans, from); err != nil {
 						t.Error(err)
 						return
+					}
+					if resp.Stale {
+						staleOK.Add(1)
 					}
 					complete.Add(1)
 				case http.StatusTooManyRequests, http.StatusBadRequest,
@@ -211,6 +144,12 @@ func TestChaosServingStorm(t *testing.T) {
 						t.Errorf("refusal %d with malformed body %q", hr.StatusCode, raw)
 						return
 					}
+					if hr.StatusCode == http.StatusBadRequest && !malformed {
+						if err := m.Check(q, dmcsref.Answer{Err: dmcsref.ErrInvalid}, from); err != nil {
+							t.Errorf("%v (%s)", err, eb.Error)
+							return
+						}
+					}
 					refused.Add(1)
 				default:
 					t.Errorf("unexpected status %d: %s", hr.StatusCode, raw)
@@ -220,31 +159,34 @@ func TestChaosServingStorm(t *testing.T) {
 		}(w)
 	}
 
-	// Mutator: blindly alternates chord add / chord del batches. A
-	// mistimed toggle normalizes to a no-op and leaves the epoch alone,
-	// so epoch parity always identifies the live version.
+	// Mutator, the one writer: the model takes each batch before it is
+	// sent, and once the request is over the engine's epoch says whether
+	// it landed, whatever became of the response.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		var sb strings.Builder
-		for i := 0; ; i++ {
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
+			ops := gen.Ops()
 			sb.Reset()
-			for _, e := range chaosChords() {
-				if i%2 == 0 {
-					fmt.Fprintf(&sb, "add %d %d\n", e[0], e[1])
-				} else {
-					fmt.Fprintf(&sb, "del %d %d\n", e[0], e[1])
-				}
+			for _, op := range ops {
+				fmt.Fprintln(&sb, op)
 			}
+			want := m.Apply(ops)
 			hr, err := client.Post(ts.URL+"/apply", "text/plain", strings.NewReader(sb.String()))
 			if err == nil {
 				io.Copy(io.Discard, hr.Body)
 				hr.Body.Close()
+			}
+			if eng.Epoch() == want {
+				m.Ack(want)
+			} else {
+				m.Undo()
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -304,46 +246,28 @@ func TestChaosServingStorm(t *testing.T) {
 		t.Fatal("shutdown deadlock: server close did not finish")
 	}
 
-	// Post-storm state check: with injections cleared, the engine must
-	// answer the sentinel exactly for whatever epoch the storm left
-	// behind — panics and poisoned arenas along the way must not have
-	// leaked into surviving state.
+	// Post-storm state check: with injections cleared, every island's
+	// answer must be the model's at the epoch the storm left behind.
 	faultinject.Reset()
-	want := ansA
-	if eng.Epoch()%2 == 1 {
-		want = ansB
-	}
-	res, err := eng.Search(t.Context(), engine.Query{Nodes: sentinel, Opts: opts})
-	if err != nil {
-		t.Fatalf("post-storm sentinel query: %v", err)
-	}
-	if !sameAnswer(want, res) {
-		t.Fatalf("post-storm sentinel answer corrupted: %d nodes score %v", len(res.Community), res.Score)
+	for c := 0; c < islands; c++ {
+		q := dmcsref.Query{Nodes: []int{c * size}, Peel: dmcsref.Peel{Variant: "FPA", Pruning: true}}
+		res, err := eng.Search(t.Context(), engine.Query{Nodes: []graph.Node{graph.Node(c * size)}, Opts: optsFPA()})
+		if err != nil {
+			t.Fatalf("post-storm query on island %d: %v", c, err)
+		}
+		ans := dmcsref.Answer{Score: res.Score}
+		for _, u := range res.Community {
+			ans.Community = append(ans.Community, int(u))
+		}
+		if err := m.Check(q, ans, m.Acked()); err != nil {
+			t.Fatalf("post-storm state corrupted: %v", err)
+		}
 	}
 	if complete.Load() == 0 {
 		t.Error("storm produced zero verified complete answers — chaos drowned the service entirely")
 	}
 	t.Logf("chaos: %d complete (%d stale) / %d refused / %d transport faults; final state %v, epoch %d",
 		complete.Load(), staleOK.Load(), refused.Load(), faulted.Load(), s.State(), eng.Epoch())
-}
-
-// chaosChords is the toggled edge set: four extra chords inside
-// community 0 that change its density (and thus the sentinel answer's
-// score) without touching any other community.
-func chaosChords() [][2]graph.Node {
-	return [][2]graph.Node{{0, 8}, {1, 9}, {2, 10}, {3, 11}}
-}
-
-func sameAnswer(a, b *dmcs.Result) bool {
-	if a.Score != b.Score || len(a.Community) != len(b.Community) {
-		return false
-	}
-	for i := range a.Community {
-		if a.Community[i] != b.Community[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sameResponse(resp queryResponse, want *dmcs.Result) bool {

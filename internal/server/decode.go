@@ -43,11 +43,11 @@ import (
 // line allocate gigabytes, so handleApply also caps a batch's growth at
 // Config.MaxUpdateOps nodes.
 const (
-	defaultMaxRequestBytes = 1 << 20 // 1 MiB body cap
-	defaultMaxQueryNodes   = 1024
-	defaultMaxUpdateOps    = 1 << 16
-	maxNodeID              = 1 << 26
-	maxUpdateLineBytes     = 1 << 20 // one update-stream line
+	maxRequestBytes      = 1 << 20 // 1 MiB body cap
+	defaultMaxQueryNodes = 1024
+	defaultMaxUpdateOps  = 1 << 16
+	maxNodeID            = 1 << 26
+	maxUpdateLineBytes   = 1 << 20 // one update-stream line
 )
 
 var (

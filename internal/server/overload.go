@@ -59,35 +59,29 @@ func (s OverloadState) String() string {
 	return "unknown"
 }
 
-// OverloadConfig tunes the controller's watermarks. The zero value is
-// filled in by defaults() — fractions of the bounded queue plus an SLO
-// p99 target.
+// Admission-queue fullness fractions: a sample at or above highWater
+// escalates to shed-expensive, one at or above fullWater to stale-serve,
+// and one at or below lowWater counts as calm (p99 must also be within
+// the SLO).
+const (
+	highWater = 0.75
+	fullWater = 0.95
+	lowWater  = 0.25
+)
+
+// OverloadConfig tunes the controller's latency target and hysteresis.
+// The zero value is filled in by defaults().
 type OverloadConfig struct {
 	// SLO is the p99 latency target; p99 above it escalates one level,
 	// p99 at 2× or beyond escalates straight to stale-serve. 0 disables
 	// the latency signal (queue depth still escalates).
 	SLO time.Duration
-	// HighWater and FullWater are admission-queue fullness fractions
-	// that trigger shed-expensive and stale-serve respectively.
-	HighWater, FullWater float64
-	// LowWater is the queue fraction at or below which a sample counts
-	// as calm (p99 must also be within SLO).
-	LowWater float64
 	// CalmSamples is how many consecutive calm samples are required to
 	// step down one state — the hysteresis that stops flapping.
 	CalmSamples int
 }
 
 func (c *OverloadConfig) defaults() {
-	if c.HighWater == 0 {
-		c.HighWater = 0.75
-	}
-	if c.FullWater == 0 {
-		c.FullWater = 0.95
-	}
-	if c.LowWater == 0 {
-		c.LowWater = 0.25
-	}
 	if c.CalmSamples == 0 {
 		c.CalmSamples = 5
 	}
@@ -113,15 +107,15 @@ func (c *overloadController) Observe(queueFrac float64, p99 time.Duration) Overl
 	sloBlown := c.cfg.SLO > 0 && p99 > c.cfg.SLO
 	sloCollapsed := c.cfg.SLO > 0 && p99 >= 2*c.cfg.SLO
 	switch {
-	case queueFrac >= c.cfg.FullWater || sloCollapsed:
+	case queueFrac >= fullWater || sloCollapsed:
 		c.state = StateStaleServe
 		c.calm = 0
-	case queueFrac >= c.cfg.HighWater || sloBlown:
+	case queueFrac >= highWater || sloBlown:
 		if c.state < StateShedExpensive {
 			c.state = StateShedExpensive
 		}
 		c.calm = 0
-	case queueFrac <= c.cfg.LowWater && !sloBlown:
+	case queueFrac <= lowWater && !sloBlown:
 		c.calm++
 		if c.calm >= c.cfg.CalmSamples && c.state > StateHealthy {
 			c.state--

@@ -69,15 +69,15 @@ type Config struct {
 	// be recorded). Answers at the component's current version are exact
 	// — never flagged stale — regardless of this knob. Default 8.
 	StaleMaxBehind int
-	// Request caps fed to the decoders. MaxUpdateOps (default 65536) caps
-	// the ops of one /apply batch and, by the same number, how far it may
-	// grow the graph: a batch naming a node id >= NumNodes()+MaxUpdateOps
-	// is refused with 400 "invalid" before anything is merged or logged,
-	// so one short line cannot make Apply allocate a node table gigabytes
-	// long. Growth of exactly MaxUpdateOps nodes is accepted.
-	MaxRequestBytes int64
-	MaxQueryNodes   int
-	MaxUpdateOps    int
+	// Request caps fed to the decoders; a body is always capped at 1 MiB.
+	// MaxUpdateOps (default 65536) caps the ops of one /apply batch and,
+	// by the same number, how far it may grow the graph: a batch naming a
+	// node id >= NumNodes()+MaxUpdateOps is refused with 400 "invalid"
+	// before anything is merged or logged, so one short line cannot make
+	// Apply allocate a node table gigabytes long. Growth of exactly
+	// MaxUpdateOps nodes is accepted.
+	MaxQueryNodes int
+	MaxUpdateOps  int
 	// Overload configures the degradation state machine.
 	Overload OverloadConfig
 	// SampleInterval is the overload controller's sampling period.
@@ -118,9 +118,6 @@ func (c *Config) defaults() {
 	}
 	if c.StaleMaxBehind == 0 {
 		c.StaleMaxBehind = 8
-	}
-	if c.MaxRequestBytes == 0 {
-		c.MaxRequestBytes = defaultMaxRequestBytes
 	}
 	if c.MaxQueryNodes == 0 {
 		c.MaxQueryNodes = defaultMaxQueryNodes
@@ -450,7 +447,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// MaxBytesReader is the request-size guard, and the one allocation a
 	// cache hit still makes.
 	var err error
-	sc.buf, err = readBody(sc.buf, http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	sc.buf, err = readBody(sc.buf, http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		s.eng.NoteRejected()
 		writeError(w, http.StatusBadRequest, "invalid", "reading body: "+err.Error(), 0)
@@ -570,8 +567,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, "injected", err.Error(), 0)
 		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 			writeError(w, http.StatusGatewayTimeout, "timeout", err.Error(), 0)
-		default:
+		case errors.Is(err, dmcs.ErrDisconnected) || errors.Is(err, dmcs.ErrEmptyQuery) || errors.Is(err, engine.ErrNodeOutOfRange):
+			// An Apply that split the component since classification.
 			writeError(w, http.StatusBadRequest, "invalid", err.Error(), 0)
+		default:
+			// Not the client's fault: an engine failure without a code of
+			// its own (an injected error is one).
+			writeError(w, http.StatusInternalServerError, "internal", err.Error(), 0)
 		}
 		return
 	}
@@ -625,7 +627,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining", 0)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid", "reading body: "+err.Error(), 0)
 		return
