@@ -16,7 +16,10 @@ import (
 //     Float64bits(score), or the same refusal.
 //  2. Check, for an answer that reports its version: stale is set iff
 //     that version is superseded, and a stale answer is exact for the
-//     version it names.
+//     version it names. Where rule 4 applies, a stale answer also comes
+//     from no older version than the newest one the same query was
+//     answered at: the cache still holds that answer, and a stale probe
+//     tries the newest ancestor first.
 //  3. Recovered: a recovered state image equals the model at the
 //     recovered epoch, which must keep every acknowledged Apply.
 //     (CheckState holds a live image to the same comparison.)
@@ -54,6 +57,7 @@ func (m *Model) Check(q Query, got Answer, from uint64) error {
 	if got.Versioned && got.Stale && got.Version < uint64(len(m.hist)) {
 		stale = m.hist[got.Version]
 	}
+	answered := m.hits[fmt.Sprint(nodes, q.Peel)]
 	m.mu.Unlock()
 	if got.Versioned && got.Stale {
 		// A stale answer is exact for the version it names, and that
@@ -66,6 +70,9 @@ func (m *Model) Check(q Query, got Answer, from uint64) error {
 		}
 		if !m.answerAt(stale, nodes, q.Peel).matches(got) {
 			return fmt.Errorf("query %v %+v: stale answer %v (score %v) is not the model's at version %d", nodes, q.Peel, got.Community, got.Score, got.Version)
+		}
+		if answered != nil && answered.ep > got.Version {
+			return fmt.Errorf("query %v %+v: stale answer at version %d, but the cache holds its answer at the newer version %d", nodes, q.Peel, got.Version, answered.ep)
 		}
 		for _, at := range window {
 			if v, _ := at.version(nodes); v != stale {
@@ -101,7 +108,8 @@ func (m *Model) Check(q Query, got Answer, from uint64) error {
 // CheckHit holds a complete answer to rule 4: hit says whether the query
 // was a cache hit, and it must be if the same query was answered before
 // at the version its component still has. Call it only where the cache
-// cannot have evicted an entry.
+// cannot have evicted an entry: the version it records is also what
+// rule 2 holds a later stale answer to.
 func (m *Model) CheckHit(q Query, got Answer, hit bool) error {
 	if got.Err != nil {
 		return nil

@@ -46,7 +46,7 @@ type Gen struct {
 	n             int // nodes, counting the ones batches added
 	bridges       [][2]int
 	recent        []Query // the last queries drawn, for repeats
-	crashed       bool
+	queued        []Step  // steps Next returns before drawing again
 }
 
 // NewGen returns a generator over islands islands of size nodes each;
@@ -74,11 +74,15 @@ func (g *Gen) next(u, step int) int {
 }
 
 // Next returns the next step. A StepCrash is always followed by
-// StepRecover.
+// StepRecover. A StepStale ends a revisit: its query is answered, its
+// island churned, the query answered again and the island churned once
+// more, so the lookup finds two superseded versions of the answer to
+// choose from.
 func (g *Gen) Next() Step {
-	if g.crashed {
-		g.crashed = false
-		return Step{Kind: StepRecover}
+	if len(g.queued) > 0 {
+		st := g.queued[0]
+		g.queued = g.queued[1:]
+		return st
 	}
 	switch r := g.rng.Intn(100); {
 	case r < 30:
@@ -88,19 +92,33 @@ func (g *Gen) Next() Step {
 	case r < 77:
 		return Step{Kind: StepBatch, Queries: g.Batch()}
 	case r < 89:
-		return Step{Kind: StepStale, Queries: []Query{g.Query()}}
+		// A revisit. Its query carries no deadline, so every answer it
+		// gets is cached.
+		q := g.Query()
+		q.Deadline = false
+		qs, base := []Query{q}, q.Nodes[0]-q.Nodes[0]%g.size
+		g.queued = []Step{
+			{Kind: StepApply, Ops: g.opsOn(base)},
+			{Kind: StepQuery, Queries: qs},
+			{Kind: StepApply, Ops: g.opsOn(base)},
+			{Kind: StepStale, Queries: qs},
+		}
+		return Step{Kind: StepQuery, Queries: qs}
 	case r < 97:
 		return Step{Kind: StepCheckpoint}
 	default:
-		g.crashed = true
+		g.queued = []Step{{Kind: StepRecover}}
 		return Step{Kind: StepCrash, Ops: g.Ops()}
 	}
 }
 
 // Ops returns one batch of one to three edits on one island.
-func (g *Gen) Ops() []Op {
+func (g *Gen) Ops() []Op { return g.opsOn(g.rng.Intn(g.islands) * g.size) }
+
+// opsOn returns one batch of one to three edits on the island whose
+// first node is base.
+func (g *Gen) opsOn(base int) []Op {
 	var ops []Op
-	base := g.rng.Intn(g.islands) * g.size
 	for k := 1 + g.rng.Intn(3); k > 0; k-- {
 		u := base + g.rng.Intn(g.size)
 		switch g.rng.Intn(8) {

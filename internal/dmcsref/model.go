@@ -91,7 +91,7 @@ type Model struct {
 	mu    sync.Mutex
 	hist  []*epoch // hist[e] is the graph at epoch e
 	acked uint64
-	hits  map[string]*epoch // query -> version it was last answered at (rule 4)
+	hits  map[string]*epoch // query -> version it was last answered at (rules 2 and 4)
 }
 
 // NewModel returns the model of the n-node graph with the given edges at

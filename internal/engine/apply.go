@@ -149,20 +149,15 @@ func (e *Engine) Apply(b Batch) (ApplyStats, error) {
 		return ApplyStats{}, fmt.Errorf("engine: apply rejected: %w", err)
 	}
 	cur := e.snap.Load()
-	if len(b.ops) == 0 {
-		return ApplyStats{Epoch: cur.epoch, Components: len(cur.comps)}, nil
+	next, st := successor(cur, b.ops, e.staleRetention)
+	if next == nil {
+		// No ops, or every op normalized away (removes of absent edges,
+		// re-adds of existing ones): keep the current version and its warm
+		// result/sub-CSR caches. Nothing is logged either — ineffective
+		// batches do not consume an epoch, so the log's epoch sequence
+		// stays dense and replayable.
+		return st, nil
 	}
-	csr, info := graph.MergeCSR(cur.csr, b.ops)
-	if info.NodesAdded == 0 && len(info.Inserted) == 0 && len(info.Removed) == 0 && info.WeightsChanged == 0 {
-		// Every op normalized away (removes of absent edges, re-adds of
-		// existing ones): MergeCSR handed cur.csr itself back, so keep the
-		// current version and its warm result/sub-CSR caches. Nothing is
-		// logged either — ineffective batches do not consume an epoch, so
-		// the log's epoch sequence stays dense and replayable.
-		return ApplyStats{Epoch: cur.epoch, Components: len(cur.comps)}, nil
-	}
-	compID, comps, carried, reflooded := graph.UpdatePartition(csr, cur.compID, cur.comps, info)
-	next, invalidated, retained := newSnapshotFrom(cur, csr, compID, comps, carried, cur.epoch+1, e.staleRetention)
 	if e.wal != nil {
 		// Durability point: the raw staged ops (replay renormalizes them
 		// identically) plus the version stamps of the touched components,
@@ -174,11 +169,26 @@ func (e *Engine) Apply(b Batch) (ApplyStats, error) {
 			return ApplyStats{}, fmt.Errorf("engine: apply epoch %d not durable: %w", next.epoch, err)
 		}
 	}
-	e.invalidated.Add(uint64(invalidated))
-	e.retained.Add(uint64(retained))
+	e.invalidated.Add(uint64(st.Invalidated))
+	e.retained.Add(uint64(st.Retained))
 	e.snap.Store(next)
 	e.maybeCheckpoint()
-	return ApplyStats{
+	return st, nil
+}
+
+// successor merges ops into cur and builds the snapshot they produce —
+// the one path from a batch to the next version, shared by Apply and
+// WAL replay — with the stats Apply reports. It returns a nil snapshot,
+// and cur's epoch in the stats, when every op normalizes away: MergeCSR
+// then hands cur.csr itself back.
+func successor(cur *Snapshot, ops []graph.Delta, staleRetention int) (*Snapshot, ApplyStats) {
+	csr, info := graph.MergeCSR(cur.csr, ops)
+	if info.NodesAdded == 0 && len(info.Inserted) == 0 && len(info.Removed) == 0 && info.WeightsChanged == 0 {
+		return nil, ApplyStats{Epoch: cur.epoch, Components: len(cur.comps)}
+	}
+	compID, comps, carried, reflooded := graph.UpdatePartition(csr, cur.compID, cur.comps, info)
+	next, invalidated, retained := newSnapshotFrom(cur, csr, compID, comps, carried, cur.epoch+1, staleRetention)
+	return next, ApplyStats{
 		Epoch:          next.epoch,
 		NodesAdded:     info.NodesAdded,
 		EdgesAdded:     len(info.Inserted),
@@ -188,7 +198,7 @@ func (e *Engine) Apply(b Batch) (ApplyStats, error) {
 		Components:     len(comps),
 		Invalidated:    invalidated,
 		Retained:       retained,
-	}, nil
+	}
 }
 
 // maybeCheckpoint triggers a background checkpoint every

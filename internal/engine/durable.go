@@ -149,12 +149,10 @@ func newSnapshotFromCheckpoint(cp *wal.Checkpoint) (*Snapshot, error) {
 // base state diverged), and the re-derived component version stamps
 // must match the record's.
 func replaySnapshot(cur *Snapshot, r *wal.Record, staleRetention int) (*Snapshot, error) {
-	csr, info := graph.MergeCSR(cur.csr, r.Ops)
-	if info.NodesAdded == 0 && len(info.Inserted) == 0 && len(info.Removed) == 0 && info.WeightsChanged == 0 {
+	next, _ := successor(cur, r.Ops, staleRetention)
+	if next == nil {
 		return nil, fmt.Errorf("engine: replay diverged at epoch %d: logged batch normalized to a no-op", r.Epoch)
 	}
-	compID, comps, carried, _ := graph.UpdatePartition(csr, cur.compID, cur.comps, info)
-	next, _, _ := newSnapshotFrom(cur, csr, compID, comps, carried, cur.epoch+1, staleRetention)
 	if next.epoch != r.Epoch {
 		return nil, fmt.Errorf("engine: replay diverged: produced epoch %d for record %d", next.epoch, r.Epoch)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,21 +12,6 @@ import (
 	"dmcs/internal/graph"
 	"dmcs/internal/wal"
 )
-
-// serialOn computes the reference answer for q against one captured
-// snapshot version, through the plain serial entry point.
-func serialOn(t testing.TB, s *Snapshot, q Query) *dmcs.Result {
-	t.Helper()
-	res, err := dmcs.SearchCSR(s.CSR(), normalizeNodes(q.Nodes), q.Variant, q.Opts)
-	if err != nil {
-		t.Fatalf("serial reference: %v", err)
-	}
-	return res
-}
-
-func sameResult(a, b *dmcs.Result) bool {
-	return reflect.DeepEqual(a.Community, b.Community) && a.Score == b.Score && a.Iterations == b.Iterations
-}
 
 // TestApplyPublishesNewVersion: Apply bumps the epoch, the new snapshot
 // reflects the batch (component count, growth, the ApplyStats counts),
@@ -157,59 +141,6 @@ func TestApplyRefloodsOnlyAffectedComponent(t *testing.T) {
 	w.SetWeight(base, base+1, 2.5)
 	if st, _ := e.Apply(w); st.RefloodedNodes != 0 || st.WeightsChanged != 1 {
 		t.Fatalf("weight-only batch: %+v, want 0 refloods, 1 weight change", st)
-	}
-}
-
-// TestEpochInvalidatesCache is the acceptance-criterion invalidation
-// test: after any Apply, no query may observe a pre-update cached result
-// — even though the pre-update query was a warm cache hit moments before.
-func TestEpochInvalidatesCache(t *testing.T) {
-	e := New(smallQueryEngineGraph(4, 40), Options{Workers: 2})
-	ctx := context.Background()
-	q := Query{Nodes: []graph.Node{3}}
-
-	first, err := e.Search(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := e.Search(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != again {
-		t.Fatal("precondition: repeat query should be a cache hit (shared pointer)")
-	}
-	if hits := e.Stats().CacheHits; hits != 1 {
-		t.Fatalf("precondition: CacheHits = %d, want 1", hits)
-	}
-
-	// Mutate the queried community: drop a chord touching node 3's ring.
-	var b Batch
-	b.RemoveEdge(3, 10)
-	e.Apply(b)
-
-	after, err := e.Search(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after == first {
-		t.Fatal("post-Apply query returned the pre-update cached *Result")
-	}
-	if hits := e.Stats().CacheHits; hits != 1 {
-		t.Fatalf("post-Apply query hit the stale cache (CacheHits = %d, want still 1)", hits)
-	}
-	want := serialOn(t, e.Snapshot(), q)
-	if !sameResult(after, want) {
-		t.Fatalf("post-Apply result (%v, %v) != serial on new version (%v, %v)",
-			after.Community, after.Score, want.Community, want.Score)
-	}
-	// And the new version caches normally again.
-	again2, err := e.Search(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again2 != after {
-		t.Fatal("new-version repeat should be a cache hit")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"dmcs/internal/faultinject"
 	"dmcs/internal/graph"
 	"dmcs/internal/lfr"
-	"dmcs/internal/queries"
 )
 
 // testGraph generates a small deterministic LFR benchmark graph with its
@@ -39,47 +38,6 @@ func testGraph(t testing.TB, n int) *lfr.Result {
 // makes of a query's node set, for the serial reference calls.
 func normalizeNodes(q []graph.Node) []graph.Node {
 	return normalizeNodesInto(nil, q)
-}
-
-// testQueries draws query sets of mixed sizes from the ground truth.
-func testQueries(t testing.TB, res *lfr.Result, numSets int) []Query {
-	t.Helper()
-	var qs []Query
-	for _, size := range []int{1, 2, 4} {
-		sets := queries.Generate(res.G, res.Communities, queries.Options{
-			NumSets: numSets,
-			Size:    size,
-			Seed:    int64(size),
-		})
-		for _, q := range sets {
-			qs = append(qs, Query{Nodes: q})
-		}
-	}
-	if len(qs) == 0 {
-		t.Fatal("no query sets generated")
-	}
-	return qs
-}
-
-func TestBatchDeterministicAcrossWorkerCounts(t *testing.T) {
-	res := testGraph(t, 400)
-	qs := testQueries(t, res, 5)
-	var base []BatchResult
-	for _, workers := range []int{1, 4, 16} {
-		// Cache disabled so every run recomputes under a different
-		// interleaving instead of replaying the first run's answers.
-		e := New(res.G, Options{Workers: workers, CacheSize: -1})
-		got := e.SearchBatch(context.Background(), qs)
-		if base == nil {
-			base = got
-			continue
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i].Result.Community, base[i].Result.Community) {
-				t.Fatalf("workers=%d query %d: community differs from workers=1 run", workers, i)
-			}
-		}
-	}
 }
 
 func TestCacheHits(t *testing.T) {
@@ -381,58 +339,6 @@ func TestSnapshotAggregatesMatchGraph(t *testing.T) {
 	for u := 0; u < g.NumNodes(); u++ {
 		if c.WeightedDegree(graph.Node(u)) != g.WeightedDegree(graph.Node(u)) {
 			t.Errorf("WeightedDegree(%d) = %v, want %v", u, c.WeightedDegree(graph.Node(u)), g.WeightedDegree(graph.Node(u)))
-		}
-	}
-}
-
-// TestStressMixedVariantsArenaReuse floods the engine with mixed-variant
-// queries across many components — unweighted and weighted rounds, with
-// components big enough (>= 2×recompactMinAlive nodes) that NCA's
-// geometric re-compaction and the fused weighted articulation kernel
-// both run through the per-worker arena slot ping-pong — twice over the
-// same engine so every worker arena is reused by dozens of searches, and
-// checks every answer against a fresh serial search. Run under -race
-// (CI does) this also proves arena checkout is properly isolated per
-// in-flight query.
-func TestStressMixedVariantsArenaReuse(t *testing.T) {
-	const comps, size = 12, 80
-	base := smallQueryEngineGraph(comps, size)
-	weighted := graph.NewBuilder(base.NumNodes())
-	i := 0
-	base.Edges(func(u, v graph.Node) bool {
-		weighted.SetWeight(u, v, 0.5+float64(i%7)/3)
-		i++
-		return true
-	})
-	variants := []dmcs.Variant{dmcs.VariantFPA, dmcs.VariantNCA, dmcs.VariantNCADR, dmcs.VariantFPADMG}
-	var qs []Query
-	for c := 0; c < comps; c++ {
-		b := c * size
-		v := variants[c%len(variants)]
-		qs = append(qs,
-			Query{Nodes: []graph.Node{graph.Node(b)}, Variant: v},
-			Query{Nodes: []graph.Node{graph.Node(b + 5), graph.Node(b + 50)}, Variant: v,
-				Opts: dmcs.Options{LayerPruning: v == dmcs.VariantFPA}},
-		)
-	}
-	for _, g := range []*graph.Graph{base, weighted.Build()} {
-		// Cache disabled: both rounds must recompute on recycled arenas.
-		e := New(g, Options{Workers: 8, CacheSize: -1})
-		for round := 0; round < 2; round++ {
-			got := e.SearchBatch(context.Background(), qs)
-			for i, q := range qs {
-				want, err := dmcs.Search(g, normalizeNodes(q.Nodes), q.Variant, q.Opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got[i].Err != nil {
-					t.Fatalf("round %d query %d: %v", round, i, got[i].Err)
-				}
-				if !reflect.DeepEqual(got[i].Result.Community, want.Community) || got[i].Result.Score != want.Score {
-					t.Fatalf("round %d query %d (%v weighted=%v): engine (%v, %v) != serial (%v, %v)",
-						round, i, q.Variant, g.Weighted(), got[i].Result.Community, got[i].Result.Score, want.Community, want.Score)
-				}
-			}
 		}
 	}
 }

@@ -6,7 +6,9 @@ package engine
 // hold exactly: every complete answer is the model's at the current
 // versions, stale is set iff the version is superseded, every state image
 // is the model's (a recovered one at the acknowledged epoch), and a repeated
-// query on an untouched component is a cache hit. A concurrent phase
+// query on an untouched component is a cache hit; where the cache holds
+// every answer, a stale one also comes from the newest superseded version
+// the query was answered at. A concurrent phase
 // follows: one writer applies while readers search, batch, look up stale
 // answers and read Stats, each answer held to the versions of the epochs
 // it may have seen. Under -race that is also the engine's swap, cache,
@@ -45,7 +47,7 @@ func TestEngineAgainstModel(t *testing.T) {
 		name    string
 		islands int
 		opts    Options
-		hits    bool // the cache holds every answer: rule 4 applies
+		hits    bool // the cache holds every answer: rule 4, and rule 2 in full, apply
 	}{
 		{"cached", 48, Options{Workers: 2, CacheSize: 1 << 14, StaleRetention: 8}, true},
 		{"uncached", 6, Options{Workers: 4, CacheSize: -1}, false},

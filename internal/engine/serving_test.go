@@ -306,78 +306,3 @@ func TestStatsStaleStripeExcluded(t *testing.T) {
 		t.Errorf("P95 = %v, want 1s: recent slow samples must still dominate the tail", st.P95)
 	}
 }
-
-// TestShardedCacheRacesApply stress-races the whole serving surface
-// under -race: sharded get/add via Search, Stats readers, and Apply's
-// epoch bumps, all concurrently. Beyond being race-free, the end state
-// must be exact: the engine's Queries counter equals the number of Search
-// calls made, no query ever errors (the toggled edge is chord-covered, so
-// components never split), and the cache never exceeds its capacity.
-func TestShardedCacheRacesApply(t *testing.T) {
-	const comps, size = 8, 40
-	e := New(smallQueryEngineGraph(comps, size), Options{Workers: 4, CacheSize: 32})
-	ctx := context.Background()
-	const searchers = 4
-	const perSearcher = 300
-	var wg sync.WaitGroup
-	for s := 0; s < searchers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			nodes := make([]graph.Node, 1)
-			for i := 0; i < perSearcher; i++ {
-				nodes[0] = graph.Node(((s*perSearcher + i) % comps) * size)
-				if _, err := e.Search(ctx, Query{Nodes: nodes}); err != nil {
-					t.Errorf("searcher %d: %v", s, err)
-					return
-				}
-			}
-		}(s)
-	}
-	stop := make(chan struct{})
-	var bg sync.WaitGroup
-	bg.Add(2)
-	go func() { // epoch-bumping applier
-		defer bg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			var b Batch
-			if i%2 == 0 {
-				b.RemoveEdge(0, 1)
-			} else {
-				b.AddEdge(0, 1)
-			}
-			e.Apply(b)
-		}
-	}()
-	go func() { // stats reader
-		defer bg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = e.Stats()
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	bg.Wait()
-
-	st := e.Stats()
-	if want := uint64(searchers * perSearcher); st.Queries != want {
-		t.Errorf("Queries = %d, want exactly %d", st.Queries, want)
-	}
-	if st.Errors != 0 {
-		t.Errorf("Errors = %d, want 0", st.Errors)
-	}
-	if n := e.cache.len(); n > 32 {
-		t.Errorf("cache holds %d entries, capacity 32", n)
-	}
-}

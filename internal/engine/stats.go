@@ -2,22 +2,15 @@ package engine
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // latencyWindow is how many recent per-query latencies the percentile
-// estimates are computed over, summed across stripes. A fixed window
-// keeps Stats() O(window) and the engine's memory bounded regardless of
-// how many queries it serves.
+// estimates are computed over. A fixed window keeps Stats() O(window)
+// and the engine's memory bounded regardless of how many queries it
+// serves.
 const latencyWindow = 4096
-
-// minStripeRing floors the per-stripe latency ring so a workload whose
-// recordings concentrate on few stripes (e.g. a single-threaded client
-// on a many-core engine) still keeps a substantial window on the
-// stripes it does use.
-const minStripeRing = 256
 
 // Stats is a point-in-time snapshot of an Engine's counters. Totals are
 // exact, not sampled: each counter is a sum of per-stripe atomics, so
@@ -106,37 +99,21 @@ type Stats struct {
 // The hot recorders (recordHit, recordServed) are single atomic adds on
 // a stripe chosen per worker-scratch bundle, so concurrent queries on
 // different workers never touch the same cache line — there is no stats
-// mutex on the serving path at all. Latencies go into small per-stripe
-// rings guarded by per-stripe mutexes; only computed searches (which
-// just spent microseconds-to-milliseconds peeling) pay that lock, and
-// stripes keep it uncontended.
-//
-// Each latency sample carries a global sequence number (one shared
-// atomic, paid only by computed searches), and snapshot() discards
-// samples more than latencyWindow recordings old. Without that, a
-// stripe that goes idle would hold its stale samples forever and keep
-// skewing the percentiles long after the workload shifted. The window
-// therefore never includes anything older than the most recent
-// latencyWindow recordings; how much of that window is retained depends
-// on how recordings spread over stripes — between latencyWindow (evenly
-// spread) and the per-stripe ring size (everything on one stripe, at
-// least minStripeRing).
+// mutex on the serving path at all. Latencies go into one ring of
+// latencyWindow atomic slots, indexed by a global sequence number that
+// only computed searches (which just spent microseconds-to-milliseconds
+// peeling) pay for, so the window is exactly the most recent
+// latencyWindow recordings, however they spread over stripes.
 type statsCollector struct {
-	seq     atomic.Uint64 // global latency-sample sequence
+	seq     atomic.Uint64 // latencies recorded; recording k takes slot (k-1) % latencyWindow
 	_       [120]byte
+	lat     [latencyWindow]atomic.Int64 // nanoseconds; 0 until first written
 	stripes []statStripe
 }
 
-// latSample is one latency recording: its duration and its position in
-// the global recording order.
-type latSample struct {
-	d   time.Duration
-	seq uint64
-}
-
-// statStripe is one stripe's counters and latency ring. The pad after
-// the atomics keeps two stripes' counters from sharing a cache line
-// (the slice backing array lays stripes out contiguously).
+// statStripe is one stripe's counters. The pad keeps two stripes'
+// counters from sharing a cache line (the slice backing array lays
+// stripes out contiguously).
 type statStripe struct {
 	queries     atomic.Uint64
 	cacheHits   atomic.Uint64
@@ -149,28 +126,11 @@ type statStripe struct {
 	shed        atomic.Uint64
 	staleServed atomic.Uint64
 	_           [48]byte // pad the 80 counter bytes out to two cache lines
-
-	//dmcs:striped
-	mu      sync.Mutex
-	ring    []latSample
-	ringLen int // filled entries, <= len(ring)
-	ringPos int // next write position
-	_       [64]byte
 }
 
-// newStatsCollector builds a collector with nextPow2(stripes) stripes,
-// each owning an equal slice of the global latency window.
+// newStatsCollector builds a collector with nextPow2(stripes) stripes.
 func newStatsCollector(stripes int) *statsCollector {
-	n := nextPow2(max(1, stripes))
-	ringLen := latencyWindow / n
-	if ringLen < minStripeRing {
-		ringLen = minStripeRing
-	}
-	s := &statsCollector{stripes: make([]statStripe, n)}
-	for i := range s.stripes {
-		s.stripes[i].ring = make([]latSample, ringLen)
-	}
-	return s
+	return &statsCollector{stripes: make([]statStripe, nextPow2(max(1, stripes)))}
 }
 
 // numStripes returns the stripe count (a power of two).
@@ -242,7 +202,7 @@ func (s *statsCollector) recordStaleServed(stripe int) {
 }
 
 // recordSearch counts one executed peel and, when the peel ran to its
-// natural end (complete), records its latency in the stripe's ring.
+// natural end (complete), records its latency in the ring.
 // Errored or abandoned peels still count toward Computed — the work was
 // done — but their wall-clock reflects when the failure landed, not
 // search cost, so they are kept out of the percentile window. Note this
@@ -256,23 +216,15 @@ func (s *statsCollector) recordSearch(stripe int, d time.Duration, complete bool
 	if !complete {
 		return
 	}
-	seq := s.seq.Add(1)
-	st.mu.Lock()
-	st.ring[st.ringPos] = latSample{d: d, seq: seq}
-	st.ringPos = (st.ringPos + 1) % len(st.ring)
-	if st.ringLen < len(st.ring) {
-		st.ringLen++
-	}
-	st.mu.Unlock()
+	s.lat[(s.seq.Add(1)-1)%latencyWindow].Store(int64(d))
 }
 
 // snapshot sums the striped counters and computes nearest-rank
-// percentiles over the union of the per-stripe latency windows,
-// discarding samples older than the most recent latencyWindow
-// recordings (an idle stripe's leftovers must not haunt the tail).
+// percentiles over the latency ring. A slot whose recording has taken
+// its sequence number but not yet stored, on the ring's first lap, still
+// reads 0 and is skipped.
 func (s *statsCollector) snapshot(cacheEntries int) Stats {
 	st := Stats{CacheEntries: cacheEntries}
-	var samples []latSample
 	for i := range s.stripes {
 		sp := &s.stripes[i]
 		st.Queries += sp.queries.Load()
@@ -285,15 +237,11 @@ func (s *statsCollector) snapshot(cacheEntries int) Stats {
 		st.Rejected += sp.rejected.Load()
 		st.Shed += sp.shed.Load()
 		st.StaleServed += sp.staleServed.Load()
-		sp.mu.Lock()
-		samples = append(samples, sp.ring[:sp.ringLen]...)
-		sp.mu.Unlock()
 	}
-	maxSeq := s.seq.Load()
-	lat := make([]time.Duration, 0, len(samples))
-	for _, smp := range samples {
-		if smp.seq+latencyWindow > maxSeq {
-			lat = append(lat, smp.d)
+	lat := make([]time.Duration, 0, min(s.seq.Load(), latencyWindow))
+	for i := range s.lat[:cap(lat)] {
+		if d := s.lat[i].Load(); d > 0 {
+			lat = append(lat, time.Duration(d))
 		}
 	}
 	if len(lat) == 0 {
