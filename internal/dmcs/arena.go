@@ -75,10 +75,36 @@ func (a *Arena) Poison() {
 	a.ps = peelState{}
 	// a.nca's dist and skip are graph-arena buffers, poisoned above
 	poisonNodes(a.nca.parent)
-	poisonInt32s(a.nca.nchild)
+	poisonNodes(a.nca.first)
+	poisonNodes(a.nca.sib)
+	poisonNodes(a.nca.prev)
 	poisonInt32s(a.nca.key)
 	poisonNodes(a.nca.witness)
 	poisonFloat64s(a.nca.k)
+	poisonNodes(a.nca.subtree)
+	// Stamps read 2, the member stamp of a search's first re-hang: a
+	// search that trusted them instead of clearing them would take every
+	// node for a member of the subtree.
+	stamp := a.nca.stamp[:cap(a.nca.stamp)]
+	for i := range stamp {
+		stamp[i] = 2
+	}
+	poisonInt32s(a.nca.byDeg)
+	poisonInt32s(a.nca.cls)
+	poisonInt32s(a.nca.cOff)
+	poisonInt32s(a.nca.cLen)
+	poisonNodes(a.nca.heap)
+	// pos and parked read 0, every node claiming a heap slot and node 0's
+	// park list: negative junk would read as "not indexed".
+	ipos := a.nca.pos[:cap(a.nca.pos)]
+	for i := range ipos {
+		ipos[i] = 0
+	}
+	parked := a.nca.parked[:cap(a.nca.parked)]
+	for i := range parked {
+		parked[i] = 0
+	}
+	poisonNodes(a.nca.next)
 }
 
 func poisonNodes(s []graph.Node) {

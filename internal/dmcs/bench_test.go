@@ -73,8 +73,9 @@ func BenchmarkFPADMG(b *testing.B) {
 	}
 }
 
-// BenchmarkNCA measures the non-articulation peel (scan per removal,
-// certificates instead of a Tarjan pass per removal).
+// BenchmarkNCA measures the non-articulation peel: a degree-class heap
+// pick and a spanning tree re-hung locally per removal, no candidate scan
+// and no Tarjan pass.
 func BenchmarkNCA(b *testing.B) {
 	g, q := benchGraph(b, 1000)
 	b.ResetTimer()
@@ -135,8 +136,8 @@ func BenchmarkWeightedFPAPruningCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkWeightedNCACSR measures the quadratic NCA loop, whose
-// per-iteration candidate scan reads k_{v,S} for every alive node — the
+// BenchmarkWeightedNCACSR measures the weighted NCA loop, which keeps the
+// per-iteration candidate scan over k_{v,S} of every alive node — the
 // heaviest edge-weight consumer of the four variants.
 func BenchmarkWeightedNCACSR(b *testing.B) {
 	g, q := weightedBenchGraph(b, 1000)

@@ -41,12 +41,12 @@
 //
 // NCA additionally re-compacts geometrically: whenever the alive set
 // (by nodes or edges) halves, the sub-CSR is rebuilt over the survivors
-// so its candidate rescan costs O(alive). Aggregates are carried — never
-// re-accumulated — across rebuilds. It also decides almost every removal
-// from two persistent certificates (a spanning tree of the alive set and
-// alive-witness articulation marks; see nca.go) instead of a Tarjan pass
-// per removal, which stays as the referee and as the O(|V|(|V|+|E|))
-// worst case.
+// so its tables stay O(alive). Aggregates are carried — never
+// re-accumulated — across rebuilds. It picks from one heap per degree
+// class instead of scanning every candidate (unweighted graphs), and it
+// decides removability from a spanning tree of the alive set, re-hung
+// locally, and alive-witness articulation marks instead of a Tarjan pass
+// per removal (see nca.go).
 //
 // The whole substrate is float-exact: relabelling is monotonic and
 // weight accumulation follows the sorted-adjacency order graph.Builder

@@ -7,3 +7,7 @@ var (
 	Reweighted      = reweighted
 	NCAQueries      = ncaQueries
 )
+
+// work is the peel's work so far: adjacency entries read by makeLeaf,
+// rehang and remove, plus the pick scores evaluated.
+func (p *ncaPeel) work() int { return p.adjReads + p.scored }

@@ -13,47 +13,56 @@ import (
 // Ties keep the node closer to the query (the farther node is removed),
 // then break on node id for determinism.
 //
-// The textbook loop runs a Hopcroft–Tarjan DFS before every removal —
-// O(|V|(|V|+|E|)) overall, and still this loop's worst case. Two exact
-// certificates, carried from one iteration to the next, decide almost
-// every iteration without one:
+// The textbook loop scans every candidate and runs a Hopcroft–Tarjan DFS
+// before every removal — O(|V|(|V|+|E|)) overall. This loop does neither;
+// a removal costs about the removed node's neighbourhood:
 //
-//   - Removable. parent/nchild/key hold a spanning tree of the alive set
-//     rooted at a query node; key is a discovery order, so
-//     key[parent[c]] < key[c]. A leaf of a spanning tree is not an
-//     articulation point: the rest of the tree still spans the rest of
-//     the alive set. A candidate with children becomes a leaf once every
-//     child c is re-hung under an alive neighbour w != u with
-//     key[w] < key[c] — w cannot be a descendant of c (their keys are
-//     larger), so no cycle forms and the invariant survives.
-//   - Articulation. A Tarjan rooted at the tree root marks p because a
-//     DFS child w has low[w] >= disc[p]: every path from w to the root
-//     passes through p. Removals only shrink the components of alive − p
-//     and the root is a query node, never removed, so p remains an
-//     articulation point for as long as w is alive. witness[p] = w lets
-//     the scan skip p with one load.
+//   - Pick. On an unweighted graph, for one degree d both
+//     Λ = −4·w_G·k + 2·d_S·d − d² and Θ = d/k fall strictly as k rises,
+//     and with integer k and d that holds exactly in float64. So a degree
+//     class's best node is its minimum under (k ascending, distance
+//     descending, id ascending): the head of one indexed heap per distinct
+//     degree. A pick scores one head per class — at most about 2√m of
+//     them — under the textbook order. Weighted graphs scan every
+//     candidate instead, since float rounding can tie distinct k.
+//   - Removable. parent, key and the child lists hold a spanning tree of
+//     the alive set rooted at a query node, with key[parent[c]] < key[c].
+//     A leaf of a spanning tree is not an articulation point: the rest of
+//     the tree still spans the rest of the alive set. makeLeaf re-hangs
+//     each child c of the pick u under an alive neighbour w != u with
+//     key[w] < key[c] (w is no descendant of c, whose keys are larger, so
+//     no cycle forms).
+//     When some child finds none, rehang re-hangs u's subtree S: a member
+//     hangs under an alive neighbour outside S ∪ {u}, or under a member
+//     re-hung before it, with a fresh key above every existing one. If
+//     that reaches all of S, u is a leaf.
+//   - Articulation. Otherwise a member x left over reaches the root only
+//     through u: its component of alive − u lies inside S. Removals only
+//     shrink the components of alive − u and the root is a query node,
+//     never removed, so u stays an articulation point while x is alive.
+//     witness[u] = x; the scan skips u with one load, and the index parks
+//     u on x's list and re-admits it when x is removed.
 //
-// The scan therefore takes the argmax over a superset of the textbook
-// candidates (every alive non-query node without a live witness). If the
-// winner is certified removable it is also the textbook winner — a
-// maximum of a superset that lies in the subset — and is removed. Only
-// when it cannot be made a leaf does the iteration referee: one Tarjan
-// (which refreshes every witness), the scan again — now masked by exactly
-// the articulation points — the removal, and a BFS rebuild of the tree.
-// Either way the removed node is the one the textbook loop removes, so
-// communities, scores, iteration counts and removal orders are
-// bit-identical to it (FuzzNCACertificates checks every step; the
-// reference's flood-per-candidate loop checks whole peels).
+// The pick is the maximum over a superset of the textbook candidates
+// (only parked or witnessed nodes are left out, and each is an
+// articulation point). When it is certified removable it is therefore the
+// textbook winner, and is removed; when it is not, it is set aside and the
+// pick runs again. The pick itself can differ from a fresh full scan's — a
+// node parked under an older witness stays parked — but the removed node
+// cannot, so communities, scores, iteration counts and removal orders are
+// bit-identical to the textbook loop (FuzzNCACertificates checks every
+// step; the reference's flood-per-candidate loop checks whole peels).
 //
 // The loop runs entirely in the compact local id space of sub, and it
 // re-compacts geometrically: whenever the alive set halves, the sub-CSR
-// is rebuilt from the survivors, so a scan or referee pass costs O(alive)
-// instead of O(initial component). Aggregates (w_C, d_S) and the k_{v,S}
-// table are carried, not recomputed, across rebuilds, and local ids stay
-// order-isomorphic to source ids, so scores and tie-breaks do not move.
+// and the index are rebuilt over the survivors, so a weighted scan costs
+// O(alive) instead of O(initial component). Aggregates (w_C, d_S) and the
+// k_{v,S} table are carried, not recomputed, across rebuilds, and local
+// ids stay order-isomorphic to source ids, so scores and tie-breaks do
+// not move.
 
 // recompactMinAlive is the smallest alive set worth rebuilding a sub-CSR
-// for; below it the O(alive) rebuild costs more than the scans it saves.
+// for; below it the O(alive) rebuild costs more than the work it saves.
 const recompactMinAlive = 32
 
 // ncaPeel is the state of one NCA / NCA-DR peel. It lives in the Arena:
@@ -64,16 +73,44 @@ type ncaPeel struct {
 	s     *peelState
 	nq    int        // |Q| (distinct): the peel stops when only the query is left
 	theta bool       // pick by Θ (NCA-DR) instead of Λ (NCA)
-	root  graph.Node // spanning-tree and Tarjan root: a query node
+	root  graph.Node // spanning-tree root: a query node
 	slot  int        // arena sub/view slot the next re-compaction fills
 
 	dist    []int32      // hops from the nearest query node (tie-break)
 	skip    []bool       // query or dead: never a candidate
 	parent  []graph.Node // spanning tree of the alive set; -1 at root and dead nodes
-	nchild  []int32      // alive tree children
-	key     []int32      // tree discovery order; MaxInt32 at dead nodes
+	first   []graph.Node // first tree child, or -1
+	sib     []graph.Node // next child of the same parent, or -1
+	prev    []graph.Node // previous child of the same parent, or -1
+	key     []int32      // tree key, below every child's; MaxInt32 at dead nodes
+	nextKey int32        // above every key in use
 	witness []graph.Node // articulation certificate, or -1
 	k       []float64    // k_{v,S} of alive nodes (the alive degree when unweighted)
+
+	// rehang scratch: u's subtree, and stamps marking its members in the
+	// current call (gen) and those already re-hung (gen+1)
+	subtree []graph.Node
+	stamp   []int32
+	gen     int32
+
+	// The degree-class index, on unweighted graphs only. Class c's heap
+	// is heap[cOff[c] : cOff[c]+cLen[c]]; a candidate is in its class's
+	// heap (pos >= 0) or parked on the list of its live witness, which
+	// starts at parked[w] and follows next.
+	indexed bool
+	nc      int          // number of classes
+	byDeg   []int32      // class of each degree (buildIndex scratch)
+	cls     []int32      // class of each candidate
+	cOff    []int32      // start of each class's heap segment
+	cLen    []int32      // size of each class's heap
+	heap    []graph.Node // every class's heap, segment by segment
+	pos     []int32      // index into heap, or -1
+	parked  []graph.Node // first node parked under each node, or -1
+	next    []graph.Node // next node on the same park list, or -1
+
+	// work counters: adjacency entries read by makeLeaf, rehang and
+	// remove, and scores evaluated by a pick
+	adjReads, scored int
 }
 
 // newNCAPeel sets up the peel over sub with every node alive.
@@ -93,7 +130,9 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 		}
 	}
 	p.parent = growNodeSlice(p.parent, n)
-	p.nchild = growInt32Slice(p.nchild, n)
+	p.first = growNodeSlice(p.first, n)
+	p.sib = growNodeSlice(p.sib, n)
+	p.prev = growNodeSlice(p.prev, n)
 	p.key = growInt32Slice(p.key, n)
 	p.witness = growNodeSlice(p.witness, n)
 	for i := range p.witness {
@@ -103,7 +142,29 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 	for u := range p.k {
 		p.k[u] = p.s.v.WeightedDegreeIn(graph.Node(u))
 	}
+	p.subtree = growNodeSlice(p.subtree, n)
+	p.stamp = growInt32Slice(p.stamp, n)
+	clear(p.stamp)
+	p.gen = 0
+	p.adjReads, p.scored = 0, 0
 	p.rebuildTree(a.g.Queue(n))
+	if p.indexed = !sub.Weighted(); p.indexed {
+		maxDeg := 0
+		for u, d := range p.s.wdeg {
+			if !p.skip[u] {
+				maxDeg = max(maxDeg, int(d))
+			}
+		}
+		p.byDeg = growInt32Slice(p.byDeg, maxDeg+1)
+		p.cls = growInt32Slice(p.cls, n)
+		p.cOff = growInt32Slice(p.cOff, n+1)
+		p.cLen = growInt32Slice(p.cLen, n)
+		p.heap = growNodeSlice(p.heap, n)
+		p.pos = growInt32Slice(p.pos, n)
+		p.parked = growNodeSlice(p.parked, n)
+		p.next = growNodeSlice(p.next, n)
+		p.buildIndex()
+	}
 	return p
 }
 
@@ -121,20 +182,27 @@ func (p *ncaPeel) step() bool {
 	if s.v.NumAlive() <= p.nq || s.expired() {
 		return false
 	}
-	best := p.scan()
-	if best < 0 {
-		return false // every candidate carries a live witness
-	}
-	if p.makeLeaf(best) {
-		p.nchild[p.parent[best]]--
-		p.remove(best)
-	} else {
-		s.v.ArticulationWitnessesInto(s.a.g.Art(), p.root, p.witness)
-		if best = p.scan(); best < 0 {
+	for {
+		var best graph.Node
+		if p.indexed {
+			best = p.argmax()
+		} else {
+			best = p.scan()
+		}
+		if best < 0 {
+			return false // every candidate is an articulation point
+		}
+		if p.makeLeaf(best) || p.rehang(best, s.a.g.Queue(s.sub.NumNodes())) {
+			p.remove(best)
+			break
+		}
+		if p.indexed { // rehang named best's witness: park it there
+			p.pop(best)
+			p.park(best, p.witness[best])
+		}
+		if s.expired() {
 			return false
 		}
-		p.remove(best)
-		p.rebuildTree(s.a.g.Queue(s.sub.NumNodes()))
 	}
 	// Rebuild when the alive nodes OR the alive edges have halved since
 	// the last compaction — every pass walks the packed entries of alive
@@ -147,20 +215,38 @@ func (p *ncaPeel) step() bool {
 	return true
 }
 
-// scan returns the best candidate under the total order (pick score,
-// then distance from the query — farther removed first — then smaller
-// id), or -1. A candidate is a non-skipped (alive, non-query) node
-// without a live articulation witness.
+// beats reports whether candidate u, scoring sc, ranks above best,
+// scoring bestScore, under the pick order: pick score, then distance
+// from the query (farther removed first), then smaller id.
+func (p *ncaPeel) beats(u graph.Node, sc float64, best graph.Node, bestScore float64) bool {
+	if sc != bestScore {
+		return sc > bestScore
+	}
+	return best >= 0 && (p.dist[u] > p.dist[best] || p.dist[u] == p.dist[best] && u < best)
+}
+
+// pickScore is u's Θ (NCA-DR) or Λ (NCA) at the alive node weight sum dS.
+func (p *ncaPeel) pickScore(u graph.Node, dS float64) float64 {
+	if p.theta {
+		return modularity.ThetaF(p.s.wdeg[u], p.k[u])
+	}
+	return modularity.LambdaF(p.s.wG, dS, p.k[u], p.s.wdeg[u])
+}
+
+// scan returns the best candidate under the pick order, or -1. A
+// candidate is a non-skipped (alive, non-query) node without a live
+// articulation witness.
 //
 //dmcs:hotpath
 func (p *ncaPeel) scan() graph.Node {
 	s := p.s
 	n := s.sub.NumNodes()
-	v, wG, dS := s.v, s.wG, s.v.NodeWeightSum()
+	v, dS := s.v, s.v.NodeWeightSum()
 	// len == n lets the compiler drop the per-element bounds checks
-	skip, witness, k, wdeg, dist := p.skip[:n], p.witness[:n], p.k[:n], s.wdeg[:n], p.dist
+	skip, witness := p.skip[:n], p.witness[:n]
 	var best graph.Node = -1
 	bestScore := math.Inf(-1)
+	scored := 0
 	for ui := 0; ui < n; ui++ {
 		if skip[ui] {
 			continue
@@ -168,78 +254,358 @@ func (p *ncaPeel) scan() graph.Node {
 		if w := witness[ui]; w >= 0 && v.Alive(w) {
 			continue
 		}
-		var sc float64
-		if p.theta {
-			sc = modularity.ThetaF(wdeg[ui], k[ui])
-		} else {
-			sc = modularity.LambdaF(wG, dS, k[ui], wdeg[ui])
-		}
 		u := graph.Node(ui)
-		switch {
-		case sc > bestScore:
-			bestScore, best = sc, u
-		case sc == bestScore && best >= 0:
-			if dist[u] > dist[best] || (dist[u] == dist[best] && u < best) {
-				best = u
-			}
+		scored++
+		if sc := p.pickScore(u, dS); p.beats(u, sc, best, bestScore) {
+			best, bestScore = u, sc
 		}
 	}
+	p.scored += scored
+	return best
+}
+
+// argmax is scan over the degree-class index: the best class head under
+// the pick order, or -1 when every class is empty.
+//
+//dmcs:hotpath
+func (p *ncaPeel) argmax() graph.Node {
+	dS := p.s.v.NodeWeightSum()
+	var best graph.Node = -1
+	bestScore := math.Inf(-1)
+	scored := 0
+	for c := 0; c < p.nc; c++ {
+		if p.cLen[c] == 0 {
+			continue
+		}
+		u := p.heap[p.cOff[c]]
+		scored++
+		if sc := p.pickScore(u, dS); p.beats(u, sc, best, bestScore) {
+			best, bestScore = u, sc
+		}
+	}
+	p.scored += scored
 	return best
 }
 
 // makeLeaf certifies that u is not an articulation point by making it a
 // leaf of the spanning tree: each child is re-hung under an alive
 // neighbour other than u with a smaller key (dead nodes carry MaxInt32,
-// so the key comparison is the liveness test too). False means
-// undecided; the children already moved stay moved — the tree is valid
-// either way. O(deg(u) + Σ deg(child)).
+// so the key comparison is the liveness test too). False means some
+// child found none and u is undecided; the children that moved stay
+// moved — the tree is valid either way, and rehang has less to re-hang.
+// O(Σ deg(child)).
 //
 //dmcs:hotpath
 func (p *ncaPeel) makeLeaf(u graph.Node) bool {
-	if p.nchild[u] == 0 {
-		return true
-	}
 	c := p.s.sub
-	parent, key := p.parent, p.key
-	for _, ch := range c.Neighbors(u) {
-		if parent[ch] != u {
-			continue
-		}
+	key := p.key
+	for ch := p.first[u]; ch >= 0; {
+		next := p.sib[ch]
 		kc := key[ch]
-		moved := false
-		for _, w := range c.Neighbors(ch) {
+		adj := c.Neighbors(ch)
+		read := len(adj)
+		for i, w := range adj {
 			if w != u && key[w] < kc {
-				parent[ch] = w
-				p.nchild[w]++
-				moved = true
+				read = i + 1
+				p.hang(ch, w)
 				break
 			}
 		}
-		if !moved {
-			return false
+		p.adjReads += read
+		ch = next
+	}
+	return p.first[u] < 0
+}
+
+// hang moves x under w in the spanning tree.
+func (p *ncaPeel) hang(x, w graph.Node) {
+	p.unlink(x)
+	p.link(x, w)
+}
+
+// unlink takes x out of its parent's child list.
+func (p *ncaPeel) unlink(x graph.Node) {
+	pv, nx := p.prev[x], p.sib[x]
+	if pv >= 0 {
+		p.sib[pv] = nx
+	} else {
+		p.first[p.parent[x]] = nx
+	}
+	if nx >= 0 {
+		p.prev[nx] = pv
+	}
+}
+
+// link makes x, out of every child list, w's first child.
+func (p *ncaPeel) link(x, w graph.Node) {
+	p.parent[x] = w
+	p.prev[x], p.sib[x] = -1, p.first[w]
+	if f := p.first[w]; f >= 0 {
+		p.prev[f] = x
+	}
+	p.first[w] = x
+}
+
+// rehang is makeLeaf's fallback. It re-hangs each member of u's subtree
+// S, parents before children, with a fresh key above every key in use:
+// under its parent if that was re-hung, else under its first alive
+// neighbour that lies outside S ∪ {u} or was re-hung already. A member
+// that finds none waits; once a waiting member finds one, it floods the
+// waiting members it connects to. True means all of S was re-hung, so u
+// is now a leaf. False means u is an articulation point: witness[u] is a
+// member left waiting, and no path leads from it out of S but through u.
+// queue is empty scratch with room for every node of the sub. O(edges of
+// S) at worst; a member whose parent was re-hung reads no adjacency.
+//
+//dmcs:hotpath
+func (p *ncaPeel) rehang(u graph.Node, queue []graph.Node) bool {
+	c := p.s.sub
+	n := c.NumNodes()
+	if p.nextKey > math.MaxInt32-int32(n) { // fresh keys must stay below the dead-node sentinel
+		p.rebuildTree(queue)
+	}
+	if p.gen > math.MaxInt32-2 {
+		clear(p.stamp)
+		p.gen = 0
+	}
+	p.gen += 2
+	in := p.gen
+	stamp := p.stamp
+	subtree := append(p.subtree[:0], u)
+	for i := 0; i < len(subtree); i++ {
+		for ch := p.first[subtree[i]]; ch >= 0; ch = p.sib[ch] {
+			stamp[ch] = in
+			subtree = append(subtree, ch)
 		}
-		if p.nchild[u]--; p.nchild[u] == 0 {
+	}
+	subtree = subtree[1:]
+	// Parents before children: a member whose parent was re-hung keeps it,
+	// any other hangs under its first alive neighbour outside S ∪ {u} or
+	// re-hung already; the rest wait.
+	size, reached := len(subtree), 0
+	waiting := subtree[:0]
+	for _, x := range subtree {
+		if stamp[p.parent[x]] == in+1 {
+			p.rekey(x)
+			reached++
+		} else if p.hangFound(u, x) {
+			reached++
+		} else {
+			waiting = append(waiting, x)
+		}
+	}
+	// A waiting member that now finds such a neighbour floods the waiting
+	// members it connects to; the flood reads each one's adjacency once.
+	for _, z := range waiting {
+		if stamp[z] != in || !p.hangFound(u, z) {
+			continue
+		}
+		queue = append(queue[:0], z)
+		for head := 0; head < len(queue); head++ {
+			y := queue[head]
+			adj := c.Neighbors(y)
+			p.adjReads += len(adj)
+			for _, w := range adj {
+				if stamp[w] == in {
+					p.hangFresh(w, y)
+					queue = append(queue, w)
+				}
+			}
+		}
+		reached += len(queue)
+	}
+	if reached < size {
+		for _, x := range waiting {
+			if stamp[x] == in {
+				p.witness[u] = x
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// hangFound hangs x, a member of rehang's subtree of u, under its first
+// alive neighbour that is reached or lies outside the subtree and u, and
+// reports whether it found one.
+func (p *ncaPeel) hangFound(u, x graph.Node) bool {
+	in := p.gen
+	adj := p.s.sub.Neighbors(x)
+	for i, w := range adj {
+		if st := p.stamp[w]; st == in+1 || st < in && w != u && p.s.v.Alive(w) {
+			p.adjReads += i + 1
+			p.hangFresh(x, w)
 			return true
 		}
 	}
-	return false // unreachable: nchild[u] counts exactly the children seen above
+	p.adjReads += len(adj)
+	return false
 }
 
-// remove deletes u from the alive set and the tables, and refreshes
-// k_{v,S} of u's alive neighbours by the ascending WeightedDegreeIn
-// rescan — the term order of every k this package has ever computed, so
-// the table is bit-identical to a from-scratch one.
+// hangFresh moves x, a member of rehang's subtree, under w and rekeys it.
+func (p *ncaPeel) hangFresh(x, w graph.Node) {
+	p.hang(x, w)
+	p.rekey(x)
+}
+
+// rekey gives x, a member of rehang's subtree, a key above every key in
+// use, and stamps it re-hung.
+func (p *ncaPeel) rekey(x graph.Node) {
+	p.key[x] = p.nextKey
+	p.nextKey++
+	p.stamp[x] = p.gen + 1
+}
+
+// remove deletes u, a leaf of the spanning tree and the pick (the head of
+// its class when indexed), from the alive set and the tables. It refreshes
+// k_{v,S} of u's alive neighbours by the ascending WeightedDegreeIn rescan
+// — the term order of every k this package has ever computed, so the
+// table is bit-identical to a from-scratch one — sifting each one up its
+// heap as its k falls, and re-admits the nodes parked under u.
 //
 //dmcs:hotpath
 func (p *ncaPeel) remove(u graph.Node) {
 	s := p.s
+	p.unlink(u)
+	if p.indexed {
+		p.pop(u)
+	}
 	s.remove(u)
 	p.skip[u] = true
 	p.parent[u] = -1
 	p.key[u] = math.MaxInt32
-	for _, w := range s.sub.Neighbors(u) {
+	adj := s.sub.Neighbors(u)
+	p.adjReads += len(adj)
+	for _, w := range adj {
 		if s.v.Alive(w) {
 			p.k[w] = s.v.WeightedDegreeIn(w)
+			if p.indexed && p.pos[w] >= 0 {
+				p.up(w)
+			}
+		}
+	}
+	if p.indexed {
+		for x := p.parked[u]; x >= 0; x = p.next[x] {
+			p.push(x)
+		}
+		p.parked[u] = -1
+	}
+}
+
+// less orders two nodes of one degree class best first: k ascending,
+// then farther from the query, then smaller id — the pick order, since
+// for one degree the pick score falls strictly as k rises.
+func (p *ncaPeel) less(a, b graph.Node) bool {
+	if p.k[a] != p.k[b] {
+		return p.k[a] < p.k[b]
+	}
+	return p.dist[a] > p.dist[b] || p.dist[a] == p.dist[b] && a < b
+}
+
+// up sifts u towards the head of its class's heap.
+func (p *ncaPeel) up(u graph.Node) {
+	heap, pos := p.heap, p.pos
+	base, i := p.cOff[p.cls[u]], p.pos[u]
+	for i > base {
+		j := base + (i-base-1)/2
+		w := heap[j]
+		if !p.less(u, w) {
+			break
+		}
+		heap[i], pos[w] = w, i
+		i = j
+	}
+	heap[i], pos[u] = u, i
+}
+
+// down sifts u away from the head of its class's heap.
+func (p *ncaPeel) down(u graph.Node) {
+	heap, pos := p.heap, p.pos
+	c := p.cls[u]
+	base, end, i := p.cOff[c], p.cOff[c]+p.cLen[c], p.pos[u]
+	for {
+		j := base + 2*(i-base) + 1
+		if j >= end {
+			break
+		}
+		if j+1 < end && p.less(heap[j+1], heap[j]) {
+			j++
+		}
+		w := heap[j]
+		if !p.less(w, u) {
+			break
+		}
+		heap[i], pos[w] = w, i
+		i = j
+	}
+	heap[i], pos[u] = u, i
+}
+
+// push adds u to its class's heap.
+func (p *ncaPeel) push(u graph.Node) {
+	c := p.cls[u]
+	p.pos[u] = p.cOff[c] + p.cLen[c]
+	p.cLen[c]++
+	p.up(u)
+}
+
+// pop takes u, the head of its class's heap, out of the heap.
+func (p *ncaPeel) pop(u graph.Node) {
+	c := p.cls[u]
+	p.cLen[c]--
+	p.pos[u] = -1
+	if last := p.heap[p.cOff[c]+p.cLen[c]]; last != u {
+		p.pos[last] = p.cOff[c]
+		p.down(last)
+	}
+}
+
+// park files u, out of every heap, under its live witness w.
+func (p *ncaPeel) park(u, w graph.Node) {
+	p.next[u] = p.parked[w]
+	p.parked[w] = u
+}
+
+// buildIndex files every candidate into the heap of its degree class, or
+// parks it under its live witness. Classes are numbered in ascending
+// degree; byDeg, sized by newNCAPeel for the largest candidate degree,
+// maps a degree to its class.
+//
+//dmcs:hotpath
+func (p *ncaPeel) buildIndex() {
+	n := p.s.sub.NumNodes()
+	skip, wdeg := p.skip[:n], p.s.wdeg[:n]
+	clear(p.byDeg)
+	for u := range skip {
+		if !skip[u] {
+			p.byDeg[int(wdeg[u])]++
+		}
+	}
+	p.nc = 0
+	var off int32
+	for d, cnt := range p.byDeg {
+		if cnt > 0 {
+			p.cOff[p.nc], p.cLen[p.nc] = off, 0
+			p.byDeg[d] = int32(p.nc)
+			off += cnt
+			p.nc++
+		}
+	}
+	p.cOff[p.nc] = off
+	for ui := range skip {
+		u := graph.Node(ui)
+		p.pos[u], p.parked[u] = -1, -1
+	}
+	for ui := range skip {
+		if skip[ui] {
+			continue
+		}
+		u := graph.Node(ui)
+		p.cls[u] = p.byDeg[int(wdeg[u])]
+		if w := p.witness[u]; w >= 0 {
+			p.park(u, w)
+		} else {
+			p.push(u)
 		}
 	}
 }
@@ -253,10 +619,10 @@ func (p *ncaPeel) rebuildTree(queue []graph.Node) {
 	s := p.s
 	c := s.sub
 	n := c.NumNodes()
-	parent, nchild, key := p.parent, p.nchild, p.key
+	key := p.key
 	const unseen = -1
 	for u := 0; u < n; u++ {
-		nchild[u] = 0
+		p.first[u] = -1
 		if s.v.Alive(graph.Node(u)) {
 			key[u] = unseen
 		} else {
@@ -264,19 +630,19 @@ func (p *ncaPeel) rebuildTree(queue []graph.Node) {
 		}
 	}
 	queue = append(queue, p.root)
-	parent[p.root] = -1
+	p.parent[p.root] = -1
 	key[p.root] = 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		for _, w := range c.Neighbors(u) {
 			if key[w] == unseen {
 				key[w] = int32(len(queue))
-				parent[w] = u
-				nchild[u]++
+				p.link(w, u)
 				queue = append(queue, w)
 			}
 		}
 	}
+	p.nextKey = int32(len(queue))
 }
 
 // newID maps a local id of the sub that ReextractSub just compacted to its
@@ -291,9 +657,10 @@ func (p *ncaPeel) newID(old graph.Node) graph.Node {
 	return -1
 }
 
-// recompact rebuilds the sub-CSR over the survivors and remaps every
-// per-node table into the new local ids. New ids never exceed old ones
-// and both ascend, so the tables compact in place, front to back.
+// recompact rebuilds the sub-CSR over the survivors, remaps every
+// per-node table into the new local ids and rebuilds the index. New ids
+// never exceed old ones and both ascend, so the tables compact in place,
+// front to back.
 func (p *ncaPeel) recompact() {
 	s := p.s
 	a := s.a
@@ -314,18 +681,25 @@ func (p *ncaPeel) recompact() {
 		p.dist[i] = p.dist[old]
 		p.skip[i] = p.skip[old]
 		p.parent[i] = p.newID(p.parent[old])
-		p.nchild[i] = p.nchild[old]
+		p.first[i] = p.newID(p.first[old])
+		p.sib[i] = p.newID(p.sib[old])
+		p.prev[i] = p.newID(p.prev[old])
 		p.key[i] = p.key[old]
 		p.witness[i] = p.newID(p.witness[old])
 		p.k[i] = p.k[old]
 	}
 	n := len(members)
-	p.dist, p.skip, p.parent, p.nchild = p.dist[:n], p.skip[:n], p.parent[:n], p.nchild[:n]
-	p.key, p.witness, p.k = p.key[:n], p.witness[:n], p.k[:n]
+	p.dist, p.skip, p.parent, p.key = p.dist[:n], p.skip[:n], p.parent[:n], p.key[:n]
+	p.first, p.sib, p.prev = p.first[:n], p.sib[:n], p.prev[:n]
+	p.witness, p.k = p.witness[:n], p.k[:n]
+	clear(p.stamp[:n]) // every stamp below the next rehang's
 	p.root = p.newID(p.root)
 	// Carry the incrementally maintained aggregates — fresh accumulation
 	// would change float summation order.
 	s.v = a.g.ViewAllWith(p.slot, next, s.v.InternalWeight(), s.v.NodeWeightSum())
 	s.sub, s.wdeg = next, next.WeightedDegrees()
 	p.slot = 1 - p.slot
+	if p.indexed {
+		p.buildIndex()
+	}
 }

@@ -87,9 +87,77 @@ func checkCertificates(t *testing.T, p *ncaPeel) {
 		}
 		children[pr]++
 	}
-	for u := range children {
-		if v.Alive(graph.Node(u)) && children[u] != p.nchild[u] {
-			t.Fatalf("nchild[%d] = %d, counted %d", u, p.nchild[u], children[u])
+	for ui := range children {
+		u := graph.Node(ui)
+		if !v.Alive(u) {
+			continue
+		}
+		var listed int32
+		for x, pv := p.first[u], graph.Node(-1); x >= 0; x, pv = p.sib[x], x {
+			if p.parent[x] != u || p.prev[x] != pv || listed == children[u] {
+				t.Fatalf("child list of %d: node %d (parent %d, prev %d, want prev %d) after %d of %d children", u, x, p.parent[x], p.prev[x], pv, listed, children[u])
+			}
+			listed++
+		}
+		if listed != children[u] {
+			t.Fatalf("child list of %d holds %d nodes, counted %d children", u, listed, children[u])
+		}
+	}
+	if p.indexed {
+		checkIndex(t, p)
+	}
+}
+
+// checkIndex verifies the degree-class index: every alive candidate is in
+// its class's heap or parked under its live witness, never both; each
+// class holds one degree in heap order (k ascending, then farther from
+// the query, then smaller id); no dead or query node is indexed.
+func checkIndex(t *testing.T, p *ncaPeel) {
+	t.Helper()
+	v, n := p.s.v, p.s.sub.NumNodes()
+	parkedUnder := make([]graph.Node, n)
+	for i := range parkedUnder {
+		parkedUnder[i] = -1
+	}
+	for wi := 0; wi < n; wi++ {
+		w := graph.Node(wi)
+		for x := p.parked[w]; x >= 0; x = p.next[x] {
+			if !v.Alive(w) || p.witness[x] != w || parkedUnder[x] >= 0 {
+				t.Fatalf("node %d parked under %d (alive %v), witness %d, parked before under %d", x, w, v.Alive(w), p.witness[x], parkedUnder[x])
+			}
+			parkedUnder[x] = w
+		}
+	}
+	for ui := 0; ui < n; ui++ {
+		u := graph.Node(ui)
+		inHeap := p.pos[u] >= 0
+		if p.skip[u] {
+			if inHeap || parkedUnder[u] >= 0 {
+				t.Fatalf("dead or query node %d is indexed: pos %d, parked under %d", u, p.pos[u], parkedUnder[u])
+			}
+			continue
+		}
+		if inHeap == (parkedUnder[u] >= 0) {
+			t.Fatalf("candidate %d: pos %d, parked under %d", u, p.pos[u], parkedUnder[u])
+		}
+		if c, i := p.cls[u], p.pos[u]; inHeap && (i < p.cOff[c] || i >= p.cOff[c]+p.cLen[c] || p.heap[i] != u) {
+			t.Fatalf("candidate %d: pos %d outside class %d's heap", u, i, c)
+		}
+	}
+	ranksAbove := func(a, b graph.Node) bool {
+		return p.k[a] < p.k[b] || p.k[a] == p.k[b] && (p.dist[a] > p.dist[b] || p.dist[a] == p.dist[b] && a < b)
+	}
+	for c := 0; c < p.nc; c++ {
+		base, end := p.cOff[c], p.cOff[c]+p.cLen[c]
+		if end > p.cOff[c+1] {
+			t.Fatalf("class %d holds %d nodes in a segment of %d", c, p.cLen[c], p.cOff[c+1]-base)
+		}
+		for i := base + 1; i < end; i++ {
+			u, up := p.heap[i], p.heap[base+(i-base-1)/2]
+			if p.s.wdeg[u] != p.s.wdeg[up] || ranksAbove(u, up) {
+				t.Fatalf("class %d: node %d (d=%v k=%v dist=%d) under %d (d=%v k=%v dist=%d)", c,
+					u, p.s.wdeg[u], p.k[u], p.dist[u], up, p.s.wdeg[up], p.k[up], p.dist[up])
+			}
 		}
 	}
 }
@@ -129,7 +197,12 @@ func textbookPick(p *ncaPeel, art []bool) graph.Node {
 // re-compacted.
 func peelChecked(t *testing.T, sub *graph.SubCSR, lq, comp []graph.Node, theta bool) int {
 	t.Helper()
-	p := newNCAPeel(NewArena(), sub, lq, comp, Options{TrackOrder: true}, theta)
+	return stepChecked(t, newNCAPeel(NewArena(), sub, lq, comp, Options{TrackOrder: true}, theta))
+}
+
+// stepChecked is peelChecked on a peel already set up.
+func stepChecked(t *testing.T, p *ncaPeel) int {
+	t.Helper()
 	checkCertificates(t, p)
 	recompactions := 0
 	for {
@@ -191,27 +264,86 @@ func FuzzNCACertificates(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, size, extra uint8, weighted, theta bool, nq uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + int(size)
-		b := graph.NewBuilder(n)
-		addEdge := func(u, v graph.Node) {
-			if weighted {
-				b.SetWeight(u, v, 0.5+2*rng.Float64())
-			} else {
-				b.AddEdge(u, v)
-			}
-		}
-		for i := 1; i < n; i++ {
-			addEdge(graph.Node(rng.Intn(i)), graph.Node(i))
-		}
-		for i := 0; i < n*int(extra)/64; i++ {
-			if u, v := rng.Intn(n), rng.Intn(n); u != v {
-				addEdge(graph.Node(u), graph.Node(v))
-			}
-		}
+		g := sparseGraph(rng, n, n*int(extra)/64, weighted)
 		q := make([]graph.Node, 0, 4)
 		for _, u := range rng.Perm(n)[:1+int(nq)%min(n, 4)] {
 			q = append(q, graph.Node(u))
 		}
-		sub, lq, comp := localQuery(t, graph.NewCSR(b.Build()), q)
+		sub, lq, comp := localQuery(t, graph.NewCSR(g), q)
 		peelChecked(t, sub, lq, comp, theta)
 	})
+}
+
+// sparseGraph is a random tree on n nodes plus up to extra random edges.
+func sparseGraph(rng *rand.Rand, n, extra int, weighted bool) *graph.Graph {
+	b := graph.NewBuilder(n)
+	addEdge := func(u, v graph.Node) {
+		if weighted {
+			b.SetWeight(u, v, 0.5+2*rng.Float64())
+		} else {
+			b.AddEdge(u, v)
+		}
+	}
+	for i := 1; i < n; i++ {
+		addEdge(graph.Node(rng.Intn(i)), graph.Node(i))
+	}
+	for i := 0; i < extra; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			addEdge(graph.Node(u), graph.Node(v))
+		}
+	}
+	return b.Build()
+}
+
+// TestNCARehangNearKeyLimit starts checked peels with the fresh-key
+// counter one below MaxInt32, the dead-node key, so the first rehang must
+// rebuild the tree before it hands out keys.
+func TestNCARehangNearKeyLimit(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g := sparseGraph(rand.New(rand.NewSource(seed)), 120, 30, false)
+		sub, lq, comp := localQuery(t, graph.NewCSR(g), []graph.Node{0})
+		for _, theta := range []bool{false, true} {
+			p := newNCAPeel(NewArena(), sub, lq, comp, Options{}, theta)
+			p.nextKey = math.MaxInt32 - 1
+			stepChecked(t, p)
+			if p.nextKey == math.MaxInt32-1 {
+				t.Fatalf("seed %d theta=%v: no rehang ran", seed, theta)
+			}
+		}
+	}
+}
+
+// TestNCAWorkScaling bounds how NCA's work grows with the graph. It peels
+// Table-2 LFR graphs (lfr.Default(), seed 1) at n = 1000 and 4000 from
+// five one-node queries each and requires the summed work — adjacency
+// entries read by makeLeaf, rehang and remove, plus pick scores evaluated
+// — to grow less than 4^1.5 = 8 times, for Λ and for Θ. Scoring every
+// candidate at every removal grows about 16 times.
+func TestNCAWorkScaling(t *testing.T) {
+	var work [2][2]int // [size][theta]
+	for i, n := range []int{1000, 4000} {
+		cfg := lfr.Default()
+		cfg.N = n
+		res, err := lfr.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csr := graph.NewCSR(res.G)
+		for j, theta := range []bool{false, true} {
+			for qi := 0; qi < 5; qi++ {
+				sub, lq, comp := localQuery(t, csr, []graph.Node{graph.Node(qi * n / 5)})
+				p := newNCAPeel(NewArena(), sub, lq, comp, Options{}, theta)
+				for p.step() {
+				}
+				work[i][j] += p.work()
+			}
+		}
+	}
+	for j, name := range []string{"NCA", "NCA-DR"} {
+		ratio := float64(work[1][j]) / float64(work[0][j])
+		t.Logf("%s work: %d at n=1000, %d at n=4000 (%.2fx)", name, work[0][j], work[1][j], ratio)
+		if ratio >= 8 {
+			t.Errorf("%s work grew %.2fx from n=1000 to n=4000, want < 8", name, ratio)
+		}
+	}
 }

@@ -60,15 +60,14 @@ func BenchmarkSmallQueriesFPAPruning(b *testing.B) {
 }
 
 // BenchmarkSmallQueriesNCA runs the non-articulation peel on the same
-// workload — a full candidate rescan per removal, the case the geometric
-// re-compaction of the peeling substrate targets.
+// workload.
 func BenchmarkSmallQueriesNCA(b *testing.B) {
 	benchSmallQueries(b, VariantNCA, Options{})
 }
 
 // TestSmallQueriesNCAAllocs: a warm-arena NCA search allocates its Result
 // and Community and nothing else — the certificate tables (spanning tree,
-// witnesses, k_{v,S}) live in the arena.
+// witnesses, k_{v,S}, the degree-class index) live in the arena.
 func TestSmallQueriesNCAAllocs(t *testing.T) {
 	gateAllocs(t, BenchmarkSmallQueriesNCA, 2)
 }

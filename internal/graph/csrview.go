@@ -261,27 +261,6 @@ func (v *CSRView) ArticulationPoints() []bool {
 // scratch. The returned mask aliases s.isArt and is valid until the next
 // sweep on the same scratch.
 func (v *CSRView) ArticulationPointsInto(s *ArtScratch) []bool {
-	return v.articulation(s, 0, nil)
-}
-
-// ArticulationWitnessesInto is ArticulationPointsInto with the DFS of
-// root's component rooted at root, and a certificate per articulation
-// point: witness[p] is a DFS child w of p with low[w] >= disc[p], i.e. a
-// node every path from which to root passes through p; witness[u] is -1
-// for every other node (DFS roots included — the root rule leaves no
-// single child to name). Removing nodes only shrinks the components of
-// alive − p, so while p, witness[p] and root all stay alive, p is still
-// an articulation point: NCA skips such nodes without a new sweep.
-func (v *CSRView) ArticulationWitnessesInto(s *ArtScratch, root Node, witness []Node) []bool {
-	for i := range witness {
-		witness[i] = -1
-	}
-	return v.articulation(s, root, witness)
-}
-
-// articulation runs the DFS from first (when alive), then from every
-// still-unvisited alive node in ascending order; witness may be nil.
-func (v *CSRView) articulation(s *ArtScratch, first Node, witness []Node) []bool {
 	c := v.c
 	n := c.NumNodes()
 	s.reset(c, v.alive, n)
@@ -299,12 +278,9 @@ func (v *CSRView) articulation(s *ArtScratch, first Node, witness []Node) []bool
 	stack := s.stack[:0]
 	defer func() { s.stack = stack[:0] }() // keep a grown stack
 
-	for ri := -1; ri < n; ri++ {
+	for ri := 0; ri < n; ri++ {
 		root := Node(ri)
-		if ri < 0 {
-			root = first
-		}
-		if int(root) >= n || disc[root] != 0 { // dead (-1) or already visited
+		if disc[root] != 0 { // dead (-1) or already visited
 			continue
 		}
 		disc[root], low[root] = timer, timer
@@ -356,9 +332,6 @@ func (v *CSRView) articulation(s *ArtScratch, first Node, witness []Node) []bool
 				}
 				if parent[pu] >= 0 && lu >= disc[pu] {
 					isArt[pu] = true
-					if witness != nil {
-						witness[pu] = u
-					}
 				}
 			}
 		}

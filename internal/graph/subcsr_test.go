@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -246,49 +245,6 @@ func TestArticulationPointsIntoMatches(t *testing.T) {
 			if v.Alive(u) && !want[u] {
 				v.Remove(u)
 				break
-			}
-		}
-	}
-}
-
-// TestArticulationWitnessesInto checks the witnessed sweep on sparse
-// random views: the mask does not depend on the DFS root, every marked
-// node of the root's component carries a witness that really is cut off
-// from the root without it, and nothing else carries one.
-func TestArticulationWitnessesInto(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(60, 0.04, seed)
-		c, v := NewCSR(g), allAlive(g)
-		for i := 0; i < 10; i++ {
-			v.Remove(Node(rng.Intn(c.NumNodes())))
-		}
-		root := Node(rng.Intn(c.NumNodes()))
-		for !v.Alive(root) {
-			root = Node(rng.Intn(c.NumNodes()))
-		}
-		want := v.ArticulationPoints()
-		witness := make([]Node, c.NumNodes())
-		got := v.ArticulationWitnessesInto(new(ArtScratch), root, witness)
-		reach := v.MultiSourceBFS([]Node{root})
-		for ui := range want {
-			u := Node(ui)
-			if got[u] != want[u] {
-				t.Fatalf("seed %d: mask differs at %d when rooted at %d", seed, u, root)
-			}
-			w := witness[u]
-			if !got[u] || u == root || reach[u] == INF {
-				if w != -1 && reach[u] != INF {
-					t.Fatalf("seed %d: node %d (art=%v, root=%d) carries witness %d", seed, u, got[u], root, w)
-				}
-				continue
-			}
-			if w < 0 || !v.Alive(w) {
-				t.Fatalf("seed %d: articulation point %d has witness %d", seed, u, w)
-			}
-			without := NewCSRViewOf(c, slices.DeleteFunc(v.LiveNodes(), func(x Node) bool { return x == u }))
-			if without.MultiSourceBFS([]Node{root})[w] != INF {
-				t.Fatalf("seed %d: witness %d still reaches root %d without %d", seed, w, root, u)
 			}
 		}
 	}
