@@ -90,6 +90,14 @@ func (a *Arena) Poison() {
 		stamp[i] = 2
 	}
 	poisonInt32s(a.nca.byDeg)
+	poisonInt64s(a.nca.ord)
+	// head reads 0, every class claiming a head of key 0: -1 would read
+	// as "empty" and prove nothing.
+	head := a.nca.head[:cap(a.nca.head)]
+	for i := range head {
+		head[i] = 0
+	}
+	poisonFloat64s(a.nca.cdeg)
 	poisonInt32s(a.nca.cls)
 	poisonInt32s(a.nca.cOff)
 	poisonInt32s(a.nca.cLen)
@@ -121,6 +129,13 @@ func poisonInt32s(s []int32) {
 	}
 }
 
+func poisonInt64s(s []int64) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = -0x5A5A
+	}
+}
+
 func poisonFloat64s(s []float64) {
 	s = s[:cap(s)]
 	for i := range s {
@@ -142,6 +157,13 @@ func growInt32Slice(s []int32, n int) []int32 {
 	if cap(s) < n {
 		//dmcs:allow hotpath grow-once arena resize: amortized to zero per query after warmup
 		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func growInt64Slice(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
 	}
 	return s[:n]
 }

@@ -1,6 +1,7 @@
 package dmcs
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -94,6 +95,37 @@ func BenchmarkNCADR(b *testing.B) {
 		if _, err := NCADR(g, q, Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNCATable2 is NCA's scaling table: Table-2 LFR graphs
+// (lfr.Default(), seed 1) at n = 1000, 4000 and 8000, each peeled from
+// the five one-node queries i·n/5. An op runs all five; ms/query is its
+// mean per query. One untimed op first builds the graph's memoised
+// snapshot and partition.
+func BenchmarkNCATable2(b *testing.B) {
+	for _, n := range []int{1000, 4000, 8000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cfg := lfr.Default()
+			cfg.N = n
+			res, err := lfr.Generate(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			op := func() {
+				for i := 0; i < 5; i++ {
+					if _, err := NCA(res.G, []graph.Node{graph.Node(i * n / 5)}, Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			op()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(5*b.N), "ms/query")
+		})
 	}
 }
 

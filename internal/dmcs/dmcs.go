@@ -39,14 +39,14 @@
 // when requested) — everything else is recycled, which is what lets the
 // engine serve steady-state traffic with 0 allocs/op.
 //
-// NCA additionally re-compacts geometrically: whenever the alive set
-// (by nodes or edges) halves, the sub-CSR is rebuilt over the survivors
-// so its tables stay O(alive). Aggregates are carried — never
-// re-accumulated — across rebuilds. It picks from one heap per degree
-// class instead of scanning every candidate (unweighted graphs), and it
-// decides removability from a spanning tree of the alive set, re-hung
+// NCA picks from one heap per degree class, on one integer order key per
+// candidate, instead of scanning every candidate (unweighted graphs), and
+// it decides removability from a spanning tree of the alive set, re-hung
 // locally, and alive-witness articulation marks instead of a Tarjan pass
-// per removal (see nca.go).
+// per removal (see nca.go). Weighted NCA still scans, so it re-compacts
+// geometrically: whenever the alive set (by nodes or edges) halves, the
+// sub-CSR is rebuilt over the survivors so the scan stays O(alive).
+// Aggregates are carried — never re-accumulated — across rebuilds.
 //
 // The whole substrate is float-exact: relabelling is monotonic and
 // weight accumulation follows the sorted-adjacency order graph.Builder

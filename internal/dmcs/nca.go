@@ -21,10 +21,16 @@ import (
 //     Λ = −4·w_G·k + 2·d_S·d − d² and Θ = d/k fall strictly as k rises,
 //     and with integer k and d that holds exactly in float64. So a degree
 //     class's best node is its minimum under (k ascending, distance
-//     descending, id ascending): the head of one indexed heap per distinct
-//     degree. A pick scores one head per class — at most about 2√m of
-//     them — under the textbook order. Weighted graphs scan every
-//     candidate instead, since float rounding can tie distinct k.
+//     descending, id ascending), which is one int64 order key per
+//     candidate: k<<32 | rank, rank being the node's static place under
+//     (distance descending, id ascending), counting-sorted once. Each
+//     distinct degree keeps an indexed min-heap on that key, and a dense
+//     table holds every class's head key and degree. A pick scores one
+//     head per class — at most about 2√m of them — from those two flat
+//     arrays with LambdaF / ThetaF on the same float operands as the
+//     textbook loop, and breaks score ties on the rank. Weighted graphs
+//     scan every candidate instead, since float rounding can tie
+//     distinct k.
 //   - Removable. parent, key and the child lists hold a spanning tree of
 //     the alive set rooted at a query node, with key[parent[c]] < key[c].
 //     A leaf of a spanning tree is not an articulation point: the rest of
@@ -53,13 +59,14 @@ import (
 // bit-identical to the textbook loop (FuzzNCACertificates checks every
 // step; the reference's flood-per-candidate loop checks whole peels).
 //
-// The loop runs entirely in the compact local id space of sub, and it
-// re-compacts geometrically: whenever the alive set halves, the sub-CSR
-// and the index are rebuilt over the survivors, so a weighted scan costs
+// The loop runs entirely in the compact local id space of sub. On
+// weighted graphs it re-compacts geometrically: whenever the alive set
+// halves, the sub-CSR is rebuilt over the survivors, so the scan costs
 // O(alive) instead of O(initial component). Aggregates (w_C, d_S) and the
 // k_{v,S} table are carried, not recomputed, across rebuilds, and local
 // ids stay order-isomorphic to source ids, so scores and tie-breaks do
-// not move.
+// not move. The index never scans, so unweighted peels never re-compact:
+// a rebuild would cost more than the dead adjacency entries it drops.
 
 // recompactMinAlive is the smallest alive set worth rebuilding a sub-CSR
 // for; below it the O(alive) rebuild costs more than the work it saves.
@@ -94,12 +101,15 @@ type ncaPeel struct {
 	gen     int32
 
 	// The degree-class index, on unweighted graphs only. Class c's heap
-	// is heap[cOff[c] : cOff[c]+cLen[c]]; a candidate is in its class's
-	// heap (pos >= 0) or parked on the list of its live witness, which
-	// starts at parked[w] and follows next.
+	// is heap[cOff[c] : cOff[c]+cLen[c]], a min-heap on ord; a candidate
+	// is in its class's heap (pos >= 0) or parked on the list of its live
+	// witness, which starts at parked[w] and follows next.
 	indexed bool
 	nc      int          // number of classes
-	byDeg   []int32      // class of each degree (buildIndex scratch)
+	byDeg   []int32      // class of each degree, or count of each distance (setup scratch)
+	ord     []int64      // order key of each candidate: k<<32 | rank
+	head    []int64      // head key of each class, or -1 when it is empty
+	cdeg    []float64    // degree of each class
 	cls     []int32      // class of each candidate
 	cOff    []int32      // start of each class's heap segment
 	cLen    []int32      // size of each class's heap
@@ -149,13 +159,16 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 	p.adjReads, p.scored = 0, 0
 	p.rebuildTree(a.g.Queue(n))
 	if p.indexed = !sub.Weighted(); p.indexed {
-		maxDeg := 0
+		maxDeg, maxDist := 0, int32(0)
 		for u, d := range p.s.wdeg {
 			if !p.skip[u] {
 				maxDeg = max(maxDeg, int(d))
 			}
+			maxDist = max(maxDist, dist[u])
 		}
-		p.byDeg = growInt32Slice(p.byDeg, maxDeg+1)
+		p.ord = growInt64Slice(p.ord, n)
+		p.head = growInt64Slice(p.head, n)
+		p.cdeg = growFloat64Slice(p.cdeg, n)
 		p.cls = growInt32Slice(p.cls, n)
 		p.cOff = growInt32Slice(p.cOff, n+1)
 		p.cLen = growInt32Slice(p.cLen, n)
@@ -163,6 +176,9 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 		p.pos = growInt32Slice(p.pos, n)
 		p.parked = growNodeSlice(p.parked, n)
 		p.next = growNodeSlice(p.next, n)
+		p.byDeg = growInt32Slice(p.byDeg, int(maxDist)+1)
+		p.rankByDist()
+		p.byDeg = growInt32Slice(p.byDeg, maxDeg+1)
 		p.buildIndex()
 	}
 	return p
@@ -204,11 +220,12 @@ func (p *ncaPeel) step() bool {
 			return false
 		}
 	}
-	// Rebuild when the alive nodes OR the alive edges have halved since
-	// the last compaction — every pass walks the packed entries of alive
-	// nodes, so dead-entry buildup (hub neighborhoods dying off) costs
-	// even while the node count barely moves.
-	if alive := s.v.NumAlive(); alive >= recompactMinAlive && alive > p.nq &&
+	// Weighted peels rebuild when the alive nodes OR the alive edges have
+	// halved since the last compaction — every scan walks the alive
+	// nodes, and every pass the packed entries of alive nodes, so
+	// dead-entry buildup (hub neighborhoods dying off) costs even while
+	// the node count barely moves.
+	if alive := s.v.NumAlive(); !p.indexed && alive >= recompactMinAlive && alive > p.nq &&
 		(2*alive <= s.sub.NumNodes() || 2*s.v.NumAliveEdges() <= s.sub.NumEdges()) {
 		p.recompact()
 	}
@@ -264,27 +281,44 @@ func (p *ncaPeel) scan() graph.Node {
 	return best
 }
 
+// rankMask keeps the rank half of an order key.
+const rankMask = 1<<32 - 1
+
 // argmax is scan over the degree-class index: the best class head under
-// the pick order, or -1 when every class is empty.
+// the pick order, or -1 when every class is empty. It scores from the
+// head table only: a head's k is its key's upper half, its degree the
+// class's, and its rank, the lower half, orders it against an equal score
+// exactly as beats does.
 //
 //dmcs:hotpath
 func (p *ncaPeel) argmax() graph.Node {
-	dS := p.s.v.NodeWeightSum()
-	var best graph.Node = -1
+	wG, dS := p.s.wG, p.s.v.NodeWeightSum()
+	head, cdeg := p.head[:p.nc], p.cdeg[:p.nc]
+	best := -1
+	var bestRank int64
 	bestScore := math.Inf(-1)
 	scored := 0
-	for c := 0; c < p.nc; c++ {
-		if p.cLen[c] == 0 {
+	for c, h := range head {
+		if h < 0 {
 			continue
 		}
-		u := p.heap[p.cOff[c]]
 		scored++
-		if sc := p.pickScore(u, dS); p.beats(u, sc, best, bestScore) {
-			best, bestScore = u, sc
+		k := float64(h >> 32)
+		var sc float64
+		if p.theta {
+			sc = modularity.ThetaF(cdeg[c], k)
+		} else {
+			sc = modularity.LambdaF(wG, dS, k, cdeg[c])
+		}
+		if sc > bestScore || sc == bestScore && best >= 0 && h&rankMask < bestRank {
+			best, bestRank, bestScore = c, h&rankMask, sc
 		}
 	}
 	p.scored += scored
-	return best
+	if best < 0 {
+		return -1
+	}
+	return p.heap[p.cOff[best]]
 }
 
 // makeLeaf certifies that u is not an articulation point by making it a
@@ -460,8 +494,10 @@ func (p *ncaPeel) rekey(x graph.Node) {
 // its class when indexed), from the alive set and the tables. It refreshes
 // k_{v,S} of u's alive neighbours by the ascending WeightedDegreeIn rescan
 // — the term order of every k this package has ever computed, so the
-// table is bit-identical to a from-scratch one — sifting each one up its
-// heap as its k falls, and re-admits the nodes parked under u.
+// table is bit-identical to a from-scratch one — and, when indexed, the
+// order key of each neighbour that is a candidate, parked or not, sifting
+// it up its heap if it is in one; then it re-admits the nodes parked
+// under u.
 //
 //dmcs:hotpath
 func (p *ncaPeel) remove(u graph.Node) {
@@ -479,8 +515,11 @@ func (p *ncaPeel) remove(u graph.Node) {
 	for _, w := range adj {
 		if s.v.Alive(w) {
 			p.k[w] = s.v.WeightedDegreeIn(w)
-			if p.indexed && p.pos[w] >= 0 {
-				p.up(w)
+			if p.indexed && !p.skip[w] {
+				p.ord[w] = int64(p.k[w])<<32 | p.ord[w]&rankMask
+				if p.pos[w] >= 0 {
+					p.up(w)
+				}
 			}
 		}
 	}
@@ -492,47 +531,44 @@ func (p *ncaPeel) remove(u graph.Node) {
 	}
 }
 
-// less orders two nodes of one degree class best first: k ascending,
-// then farther from the query, then smaller id — the pick order, since
-// for one degree the pick score falls strictly as k rises.
-func (p *ncaPeel) less(a, b graph.Node) bool {
-	if p.k[a] != p.k[b] {
-		return p.k[a] < p.k[b]
-	}
-	return p.dist[a] > p.dist[b] || p.dist[a] == p.dist[b] && a < b
-}
-
-// up sifts u towards the head of its class's heap.
+// up sifts u towards the head of its class's heap, and records its key
+// as the class's head key if it gets there. The heaps order by ord: k
+// ascending, then rank — the pick order, since for one degree the pick
+// score falls strictly as k rises.
 func (p *ncaPeel) up(u graph.Node) {
-	heap, pos := p.heap, p.pos
-	base, i := p.cOff[p.cls[u]], p.pos[u]
+	heap, pos, ord := p.heap, p.pos, p.ord
+	c := p.cls[u]
+	base, i, key := p.cOff[c], p.pos[u], ord[u]
 	for i > base {
 		j := base + (i-base-1)/2
 		w := heap[j]
-		if !p.less(u, w) {
+		if key >= ord[w] {
 			break
 		}
 		heap[i], pos[w] = w, i
 		i = j
 	}
 	heap[i], pos[u] = u, i
+	if i == base {
+		p.head[c] = key
+	}
 }
 
 // down sifts u away from the head of its class's heap.
 func (p *ncaPeel) down(u graph.Node) {
-	heap, pos := p.heap, p.pos
+	heap, pos, ord := p.heap, p.pos, p.ord
 	c := p.cls[u]
-	base, end, i := p.cOff[c], p.cOff[c]+p.cLen[c], p.pos[u]
+	base, end, i, key := p.cOff[c], p.cOff[c]+p.cLen[c], p.pos[u], ord[u]
 	for {
 		j := base + 2*(i-base) + 1
 		if j >= end {
 			break
 		}
-		if j+1 < end && p.less(heap[j+1], heap[j]) {
+		if j+1 < end && ord[heap[j+1]] < ord[heap[j]] {
 			j++
 		}
 		w := heap[j]
-		if !p.less(w, u) {
+		if ord[w] >= key {
 			break
 		}
 		heap[i], pos[w] = w, i
@@ -549,15 +585,21 @@ func (p *ncaPeel) push(u graph.Node) {
 	p.up(u)
 }
 
-// pop takes u, the head of its class's heap, out of the heap.
+// pop takes u, the head of its class's heap, out of the heap, and
+// records the class's new head key.
 func (p *ncaPeel) pop(u graph.Node) {
 	c := p.cls[u]
 	p.cLen[c]--
 	p.pos[u] = -1
-	if last := p.heap[p.cOff[c]+p.cLen[c]]; last != u {
-		p.pos[last] = p.cOff[c]
-		p.down(last)
+	if p.cLen[c] == 0 {
+		p.head[c] = -1
+		return
 	}
+	base := p.cOff[c]
+	last := p.heap[base+p.cLen[c]]
+	p.pos[last] = base
+	p.down(last)
+	p.head[c] = p.ord[p.heap[base]]
 }
 
 // park files u, out of every heap, under its live witness w.
@@ -566,10 +608,32 @@ func (p *ncaPeel) park(u, w graph.Node) {
 	p.parked[w] = u
 }
 
-// buildIndex files every candidate into the heap of its degree class, or
-// parks it under its live witness. Classes are numbered in ascending
-// degree; byDeg, sized by newNCAPeel for the largest candidate degree,
-// maps a degree to its class.
+// rankByDist gives every node its order key k<<32 | rank, rank being its
+// place under (distance descending, id ascending), by one counting sort
+// over dist; byDeg, sized by newNCAPeel for the largest distance, counts
+// the nodes at each distance.
+//
+//dmcs:hotpath
+func (p *ncaPeel) rankByDist() {
+	n := p.s.sub.NumNodes()
+	dist, cnt := p.dist[:n], p.byDeg
+	clear(cnt)
+	for _, d := range dist {
+		cnt[d]++
+	}
+	var start int32
+	for d := len(cnt) - 1; d >= 0; d-- {
+		cnt[d], start = start, start+cnt[d]
+	}
+	for u, d := range dist {
+		p.ord[u] = int64(p.k[u])<<32 | int64(cnt[d])
+		cnt[d]++
+	}
+}
+
+// buildIndex files every candidate into the heap of its degree class.
+// Classes are numbered in ascending degree; byDeg, sized by newNCAPeel
+// for the largest candidate degree, maps a degree to its class.
 //
 //dmcs:hotpath
 func (p *ncaPeel) buildIndex() {
@@ -586,6 +650,7 @@ func (p *ncaPeel) buildIndex() {
 	for d, cnt := range p.byDeg {
 		if cnt > 0 {
 			p.cOff[p.nc], p.cLen[p.nc] = off, 0
+			p.head[p.nc], p.cdeg[p.nc] = -1, float64(d)
 			p.byDeg[d] = int32(p.nc)
 			off += cnt
 			p.nc++
@@ -593,18 +658,12 @@ func (p *ncaPeel) buildIndex() {
 	}
 	p.cOff[p.nc] = off
 	for ui := range skip {
-		u := graph.Node(ui)
-		p.pos[u], p.parked[u] = -1, -1
+		p.pos[ui], p.parked[ui] = -1, -1
 	}
 	for ui := range skip {
-		if skip[ui] {
-			continue
-		}
-		u := graph.Node(ui)
-		p.cls[u] = p.byDeg[int(wdeg[u])]
-		if w := p.witness[u]; w >= 0 {
-			p.park(u, w)
-		} else {
+		if !skip[ui] {
+			u := graph.Node(ui)
+			p.cls[u] = p.byDeg[int(wdeg[u])]
 			p.push(u)
 		}
 	}
@@ -657,10 +716,10 @@ func (p *ncaPeel) newID(old graph.Node) graph.Node {
 	return -1
 }
 
-// recompact rebuilds the sub-CSR over the survivors, remaps every
-// per-node table into the new local ids and rebuilds the index. New ids
-// never exceed old ones and both ascend, so the tables compact in place,
-// front to back.
+// recompact rebuilds the sub-CSR over the survivors of a weighted peel
+// and remaps every per-node table into the new local ids. New ids never
+// exceed old ones and both ascend, so the tables compact in place, front
+// to back.
 func (p *ncaPeel) recompact() {
 	s := p.s
 	a := s.a
@@ -699,7 +758,4 @@ func (p *ncaPeel) recompact() {
 	s.v = a.g.ViewAllWith(p.slot, next, s.v.InternalWeight(), s.v.NodeWeightSum())
 	s.sub, s.wdeg = next, next.WeightedDegrees()
 	p.slot = 1 - p.slot
-	if p.indexed {
-		p.buildIndex()
-	}
 }

@@ -109,12 +109,30 @@ func checkCertificates(t *testing.T, p *ncaPeel) {
 }
 
 // checkIndex verifies the degree-class index: every alive candidate is in
-// its class's heap or parked under its live witness, never both; each
-// class holds one degree in heap order (k ascending, then farther from
-// the query, then smaller id); no dead or query node is indexed.
+// its class's heap or parked under its live witness, never both, and its
+// order key is k<<32 | rank, rank being its place among all nodes under
+// (farther from the query, then smaller id); each class holds one degree
+// in heap order (k ascending, then farther from the query, then smaller
+// id), and its head-table entry is its head's key, or -1 exactly when it
+// is empty; no dead or query node is indexed; and argmax returns the node
+// that a pickScore / beats scan over the heap heads returns.
 func checkIndex(t *testing.T, p *ncaPeel) {
 	t.Helper()
 	v, n := p.s.v, p.s.sub.NumNodes()
+	byRank := make([]graph.Node, n)
+	for i := range byRank {
+		byRank[i] = graph.Node(i)
+	}
+	slices.SortFunc(byRank, func(a, b graph.Node) int {
+		if p.dist[a] != p.dist[b] {
+			return int(p.dist[b] - p.dist[a])
+		}
+		return int(a - b)
+	})
+	rank := make([]int64, n)
+	for r, u := range byRank {
+		rank[u] = int64(r)
+	}
 	parkedUnder := make([]graph.Node, n)
 	for i := range parkedUnder {
 		parkedUnder[i] = -1
@@ -140,6 +158,9 @@ func checkIndex(t *testing.T, p *ncaPeel) {
 		if inHeap == (parkedUnder[u] >= 0) {
 			t.Fatalf("candidate %d: pos %d, parked under %d", u, p.pos[u], parkedUnder[u])
 		}
+		if want := int64(p.k[u])<<32 | rank[u]; p.ord[u] != want {
+			t.Fatalf("candidate %d (k=%v rank %d, parked under %d): order key %#x, want %#x", u, p.k[u], rank[u], parkedUnder[u], p.ord[u], want)
+		}
 		if c, i := p.cls[u], p.pos[u]; inHeap && (i < p.cOff[c] || i >= p.cOff[c]+p.cLen[c] || p.heap[i] != u) {
 			t.Fatalf("candidate %d: pos %d outside class %d's heap", u, i, c)
 		}
@@ -147,10 +168,26 @@ func checkIndex(t *testing.T, p *ncaPeel) {
 	ranksAbove := func(a, b graph.Node) bool {
 		return p.k[a] < p.k[b] || p.k[a] == p.k[b] && (p.dist[a] > p.dist[b] || p.dist[a] == p.dist[b] && a < b)
 	}
+	dS := v.NodeWeightSum()
+	var best graph.Node = -1
+	bestScore := math.Inf(-1)
 	for c := 0; c < p.nc; c++ {
 		base, end := p.cOff[c], p.cOff[c]+p.cLen[c]
 		if end > p.cOff[c+1] {
 			t.Fatalf("class %d holds %d nodes in a segment of %d", c, p.cLen[c], p.cOff[c+1]-base)
+		}
+		if base == end {
+			if p.head[c] != -1 {
+				t.Fatalf("class %d is empty; head key %#x, want -1", c, p.head[c])
+			}
+			continue
+		}
+		u := p.heap[base]
+		if p.head[c] != p.ord[u] || p.cdeg[c] != p.s.wdeg[u] {
+			t.Fatalf("class %d: head key %#x and degree %v; head %d has key %#x and degree %v", c, p.head[c], p.cdeg[c], u, p.ord[u], p.s.wdeg[u])
+		}
+		if sc := p.pickScore(u, dS); p.beats(u, sc, best, bestScore) {
+			best, bestScore = u, sc
 		}
 		for i := base + 1; i < end; i++ {
 			u, up := p.heap[i], p.heap[base+(i-base-1)/2]
@@ -160,6 +197,11 @@ func checkIndex(t *testing.T, p *ncaPeel) {
 			}
 		}
 	}
+	scored := p.scored // a check must not move the work counters
+	if got := p.argmax(); got != best {
+		t.Fatalf("argmax picked %d; a pickScore scan over the heads picks %d", got, best)
+	}
+	p.scored = scored
 }
 
 // textbookPick is the node the textbook loop removes next from p's alive
@@ -226,9 +268,10 @@ func stepChecked(t *testing.T, p *ncaPeel) int {
 }
 
 // TestNCARecompactsUnderCertificates peels a graph large enough to
-// re-compact at least three times with every certificate checked after
-// every removal, so the remap of root, tree, witnesses and k table is
-// exercised while every step stays the textbook loop's.
+// re-compact at least three times when weighted, with every certificate
+// checked after every removal, so the remap of root, tree, witnesses and k
+// table is exercised while every step stays the textbook loop's. The
+// unweighted peel, whose pick never scans, must not re-compact at all.
 func TestNCARecompactsUnderCertificates(t *testing.T) {
 	cfg := lfr.Default()
 	cfg.N, cfg.MaxDeg, cfg.MaxComm = 300, 60, 100
@@ -240,8 +283,12 @@ func TestNCARecompactsUnderCertificates(t *testing.T) {
 		for _, q := range ncaQueries(g, res.Communities[0][0]) {
 			sub, lq, comp := localQuery(t, graph.NewCSR(g), q)
 			for _, theta := range []bool{false, true} {
-				if recompactions := peelChecked(t, sub, lq, comp, theta); recompactions < 3 {
-					t.Fatalf("weighted=%v theta=%v q=%v: %d re-compactions, want >= 3", g.Weighted(), theta, q, recompactions)
+				recompactions := peelChecked(t, sub, lq, comp, theta)
+				if g.Weighted() && recompactions < 3 {
+					t.Fatalf("weighted theta=%v q=%v: %d re-compactions, want >= 3", theta, q, recompactions)
+				}
+				if !g.Weighted() && recompactions != 0 {
+					t.Fatalf("unweighted theta=%v q=%v: %d re-compactions, want 0", theta, q, recompactions)
 				}
 			}
 		}
