@@ -1,6 +1,6 @@
 // Package analysis is the home of dmcsvet: static analyzers for the
 // serving-path invariants whose breakage no test reliably catches —
-// allocation-free hot paths, component-version-prefixed cache keys,
+// allocation-free hot paths, component-identity-prefixed cache keys,
 // arena checkout/release pairing, and deterministic float accumulation.
 // CONTRIBUTING.md ("Why these four") records the trial that chose them.
 //

@@ -82,6 +82,8 @@ func (a *Arena) Poison() {
 	poisonNodes(a.nca.witness)
 	poisonFloat64s(a.nca.k)
 	poisonNodes(a.nca.subtree)
+	poisonNodes(a.nca.cand)
+	poisonInt32s(a.nca.cpos)
 	// Stamps read 2, the member stamp of a search's first re-hang: a
 	// search that trusted them instead of clearing them would take every
 	// node for a member of the subtree.

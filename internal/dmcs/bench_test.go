@@ -2,7 +2,6 @@ package dmcs
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"dmcs/internal/graph"
@@ -23,19 +22,16 @@ func benchGraph(b *testing.B, n int) (*graph.Graph, []graph.Node) {
 	return res.G, []graph.Node{res.Communities[0][0]}
 }
 
+// benchWeightSeed seeds the edge weights of the weighted benchmarks.
+const benchWeightSeed = 7
+
 // weightedBenchGraph is benchGraph with a deterministic random weight in
 // (0.5, 2.5) on every edge — the workload where the flat CSR substrate
 // replaces one hashed map lookup per edge-weight evaluation.
 func weightedBenchGraph(b *testing.B, n int) (*graph.Graph, []graph.Node) {
 	b.Helper()
 	g, q := benchGraph(b, n)
-	rng := rand.New(rand.NewSource(7))
-	wb := graph.NewBuilder(g.NumNodes())
-	g.Edges(func(u, v graph.Node) bool {
-		wb.SetWeight(u, v, 0.5+2*rng.Float64())
-		return true
-	})
-	return wb.Build(), q
+	return reweighted(g, benchWeightSeed), q
 }
 
 // BenchmarkFPA measures the paper's headline algorithm (with pruning, as
@@ -99,10 +95,12 @@ func BenchmarkNCADR(b *testing.B) {
 }
 
 // BenchmarkNCATable2 is NCA's scaling table: Table-2 LFR graphs
-// (lfr.Default(), seed 1) at n = 1000, 4000 and 8000, each peeled from
-// the five one-node queries i·n/5. An op runs all five; ms/query is its
-// mean per query. One untimed op first builds the graph's memoised
-// snapshot and partition.
+// (lfr.Default(), seed 1) at n = 1000, 4000 and 8000, unweighted (the
+// degree-class index) and with weightedBenchGraph's weights (the
+// candidate-list scan), each peeled by NCA and NCA-DR from the five
+// one-node queries i·n/5. An op runs all five; ms/query is its mean per
+// query. One untimed op first builds the graph's memoised snapshot and
+// partition.
 func BenchmarkNCATable2(b *testing.B) {
 	for _, n := range []int{1000, 4000, 8000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -112,19 +110,28 @@ func BenchmarkNCATable2(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			op := func() {
-				for i := 0; i < 5; i++ {
-					if _, err := NCA(res.G, []graph.Node{graph.Node(i * n / 5)}, Options{}); err != nil {
-						b.Fatal(err)
-					}
+			for _, w := range []struct {
+				name string
+				g    *graph.Graph
+			}{{"unweighted", res.G}, {"weighted", reweighted(res.G, benchWeightSeed)}} {
+				for _, variant := range []Variant{VariantNCA, VariantNCADR} {
+					b.Run(fmt.Sprintf("%s/%v", w.name, variant), func(b *testing.B) {
+						op := func() {
+							for i := 0; i < 5; i++ {
+								if _, err := Search(w.g, []graph.Node{graph.Node(i * n / 5)}, variant, Options{}); err != nil {
+									b.Fatal(err)
+								}
+							}
+						}
+						op()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							op()
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(5*b.N), "ms/query")
+					})
 				}
 			}
-			op()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				op()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(5*b.N), "ms/query")
 		})
 	}
 }

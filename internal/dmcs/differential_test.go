@@ -127,7 +127,7 @@ func TestDifferentialObjectives(t *testing.T) {
 
 // TestNCAMatchesReference runs the reference over the graphs NCA's
 // certificate loop finds hardest: LFR graphs, plain and reweighted (the
-// reweighted ones re-compact several times), sparse graphs where most
+// reweighted ones pick by the candidate-list scan), sparse graphs where most
 // nodes are articulation points, and paths, stars and a ring of cliques.
 func TestNCAMatchesReference(t *testing.T) {
 	sizes, sparse := []int{300, 1000, 2000}, 40

@@ -43,10 +43,9 @@
 // candidate, instead of scanning every candidate (unweighted graphs), and
 // it decides removability from a spanning tree of the alive set, re-hung
 // locally, and alive-witness articulation marks instead of a Tarjan pass
-// per removal (see nca.go). Weighted NCA still scans, so it re-compacts
-// geometrically: whenever the alive set (by nodes or edges) halves, the
-// sub-CSR is rebuilt over the survivors so the scan stays O(alive).
-// Aggregates are carried — never re-accumulated — across rebuilds.
+// per removal (see nca.go). Weighted NCA still scans, but only a dense
+// list of the alive candidates, so a scan costs O(alive), not
+// O(component).
 //
 // The whole substrate is float-exact: relabelling is monotonic and
 // weight accumulation follows the sorted-adjacency order graph.Builder
@@ -228,15 +227,15 @@ func SearchCSR(c *graph.CSR, q []graph.Node, variant Variant, opts Options) (*Re
 	return searchExtract(a, c, q, comp, variant, opts)
 }
 
-// searchExtract compacts comp into the arena's sub-CSR slot (or wraps the
+// searchExtract compacts comp into the arena's sub-CSR (or wraps the
 // snapshot when the component spans it and its arrays are contiguous, as
 // a Builder's are) and dispatches.
 func searchExtract(a *Arena, c *graph.CSR, q, comp []graph.Node, variant Variant, opts Options) (*Result, error) {
 	var sub *graph.SubCSR
 	if len(comp) == c.NumNodes() && c.Contiguous() {
-		sub = a.g.WrapFull(0, c)
+		sub = a.g.WrapFull(c)
 	} else {
-		sub = a.g.ExtractSub(0, c, comp)
+		sub = a.g.ExtractSub(c, comp)
 	}
 	return SearchSub(a, sub, q, comp, variant, opts)
 }
@@ -344,14 +343,14 @@ func (p *deadlinePoller) check() bool {
 // peelState drives one peel over a compact sub-CSR: a CSRView maintains
 // the alive subgraph and its sufficient statistics (w_C, d_S)
 // incrementally over the packed local arrays; peelState adds the removal
-// trace (recorded in source ids, so it survives re-compaction), the best
+// trace (recorded in source ids, the ids a Result reports), the best
 // intermediate subgraph seen so far, and deadline/cancellation polling.
 // Statistics are floats so the same code path serves unweighted graphs
 // (where they are exact integers) and the weighted Definition 2. All
 // mutable storage is arena-backed.
 type peelState struct {
 	a    *Arena
-	sub  *graph.SubCSR  // current compact snapshot (swapped by re-compaction)
+	sub  *graph.SubCSR  // compact snapshot of the component
 	v    *graph.CSRView // alive overlay of sub
 	wG   float64        // total edge weight of G (|E| when unweighted)
 	wdeg []float64      // node weights d_v of sub's members, by local id
@@ -360,7 +359,7 @@ type peelState struct {
 	// universe at construction (the component — stable caller memory);
 	// universe restricts it to a subset of construction-time local ids
 	// (nil = the whole sub). Together they let result() reconstruct the
-	// community after the sub has been re-compacted away.
+	// community from the removal trace.
 	origGlobals []graph.Node
 	universe    []graph.Node
 	trace       []graph.Node // removal order, source ids

@@ -9,5 +9,5 @@ var (
 )
 
 // work is the peel's work so far: adjacency entries read by makeLeaf,
-// rehang and remove, plus the pick scores evaluated.
-func (p *ncaPeel) work() int { return p.adjReads + p.scored }
+// rehang and remove, the pick scores evaluated, and the heap sift steps.
+func (p *ncaPeel) work() int { return p.adjReads + p.scored + p.sifts }

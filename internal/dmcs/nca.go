@@ -30,7 +30,9 @@ import (
 //     arrays with LambdaF / ThetaF on the same float operands as the
 //     textbook loop, and breaks score ties on the rank. Weighted graphs
 //     scan every candidate instead, since float rounding can tie
-//     distinct k.
+//     distinct k. The scan walks a dense list of the alive non-query
+//     nodes, in any order, from which remove swap-deletes; beats is a
+//     total order, so the list's order cannot change the pick.
 //   - Removable. parent, key and the child lists hold a spanning tree of
 //     the alive set rooted at a query node, with key[parent[c]] < key[c].
 //     A leaf of a spanning tree is not an articulation point: the rest of
@@ -59,29 +61,19 @@ import (
 // bit-identical to the textbook loop (FuzzNCACertificates checks every
 // step; the reference's flood-per-candidate loop checks whole peels).
 //
-// The loop runs entirely in the compact local id space of sub. On
-// weighted graphs it re-compacts geometrically: whenever the alive set
-// halves, the sub-CSR is rebuilt over the survivors, so the scan costs
-// O(alive) instead of O(initial component). Aggregates (w_C, d_S) and the
-// k_{v,S} table are carried, not recomputed, across rebuilds, and local
-// ids stay order-isomorphic to source ids, so scores and tie-breaks do
-// not move. The index never scans, so unweighted peels never re-compact:
-// a rebuild would cost more than the dead adjacency entries it drops.
-
-// recompactMinAlive is the smallest alive set worth rebuilding a sub-CSR
-// for; below it the O(alive) rebuild costs more than the work it saves.
-const recompactMinAlive = 32
+// The loop runs entirely in the compact local id space of sub, whose ids
+// are order-isomorphic to source ids, so tie-breaks on id match the
+// textbook loop's.
 
 // ncaPeel is the state of one NCA / NCA-DR peel. It lives in the Arena:
 // the per-node tables keep their capacity from query to query and are
 // grown by newNCAPeel only, so arenas that never serve NCA never pay for
-// them. All tables are indexed by the current sub's local ids.
+// them. All tables are indexed by sub's local ids.
 type ncaPeel struct {
 	s     *peelState
 	nq    int        // |Q| (distinct): the peel stops when only the query is left
 	theta bool       // pick by Θ (NCA-DR) instead of Λ (NCA)
 	root  graph.Node // spanning-tree root: a query node
-	slot  int        // arena sub/view slot the next re-compaction fills
 
 	dist    []int32      // hops from the nearest query node (tie-break)
 	skip    []bool       // query or dead: never a candidate
@@ -99,6 +91,11 @@ type ncaPeel struct {
 	subtree []graph.Node
 	stamp   []int32
 	gen     int32
+
+	// The candidate list, on weighted graphs only: every alive non-query
+	// node once, in any order, and the index of each in it.
+	cand []graph.Node
+	cpos []int32
 
 	// The degree-class index, on unweighted graphs only. Class c's heap
 	// is heap[cOff[c] : cOff[c]+cLen[c]], a min-heap on ord; a candidate
@@ -119,8 +116,9 @@ type ncaPeel struct {
 	next    []graph.Node // next node on the same park list, or -1
 
 	// work counters: adjacency entries read by makeLeaf, rehang and
-	// remove, and scores evaluated by a pick
-	adjReads, scored int
+	// remove, scores evaluated by a pick, and heap entries moved by up
+	// and down
+	adjReads, scored, sifts int
 }
 
 // newNCAPeel sets up the peel over sub with every node alive.
@@ -130,7 +128,7 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 	dist := bfsInto(a, sub, q)
 	p := &a.nca
 	p.s = newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
-	p.nq, p.theta, p.root, p.slot = 0, theta, q[0], 1
+	p.nq, p.theta, p.root = 0, theta, q[0]
 	p.dist = dist
 	p.skip = a.g.Marks(0, n)
 	for _, u := range q { // a repeated query node must not raise the stop size
@@ -156,7 +154,7 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 	p.stamp = growInt32Slice(p.stamp, n)
 	clear(p.stamp)
 	p.gen = 0
-	p.adjReads, p.scored = 0, 0
+	p.adjReads, p.scored, p.sifts = 0, 0, 0
 	p.rebuildTree(a.g.Queue(n))
 	if p.indexed = !sub.Weighted(); p.indexed {
 		maxDeg, maxDist := 0, int32(0)
@@ -180,6 +178,15 @@ func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options,
 		p.rankByDist()
 		p.byDeg = growInt32Slice(p.byDeg, maxDeg+1)
 		p.buildIndex()
+	} else {
+		p.cand = growNodeSlice(p.cand, n)[:0]
+		p.cpos = growInt32Slice(p.cpos, n)
+		for u, sk := range p.skip {
+			if !sk {
+				p.cpos[u] = int32(len(p.cand))
+				p.cand = append(p.cand, graph.Node(u))
+			}
+		}
 	}
 	return p
 }
@@ -220,15 +227,6 @@ func (p *ncaPeel) step() bool {
 			return false
 		}
 	}
-	// Weighted peels rebuild when the alive nodes OR the alive edges have
-	// halved since the last compaction — every scan walks the alive
-	// nodes, and every pass the packed entries of alive nodes, so
-	// dead-entry buildup (hub neighborhoods dying off) costs even while
-	// the node count barely moves.
-	if alive := s.v.NumAlive(); !p.indexed && alive >= recompactMinAlive && alive > p.nq &&
-		(2*alive <= s.sub.NumNodes() || 2*s.v.NumAliveEdges() <= s.sub.NumEdges()) {
-		p.recompact()
-	}
 	return true
 }
 
@@ -251,27 +249,20 @@ func (p *ncaPeel) pickScore(u graph.Node, dS float64) float64 {
 }
 
 // scan returns the best candidate under the pick order, or -1. A
-// candidate is a non-skipped (alive, non-query) node without a live
-// articulation witness.
+// candidate is a node of the candidate list (alive, non-query) without a
+// live articulation witness.
 //
 //dmcs:hotpath
 func (p *ncaPeel) scan() graph.Node {
-	s := p.s
-	n := s.sub.NumNodes()
-	v, dS := s.v, s.v.NodeWeightSum()
-	// len == n lets the compiler drop the per-element bounds checks
-	skip, witness := p.skip[:n], p.witness[:n]
+	v, dS := p.s.v, p.s.v.NodeWeightSum()
+	witness := p.witness
 	var best graph.Node = -1
 	bestScore := math.Inf(-1)
 	scored := 0
-	for ui := 0; ui < n; ui++ {
-		if skip[ui] {
+	for _, u := range p.cand {
+		if w := witness[u]; w >= 0 && v.Alive(w) {
 			continue
 		}
-		if w := witness[ui]; w >= 0 && v.Alive(w) {
-			continue
-		}
-		u := graph.Node(ui)
 		scored++
 		if sc := p.pickScore(u, dS); p.beats(u, sc, best, bestScore) {
 			best, bestScore = u, sc
@@ -491,7 +482,8 @@ func (p *ncaPeel) rekey(x graph.Node) {
 }
 
 // remove deletes u, a leaf of the spanning tree and the pick (the head of
-// its class when indexed), from the alive set and the tables. It refreshes
+// its class when indexed), from the alive set and the tables (the
+// candidate list when not). It refreshes
 // k_{v,S} of u's alive neighbours by the ascending WeightedDegreeIn rescan
 // — the term order of every k this package has ever computed, so the
 // table is bit-identical to a from-scratch one — and, when indexed, the
@@ -505,6 +497,10 @@ func (p *ncaPeel) remove(u graph.Node) {
 	p.unlink(u)
 	if p.indexed {
 		p.pop(u)
+	} else {
+		last, i := p.cand[len(p.cand)-1], p.cpos[u]
+		p.cand[i], p.cpos[last] = last, i
+		p.cand = p.cand[:len(p.cand)-1]
 	}
 	s.remove(u)
 	p.skip[u] = true
@@ -539,6 +535,7 @@ func (p *ncaPeel) up(u graph.Node) {
 	heap, pos, ord := p.heap, p.pos, p.ord
 	c := p.cls[u]
 	base, i, key := p.cOff[c], p.pos[u], ord[u]
+	steps := 0
 	for i > base {
 		j := base + (i-base-1)/2
 		w := heap[j]
@@ -547,7 +544,9 @@ func (p *ncaPeel) up(u graph.Node) {
 		}
 		heap[i], pos[w] = w, i
 		i = j
+		steps++
 	}
+	p.sifts += steps
 	heap[i], pos[u] = u, i
 	if i == base {
 		p.head[c] = key
@@ -559,6 +558,7 @@ func (p *ncaPeel) down(u graph.Node) {
 	heap, pos, ord := p.heap, p.pos, p.ord
 	c := p.cls[u]
 	base, end, i, key := p.cOff[c], p.cOff[c]+p.cLen[c], p.pos[u], ord[u]
+	steps := 0
 	for {
 		j := base + 2*(i-base) + 1
 		if j >= end {
@@ -573,7 +573,9 @@ func (p *ncaPeel) down(u graph.Node) {
 		}
 		heap[i], pos[w] = w, i
 		i = j
+		steps++
 	}
+	p.sifts += steps
 	heap[i], pos[u] = u, i
 }
 
@@ -702,60 +704,4 @@ func (p *ncaPeel) rebuildTree(queue []graph.Node) {
 		}
 	}
 	p.nextKey = int32(len(queue))
-}
-
-// newID maps a local id of the sub that ReextractSub just compacted to its
-// id in the new one through the arena's epoch marks: -1 stays -1, and a
-// dead node is unmarked, which is what drops a stale witness.
-func (p *ncaPeel) newID(old graph.Node) graph.Node {
-	if old >= 0 {
-		if id, ok := p.s.a.g.Marked(old); ok {
-			return id
-		}
-	}
-	return -1
-}
-
-// recompact rebuilds the sub-CSR over the survivors of a weighted peel
-// and remaps every per-node table into the new local ids. New ids never
-// exceed old ones and both ascend, so the tables compact in place, front
-// to back.
-func (p *ncaPeel) recompact() {
-	s := p.s
-	a := s.a
-	prev := s.sub
-	members := a.g.Nodes(0, s.v.NumAlive())[:0]
-	for ui := 0; ui < prev.NumNodes(); ui++ {
-		if s.v.Alive(graph.Node(ui)) {
-			members = append(members, graph.Node(ui))
-		}
-	}
-	next := a.g.ReextractSub(p.slot, prev, members)
-	// ReextractSub recorded members in prev's id space; rewrite them into
-	// source ids so GlobalOf keeps meaning the same thing across
-	// generations.
-	globals := next.Globals()
-	for i, old := range members {
-		globals[i] = prev.GlobalOf(old)
-		p.dist[i] = p.dist[old]
-		p.skip[i] = p.skip[old]
-		p.parent[i] = p.newID(p.parent[old])
-		p.first[i] = p.newID(p.first[old])
-		p.sib[i] = p.newID(p.sib[old])
-		p.prev[i] = p.newID(p.prev[old])
-		p.key[i] = p.key[old]
-		p.witness[i] = p.newID(p.witness[old])
-		p.k[i] = p.k[old]
-	}
-	n := len(members)
-	p.dist, p.skip, p.parent, p.key = p.dist[:n], p.skip[:n], p.parent[:n], p.key[:n]
-	p.first, p.sib, p.prev = p.first[:n], p.sib[:n], p.prev[:n]
-	p.witness, p.k = p.witness[:n], p.k[:n]
-	clear(p.stamp[:n]) // every stamp below the next rehang's
-	p.root = p.newID(p.root)
-	// Carry the incrementally maintained aggregates — fresh accumulation
-	// would change float summation order.
-	s.v = a.g.ViewAllWith(p.slot, next, s.v.InternalWeight(), s.v.NodeWeightSum())
-	s.sub, s.wdeg = next, next.WeightedDegrees()
-	p.slot = 1 - p.slot
 }

@@ -105,6 +105,27 @@ func checkCertificates(t *testing.T, p *ncaPeel) {
 	}
 	if p.indexed {
 		checkIndex(t, p)
+	} else {
+		checkCandidates(t, p)
+	}
+}
+
+// checkCandidates verifies the weighted peel's candidate list: it holds
+// every alive non-query node exactly once, and cpos is its inverse.
+func checkCandidates(t *testing.T, p *ncaPeel) {
+	t.Helper()
+	v := p.s.v
+	listed := make([]bool, p.s.sub.NumNodes())
+	for i, u := range p.cand {
+		if !v.Alive(u) || p.skip[u] || listed[u] || p.cpos[u] != int32(i) {
+			t.Fatalf("candidate list entry %d: node %d (alive %v, skip %v, listed before %v, cpos %d)", i, u, v.Alive(u), p.skip[u], listed[u], p.cpos[u])
+		}
+		listed[u] = true
+	}
+	for ui, l := range listed {
+		if u := graph.Node(ui); v.Alive(u) && !p.skip[u] && !l {
+			t.Fatalf("candidate %d is missing from the candidate list", u)
+		}
 	}
 }
 
@@ -235,44 +256,38 @@ func textbookPick(p *ncaPeel, art []bool) graph.Node {
 // peelChecked drives one NCA peel a step at a time, checking after every
 // removal that the certificates hold, and that every step removes the node
 // that a from-scratch Tarjan pass and a full rescan pick (textbookPick),
-// or stops where they find none. It returns how many times the sub-CSR was
-// re-compacted.
-func peelChecked(t *testing.T, sub *graph.SubCSR, lq, comp []graph.Node, theta bool) int {
+// or stops where they find none.
+func peelChecked(t *testing.T, sub *graph.SubCSR, lq, comp []graph.Node, theta bool) {
 	t.Helper()
-	return stepChecked(t, newNCAPeel(NewArena(), sub, lq, comp, Options{TrackOrder: true}, theta))
+	stepChecked(t, newNCAPeel(NewArena(), sub, lq, comp, Options{TrackOrder: true}, theta))
 }
 
 // stepChecked is peelChecked on a peel already set up.
-func stepChecked(t *testing.T, p *ncaPeel) int {
+func stepChecked(t *testing.T, p *ncaPeel) {
 	t.Helper()
 	checkCertificates(t, p)
-	recompactions := 0
+	sub := p.s.sub
 	for {
-		before := p.s.sub
 		want := textbookPick(p, p.s.v.ArticulationPoints())
 		if !p.step() {
 			if want >= 0 {
-				t.Fatalf("peel stopped after %d removals; the textbook loop removes %d next", len(p.s.trace), before.GlobalOf(want))
+				t.Fatalf("peel stopped after %d removals; the textbook loop removes %d next", len(p.s.trace), sub.GlobalOf(want))
 			}
 			break
 		}
-		if removed, _ := before.LocalOf(p.s.trace[len(p.s.trace)-1]); removed != want {
-			t.Fatalf("removal %d took %d; the textbook loop takes %d", len(p.s.trace), before.GlobalOf(removed), before.GlobalOf(want))
-		}
-		if p.s.sub != before {
-			recompactions++
+		if removed, _ := sub.LocalOf(p.s.trace[len(p.s.trace)-1]); removed != want {
+			t.Fatalf("removal %d took %d; the textbook loop takes %d", len(p.s.trace), sub.GlobalOf(removed), sub.GlobalOf(want))
 		}
 		checkCertificates(t, p)
 	}
-	return recompactions
 }
 
-// TestNCARecompactsUnderCertificates peels a graph large enough to
-// re-compact at least three times when weighted, with every certificate
-// checked after every removal, so the remap of root, tree, witnesses and k
-// table is exercised while every step stays the textbook loop's. The
-// unweighted peel, whose pick never scans, must not re-compact at all.
-func TestNCARecompactsUnderCertificates(t *testing.T) {
+// TestNCAPeelUnderCertificates peels an n = 300 LFR graph, unweighted
+// (the degree-class index) and weighted (the candidate list), from a
+// one-node and a three-node query with both picks, checking every
+// certificate after every removal and every step against the textbook
+// loop's.
+func TestNCAPeelUnderCertificates(t *testing.T) {
 	cfg := lfr.Default()
 	cfg.N, cfg.MaxDeg, cfg.MaxComm = 300, 60, 100
 	res, err := lfr.Generate(cfg)
@@ -283,13 +298,7 @@ func TestNCARecompactsUnderCertificates(t *testing.T) {
 		for _, q := range ncaQueries(g, res.Communities[0][0]) {
 			sub, lq, comp := localQuery(t, graph.NewCSR(g), q)
 			for _, theta := range []bool{false, true} {
-				recompactions := peelChecked(t, sub, lq, comp, theta)
-				if g.Weighted() && recompactions < 3 {
-					t.Fatalf("weighted theta=%v q=%v: %d re-compactions, want >= 3", theta, q, recompactions)
-				}
-				if !g.Weighted() && recompactions != 0 {
-					t.Fatalf("unweighted theta=%v q=%v: %d re-compactions, want 0", theta, q, recompactions)
-				}
+				peelChecked(t, sub, lq, comp, theta)
 			}
 		}
 	}
@@ -300,7 +309,9 @@ func TestNCARecompactsUnderCertificates(t *testing.T) {
 // and checks after every removal, against a from-scratch Tarjan, that
 // parent is a spanning tree of the alive set with falling keys, every
 // witnessed node is an articulation point, the k table equals a rescan,
-// and the removed node is the one the textbook loop removes.
+// the degree-class index (unweighted) or the candidate list (weighted)
+// holds exactly the candidates, and the removed node is the one the
+// textbook loop removes.
 func FuzzNCACertificates(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(10), false, false, uint8(1))
 	f.Add(int64(2), uint8(200), uint8(30), true, false, uint8(3))
@@ -363,8 +374,9 @@ func TestNCARehangNearKeyLimit(t *testing.T) {
 // TestNCAWorkScaling bounds how NCA's work grows with the graph. It peels
 // Table-2 LFR graphs (lfr.Default(), seed 1) at n = 1000 and 4000 from
 // five one-node queries each and requires the summed work — adjacency
-// entries read by makeLeaf, rehang and remove, plus pick scores evaluated
-// — to grow less than 4^1.5 = 8 times, for Λ and for Θ. Scoring every
+// entries read by makeLeaf, rehang and remove, pick scores evaluated, and
+// heap sift steps — to grow less than 4^1.5 = 8 times, for Λ and for Θ.
+// Scoring every
 // candidate at every removal grows about 16 times.
 func TestNCAWorkScaling(t *testing.T) {
 	var work [2][2]int // [size][theta]

@@ -146,32 +146,29 @@ func TestApplyRefloodsOnlyAffectedComponent(t *testing.T) {
 
 // TestCacheKeyCarriesEpoch pins the structural half of the invalidation
 // guarantee: the same normalized query never shares a cache key across
-// two versions of its component, nor across two distinct component
-// identities, so even a result inserted late (by a query that admitted
-// before the swap and finished after it) cannot answer a lookup at the
-// component's next version — while an identical (identity, version)
-// stamp, i.e. an untouched component, produces the identical key across
-// an Apply, which is what keeps its cache warm.
+// two component identities — and a component takes a fresh identity with
+// every new version — so even a result inserted late (by a query that
+// admitted before the swap and finished after it) cannot answer a lookup
+// at the component's next version, while an identical identity, i.e. an
+// untouched component, produces the identical key across an Apply, which
+// is what keeps its cache warm.
 func TestCacheKeyCarriesEpoch(t *testing.T) {
 	nodes := []graph.Node{1, 2, 3}
-	k00 := appendCacheKey(nil, 0, 0, nodes, dmcs.VariantFPA, dmcs.Options{})
-	k01 := appendCacheKey(nil, 0, 1, nodes, dmcs.VariantFPA, dmcs.Options{})
-	k10 := appendCacheKey(nil, 1, 0, nodes, dmcs.VariantFPA, dmcs.Options{})
-	if bytes.Equal(k00, k01) {
-		t.Fatalf("cache keys for different component versions collide: %q", k00)
+	k0 := appendCacheKey(nil, 0, nodes, dmcs.VariantFPA, dmcs.Options{})
+	k1 := appendCacheKey(nil, 1, nodes, dmcs.VariantFPA, dmcs.Options{})
+	if bytes.Equal(k0, k1) {
+		t.Fatalf("cache keys for different component identities collide: %q", k0)
 	}
-	if bytes.Equal(k00, k10) {
-		t.Fatalf("cache keys for different component identities collide: %q", k00)
-	}
-	// The delimiter between identity and version must prevent positional
-	// ambiguity: (key=1, ver=10) vs (key=11, ver=0).
+	// The delimiter after the identity must prevent positional ambiguity
+	// with the variant that follows: (key=1, variant=11) vs (key=11,
+	// variant=1).
 	if bytes.Equal(
-		appendCacheKey(nil, 1, 10, nodes, dmcs.VariantFPA, dmcs.Options{}),
-		appendCacheKey(nil, 11, 0, nodes, dmcs.VariantFPA, dmcs.Options{}),
+		appendCacheKey(nil, 1, nodes, dmcs.Variant(11), dmcs.Options{}),
+		appendCacheKey(nil, 11, nodes, dmcs.Variant(1), dmcs.Options{}),
 	) {
-		t.Fatal("identity/version concatenation is ambiguous")
+		t.Fatal("identity/variant concatenation is ambiguous")
 	}
-	if !bytes.Equal(k00, appendCacheKey(nil, 0, 0, nodes, dmcs.VariantFPA, dmcs.Options{})) {
+	if !bytes.Equal(k0, appendCacheKey(nil, 0, nodes, dmcs.VariantFPA, dmcs.Options{})) {
 		t.Fatal("identical stamps must produce identical keys")
 	}
 }

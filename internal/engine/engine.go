@@ -326,8 +326,8 @@ func (e *Engine) SearchEncoded(ctx context.Context, q Query, enc func(*dmcs.Resu
 // The caller loads the snapshot pointer exactly once, so a query racing
 // an Apply runs consistently against one version end to end: its
 // component lookup and search read that version's arrays, its cache key
-// carries that version's (component identity, component version) stamp,
-// and a result it inserts afterwards is keyed under that stamp — visible
+// carries that version's component identity, and a result it inserts
+// afterwards is keyed under that identity — visible
 // to any query whose component is at the same version, which is exactly
 // the set of queries owed a bit-identical answer.
 // Scratch discipline: the bundle is returned to the pool as soon as its
@@ -406,7 +406,7 @@ func (e *Engine) admit(snap *Snapshot, q Query, ws *workerScratch) (opts dmcs.Op
 	if id, err = snap.componentIndex(ws.nodes); err != nil {
 		return opts, 0, 0, err
 	}
-	ws.key = appendCacheKey(ws.key[:0], snap.cv[id].key, snap.cv[id].ver, ws.nodes, q.Variant, opts)
+	ws.key = appendCacheKey(ws.key[:0], snap.cv[id].key, ws.nodes, q.Variant, opts)
 	return opts, id, hashKey(ws.key), nil
 }
 
@@ -534,25 +534,23 @@ func sortNodes(a []graph.Node) {
 	}
 }
 
-// appendCacheKey appends the encoding of the query component's stable
-// identity and version, the normalized node set, and every option that
-// shapes a completed result to b (usually a recycled worker buffer, so
-// the hit path builds its key without allocating). The
-// (identity, version) prefix makes version confusion structurally
-// impossible at component scope: a result computed against one version
-// of a component is keyed under that version and can never answer a
-// lookup after the component changes — while an Apply that leaves the
-// component untouched leaves both numbers, and therefore every cached
-// entry for it, intact. Timeout is deliberately excluded: only results
-// that ran to completion are cached, and those do not depend on the
-// deadline. Callers pass canonicalized options (see canonicalOptions) so
-// result-equivalent settings collide.
+// appendCacheKey appends the encoding of the query component's identity,
+// the normalized node set, and every option that shapes a completed
+// result to b (usually a recycled worker buffer, so the hit path builds
+// its key without allocating). A component identity is issued once, with
+// its version, and never re-stamped (recovery restores the counter that
+// issues them), so it names one version of one component: a result
+// computed against one version is keyed under that version's identity and
+// can never answer a lookup after the component changes — while an Apply
+// that leaves the component untouched leaves its identity, and therefore
+// every cached entry for it, intact. Timeout is deliberately excluded:
+// only results that ran to completion are cached, and those do not
+// depend on the deadline. Callers pass canonicalized options (see
+// canonicalOptions) so result-equivalent settings collide.
 //
 //dmcs:keymaker
-func appendCacheKey(b []byte, compKey, compVer uint64, nodes []graph.Node, v dmcs.Variant, o dmcs.Options) []byte {
+func appendCacheKey(b []byte, compKey uint64, nodes []graph.Node, v dmcs.Variant, o dmcs.Options) []byte {
 	b = strconv.AppendUint(b, compKey, 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, compVer, 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(v), 10)
 	b = append(b, '|')

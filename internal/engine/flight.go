@@ -16,8 +16,8 @@ import (
 // same (component version, key, effective timeout) join it. Everyone —
 // leader included — waits on done, so a thundering herd of N identical
 // misses costs one peel instead of N. Because flight keys carry the
-// (identity, version) of the component's version record rather than the
-// global epoch, an Apply that does not touch a flight's component — and
+// identity of the component's version record rather than the global
+// epoch, an Apply that does not touch a flight's component — and
 // so carries its record to the successor unchanged — leaves the flight
 // joinable, and its eventual result cacheable and servable, across the
 // snapshot swap.

@@ -182,7 +182,7 @@ func (e *Engine) LookupStale(q Query, maxBehind int) (res *dmcs.Result, version 
 		hist = hist[:maxBehind]
 	}
 	for _, ref := range hist {
-		ws.key = appendCacheKey(ws.key[:0], ref.key, ref.ver, ws.nodes, q.Variant, opts)
+		ws.key = appendCacheKey(ws.key[:0], ref.key, ws.nodes, q.Variant, opts)
 		if res, hit := e.cache.get(hashKey(ws.key), ws.key); hit {
 			e.stats.recordStaleServed(ws.stripe)
 			return res, ref.ver, true, true

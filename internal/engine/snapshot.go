@@ -28,8 +28,9 @@ var ErrNodeOutOfRange = dmcs.ErrNodeOutOfRange
 // normalization weight w_G it was stamped with, its staleness ancestry,
 // and its lazily built sub-CSR. The record is immutable once stamped, so
 // an Apply carries an untouched component to the successor by copying
-// the pointer, and everything keyed by (identity, version) — cached
-// results, in-flight singleflights, the sub-CSR — stays valid and warm.
+// the pointer, and everything keyed by its identity or held in it —
+// cached results, in-flight singleflights, the sub-CSR — stays valid and
+// warm.
 // A component's version pins its full scoring context: the member
 // adjacency AND the w_G the modularity objectives divide by. A served
 // answer is therefore always the exact serial-reference answer for the

@@ -2,10 +2,10 @@ package graph
 
 // Arena is a pooled bundle of the scratch memory one community-search
 // query needs: the epoch-tagged source-id -> local-id relabelling table,
-// double-buffered SubCSR backing stores, CSRView backing arrays, BFS
-// dist/queue buffers, and articulation-DFS scratch. An arena is checked
-// out per query (internal/engine owns one per worker; internal/dmcs keeps
-// a sync.Pool for the one-shot entry points) and reused forever after, so
+// a SubCSR backing store, CSRView backing arrays, BFS dist/queue
+// buffers, and articulation-DFS scratch. An arena is checked out per
+// query (internal/engine owns one per worker; internal/dmcs keeps a
+// sync.Pool for the one-shot entry points) and reused forever after, so
 // steady-state query serving performs zero heap allocations: every buffer
 // is grown to the largest component it has served and then recycled.
 //
@@ -17,16 +17,15 @@ package graph
 // matches the current epoch, so stale contents from earlier queries are
 // unreadable by construction (Poison exploits exactly this contract).
 //
-// The two sub/view slots exist because peeling needs at most two
-// generations of compact state alive at once: the current sub-CSR and the
-// one being built from its alive set during geometric re-compaction (or,
-// for layer pruning, the phase-1 view and the phase-2 prefix view).
-// Slots ping-pong; entering slot i invalidates whatever it held before.
+// A query peels one sub-CSR, so the arena holds one. Views come in two
+// slots because layer pruning needs two views of that sub alive at once:
+// the phase-1 view and the phase-2 prefix view. Entering a slot
+// invalidates whatever it held before.
 type Arena struct {
 	relabel
 
-	subStore [2]subStorage
-	subs     [2]SubCSR
+	subStore subStorage
+	sub      SubCSR
 	views    [2]CSRView
 
 	dist  [2][]int32
@@ -34,7 +33,6 @@ type Arena struct {
 	nodes [2][]Node // generic node scratch (members list, BFS parents, ...)
 	marks [2][]bool // generic per-local-node flags (isQuery, inLayer, ...)
 	art   ArtScratch
-	resub CSR // ReextractSub's page-table view of the previous generation
 }
 
 // relabel is an epoch-tagged source-id -> local-id table (or any
@@ -87,57 +85,34 @@ func (a *relabel) Marked(g Node) (int32, bool) {
 }
 
 // ExtractSub builds the compact relabelled sub-CSR of members (sorted
-// ascending, duplicate-free, ids in src's space) into the given slot,
-// reusing the slot's backing memory. Neighbors outside the member set are
+// ascending, duplicate-free, ids in src's space) into the arena's sub,
+// reusing its backing memory. Neighbors outside the member set are
 // dropped, so members need not be component-closed. The returned SubCSR's
 // Globals() are the member ids in src's id space. The arena's current
 // epoch is consumed to build the relabelling table.
-func (a *Arena) ExtractSub(slot int, src *CSR, members []Node) *SubCSR {
-	store := &a.subStore[slot]
-	dst := &a.subs[slot]
-	extractSub(dst, store, src, members, &a.relabel)
+func (a *Arena) ExtractSub(src *CSR, members []Node) *SubCSR {
+	store := &a.subStore
+	extractSub(&a.sub, store, src, members, &a.relabel)
 	store.global = growNodes(store.global, len(members))
 	copy(store.global, members)
-	dst.global = store.global
-	return dst
+	a.sub.global = store.global
+	return &a.sub
 }
 
-// ReextractSub is ExtractSub with a sub as the source: re-compaction
-// passes the alive subset of the previous generation (local ids of prev,
-// which must live in the other slot). The one extraction routine reads
-// pages, so prev's flat arrays are presented as a page table cut from
-// them — headers only, in arena memory. Globals() come back in prev's id
-// space; the caller rewrites them into true source ids through prev.
-func (a *Arena) ReextractSub(slot int, prev *SubCSR, members []Node) *SubCSR {
-	a.resub.flat = prev.flatCSR
-	a.resub.paginate(a.resub.pages[:0])
-	return a.ExtractSub(slot, &a.resub, members)
-}
-
-// WrapFull points the given slot at src itself: an identity sub over the
+// WrapFull points the arena's sub at src itself: an identity sub over the
 // whole snapshot, sharing the arrays of a Contiguous src (nothing is
-// copied, and Poison will never scribble on them — the slot's owned store
-// is left untouched). Used when the query's component spans the entire
+// copied, and Poison will never scribble on them — the owned store is
+// left untouched). Used when the query's component spans the entire
 // graph; for a merged src it packs a private copy on every call, so
 // per-query callers check Contiguous and extract instead.
-func (a *Arena) WrapFull(slot int, src *CSR) *SubCSR {
-	dst := &a.subs[slot]
-	dst.wrap(src)
-	return dst
+func (a *Arena) WrapFull(src *CSR) *SubCSR {
+	a.sub.wrap(src)
+	return &a.sub
 }
 
 // ViewAll returns the slot's view with every node of sub alive, seeded
 // with sub's canonical aggregates.
 func (a *Arena) ViewAll(slot int, sub *SubCSR) *CSRView {
-	return a.ViewAllWith(slot, sub, sub.compW, sub.compD)
-}
-
-// ViewAllWith is ViewAll with explicit w_C / d_S aggregates. Geometric
-// re-compaction uses it to carry the incrementally maintained values of
-// the previous generation's view into the rebuilt one — recomputing them
-// fresh would change float accumulation order and break the bit-identity
-// contract with the uncompacted peel.
-func (a *Arena) ViewAllWith(slot int, sub *SubCSR, wAlive, dAlive float64) *CSRView {
 	n := sub.NumNodes()
 	v := &a.views[slot]
 	v.c = &sub.flatCSR
@@ -148,9 +123,8 @@ func (a *Arena) ViewAllWith(slot int, sub *SubCSR, wAlive, dAlive float64) *CSRV
 		v.deg[i] = sub.offsets[i+1] - sub.offsets[i]
 	}
 	v.nAlive = n
-	v.mAlive = len(sub.targets) / 2
-	v.wAlive = wAlive
-	v.dAlive = dAlive
+	v.wAlive = sub.compW
+	v.dAlive = sub.compD
 	return v
 }
 
@@ -215,7 +189,7 @@ func (a *Arena) Art() *ArtScratch { return &a.art }
 // new epoch, or to rewrite a buffer before reading it, sees the garbage.
 // It exists for tests proving that no query result can depend on arena
 // state left behind by earlier queries. Shared snapshot memory referenced
-// by WrapFull slots is deliberately not touched — the arena does not own
+// by a WrapFull sub is deliberately not touched — the arena does not own
 // it.
 func (a *Arena) Poison() {
 	const junk = -0x5A5A
@@ -223,24 +197,21 @@ func (a *Arena) Poison() {
 		a.table[i] = junk
 		a.tag[i] = a.epoch
 	}
-	for s := range a.subStore {
-		st := &a.subStore[s]
-		poisonInt32(st.offsets[:cap(st.offsets)])
-		poisonNodes(st.targets[:cap(st.targets)])
-		poisonFloat64(st.weights[:cap(st.weights)])
-		poisonFloat64(st.wdeg[:cap(st.wdeg)])
-		poisonNodes(st.global[:cap(st.global)])
-		// Wrapped slots alias shared snapshot memory; detach the headers
-		// so the poisoned stores are what the next query would reuse.
-		a.subs[s] = SubCSR{}
-	}
-	a.resub = CSR{pages: a.resub.pages[:0]} // its pages pointed into a store
+	st := &a.subStore
+	poisonInt32(st.offsets[:cap(st.offsets)])
+	poisonNodes(st.targets[:cap(st.targets)])
+	poisonFloat64(st.weights[:cap(st.weights)])
+	poisonFloat64(st.wdeg[:cap(st.wdeg)])
+	poisonNodes(st.global[:cap(st.global)])
+	// A wrapped sub aliases shared snapshot memory; detach the header so
+	// the poisoned store is what the next query would reuse.
+	a.sub = SubCSR{}
 	for i := range a.views {
 		v := &a.views[i]
 		poisonBool(v.alive[:cap(v.alive)])
 		poisonInt32(v.deg[:cap(v.deg)])
 		v.c = nil
-		v.nAlive, v.mAlive = junk, junk
+		v.nAlive = junk
 		v.wAlive, v.dAlive = junk, junk
 	}
 	poisonInt32(a.dist[0][:cap(a.dist[0])])

@@ -121,7 +121,7 @@ func BenchmarkSubCSRExtract(b *testing.B) {
 		a := NewArena()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			a.ExtractSub(i%2, csr, island)
+			a.ExtractSub(csr, island)
 		}
 	})
 	for _, tc := range []struct {

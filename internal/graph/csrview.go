@@ -29,8 +29,7 @@ type CSRView struct {
 	alive  []bool
 	deg    []int32 // degree restricted to alive nodes
 	nAlive int
-	mAlive int
-	wAlive float64 // alive internal edge weight w_C (mAlive when unweighted)
+	wAlive float64 // alive internal edge weight w_C (the alive edge count when unweighted)
 	dAlive float64 // sum over alive nodes of cached node weight (d_S)
 }
 
@@ -64,7 +63,7 @@ func NewCSRViewOf(snap *CSR, set []Node) *CSRView {
 // It is the one accumulation order of NewCSRViewOf and Arena.ViewOf.
 func (v *CSRView) accumulate(members []Node) {
 	c := v.c
-	v.nAlive, v.mAlive, v.wAlive, v.dAlive = len(members), 0, 0, 0
+	v.nAlive, v.wAlive, v.dAlive = len(members), 0, 0
 	for _, u := range members {
 		v.dAlive += c.wdeg[u]
 		adj := c.Neighbors(u)
@@ -74,7 +73,6 @@ func (v *CSRView) accumulate(members []Node) {
 				if v.alive[w] {
 					v.deg[u]++
 					if u < w {
-						v.mAlive++
 						v.wAlive += ws[i]
 					}
 				}
@@ -84,14 +82,11 @@ func (v *CSRView) accumulate(members []Node) {
 				if v.alive[w] {
 					v.deg[u]++
 					if u < w {
-						v.mAlive++
+						v.wAlive++
 					}
 				}
 			}
 		}
-	}
-	if c.weights == nil {
-		v.wAlive = float64(v.mAlive)
 	}
 }
 
@@ -103,9 +98,6 @@ func (v *CSRView) Alive(u Node) bool { return v.alive[u] }
 
 // NumAlive returns the number of alive nodes.
 func (v *CSRView) NumAlive() int { return v.nAlive }
-
-// NumAliveEdges returns the number of edges with both endpoints alive.
-func (v *CSRView) NumAliveEdges() int { return v.mAlive }
 
 // DegreeIn returns u's degree restricted to alive neighbors (0 for dead
 // nodes).
@@ -119,11 +111,14 @@ func (v *CSRView) WeightedDegreeIn(u Node) float64 {
 	if v.c.weights == nil {
 		return float64(v.deg[u])
 	}
-	adj := v.c.Neighbors(u)
-	ws := v.c.NeighborWeights(u)
+	// A peel rescans rows that still hold its dead neighbours; the local
+	// alive header and ws cut to len(adj) keep per-entry work to one
+	// alive load and one add.
+	adj, alive := v.c.Neighbors(u), v.alive
+	ws := v.c.NeighborWeights(u)[:len(adj)]
 	var k float64
 	for i, w := range adj {
-		if v.alive[w] {
+		if alive[w] {
 			k += ws[i]
 		}
 	}
@@ -131,7 +126,7 @@ func (v *CSRView) WeightedDegreeIn(u Node) float64 {
 }
 
 // InternalWeight returns w_C, the total weight of edges with both
-// endpoints alive (NumAliveEdges when unweighted). It is maintained
+// endpoints alive (their count when unweighted). It is maintained
 // incrementally across Remove.
 func (v *CSRView) InternalWeight() float64 { return v.wAlive }
 
@@ -154,7 +149,6 @@ func (v *CSRView) Remove(u Node) {
 	for _, w := range v.c.Neighbors(u) {
 		if v.alive[w] {
 			v.deg[w]--
-			v.mAlive--
 		}
 	}
 	v.deg[u] = 0

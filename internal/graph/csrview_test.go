@@ -33,8 +33,8 @@ func allAlive(g *Graph) *CSRView {
 
 func TestViewInitialState(t *testing.T) {
 	v := allAlive(complete(5))
-	if v.NumAlive() != 5 || v.NumAliveEdges() != 10 {
-		t.Fatalf("alive=%d edges=%d", v.NumAlive(), v.NumAliveEdges())
+	if v.NumAlive() != 5 || v.InternalWeight() != 10 {
+		t.Fatalf("alive=%d edges=%v", v.NumAlive(), v.InternalWeight())
 	}
 	for u := Node(0); u < 5; u++ {
 		if v.DegreeIn(u) != 4 {
@@ -46,8 +46,8 @@ func TestViewInitialState(t *testing.T) {
 func TestViewRemoveUpdatesDegreesAndEdges(t *testing.T) {
 	v := allAlive(complete(5))
 	v.Remove(0)
-	if v.NumAlive() != 4 || v.NumAliveEdges() != 6 {
-		t.Fatalf("after remove: alive=%d edges=%d", v.NumAlive(), v.NumAliveEdges())
+	if v.NumAlive() != 4 || v.InternalWeight() != 6 {
+		t.Fatalf("after remove: alive=%d edges=%v", v.NumAlive(), v.InternalWeight())
 	}
 	if v.DegreeIn(1) != 3 {
 		t.Fatalf("DegreeIn(1)=%d want 3", v.DegreeIn(1))
@@ -58,9 +58,9 @@ func TestViewRemoveUpdatesDegreesAndEdges(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of removals the view's edge count equals the
-// count of edges with both endpoints alive, DegreeIn matches a direct
-// recount, and the unweighted w_C is that edge count.
+// Property: after any sequence of removals DegreeIn matches a direct
+// recount, and the unweighted w_C is the count of edges with both
+// endpoints alive.
 func TestViewInvariantsUnderRandomRemovals(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,7 +88,7 @@ func TestViewInvariantsUnderRandomRemovals(t *testing.T) {
 					return false
 				}
 			}
-			if m != v.NumAliveEdges() || v.InternalWeight() != float64(m) {
+			if v.InternalWeight() != float64(m) {
 				return false
 			}
 		}
@@ -188,9 +188,6 @@ func TestNewCSRViewOfDuplicatesAndSubset(t *testing.T) {
 	dup := NewCSRViewOf(c, []Node{0, 2, 4, 2, 0})
 	if v.NumAlive() != 3 || dup.NumAlive() != 3 {
 		t.Fatalf("alive %d/%d want 3", v.NumAlive(), dup.NumAlive())
-	}
-	if v.NumAliveEdges() != 3 || dup.NumAliveEdges() != 3 {
-		t.Fatalf("edges %d/%d want 3", v.NumAliveEdges(), dup.NumAliveEdges())
 	}
 	if v.InternalWeight() != 3 || dup.InternalWeight() != 3 ||
 		dup.NodeWeightSum() != v.NodeWeightSum() {

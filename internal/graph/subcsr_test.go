@@ -145,7 +145,7 @@ func TestArenaExtractMatchesFresh(t *testing.T) {
 				a.Poison()
 			}
 			comp, _ := c.Component(root)
-			sub := a.ExtractSub(trial%2, c, comp)
+			sub := a.ExtractSub(c, comp)
 			want := NewSubCSR(c, comp)
 			if sub.NumNodes() != want.NumNodes() ||
 				sub.InternalWeight() != want.InternalWeight() ||
@@ -179,7 +179,7 @@ func TestArenaViewMatchesFresh(t *testing.T) {
 	c := NewCSR(g)
 	a := NewArena()
 	comp, _ := c.Component(0)
-	sub := a.ExtractSub(0, c, comp)
+	sub := a.ExtractSub(c, comp)
 
 	av := a.ViewAll(0, sub)
 	fresh := NewCSRViewOf(newContiguousCSR(sub.flatCSR), allNodes(sub.NumNodes()))
@@ -191,7 +191,7 @@ func TestArenaViewMatchesFresh(t *testing.T) {
 		set = append(set, Node(i))
 	}
 	a.Poison()
-	sub = a.ExtractSub(0, c, comp)
+	sub = a.ExtractSub(c, comp)
 	sv := a.ViewOf(1, sub, set)
 	freshSub := NewCSRViewOf(newContiguousCSR(sub.flatCSR), set)
 	compareViews(t, "ViewOf", sv, freshSub)
@@ -207,7 +207,7 @@ func allNodes(n int) []Node {
 
 func compareViews(t *testing.T, name string, got, want *CSRView) {
 	t.Helper()
-	if got.NumAlive() != want.NumAlive() || got.NumAliveEdges() != want.NumAliveEdges() {
+	if got.NumAlive() != want.NumAlive() {
 		t.Fatalf("%s: alive counts differ", name)
 	}
 	if got.InternalWeight() != want.InternalWeight() {

@@ -86,6 +86,7 @@ func Proximity(g *graph.Graph, q []graph.Node, opt Options) []float64 {
 // the community.
 func QueryBiasedDensityCSR(v *graph.CSRView, prox []float64) float64 {
 	var wsum float64
+	ends := 0 // alive edge endpoints: twice the internal edge count
 	for u := 0; u < v.NumNodes(); u++ {
 		if !v.Alive(graph.Node(u)) {
 			continue
@@ -95,11 +96,12 @@ func QueryBiasedDensityCSR(v *graph.CSRView, prox []float64) float64 {
 			return 0
 		}
 		wsum += 1 / p
+		ends += v.DegreeIn(graph.Node(u))
 	}
 	if wsum == 0 {
 		return 0
 	}
-	return float64(v.NumAliveEdges()) / wsum
+	return float64(ends/2) / wsum
 }
 
 // Search runs the greedy node-deletion algorithm: starting from the
