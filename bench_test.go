@@ -259,7 +259,9 @@ func BenchmarkEngineBatch(b *testing.B) {
 // BenchmarkRootSearchFPAPruningLFR is the paper's efficiency experiment
 // through the library's front door, as dmcsbench's paper-lfr workload
 // runs it: lfr.Default(), single-node query sets, FPA with layer pruning
-// through the one-shot Search on a Graph.
+// through the one-shot Search on a Graph. Phase 1 layers each query's
+// component only as far as its bound needs: on these sets it keeps B_1 or
+// B_2 and stops within three levels.
 func BenchmarkRootSearchFPAPruningLFR(b *testing.B) {
 	res, err := lfr.Generate(lfr.Default())
 	if err != nil {

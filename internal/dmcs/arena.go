@@ -30,12 +30,16 @@ type Arena struct {
 	localQ    []graph.Node
 	remaining []graph.Node // peelLayerLambda candidate scratch
 	comp2     []graph.Node // pruning phase-2 prefix members (local ids)
+	nbrs      []graph.Node // alive neighbours of the node removed last
 	compBuf   []graph.Node // SearchCSR component flood queue / member list
 
 	layerOff   []int32      // layer bucket offsets (len maxD+2)
 	layerNodes []graph.Node // bucketed layer members, outermost-last
 	layerFill  []int32      // bucket fill cursors
-	layerCross []int32      // edges between consecutive BFS levels (layerInto)
+
+	// pruneReads is the adjacency entries the last unweighted pruned
+	// search read in phase 1 and in building its ball view.
+	pruneReads int
 
 	nca ncaPeel // NCA state and certificate tables, grown by NCA searches only
 }
@@ -67,11 +71,11 @@ func (a *Arena) Poison() {
 	poisonNodes(a.localQ)
 	poisonNodes(a.remaining)
 	poisonNodes(a.comp2)
+	poisonNodes(a.nbrs)
 	poisonNodes(a.compBuf)
 	poisonInt32s(a.layerOff)
 	poisonNodes(a.layerNodes)
 	poisonInt32s(a.layerFill)
-	poisonInt32s(a.layerCross)
 	a.ps = peelState{}
 	// a.nca's dist and skip are graph-arena buffers, poisoned above
 	poisonNodes(a.nca.parent)

@@ -136,10 +136,14 @@ func timeoutGraph(t *testing.T) *graph.Graph {
 
 // TestTimeoutStillTriggers pins the satellite contract of the amortized
 // deadline poller: a tiny Timeout must still stop every variant (the
-// first expired() call always consults the clock) and surface TimedOut.
+// first expired() call always consults the clock) and surface TimedOut,
+// and so must a closed Cancel stop pruned FPA in phase 1, with the best
+// inner prefix scored so far: connected, and holding the query.
 func TestTimeoutStillTriggers(t *testing.T) {
 	g := timeoutGraph(t)
 	csr := graph.NewCSR(g)
+	cancelled := make(chan struct{})
+	close(cancelled)
 	for _, tc := range []struct {
 		variant Variant
 		opts    Options
@@ -147,6 +151,7 @@ func TestTimeoutStillTriggers(t *testing.T) {
 		{VariantNCA, Options{Timeout: time.Nanosecond}},
 		{VariantFPA, Options{Timeout: time.Nanosecond}},
 		{VariantFPA, Options{Timeout: time.Nanosecond, LayerPruning: true}},
+		{VariantFPA, Options{Cancel: cancelled, LayerPruning: true}},
 		{VariantFPADMG, Options{Timeout: time.Nanosecond}},
 	} {
 		r, err := SearchCSR(csr, []graph.Node{0}, tc.variant, tc.opts)
@@ -158,6 +163,9 @@ func TestTimeoutStillTriggers(t *testing.T) {
 		}
 		if !containsAll(r.Community, 0) {
 			t.Errorf("%v: timed-out community %v must still contain the query", tc.variant, r.Community)
+		}
+		if !isConnectedSet(g, r.Community) {
+			t.Errorf("%v pruning=%v: timed-out community %v is not connected", tc.variant, tc.opts.LayerPruning, r.Community)
 		}
 	}
 	// A generous budget must not report a timeout.

@@ -138,6 +138,9 @@ type Options struct {
 	LayerPruning bool
 	// Timeout bounds the wall-clock time; on expiry the best community
 	// found so far is returned with TimedOut set. Zero means no bound.
+	// With LayerPruning, an expiry in phase 1 returns the best distance
+	// prefix scored so far: on an unweighted graph, which phase 1 sweeps
+	// inside out, the best of the innermost prefixes.
 	Timeout time.Duration
 	// TrackOrder records the node-removal order in the result (used by
 	// the Figure 5 experiment).
@@ -432,6 +435,19 @@ func scoreStats(st prefixStats, wG float64, opts Options) float64 {
 // smaller of equally good communities).
 func (s *peelState) remove(u graph.Node) {
 	s.v.Remove(u)
+	s.removed(u)
+}
+
+// removeInto is remove that also returns u's alive neighbours, in row
+// order, in arena memory valid until the next removeInto.
+func (s *peelState) removeInto(u graph.Node) []graph.Node {
+	s.a.nbrs = s.v.RemoveInto(u, s.a.nbrs[:0])
+	s.removed(u)
+	return s.a.nbrs
+}
+
+// removed records the removal of u from the view.
+func (s *peelState) removed(u graph.Node) {
 	s.trace = append(s.trace, s.sub.GlobalOf(u))
 	if sc := s.score(); sc >= s.bestScore {
 		s.bestScore = sc

@@ -174,7 +174,8 @@ func peelLayerTheta(s *peelState, cand []graph.Node) {
 
 // drainTheta pops the Θ heap to empty, removing each popped node and
 // re-scoring, in place, its neighbours still queued (Lemma 5 makes these
-// the only Θ values a removal changes). On expiry it empties the heap.
+// the only Θ values a removal changes), from the alive neighbours the
+// removal hands back. On expiry it empties the heap.
 //
 //dmcs:hotpath
 func drainTheta(s *peelState) {
@@ -184,9 +185,7 @@ func drainTheta(s *peelState) {
 			h.reset()
 			return
 		}
-		u := h.pop()
-		s.remove(u)
-		for _, w := range s.sub.Neighbors(u) {
+		for _, w := range s.removeInto(h.pop()) {
 			if i := h.pos[w] - 1; i >= 0 {
 				h.update(int(i), thetaOf(s, w))
 			}
@@ -229,15 +228,11 @@ func peelLayerLambda(s *peelState, cand []graph.Node) {
 type prefixStats struct {
 	wC, dS float64
 	size   int
-	// down counts the adjacency entries that lead from the layer dropped
-	// last into the prefix; seen from the prefix's own outermost layer
-	// they are its entries to the outside.
-	down int
 }
 
 // dropLayer returns the statistics of the prefix left when layer — the
 // nodes at distance d, ascending, the outermost layer of the prefix st
-// describes — is removed. It only reads sub, dist and cross (layerInto);
+// describes — is removed from a weighted sub. It only reads sub and dist;
 // the values are, bit for bit, the ones an all-alive CSRView of sub holds
 // after Remove(u) for every u of every layer so far, in slice order (the
 // reference TestPrefixSweepMatchesRemoval keeps).
@@ -246,78 +241,51 @@ type prefixStats struct {
 // subtracts k_{u,S}: u's entries to nodes still alive, summed in
 // packed-adjacency order. When u's turn comes every farther layer is gone
 // and so are the nodes of its own layer with a smaller id, so the alive
-// neighbours are those with dist < d, or dist == d and a larger id. On a
-// weighted snapshot that term sequence is summed per node and subtracted
-// per node, which keeps every rounding; it is the one case that reads the
-// layer's adjacency. On an unweighted snapshot each k_{u,S} is an integer
-// and so is w_C, exact in any order, and the layer's loss is its edge
-// count into the prefix that remains: the entries to the layer below,
-// plus half the entries that stay inside the layer. A BFS layer's entries
-// go one layer down, one layer up, or stay; its down entries are the BFS's
-// cross[d], and its up entries are the down entries of the layer dropped
-// before it, so
-//
-//	lost = down + (entries - down - st.down)/2
-//
-// needs the layer's degrees and no adjacency at all.
-func dropLayer(sub *graph.SubCSR, dist, cross []int32, layer []graph.Node, d int32, st prefixStats) prefixStats {
+// neighbours are those with dist < d, or dist == d and a larger id. That
+// term sequence is summed per node and subtracted per node, which keeps
+// every rounding.
+func dropLayer(sub *graph.SubCSR, dist []int32, layer []graph.Node, d int32, st prefixStats) prefixStats {
 	wdeg := sub.WeightedDegrees()
-	if sub.Weighted() {
-		for _, u := range layer {
-			ws := sub.NeighborWeights(u)
-			var k float64
-			for i, w := range sub.Neighbors(u) {
-				if dw := dist[w]; dw < d || (dw == d && w > u) {
-					k += ws[i]
-				}
-			}
-			st.wC -= k
-			st.dS -= wdeg[u]
-		}
-		st.size -= len(layer)
-		return st
-	}
-	down, entries := int(cross[d]), 0
 	for _, u := range layer {
-		entries += sub.Degree(u)
+		ws := sub.NeighborWeights(u)
+		var k float64
+		for i, w := range sub.Neighbors(u) {
+			if dw := dist[w]; dw < d || (dw == d && w > u) {
+				k += ws[i]
+			}
+		}
+		st.wC -= k
 		st.dS -= wdeg[u]
 	}
-	st.wC -= float64(down + (entries-down-st.down)/2)
 	st.size -= len(layer)
-	st.down = down
 	return st
 }
 
-// layerInto layers sub by distance from sources into the arena's slot-0
-// distance buffer. On an unweighted sub it also counts the edges between
-// consecutive layers (graph.SubCSR.LayerBFSInto), which is all dropLayer
-// needs of the adjacency; a weighted sub sums its weights per node there
-// instead, so cross is nil and the BFS counts nothing.
-func layerInto(a *Arena, sub *graph.SubCSR, sources []graph.Node) (dist, cross []int32) {
-	if sub.Weighted() {
-		return bfsInto(a, sub, sources), nil
-	}
-	k := sub.NumNodes()
-	a.layerCross = growInt32Slice(a.layerCross, k)
-	return sub.LayerBFSInto(sources, a.g.Dist(0, k), a.g.Queue(k), a.layerCross), a.layerCross
-}
-
 // fpaWithPruning implements the Section 5.7 layer-based pruning strategy:
-// (1) iteratively drop whole outermost layers, scoring each prefix
-// subgraph; (2) keep the best-scoring prefix and apply the node-removal
-// process to its outermost layer only. Phase 1 removes nothing: it starts
-// from the component's own aggregates and walks the layer buckets
-// outermost-in (dropLayer), reading the layering BFS's cross-level counts
-// and the layers' degrees — no adjacency unless the sub is weighted.
-// Phase 2 peels on an arena-backed view of the chosen prefix.
+// (1) score the distance prefixes of the component — the balls B_j of
+// the nodes within distance j of the protected set — and keep the best
+// one (ties go to the smaller prefix, as in the peel); (2) apply the
+// node-removal process to the kept prefix's outermost layer only. Phase 1
+// removes nothing.
+//
+// On an unweighted sub phase 1 is sweepBall: it layers the component one
+// BFS level at a time, scores each ball inside out from exact integer
+// statistics, and stops layering once a bound shows that no larger ball
+// can score better, so it reads only the adjacency it needs. Phase 2 then
+// peels on a view of the ball built from the layering, which reads only
+// the outermost layer's rows. A weighted sub layers the whole component
+// and sweeps outside in (bestPrefix): its prefixes' w_C must be summed in
+// the order serial removal used to keep their Float64bits, and that order
+// runs from the outermost layer in.
+//
+// Phase 1 honours Cancel and Timeout at layer granularity and keeps the
+// best prefix scored so far on expiry: inside out, the best of the balls
+// up to the last one scored. Phase 2 runs on the remaining time budget so
+// the bound covers both phases. Phase 1 counts as removing every node
+// outside B_0, expired or not, so Iterations is k - |B_0| plus phase 2's
+// removals.
 func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, opts Options, useTheta bool) (*Result, error) {
 	k := sub.NumNodes()
-	dist, cross := layerInto(a, sub, protected)
-	maxD := groupLayersInto(a, k, dist)
-
-	// Phase 1 honours Cancel and Timeout at layer granularity; the best
-	// prefix scored so far is kept on expiry, and phase 2 runs on the
-	// remaining time budget so the bound covers both phases.
 	var poll deadlinePoller
 	poll.cancel = opts.Cancel
 	var deadline time.Time
@@ -325,17 +293,35 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 		deadline = time.Now().Add(opts.Timeout)
 		poll.deadline = deadline
 	}
-	bestJ, phase1, timedOut := bestPrefix(a, sub, dist, cross, maxD, opts, &poll)
 
-	// Phase 2: fresh peel over the selected prefix, removing only its
-	// outermost layer. comp2 holds the prefix members in local ids.
-	comp2 := a.comp2[:0]
-	for u := 0; u < k; u++ {
-		if int(dist[u]) <= bestJ {
-			comp2 = append(comp2, graph.Node(u))
-		}
+	// comp2 holds the kept prefix's members in local ids, ascending; outer
+	// is its outermost layer, the one phase 2 peels.
+	var (
+		j        int
+		comp2    []graph.Node
+		outer    []graph.Node
+		v        *graph.CSRView
+		timedOut bool
+	)
+	if sub.Weighted() {
+		dist := bfsInto(a, sub, protected)
+		maxD := groupLayersInto(a, k, dist)
+		j, timedOut = bestPrefix(a, sub, dist, maxD, opts, &poll)
+		comp2 = prefixMembers(a, dist, j)
+		v, outer = a.g.ViewOf(1, sub, comp2), a.layer(j)
+	} else {
+		l := a.g.Layering(sub, protected)
+		var b ballPrefix
+		b, timedOut = sweepBall(l, sub, opts, &poll)
+		j = b.j
+		comp2 = prefixMembers(a, l.Dist(), j)
+		ball := l.Reached()[:b.hi]
+		v, outer = a.g.ViewOfBall(1, sub, l.Dist(), int32(j), ball, b.st.wC, b.st.dS), ball[b.lo:]
+		a.pruneReads = l.Reads() + b.outerEntries
 	}
-	a.comp2 = comp2
+
+	// Phase 2: fresh peel over the kept prefix, removing only its
+	// outermost layer.
 	opts2 := opts
 	if !deadline.IsZero() {
 		if remaining := time.Until(deadline); remaining > 0 {
@@ -344,36 +330,134 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 			timedOut = true
 		}
 	}
-	s := newPeelState(a, sub, a.g.ViewOf(1, sub, comp2), comp, comp2, opts2)
-	if bestJ >= 1 && !timedOut {
-		peelLayer(s, a.layer(bestJ), useTheta)
+	s := newPeelState(a, sub, v, comp, comp2, opts2)
+	if j >= 1 && !timedOut {
+		peelLayer(s, outer, useTheta)
 	}
 	r := s.result()
-	r.Iterations += phase1
+	r.Iterations += k - len(protected)
 	if timedOut {
 		r.TimedOut = true
 	}
 	return r, nil
 }
 
-// bestPrefix is phase 1: it scores the prefix left after dropping each
-// outermost layer in turn and returns the distance bound of the best one
-// (ties go to the smaller prefix, as in the peel), the number of nodes in
-// the layers it dropped, and whether poll expired before the last layer.
-func bestPrefix(a *Arena, sub *graph.SubCSR, dist, cross []int32, maxD int, opts Options, poll *deadlinePoller) (bestJ, dropped int, timedOut bool) {
+// prefixMembers lists the local ids within distance j, ascending, into
+// the arena's phase-2 member buffer. It writes every id and advances past
+// the members only: a branch on a ball that holds a good share of the
+// component is mispredicted half the time.
+func prefixMembers(a *Arena, dist []int32, j int) []graph.Node {
+	comp2 := growNodeSlice(a.comp2, len(dist))
+	n := 0
+	for u, d := range dist {
+		comp2[n] = graph.Node(u) // n <= u
+		if int(d) <= j {
+			n++ // a conditional move
+		}
+	}
+	a.comp2 = comp2
+	return comp2[:n]
+}
+
+// bestPrefix is a weighted sub's phase 1: it scores the prefix left after
+// dropping each outermost layer in turn and returns the distance bound of
+// the best one (ties go to the smaller prefix) and whether poll expired
+// before the last layer.
+func bestPrefix(a *Arena, sub *graph.SubCSR, dist []int32, maxD int, opts Options, poll *deadlinePoller) (bestJ int, timedOut bool) {
 	wG := sub.TotalWeight()
 	st := prefixStats{wC: sub.InternalWeight(), dS: sub.MemberWeightSum(), size: sub.NumNodes()}
 	bestJ, bestScore := maxD, scoreStats(st, wG, opts)
 	for d := maxD; d >= 1; d-- {
 		if poll.check() {
-			return bestJ, dropped, true
+			return bestJ, true
 		}
-		layer := a.layer(d)
-		st = dropLayer(sub, dist, cross, layer, int32(d), st)
-		dropped += len(layer)
+		st = dropLayer(sub, dist, a.layer(d), int32(d), st)
 		if sc := scoreStats(st, wG, opts); sc >= bestScore {
 			bestScore, bestJ = sc, d-1
 		}
 	}
-	return bestJ, dropped, false
+	return bestJ, false
+}
+
+// ballPrefix is the ball unweighted pruning keeps: B_j, the first hi
+// nodes its Layering reached, whose outermost level starts at lo and has
+// outerEntries adjacency entries, with B_j's statistics.
+type ballPrefix struct {
+	j, lo, hi, outerEntries int
+	st                      prefixStats
+}
+
+// pruneMargin is how far below the best score, relative to it, a
+// pruneBound must fall before sweepBall stops: far above the few ulps by
+// which either side can be off, so no stop is decided by rounding.
+const pruneMargin = 1e-9
+
+// sweepBall is an unweighted sub's phase 1. Each Step yields level d,
+// which completes B_{d-1}, and B_{d-1}'s statistics are exact integers:
+// its size, its summed node weights d_S, and w_C = (entries - cross)/2,
+// its nodes' adjacency entries less the cross[d] that lead to level d,
+// halved. Each ball is scored with scoreStats and the first maximum kept
+// (a strict >, so ties go to the smaller ball). Once level d is known,
+// pruneBound bounds the score of every ball B_{d'}, d' >= d, and the
+// sweep stops layering when that bound is below the best score by
+// pruneMargin. It polls after every ball and keeps the best one so far on
+// expiry.
+//
+//dmcs:hotpath
+func sweepBall(l *graph.Layering, sub *graph.SubCSR, opts Options, poll *deadlinePoller) (best ballPrefix, timedOut bool) {
+	wdeg, wG, dC := sub.WeightedDegrees(), sub.TotalWeight(), sub.MemberWeightSum()
+	level := l.Reached() // level 0: the protected set
+	st := prefixStats{size: len(level)}
+	for _, u := range level {
+		st.dS += wdeg[u]
+	}
+	lo, hi, entries := 0, len(level), 0
+	best.j = -1
+	var bestScore float64
+	for d := 1; ; d++ {
+		var e, cross int
+		level, e, cross = l.Step()
+		entries += e
+		st.wC = float64((entries - cross) / 2)
+		if sc := scoreStats(st, wG, opts); best.j < 0 || sc > bestScore {
+			bestScore = sc
+			best = ballPrefix{j: d - 1, lo: lo, hi: hi, outerEntries: e, st: st}
+		}
+		if len(level) == 0 {
+			return best, false
+		}
+		lo, hi = hi, hi+len(level)
+		st.size = hi
+		for _, u := range level {
+			st.dS += wdeg[u]
+		}
+		if pruneBound(st, dC, wG, opts) < bestScore-pruneMargin*math.Abs(bestScore) {
+			return best, false
+		}
+		if poll.check() {
+			return best, true
+		}
+	}
+}
+
+// pruneBound bounds the score of every distance prefix that contains the
+// ball st describes, in an unweighted component whose node weights sum to
+// dC. Such a prefix has at least st.size nodes, a volume V (its d_S)
+// between st.dS and dC, and w_C <= V/2, so its density modularity
+// (w_C - V²/(4w_G))/|S| is at most φ(V)/st.size with
+// φ(V) = V/2 - V²/(4w_G) — φ is never negative there, as the component's
+// node weights are part of the graph's, dC <= 2w_G — and its classic
+// modularity (w_C - V²/(4w_G))/w_G at most φ(V)/w_G. φ is a parabola
+// peaking at V = w_G, so over [st.dS, dC] its maximum is at w_G clamped
+// into that range. The generalized modularity density has no such bound.
+func pruneBound(st prefixStats, dC, wG float64, opts Options) float64 {
+	v := min(max(wG, st.dS), dC)
+	phi := v/2 - v*v/(4*wG)
+	switch opts.Objective {
+	case ClassicModularity:
+		return phi / wG
+	case GeneralizedModularityDensity:
+		return math.Inf(1)
+	}
+	return phi / float64(st.size)
 }

@@ -73,8 +73,9 @@ func BenchmarkWhaleFPASerial(b *testing.B) {
 // whaleNodes, searched the way the engine does (prebuilt sub-CSR, owned
 // arena), so nothing but the peel is timed. Unlike the degree-6 expander
 // above it has degree skew (d_max 300) and two BFS layers that hold
-// almost every node: the fixture on which the layering BFS's bottom-up
-// step and phase 1's read-only sweep show whole. One untimed search
+// almost every node: the fixture on which phase 1 stops layering early,
+// once its bound rules out every larger ball, and on which the layering
+// step's bottom-up direction runs when it does go on. One untimed search
 // grows the arena, so allocs/op counts a warm search only.
 func BenchmarkWhaleFPAPruningLFR(b *testing.B) {
 	cfg := lfr.Default()
@@ -104,8 +105,9 @@ func BenchmarkWhaleFPAPruningLFR(b *testing.B) {
 }
 
 // TestWhaleFPAPruningLFRAllocs: on the skewed whale too, a warm pruned
-// peel allocates its Result and Community and nothing else — the cross
-// counts and the Θ heap's index live in the arena.
+// peel allocates its Result and Community and nothing else — the
+// layering, the ball view, the removal's neighbour list and the Θ heap's
+// index live in the arena.
 func TestWhaleFPAPruningLFRAllocs(t *testing.T) {
 	gateAllocs(t, BenchmarkWhaleFPAPruningLFR, 2)
 }

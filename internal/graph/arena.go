@@ -28,11 +28,12 @@ type Arena struct {
 	sub      SubCSR
 	views    [2]CSRView
 
-	dist  [2][]int32
-	queue []Node
-	nodes [2][]Node // generic node scratch (members list, BFS parents, ...)
-	marks [2][]bool // generic per-local-node flags (isQuery, inLayer, ...)
-	art   ArtScratch
+	dist     [2][]int32
+	queue    []Node
+	layering Layering
+	nodes    [2][]Node // generic node scratch (members list, BFS parents, ...)
+	marks    [2][]bool // generic per-local-node flags (isQuery, inLayer, ...)
+	art      ArtScratch
 }
 
 // relabel is an epoch-tagged source-id -> local-id table (or any
@@ -148,6 +149,37 @@ func (a *Arena) ViewOf(slot int, sub *SubCSR, set []Node) *CSRView {
 	return v
 }
 
+// ViewOfBall returns the slot's view of the ball a Layering of sub
+// reached: alive are exactly the nodes of ball, those with dist <= j
+// (every level up to j complete), and wC and dS are the ball's internal
+// edge count and summed node weights, exact on an unweighted sub, which
+// its caller has counted already. No edge leaves the ball's interior, so
+// only the nodes on level j read their rows, for their alive degrees.
+func (a *Arena) ViewOfBall(slot int, sub *SubCSR, dist []int32, j int32, ball []Node, wC, dS float64) *CSRView {
+	n := sub.NumNodes()
+	v := &a.views[slot]
+	v.c = &sub.flatCSR
+	v.alive = growBool(v.alive, n)
+	v.deg = growInt32(v.deg, n)
+	clear(v.alive)
+	clear(v.deg)
+	offsets, targets := sub.offsets, sub.targets
+	for _, u := range ball {
+		v.alive[u] = true
+		if dist[u] < j {
+			v.deg[u] = offsets[u+1] - offsets[u]
+			continue
+		}
+		k := int32(0)
+		for _, w := range targets[offsets[u]:offsets[u+1]] {
+			k += b2i(dist[w] <= j)
+		}
+		v.deg[u] = k
+	}
+	v.nAlive, v.wAlive, v.dAlive = len(ball), wC, dS
+	return v
+}
+
 // Dist returns the slot's distance buffer sized for n nodes (contents
 // arbitrary; BFS fills it).
 func (a *Arena) Dist(slot, n int) []int32 {
@@ -155,10 +187,11 @@ func (a *Arena) Dist(slot, n int) []int32 {
 	return a.dist[slot]
 }
 
-// Queue returns an empty node queue with capacity for n entries.
+// Queue returns an empty node queue with capacity for n entries and one
+// spare slot (see topDownCounting).
 func (a *Arena) Queue(n int) []Node {
-	if cap(a.queue) < n {
-		a.queue = make([]Node, 0, n)
+	if cap(a.queue) < n+1 {
+		a.queue = make([]Node, 0, n+1)
 	}
 	return a.queue[:0]
 }
@@ -217,6 +250,7 @@ func (a *Arena) Poison() {
 	poisonInt32(a.dist[0][:cap(a.dist[0])])
 	poisonInt32(a.dist[1][:cap(a.dist[1])])
 	poisonNodes(a.queue[:cap(a.queue)])
+	a.layering = Layering{}
 	for i := range a.nodes {
 		poisonNodes(a.nodes[i][:cap(a.nodes[i])])
 	}

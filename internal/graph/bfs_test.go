@@ -231,29 +231,53 @@ func crossShapes(t *testing.T) []bfsShape {
 	)
 }
 
-// TestLayerBFSCrossCounts is the cross counts' proof obligation: for
-// every level d, cross[d] equals a pair-by-pair count of the edges with
-// one endpoint at level d-1 and the other at level d, and cross[0] and
-// every entry past the last level are zero — on a dirty buffer, over
-// every shape of the BFS table and random graphs, with one, several and
-// repeated sources. The test replays the kernel's direction rule from the
-// level sizes (checked against the number of bottom-up levels the kernel
+// TestLayerBFSCrossCounts is the layering's proof obligation: step by
+// step, Layering must reach the levels the queue BFS computes, list them
+// level by level, report each previous level's summed degrees, and count
+// for every level d the edges with one endpoint at level d-1 and the
+// other at level d exactly as a pair-by-pair count does; past the last
+// level a step returns nothing — on a dirty arena, over every shape of
+// the BFS table and random graphs, with one, several and repeated
+// sources. The test replays the kernel's direction rule from the level
+// sizes (checked against the number of bottom-up levels the kernel
 // reports) and requires all three ways of counting to have run: top-down,
 // bottom-up from the new level, and bottom-up from the frontier.
 func TestLayerBFSCrossCounts(t *testing.T) {
 	var topDown, fromNew, fromFrontier int
+	a := graph.NewArena()
 	check := func(what string, c *graph.CSR, sources []graph.Node) {
 		t.Helper()
 		n := c.NumNodes()
 		sub := graph.WrapCSR(c)
-		cross := make([]int32, n)
-		for i := range cross {
-			cross[i] = -0x5A5A
+		a.Dist(0, n)
+		a.Queue(n)
+		a.Poison()
+		l := a.Layering(sub, sources)
+		cross, entries := make([]int, n+1), make([]int, n+1)
+		last := 0
+		for d := 1; ; d++ {
+			level, e, x := l.Step()
+			entries[d-1] = e
+			if len(level) == 0 {
+				if x != 0 {
+					t.Fatalf("%s %v: the step past the last level counts %d cross edges", what, sources, x)
+				}
+				break
+			}
+			cross[d], last = x, d
 		}
-		dist := sub.LayerBFSInto(sources, make([]int32, n), make([]graph.Node, 0, n), cross)
+		dist := l.Dist()
 		sameDist(t, what, dist, queueBFS(c, nil, sources))
+		reached, prev := 0, int32(0)
+		for _, u := range l.Reached() {
+			if dist[u] < prev || dist[u] == graph.INF {
+				t.Fatalf("%s %v: Reached lists node %d of level %d after level %d", what, sources, u, dist[u], prev)
+			}
+			prev = dist[u]
+			reached++
+		}
 
-		want := make([]int32, n)
+		want := make([]int, n+1)
 		levelNodes, levelEntries := make([]int, n+1), make([]int, n+1)
 		for u := 0; u < n; u++ {
 			du := dist[u]
@@ -268,9 +292,18 @@ func TestLayerBFSCrossCounts(t *testing.T) {
 				}
 			}
 		}
+		for _, k := range levelNodes {
+			reached -= k
+		}
+		if reached != 0 {
+			t.Fatalf("%s %v: Reached lists %d nodes more than have a level", what, sources, reached)
+		}
 		for d := range want {
 			if cross[d] != want[d] {
 				t.Fatalf("%s %v: cross[%d] = %d, pair count %d", what, sources, d, cross[d], want[d])
+			}
+			if d <= last && entries[d] != levelEntries[d] {
+				t.Fatalf("%s %v: level %d has %d entries, the step reported %d", what, sources, d, levelEntries[d], entries[d])
 			}
 		}
 

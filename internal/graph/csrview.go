@@ -136,9 +136,17 @@ func (v *CSRView) NodeWeightSum() float64 { return v.dAlive }
 
 // Remove deletes u from the view, updating neighbor degrees and the
 // weighted aggregates in O(deg). Removing a dead node is a no-op.
-func (v *CSRView) Remove(u Node) {
+func (v *CSRView) Remove(u Node) { v.remove(u, nil, false) }
+
+// RemoveInto is Remove that also appends u's alive neighbours, in row
+// order, to out and returns it: a peel re-scores exactly those, and on a
+// ball's outermost level most of a row is dead.
+func (v *CSRView) RemoveInto(u Node, out []Node) []Node { return v.remove(u, out, true) }
+
+// remove is the one removal loop of Remove and RemoveInto.
+func (v *CSRView) remove(u Node, out []Node, collect bool) []Node {
 	if !v.alive[u] {
-		return
+		return out
 	}
 	// w_C loses exactly k_{u,S}, summed in neighbor order before any
 	// flag flips (the same subtraction the peeling recurrences perform).
@@ -149,9 +157,13 @@ func (v *CSRView) Remove(u Node) {
 	for _, w := range v.c.Neighbors(u) {
 		if v.alive[w] {
 			v.deg[w]--
+			if collect {
+				out = append(out, w)
+			}
 		}
 	}
 	v.deg[u] = 0
+	return out
 }
 
 // LiveNodes returns the alive node set in ascending order.
@@ -191,7 +203,7 @@ func (v *CSRView) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node)
 			dist[u] = dead
 		}
 	}
-	c.levelBFS(sources, dist, queue, v.nAlive, entries, nil)
+	c.levelBFS(sources, dist, queue, v.nAlive, entries)
 	if v.nAlive < len(dist) {
 		for u := range dist {
 			if dist[u] == dead {

@@ -60,15 +60,29 @@ func TestViewRemoveUpdatesDegreesAndEdges(t *testing.T) {
 
 // Property: after any sequence of removals DegreeIn matches a direct
 // recount, and the unweighted w_C is the count of edges with both
-// endpoints alive.
+// endpoints alive; RemoveInto (every other removal) hands back the
+// removed node's alive neighbours in row order.
 func TestViewInvariantsUnderRandomRemovals(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(30, 0.2, seed^0x5f)
 		v := allAlive(g)
 		order := rng.Perm(30)
-		for _, u := range order[:20] {
-			v.Remove(Node(u))
+		for i, u := range order[:20] {
+			if i%2 == 0 {
+				v.Remove(Node(u))
+			} else {
+				var want []Node
+				for _, w := range g.Neighbors(Node(u)) {
+					if v.Alive(w) {
+						want = append(want, w)
+					}
+				}
+				got := v.RemoveInto(Node(u), []Node{-1})
+				if !slices.Equal(got, append([]Node{-1}, want...)) {
+					return false
+				}
+			}
 			// recount
 			m := 0
 			for x := 0; x < g.NumNodes(); x++ {

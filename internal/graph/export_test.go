@@ -13,5 +13,5 @@ func (c *CSR) BFSBottomUpLevels(sources []Node) int {
 	for i := range dist {
 		dist[i] = INF
 	}
-	return c.flatten().levelBFS(sources, dist, make([]Node, 0, n), n, c.entries, nil)
+	return c.flatten().levelBFS(sources, dist, make([]Node, 0, n), n, c.entries)
 }

@@ -4,8 +4,8 @@ package graph
 // all adjacency lists in one targets slice with per-node offsets, the
 // parallel weights, and the cached node weights. A SubCSR embeds one —
 // extracted from a snapshot's pages, or lent by a snapshot that was born
-// contiguous — so levelBFS, CSRView, the Θ-heap and NCA's certificates
-// index flat arrays with no page lookup.
+// contiguous — so levelBFS, Layering, CSRView, the Θ-heap and NCA's
+// certificates index flat arrays with no page lookup.
 type flatCSR struct {
 	offsets []int32
 	targets []Node
@@ -54,18 +54,11 @@ func (c *flatCSR) TotalWeight() float64 { return c.totalW }
 // NumNodes (each node is enqueued at most once, so the queue never
 // reallocates). Arenas use it to make per-query traversal allocation-free.
 func (c *flatCSR) MultiSourceBFSInto(sources []Node, dist []int32, queue []Node) []int32 {
-	return c.layerBFSInto(sources, dist, queue, nil)
-}
-
-// layerBFSInto is MultiSourceBFSInto with levelBFS's optional cross-level
-// edge counts.
-func (c *flatCSR) layerBFSInto(sources []Node, dist []int32, queue []Node, cross []int32) []int32 {
 	dist = dist[:c.NumNodes()]
 	for i := range dist {
 		dist[i] = INF
 	}
-	clear(cross)
-	c.levelBFS(sources, dist, queue, len(dist), len(c.targets), cross)
+	c.levelBFS(sources, dist, queue, len(dist), len(c.targets))
 	return dist
 }
 
@@ -74,7 +67,7 @@ func (c *flatCSR) layerBFSInto(sources []Node, dist []int32, queue []Node, cross
 // bottom-up step reads at worst (see levelBFS).
 const bfsBottomUpFactor = 4
 
-// levelBFS is the one BFS kernel of the package: a level-synchronous,
+// levelBFS is the package's BFS: a level-synchronous,
 // direction-optimizing multi-source BFS (Beamer et al.) over the packed
 // adjacency. On entry dist[u] == INF marks the nodes it may reach and any
 // other value excludes u for good (CSRView folds its dead nodes in that
@@ -82,7 +75,8 @@ const bfsBottomUpFactor = 4
 // counts the INF nodes and unvisitedEntries their adjacency entries.
 // Sources that are not INF — excluded or repeated — are skipped. It
 // writes every reached node's level into dist and returns how many
-// levels it expanded bottom-up.
+// levels it expanded bottom-up. Layering runs the same levels one at a
+// time, with the same kernels and direction rule.
 //
 // A level is expanded top-down (every frontier node claims its INF
 // neighbours: one read per frontier entry) while the frontier is light,
@@ -100,36 +94,17 @@ const bfsBottomUpFactor = 4
 // last layers are never expanded at all. Levels are unique, so dist does
 // not depend on the directions taken.
 //
-// A non-nil cross (length >= len(dist), zeroed by the caller) receives,
-// for every level d >= 1, the number of edges between levels d-1 and d.
-// A top-down step counts them for free: it already loads dist[w] for
-// every frontier entry, and those that land on level d are the edges. A
-// bottom-up step stops early, so it counts afterwards from whichever side
-// has fewer entries: the new level's entries into d-1, or the frontier's
-// into d. Each step is its own function: with the counting loop written
-// out beside the plain one in levelBFS's body, the BFS that counts
-// nothing ran 10-20 % slower on a 16k-node expander (same-binary A/B,
-// 2-vCPU Xeon, Go 1.24).
-//
-// Cost on any input stays O(n + entries), counting or not. A bottom-up
-// step reads fewer than bfsBottomUpFactor times its frontier's entries,
-// and every entry is a frontier entry once. Two bottom-up steps in a row
-// shrink the unvisited entries geometrically: the second needs
-// factor*f' > m', where f' are the entries the first one reached and m'
-// those it left, and it started from m = m' + f' > m'*(1 + 1/factor). A
-// run of bottom-up steps is therefore at most log_{1+1/factor}(entries)
-// long; and since every one of them needs factor*f > n, there are at most
-// factor*entries/n in total. A bottom-up count reads at most the
-// frontier's entries again.
-func (c *flatCSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited, unvisitedEntries int, cross []int32) (bottomUp int) {
-	offsets := c.offsets
-	queue = queue[:0]
-	for _, s := range sources {
-		if dist[s] == INF {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
+// Cost on any input stays O(n + entries). A bottom-up step reads fewer
+// than bfsBottomUpFactor times its frontier's entries, and every entry is
+// a frontier entry once. Two bottom-up steps in a row shrink the
+// unvisited entries geometrically: the second needs factor*f' > m', where
+// f' are the entries the first one reached and m' those it left, and it
+// started from m = m' + f' > m'*(1 + 1/factor). A run of bottom-up steps
+// is therefore at most log_{1+1/factor}(entries) long; and since every
+// one of them needs factor*f > n, there are at most factor*entries/n in
+// total.
+func (c *flatCSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited, unvisitedEntries int) (bottomUp int) {
+	queue = enqueueSources(sources, dist, queue[:0])
 	unvisited -= len(queue)
 	head := 0
 	for d := int32(1); head < len(queue) && unvisited > 0; d++ {
@@ -138,27 +113,11 @@ func (c *flatCSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited
 		// Summing the frontier's degrees here, not as nodes are reached,
 		// keeps the expansion loops free of it and loads the very offsets
 		// the top-down loop reads next.
-		entries := 0
-		for _, u := range frontier {
-			entries += int(offsets[u+1] - offsets[u])
-		}
+		entries := c.entriesOf(frontier)
 		unvisitedEntries -= entries
 		if bfsBottomUpFactor*entries > unvisitedEntries+len(dist) {
 			bottomUp++
-			queue = c.bottomUpStep(dist, queue, d)
-			if cross != nil {
-				level, reached := queue[head:], 0
-				for _, u := range level {
-					reached += int(offsets[u+1] - offsets[u])
-				}
-				if reached <= entries {
-					cross[d] = c.entriesTo(level, dist, d-1)
-				} else {
-					cross[d] = c.entriesTo(frontier, dist, d)
-				}
-			}
-		} else if cross != nil {
-			queue, cross[d] = c.topDownCounting(frontier, dist, queue, d)
+			queue, _ = c.bottomUpStep(dist, queue, d)
 		} else {
 			queue = c.topDownStep(frontier, dist, queue, d)
 		}
@@ -167,23 +126,140 @@ func (c *flatCSR) levelBFS(sources []Node, dist []int32, queue []Node, unvisited
 	return bottomUp
 }
 
+// enqueueSources gives every INF source level 0 and appends it to queue.
+func enqueueSources(sources []Node, dist []int32, queue []Node) []Node {
+	for _, s := range sources {
+		if dist[s] == INF {
+			dist[s] = 0
+			queue = append(queue, s)
+		}
+	}
+	return queue
+}
+
+// Layering is levelBFS stopped after every level, for a caller that
+// decides from each level whether it needs the next one: layer pruning,
+// which stops once no larger distance prefix can score better (see
+// internal/dmcs). Arena.Layering starts one at level 0, the sources. Each
+// Step expands one level with levelBFS's kernels and direction rule and
+// also counts the edges between the new level and the one before it:
+// a top-down step counts them while it expands; a bottom-up step stops
+// early, so it counts afterwards from whichever side has fewer entries,
+// the new level's entries into d-1 or the frontier's into d. The cost of
+// layering up to level d is O(n + the entries of levels 0..d-1), counting
+// included. The counting kernels are functions of their own: written out
+// beside the plain loops in one body, they slowed the BFS that counts
+// nothing by 10-20 % on a 16k-node expander (same-binary A/B, 2-vCPU
+// Xeon, Go 1.24).
+type Layering struct {
+	c     *flatCSR
+	dist  []int32
+	queue []Node // the nodes reached so far, level by level
+	head  int    // where the last level starts in queue
+	d     int32  // the last level
+	reads int    // adjacency entries read so far
+
+	unvisited, unvisitedEntries int
+}
+
+// Layering starts a layering of sub from sources in the arena's slot-0
+// distance buffer and its queue, whose spare slot topDownCounting needs.
+// Entering it again, or taking the slot-0 distance buffer or the queue,
+// ends the layering.
+func (a *Arena) Layering(sub *SubCSR, sources []Node) *Layering {
+	n := sub.NumNodes()
+	dist := a.Dist(0, n)
+	for i := range dist {
+		dist[i] = INF
+	}
+	queue := enqueueSources(sources, dist, a.Queue(n))
+	a.layering = Layering{
+		c:                &sub.flatCSR,
+		dist:             dist,
+		queue:            queue,
+		unvisited:        n - len(queue),
+		unvisitedEntries: len(sub.targets),
+	}
+	return &a.layering
+}
+
+// Step expands the level after the last one, d, and returns it; the
+// adjacency entries of level d-1 (its summed degrees); and the number of
+// edges between levels d-1 and d. Once every reachable node has a level
+// it returns an empty level and no cross edges, and reads nothing.
+func (l *Layering) Step() (level []Node, entries, cross int) {
+	c := l.c
+	frontier := l.queue[l.head:]
+	entries = c.entriesOf(frontier)
+	if len(frontier) == 0 || l.unvisited == 0 {
+		return nil, entries, 0
+	}
+	start := len(l.queue)
+	l.unvisitedEntries -= entries
+	l.d++
+	d := l.d
+	var x int32
+	if bfsBottomUpFactor*entries > l.unvisitedEntries+len(l.dist) {
+		var reads int
+		l.queue, reads = c.bottomUpStep(l.dist, l.queue, d)
+		level = l.queue[start:]
+		if reached := c.entriesOf(level); reached <= entries {
+			x, reads = c.entriesTo(level, l.dist, d-1), reads+reached
+		} else {
+			x, reads = c.entriesTo(frontier, l.dist, d), reads+entries
+		}
+		l.reads += reads
+	} else {
+		l.queue, x = c.topDownCounting(frontier, l.dist, l.queue, d)
+		l.reads += entries
+	}
+	l.head = start
+	level = l.queue[start:]
+	l.unvisited -= len(level)
+	return level, entries, int(x)
+}
+
+// Dist returns the levels so far, INF for the nodes not reached yet.
+func (l *Layering) Dist() []int32 { return l.dist }
+
+// Reached returns the nodes reached so far, level by level: the ball of
+// every level it has expanded (do not modify).
+func (l *Layering) Reached() []Node { return l.queue }
+
+// Reads returns the adjacency entries the layering has read so far.
+func (l *Layering) Reads() int { return l.reads }
+
+// entriesOf returns the summed degrees of nodes.
+func (c *flatCSR) entriesOf(nodes []Node) int {
+	entries := 0
+	for _, u := range nodes {
+		entries += int(c.offsets[u+1] - c.offsets[u])
+	}
+	return entries
+}
+
 // bottomUpStep expands level d bottom-up: every INF node takes level d
-// at its first neighbour on level d-1.
-func (c *flatCSR) bottomUpStep(dist []int32, queue []Node, d int32) []Node {
+// at its first neighbour on level d-1. It also returns the adjacency
+// entries it read.
+func (c *flatCSR) bottomUpStep(dist []int32, queue []Node, d int32) ([]Node, int) {
 	offsets, targets := c.offsets, c.targets
+	reads := 0
 	for u := range dist {
 		if dist[u] != INF {
 			continue
 		}
-		for _, w := range targets[offsets[u]:offsets[u+1]] {
+		row := targets[offsets[u]:offsets[u+1]]
+		reads += len(row)
+		for i, w := range row {
 			if dist[w] == d-1 {
 				dist[u] = d
 				queue = append(queue, Node(u))
+				reads -= len(row) - i - 1
 				break
 			}
 		}
 	}
-	return queue
+	return queue, reads
 }
 
 // topDownStep expands level d top-down: every frontier node claims its
@@ -201,22 +277,25 @@ func (c *flatCSR) topDownStep(frontier []Node, dist []int32, queue []Node, d int
 	return queue
 }
 
-// topDownCounting is levelBFS's top-down step that also counts the
-// frontier's entries landing on the new level d.
+// topDownCounting is topDownStep that also counts the frontier's entries
+// landing on the new level d. It enqueues without a branch: every entry
+// is written to the queue's next free slot, which only a newly reached
+// node claims, so queue needs one spare slot of capacity beyond the
+// nodes it can ever hold (Arena.Queue keeps one).
 func (c *flatCSR) topDownCounting(frontier []Node, dist []int32, queue []Node, d int32) ([]Node, int32) {
-	x := int32(0)
+	x, n := int32(0), len(queue)
+	q := queue[:cap(queue)]
 	for _, u := range frontier {
 		for _, w := range c.targets[c.offsets[u]:c.offsets[u+1]] {
 			dw := dist[w]
-			if dw == INF {
-				dw = d
-				dist[w] = d
-				queue = append(queue, w)
-			}
+			q[n] = w
+			n += int(b2i(dw == INF))
+			dw = min(dw, d) // INF is the largest level
+			dist[w] = dw
 			x += b2i(dw == d)
 		}
 	}
-	return queue, x
+	return q[:n], x
 }
 
 // entriesTo counts the adjacency entries of nodes that lead to level.

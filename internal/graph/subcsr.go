@@ -70,16 +70,6 @@ func (s *SubCSR) LocalOf(g Node) (Node, bool) {
 	return 0, false
 }
 
-// LayerBFSInto is MultiSourceBFSInto that also counts the edges between
-// consecutive levels: cross[d] is the number of edges joining a node at
-// distance d-1 to one at distance d, for every d >= 1, and cross[0] and
-// every entry past the last level are zero. cross needs length >=
-// NumNodes. Layer pruning reads its prefix sweep off these counts instead
-// of rescanning the component's adjacency.
-func (s *SubCSR) LayerBFSInto(sources []Node, dist []int32, queue []Node, cross []int32) []int32 {
-	return s.layerBFSInto(sources, dist, queue, cross)
-}
-
 // InternalWeight returns w_C of the member set — the total weight of
 // edges with both endpoints inside it, accumulated in the canonical
 // member-ascending, neighbor-ascending order.

@@ -195,6 +195,33 @@ func TestArenaViewMatchesFresh(t *testing.T) {
 	sv := a.ViewOf(1, sub, set)
 	freshSub := NewCSRViewOf(newContiguousCSR(sub.flatCSR), set)
 	compareViews(t, "ViewOf", sv, freshSub)
+
+	// the ball of a layering, every level within j of node 0, on an
+	// unweighted sub; the caller's aggregates come from the fresh view
+	c = NewCSR(subTestGraph(rng, 90, false))
+	comp, _ = c.Component(0)
+	for j := int32(0); j <= 3; j++ {
+		a.Poison()
+		sub = a.ExtractSub(c, comp)
+		l := a.Layering(sub, []Node{0})
+		for d := int32(0); d <= j; d++ {
+			l.Step()
+		}
+		var ball, sorted []Node
+		for _, u := range l.Reached() {
+			if l.Dist()[u] <= j {
+				ball = append(ball, u)
+			}
+		}
+		for u, d := range l.Dist() {
+			if d <= j {
+				sorted = append(sorted, Node(u))
+			}
+		}
+		want := NewCSRViewOf(newContiguousCSR(sub.flatCSR), sorted)
+		bv := a.ViewOfBall(1, sub, l.Dist(), j, ball, want.InternalWeight(), want.NodeWeightSum())
+		compareViews(t, "ViewOfBall", bv, want)
+	}
 }
 
 func allNodes(n int) []Node {
