@@ -8,9 +8,10 @@ import (
 )
 
 // Arena bundles every piece of scratch memory one community-search query
-// needs — the graph-level arena (sub-CSR extraction, view backing, BFS
-// and articulation scratch) plus the peel-level buffers (removal trace,
-// Θ priority queue, layer buckets, protected sets). Checked out per query
+// needs — the graph-level arena (sub-CSR extraction, view backing, the BFS
+// layering whose levels the peel reads in place, articulation scratch)
+// plus the peel-level buffers (removal trace, Θ priority queue, protected
+// sets). Checked out per query
 // and reused forever, it makes steady-state query serving allocation-free
 // except for the returned Result itself: the only heap allocations a warm
 // arena's search performs are the Community slice (and RemovalOrder when
@@ -28,14 +29,9 @@ type Arena struct {
 	pq        thetaPQ      // Θ max-heap (concrete, no boxing)
 	protected []graph.Node
 	localQ    []graph.Node
-	remaining []graph.Node // peelLayerLambda candidate scratch
 	comp2     []graph.Node // pruning phase-2 prefix members (local ids)
 	nbrs      []graph.Node // alive neighbours of the node removed last
 	compBuf   []graph.Node // SearchCSR component flood queue / member list
-
-	layerOff   []int32      // layer bucket offsets (len maxD+2)
-	layerNodes []graph.Node // bucketed layer members, outermost-last
-	layerFill  []int32      // bucket fill cursors
 
 	// pruneReads is the adjacency entries the last unweighted pruned
 	// search read in phase 1 and in building its ball view.
@@ -69,13 +65,9 @@ func (a *Arena) Poison() {
 	}
 	poisonNodes(a.protected)
 	poisonNodes(a.localQ)
-	poisonNodes(a.remaining)
 	poisonNodes(a.comp2)
 	poisonNodes(a.nbrs)
 	poisonNodes(a.compBuf)
-	poisonInt32s(a.layerOff)
-	poisonNodes(a.layerNodes)
-	poisonInt32s(a.layerFill)
 	a.ps = peelState{}
 	// a.nca's dist and skip are graph-arena buffers, poisoned above
 	poisonNodes(a.nca.parent)

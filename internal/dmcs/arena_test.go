@@ -258,31 +258,39 @@ func TestDeadlinePollerFirstCallChecks(t *testing.T) {
 	}
 }
 
-// TestWarmArenaAllocs pins that groupLayersInto hands its grown
-// layer-cursor buffer back to the arena: a warm arena's pruning search
-// performs exactly two heap allocations — the Result and its Community
-// slice; a third one is a buffer that leaked out of the arena.
+// TestWarmArenaAllocs pins that every FPA path hands its grown scratch
+// back to the arena — the Layering's level starts among it: over
+// {FPA, FPA-DMG} × {layer pruning, none} × {unweighted, weighted}, a warm
+// arena's search performs at most two heap allocations, the Result and
+// its Community slice; a third one is a buffer that leaked out of the
+// arena.
 func TestWarmArenaAllocs(t *testing.T) {
-	g := smallQueryGraph(4, 80)
-	csr := graph.NewCSR(g)
-	a := NewArena()
-	q := []graph.Node{3}
-	comp, err := queryComponentArena(a, csr, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp = append([]graph.Node(nil), comp...) // stable storage across epochs
-	for i := 0; i < 3; i++ {                  // warm every buffer
-		if _, err := searchExtract(a, csr, q, comp, VariantFPA, Options{LayerPruning: true}); err != nil {
+	unweighted := smallQueryGraph(4, 80)
+	for _, g := range []*graph.Graph{unweighted, reweighted(unweighted, 7)} {
+		csr := graph.NewCSR(g)
+		a := NewArena()
+		q := []graph.Node{3}
+		comp, err := queryComponentArena(a, csr, q)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := searchExtract(a, csr, q, comp, VariantFPA, Options{LayerPruning: true}); err != nil {
-			t.Fatal(err)
+		comp = append([]graph.Node(nil), comp...) // stable storage across epochs
+		for _, variant := range []Variant{VariantFPA, VariantFPADMG} {
+			for _, pruning := range []bool{true, false} {
+				opts := Options{LayerPruning: pruning}
+				search := func() {
+					if _, err := searchExtract(a, csr, q, comp, variant, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := 0; i < 3; i++ { // warm every buffer
+					search()
+				}
+				if allocs := testing.AllocsPerRun(50, search); allocs > 2 {
+					t.Errorf("weighted=%v %v pruning=%v: a warm-arena search allocates %.1f times per run, want <= 2 (Result + Community)",
+						g.Weighted(), variant, pruning, allocs)
+				}
+			}
 		}
-	})
-	if allocs > 2 {
-		t.Fatalf("warm-arena pruning search allocates %.1f times per run, want <= 2 (Result + Community)", allocs)
 	}
 }

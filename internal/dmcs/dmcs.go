@@ -28,7 +28,7 @@
 // On top of the snapshot, every query is scoped to its connected
 // component: the component is relabelled into a compact graph.SubCSR
 // (dense 0..k-1 ids, identity-wrapped when it spans the whole graph) and
-// the entire peel — layer grouping, Θ heap, articulation sweeps,
+// the entire peel — BFS layering, Θ heap, articulation sweeps,
 // candidate scans — runs in the local id space, so a 50-node community
 // on a 10M-node graph touches 50-node-sized state, not 10M-node-sized
 // state. All scratch comes from a reusable Arena (pooled here, owned

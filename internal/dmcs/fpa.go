@@ -71,78 +71,29 @@ type thetaItem struct {
 // otherwise the density modularity gain Λ is rescanned over the remaining
 // layer candidates each iteration (unstable, the 150× slowdown of Section
 // 6.2.5). q is in local ids; comp is the sorted source-id component (see
-// SearchSub), used only to reconstruct the result.
+// SearchSub), used only to reconstruct the result. The layers are the
+// levels of a completed graph.Layering, peeled in place outermost first.
+// The order within a level cannot change a pick, since the Θ heap pops
+// by a total order (Θ, then k, then id) and the Λ scan picks by (Λ, then
+// id); levels are listed in ascending ids only because the heap's first
+// build then reads the rows in memory order (on the 16k-node whale
+// expander, -cpu 1, eight alternating runs: median 5.18 ms in BFS order,
+// 4.96 ms ascending).
 func runFPA(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, useTheta bool) (*Result, error) {
 	protected := steinerProtect(a, sub, q)
 	if opts.LayerPruning {
 		return fpaWithPruning(a, sub, protected, comp, opts, useTheta)
 	}
-	k := sub.NumNodes()
-	dist := bfsInto(a, sub, protected)
+	l := a.g.Layering(sub, protected)
+	l.CompleteAscending()
 	s := newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
-	maxD := groupLayersInto(a, k, dist)
-	for d := maxD; d >= 1; d-- {
+	for d := l.Levels() - 1; d >= 1; d-- {
 		if s.expired() {
 			break
 		}
-		peelLayer(s, a.layer(d), useTheta)
+		peelLayer(s, l.Level(d), useTheta)
 	}
 	return s.result(), nil
-}
-
-// bfsInto layers sub by distance from sources into the arena's slot-0
-// distance buffer.
-func bfsInto(a *Arena, sub *graph.SubCSR, sources []graph.Node) []int32 {
-	k := sub.NumNodes()
-	return sub.MultiSourceBFSInto(sources, a.g.Dist(0, k), a.g.Queue(k))
-}
-
-// groupLayersInto buckets the k local nodes by BFS distance into the
-// arena's flat bucket structure (counts, prefix offsets, one fill pass —
-// the CSR trick again) and returns the maximum distance. Within a layer
-// nodes come out in ascending id order, exactly the order the historical
-// append-per-node grouping produced. Unreachable nodes cannot occur
-// because the sub spans a connected component containing the sources.
-func groupLayersInto(a *Arena, k int, dist []int32) int {
-	maxD := int32(0)
-	for u := 0; u < k; u++ {
-		if dist[u] > maxD {
-			maxD = dist[u]
-		}
-	}
-	off := growInt32Slice(a.layerOff, int(maxD)+2)
-	for i := range off {
-		off[i] = 0
-	}
-	for u := 0; u < k; u++ {
-		off[dist[u]+1]++
-	}
-	for d := 1; d < len(off); d++ {
-		off[d] += off[d-1]
-	}
-	nodes := growNodeSlice(a.layerNodes, k)
-	fill := growInt32Slice(a.layerFill, int(maxD)+1) // per-layer cursors
-	for i := range fill {
-		fill[i] = 0
-	}
-	for u := 0; u < k; u++ {
-		d := dist[u]
-		nodes[off[d]+fill[d]] = graph.Node(u)
-		fill[d]++
-	}
-	// Hand every grown buffer back to the arena — layerFill included. A
-	// buffer that is not handed back is reallocated per query, and that
-	// steady garbage forces GC cycles whose victim-cache flushes empty
-	// the arena pool itself, so some later query rebuilds full
-	// component-sized scratch (TestWarmArenaAllocs holds the warm path
-	// at its two Result allocations).
-	a.layerOff, a.layerNodes, a.layerFill = off, nodes, fill
-	return int(maxD)
-}
-
-// layer returns the d-distance bucket (ascending local ids).
-func (a *Arena) layer(d int) []graph.Node {
-	return a.layerNodes[a.layerOff[d]:a.layerOff[d+1]]
 }
 
 // peelLayer removes every node of one distance layer in goodness order.
@@ -195,13 +146,11 @@ func drainTheta(s *peelState) {
 
 // peelLayerLambda removes the layer in Λ order; Λ depends on d_S, which
 // every removal changes, so the whole candidate set is rescanned per
-// iteration.
+// iteration. It swap-deletes inside remaining, a level of the query's
+// graph.Layering that nothing reads after the peel.
 //
 //dmcs:hotpath
-func peelLayerLambda(s *peelState, cand []graph.Node) {
-	remaining := append(s.a.remaining[:0], cand...)
-	//dmcs:allow hotpath one defer closure per layer call, outside the per-removal loop; it returns the arena buffer on every exit path
-	defer func() { s.a.remaining = remaining[:0] }()
+func peelLayerLambda(s *peelState, remaining []graph.Node) {
 	for len(remaining) > 0 {
 		if s.expired() {
 			return
@@ -268,15 +217,17 @@ func dropLayer(sub *graph.SubCSR, dist []int32, layer []graph.Node, d int32, st 
 // node-removal process to the kept prefix's outermost layer only. Phase 1
 // removes nothing.
 //
-// On an unweighted sub phase 1 is sweepBall: it layers the component one
-// BFS level at a time, scores each ball inside out from exact integer
-// statistics, and stops layering once a bound shows that no larger ball
-// can score better, so it reads only the adjacency it needs. Phase 2 then
-// peels on a view of the ball built from the layering, which reads only
-// the outermost layer's rows. A weighted sub layers the whole component
-// and sweeps outside in (bestPrefix): its prefixes' w_C must be summed in
-// the order serial removal used to keep their Float64bits, and that order
-// runs from the outermost layer in.
+// Both phases read one graph.Layering of the component around the
+// protected set, and phase 2 peels its level j in place. On an unweighted
+// sub phase 1 is sweepBall: it layers the component one BFS level at a
+// time, scores each ball inside out from exact integer statistics, and
+// stops layering once a bound shows that no larger ball can score better,
+// so it reads only the adjacency it needs. Phase 2 then peels on a view
+// of the ball built from the layering, which reads only the outermost
+// layer's rows. A weighted sub completes the layering with every level in
+// ascending ids and sweeps outside in (bestPrefix): its prefixes' w_C
+// must be summed in the order serial removal used to keep their
+// Float64bits, and that order runs from the outermost layer in.
 //
 // Phase 1 honours Cancel and Timeout at layer granularity and keeps the
 // best prefix scored so far on expiry: inside out, the best of the balls
@@ -294,29 +245,25 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 		poll.deadline = deadline
 	}
 
-	// comp2 holds the kept prefix's members in local ids, ascending; outer
-	// is its outermost layer, the one phase 2 peels.
+	// comp2 holds the kept prefix's members in local ids, ascending.
 	var (
 		j        int
 		comp2    []graph.Node
-		outer    []graph.Node
 		v        *graph.CSRView
 		timedOut bool
 	)
+	l := a.g.Layering(sub, protected)
 	if sub.Weighted() {
-		dist := bfsInto(a, sub, protected)
-		maxD := groupLayersInto(a, k, dist)
-		j, timedOut = bestPrefix(a, sub, dist, maxD, opts, &poll)
-		comp2 = prefixMembers(a, dist, j)
-		v, outer = a.g.ViewOf(1, sub, comp2), a.layer(j)
+		l.CompleteAscending()
+		j, timedOut = bestPrefix(l, sub, opts, &poll)
+		comp2 = prefixMembers(a, l.Dist(), j)
+		v = a.g.ViewOf(1, sub, comp2)
 	} else {
-		l := a.g.Layering(sub, protected)
 		var b ballPrefix
 		b, timedOut = sweepBall(l, sub, opts, &poll)
 		j = b.j
 		comp2 = prefixMembers(a, l.Dist(), j)
-		ball := l.Reached()[:b.hi]
-		v, outer = a.g.ViewOfBall(1, sub, l.Dist(), int32(j), ball, b.st.wC, b.st.dS), ball[b.lo:]
+		v = a.g.ViewOfBall(1, l, int32(j), b.st.wC, b.st.dS)
 		a.pruneReads = l.Reads() + b.outerEntries
 	}
 
@@ -332,7 +279,7 @@ func fpaWithPruning(a *Arena, sub *graph.SubCSR, protected, comp []graph.Node, o
 	}
 	s := newPeelState(a, sub, v, comp, comp2, opts2)
 	if j >= 1 && !timedOut {
-		peelLayer(s, outer, useTheta)
+		peelLayer(s, l.Level(j), useTheta)
 	}
 	r := s.result()
 	r.Iterations += k - len(protected)
@@ -359,19 +306,20 @@ func prefixMembers(a *Arena, dist []int32, j int) []graph.Node {
 	return comp2[:n]
 }
 
-// bestPrefix is a weighted sub's phase 1: it scores the prefix left after
-// dropping each outermost layer in turn and returns the distance bound of
-// the best one (ties go to the smaller prefix) and whether poll expired
-// before the last layer.
-func bestPrefix(a *Arena, sub *graph.SubCSR, dist []int32, maxD int, opts Options, poll *deadlinePoller) (bestJ int, timedOut bool) {
-	wG := sub.TotalWeight()
+// bestPrefix is a weighted sub's phase 1 over l, completed with every
+// level ascending: it scores the prefix left after dropping each
+// outermost level in turn and returns the distance bound of the best one
+// (ties go to the smaller prefix) and whether poll expired before the
+// last level.
+func bestPrefix(l *graph.Layering, sub *graph.SubCSR, opts Options, poll *deadlinePoller) (bestJ int, timedOut bool) {
+	dist, maxD, wG := l.Dist(), l.Levels()-1, sub.TotalWeight()
 	st := prefixStats{wC: sub.InternalWeight(), dS: sub.MemberWeightSum(), size: sub.NumNodes()}
 	bestJ, bestScore := maxD, scoreStats(st, wG, opts)
 	for d := maxD; d >= 1; d-- {
 		if poll.check() {
 			return bestJ, true
 		}
-		st = dropLayer(sub, dist, a.layer(d), int32(d), st)
+		st = dropLayer(sub, dist, l.Level(d), int32(d), st)
 		if sc := scoreStats(st, wG, opts); sc >= bestScore {
 			bestScore, bestJ = sc, d-1
 		}
@@ -379,12 +327,12 @@ func bestPrefix(a *Arena, sub *graph.SubCSR, dist []int32, maxD int, opts Option
 	return bestJ, false
 }
 
-// ballPrefix is the ball unweighted pruning keeps: B_j, the first hi
-// nodes its Layering reached, whose outermost level starts at lo and has
-// outerEntries adjacency entries, with B_j's statistics.
+// ballPrefix is the ball unweighted pruning keeps: B_j, levels 0 to j of
+// its Layering, whose outermost level has outerEntries adjacency entries,
+// with B_j's statistics.
 type ballPrefix struct {
-	j, lo, hi, outerEntries int
-	st                      prefixStats
+	j, outerEntries int
+	st              prefixStats
 }
 
 // pruneMargin is how far below the best score, relative to it, a
@@ -406,12 +354,12 @@ const pruneMargin = 1e-9
 //dmcs:hotpath
 func sweepBall(l *graph.Layering, sub *graph.SubCSR, opts Options, poll *deadlinePoller) (best ballPrefix, timedOut bool) {
 	wdeg, wG, dC := sub.WeightedDegrees(), sub.TotalWeight(), sub.MemberWeightSum()
-	level := l.Reached() // level 0: the protected set
+	level := l.Level(0) // the protected set
 	st := prefixStats{size: len(level)}
 	for _, u := range level {
 		st.dS += wdeg[u]
 	}
-	lo, hi, entries := 0, len(level), 0
+	entries := 0
 	best.j = -1
 	var bestScore float64
 	for d := 1; ; d++ {
@@ -421,13 +369,12 @@ func sweepBall(l *graph.Layering, sub *graph.SubCSR, opts Options, poll *deadlin
 		st.wC = float64((entries - cross) / 2)
 		if sc := scoreStats(st, wG, opts); best.j < 0 || sc > bestScore {
 			bestScore = sc
-			best = ballPrefix{j: d - 1, lo: lo, hi: hi, outerEntries: e, st: st}
+			best = ballPrefix{j: d - 1, outerEntries: e, st: st}
 		}
 		if len(level) == 0 {
 			return best, false
 		}
-		lo, hi = hi, hi+len(level)
-		st.size = hi
+		st.size += len(level)
 		for _, u := range level {
 			st.dS += wdeg[u]
 		}

@@ -125,7 +125,7 @@ type ncaPeel struct {
 func newNCAPeel(a *Arena, sub *graph.SubCSR, q, comp []graph.Node, opts Options, theta bool) *ncaPeel {
 	n := sub.NumNodes()
 	// minimum shortest-path distance from the query nodes, for tie-breaks
-	dist := bfsInto(a, sub, q)
+	dist := sub.MultiSourceBFSInto(q, a.g.Dist(0, n), a.g.Queue(n))
 	p := &a.nca
 	p.s = newPeelState(a, sub, a.g.ViewAll(0, sub), comp, nil, opts)
 	p.nq, p.theta, p.root = 0, theta, q[0]

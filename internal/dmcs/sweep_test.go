@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmcs/internal/graph"
@@ -14,20 +15,20 @@ import (
 // removeBasedPhase1 is layer pruning's phase 1 as it ran before the
 // read-only sweep, kept as the sweep's reference: an all-alive view of
 // sub, Remove for every node of each layer in ascending id, outermost
-// layer first, the view's aggregates scored after each. It returns the
-// statistics of every prefix (stats[j]: distance <= j) and the best one's
-// bound.
-func removeBasedPhase1(a *Arena, sub *graph.SubCSR, maxD int, opts Options) (stats []prefixStats, bestJ int) {
-	v := a.g.ViewAll(0, sub)
+// layer first, the view's aggregates scored after each. layers are
+// oracleLayers'. It returns the statistics of every prefix (stats[j]:
+// distance <= j) and the best one's bound.
+func removeBasedPhase1(sub *graph.SubCSR, layers [][]graph.Node, opts Options) (stats []prefixStats, bestJ int) {
+	v := graph.NewArena().ViewAll(0, sub)
 	read := func() prefixStats {
 		return prefixStats{wC: v.InternalWeight(), dS: v.NodeWeightSum(), size: v.NumAlive()}
 	}
-	wG := sub.TotalWeight()
+	wG, maxD := sub.TotalWeight(), len(layers)-1
 	stats = make([]prefixStats, maxD+1)
 	stats[maxD] = read()
 	bestJ, bestScore := maxD, scoreStats(stats[maxD], wG, opts)
 	for d := maxD; d >= 1; d-- {
-		for _, u := range a.layer(d) {
+		for _, u := range layers[d] {
 			v.Remove(u)
 		}
 		stats[d-1] = read()
@@ -36,6 +37,39 @@ func removeBasedPhase1(a *Arena, sub *graph.SubCSR, maxD int, opts Options) (sta
 		}
 	}
 	return stats, bestJ
+}
+
+// oracleLayers layers sub by distance from sources with a plain queue
+// BFS of its own: the distance table, and the nodes at each distance in
+// ascending id order.
+func oracleLayers(sub *graph.SubCSR, sources []graph.Node) (dist []int32, layers [][]graph.Node) {
+	dist = make([]int32, sub.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	var queue []graph.Node
+	for _, s := range sources {
+		if dist[s] < 0 {
+			dist[s] = 0
+			queue = append(queue, s)
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, w := range sub.Neighbors(u) {
+			if dist[w] < 0 {
+				dist[w] = dist[u] + 1
+				queue = append(queue, w)
+			}
+		}
+	}
+	for u, d := range dist {
+		for int(d) >= len(layers) {
+			layers = append(layers, nil)
+		}
+		layers[d] = append(layers[d], graph.Node(u))
+	}
+	return dist, layers
 }
 
 // withIslands copies g and adds two small components beside it, so that
@@ -156,9 +190,9 @@ func checkPrefixSweep(t *testing.T, what string, sub *graph.SubCSR, lq []graph.N
 	k := sub.NumNodes()
 	a := NewArena()
 	protected := steinerProtect(a, sub, lq)
-	dist := bfsInto(a, sub, protected)
-	maxD := groupLayersInto(a, k, dist)
-	want, _ = removeBasedPhase1(a, sub, maxD, sweepObjectives[0])
+	dist, layers := oracleLayers(sub, protected)
+	maxD := len(layers) - 1
+	want, _ = removeBasedPhase1(sub, layers, sweepObjectives[0])
 	same := func(st, want prefixStats) bool {
 		return math.Float64bits(st.wC) == math.Float64bits(want.wC) &&
 			math.Float64bits(st.dS) == math.Float64bits(want.dS) && st.size == want.size
@@ -173,19 +207,29 @@ func checkPrefixSweep(t *testing.T, what string, sub *graph.SubCSR, lq []graph.N
 			if d == 0 {
 				break
 			}
-			st = dropLayer(sub, dist, a.layer(d), int32(d), st)
+			st = dropLayer(sub, dist, layers[d], int32(d), st)
 		}
 	}
 
 	wG, dC := sub.TotalWeight(), sub.MemberWeightSum()
 	for i, opts := range sweepObjectives {
-		_, wantJ := removeBasedPhase1(a, sub, maxD, opts)
+		_, wantJ := removeBasedPhase1(sub, layers, opts)
 		if i == 0 {
 			densityJ = wantJ
 		}
 		var poll deadlinePoller
+		l := a.g.Layering(sub, protected)
 		if sub.Weighted() {
-			gotJ, timedOut := bestPrefix(a, sub, dist, maxD, opts, &poll)
+			l.CompleteAscending()
+			if l.Levels() != len(layers) {
+				t.Fatalf("%s q=%v: %d levels, the oracle's %d", what, lq, l.Levels(), len(layers))
+			}
+			for d, layer := range layers {
+				if !slices.Equal(l.Level(d), layer) {
+					t.Fatalf("%s q=%v: Level(%d) = %v, the oracle's layer %v", what, lq, d, l.Level(d), layer)
+				}
+			}
+			gotJ, timedOut := bestPrefix(l, sub, opts, &poll)
 			if gotJ != wantJ || timedOut {
 				t.Fatalf("%s q=%v objective=%d: bestPrefix = (%d, %v), removal-based loop keeps %d of %d layers",
 					what, lq, opts.Objective, gotJ, timedOut, wantJ, maxD)
@@ -204,8 +248,8 @@ func checkPrefixSweep(t *testing.T, what string, sub *graph.SubCSR, lq []graph.N
 				}
 			}
 		}
-		b, timedOut := sweepBall(a.g.Layering(sub, protected), sub, opts, &poll)
-		if b.j != wantJ || timedOut || !same(b.st, want[wantJ]) || b.hi != want[wantJ].size {
+		b, timedOut := sweepBall(l, sub, opts, &poll)
+		if b.j != wantJ || timedOut || !same(b.st, want[wantJ]) || l.Levels() <= wantJ {
 			t.Fatalf("%s q=%v objective=%d: sweepBall keeps B_%d %+v (timed out %v), removal-based loop B_%d %+v of %d layers",
 				what, lq, opts.Objective, b.j, b.st, timedOut, wantJ, want[wantJ], maxD)
 		}

@@ -17,10 +17,13 @@ package graph
 // matches the current epoch, so stale contents from earlier queries are
 // unreadable by construction (Poison exploits exactly this contract).
 //
-// A query peels one sub-CSR, so the arena holds one. Views come in two
-// slots because layer pruning needs two views of that sub alive at once:
-// the phase-1 view and the phase-2 prefix view. Entering a slot
-// invalidates whatever it held before.
+// A query peels one sub-CSR, so the arena holds one. No search needs two
+// views of it alive at once: neither pruned phase 1 builds a view. Views,
+// distance and node buffers still come in two slots because
+// dmcsbench/trace.go calls ViewAll(0, ...), Dist(0, ...) and
+// Nodes(0, ...); CHANGES.md's FOUND line on the slots waits for the
+// dmcsbench half of ROADMAP item 1. Entering a slot invalidates whatever
+// it held before.
 type Arena struct {
 	relabel
 
@@ -149,21 +152,23 @@ func (a *Arena) ViewOf(slot int, sub *SubCSR, set []Node) *CSRView {
 	return v
 }
 
-// ViewOfBall returns the slot's view of the ball a Layering of sub
-// reached: alive are exactly the nodes of ball, those with dist <= j
-// (every level up to j complete), and wC and dS are the ball's internal
-// edge count and summed node weights, exact on an unweighted sub, which
-// its caller has counted already. No edge leaves the ball's interior, so
-// only the nodes on level j read their rows, for their alive degrees.
-func (a *Arena) ViewOfBall(slot int, sub *SubCSR, dist []int32, j int32, ball []Node, wC, dS float64) *CSRView {
-	n := sub.NumNodes()
+// ViewOfBall returns the slot's view of the ball l reached by level j,
+// which l must have expanded: alive are exactly the nodes within
+// distance j, and wC and dS are the ball's internal edge count and summed
+// node weights, exact on an unweighted sub, which its caller has counted
+// already. No edge leaves the ball's interior, so only the nodes on level
+// j read their rows, for their alive degrees.
+func (a *Arena) ViewOfBall(slot int, l *Layering, j int32, wC, dS float64) *CSRView {
+	c, dist := l.c, l.dist
+	n := c.NumNodes()
 	v := &a.views[slot]
-	v.c = &sub.flatCSR
+	v.c = c
 	v.alive = growBool(v.alive, n)
 	v.deg = growInt32(v.deg, n)
 	clear(v.alive)
 	clear(v.deg)
-	offsets, targets := sub.offsets, sub.targets
+	offsets, targets := c.offsets, c.targets
+	ball := l.queue[:l.starts[j+1]]
 	for _, u := range ball {
 		v.alive[u] = true
 		if dist[u] < j {
@@ -250,7 +255,9 @@ func (a *Arena) Poison() {
 	poisonInt32(a.dist[0][:cap(a.dist[0])])
 	poisonInt32(a.dist[1][:cap(a.dist[1])])
 	poisonNodes(a.queue[:cap(a.queue)])
-	a.layering = Layering{}
+	starts := a.layering.starts
+	poisonInt32(starts[:cap(starts)])
+	a.layering = Layering{starts: starts}
 	for i := range a.nodes {
 		poisonNodes(a.nodes[i][:cap(a.nodes[i])])
 	}

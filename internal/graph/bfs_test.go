@@ -232,13 +232,15 @@ func crossShapes(t *testing.T) []bfsShape {
 }
 
 // TestLayerBFSCrossCounts is the layering's proof obligation: step by
-// step, Layering must reach the levels the queue BFS computes, list them
-// level by level, report each previous level's summed degrees, and count
-// for every level d the edges with one endpoint at level d-1 and the
-// other at level d exactly as a pair-by-pair count does; past the last
-// level a step returns nothing — on a dirty arena, over every shape of
-// the BFS table and random graphs, with one, several and repeated
-// sources. The test replays the kernel's direction rule from the level
+// step, Layering must reach the levels the queue BFS computes, report
+// each previous level's summed degrees, and count for every level d the
+// edges with one endpoint at level d-1 and the other at level d exactly
+// as a pair-by-pair count does; past the last level a step returns
+// nothing. Its level index must then hold, in Level(d), exactly the
+// nodes of level d, every reached node once, and after
+// CompleteAscending the same levels in ascending ids — on a dirty arena,
+// over every shape of the BFS table and random graphs, with one, several
+// and repeated sources. The test replays the kernel's direction rule from the level
 // sizes (checked against the number of bottom-up levels the kernel
 // reports) and requires all three ways of counting to have run: top-down,
 // bottom-up from the new level, and bottom-up from the frontier.
@@ -268,14 +270,33 @@ func TestLayerBFSCrossCounts(t *testing.T) {
 		}
 		dist := l.Dist()
 		sameDist(t, what, dist, queueBFS(c, nil, sources))
-		reached, prev := 0, int32(0)
-		for _, u := range l.Reached() {
-			if dist[u] < prev || dist[u] == graph.INF {
-				t.Fatalf("%s %v: Reached lists node %d of level %d after level %d", what, sources, u, dist[u], prev)
+		checkLevels := func(stage string, ascending bool) {
+			t.Helper()
+			if l.Levels() != last+1 {
+				t.Fatalf("%s %v %s: %d levels, the steps reached %d", what, sources, stage, l.Levels(), last+1)
 			}
-			prev = dist[u]
-			reached++
+			listed := make([]int, n)
+			for d := 0; d < l.Levels(); d++ {
+				level := l.Level(d)
+				for i, u := range level {
+					if dist[u] != int32(d) {
+						t.Fatalf("%s %v %s: Level(%d) lists node %d of level %d", what, sources, stage, d, u, dist[u])
+					}
+					if ascending && i > 0 && level[i-1] >= u {
+						t.Fatalf("%s %v %s: Level(%d) lists %d after %d", what, sources, stage, d, u, level[i-1])
+					}
+					listed[u]++
+				}
+			}
+			for u, k := range listed {
+				if (k == 1) != (dist[u] != graph.INF) || k > 1 {
+					t.Fatalf("%s %v %s: node %d of level %d listed %d times", what, sources, stage, u, dist[u], k)
+				}
+			}
 		}
+		checkLevels("stepped", false)
+		l.CompleteAscending()
+		checkLevels("ascending", true)
 
 		want := make([]int, n+1)
 		levelNodes, levelEntries := make([]int, n+1), make([]int, n+1)
@@ -291,12 +312,6 @@ func TestLayerBFSCrossCounts(t *testing.T) {
 					want[max(du, dw)]++
 				}
 			}
-		}
-		for _, k := range levelNodes {
-			reached -= k
-		}
-		if reached != 0 {
-			t.Fatalf("%s %v: Reached lists %d nodes more than have a level", what, sources, reached)
 		}
 		for d := range want {
 			if cross[d] != want[d] {

@@ -140,30 +140,32 @@ func enqueueSources(sources []Node, dist []int32, queue []Node) []Node {
 // Layering is levelBFS stopped after every level, for a caller that
 // decides from each level whether it needs the next one: layer pruning,
 // which stops once no larger distance prefix can score better (see
-// internal/dmcs). Arena.Layering starts one at level 0, the sources. Each
-// Step expands one level with levelBFS's kernels and direction rule and
-// also counts the edges between the new level and the one before it:
-// a top-down step counts them while it expands; a bottom-up step stops
-// early, so it counts afterwards from whichever side has fewer entries,
-// the new level's entries into d-1 or the frontier's into d. The cost of
-// layering up to level d is O(n + the entries of levels 0..d-1), counting
-// included. The counting kernels are functions of their own: written out
-// beside the plain loops in one body, they slowed the BFS that counts
-// nothing by 10-20 % on a 16k-node expander (same-binary A/B, 2-vCPU
-// Xeon, Go 1.24).
+// internal/dmcs). It is also the one store of FPA's BFS levels: the queue
+// holds the reached nodes level by level and starts indexes where each
+// level begins, so a peel reads Level(d) in place. Arena.Layering starts
+// one at level 0, the sources. Each Step expands one level with
+// levelBFS's kernels and direction rule and also counts the edges between
+// the new level and the one before it: a top-down step counts them while
+// it expands; a bottom-up step stops early, so it counts afterwards from
+// whichever side has fewer entries, the new level's entries into d-1 or
+// the frontier's into d. The cost of layering up to level d is O(n + the
+// entries of levels 0..d-1), counting included. The counting kernels are
+// functions of their own: written out beside the plain loops in one body,
+// they slowed the BFS that counts nothing by 10-20 % on a 16k-node
+// expander (same-binary A/B, 2-vCPU Xeon, Go 1.24).
 type Layering struct {
-	c     *flatCSR
-	dist  []int32
-	queue []Node // the nodes reached so far, level by level
-	head  int    // where the last level starts in queue
-	d     int32  // the last level
-	reads int    // adjacency entries read so far
+	c      *flatCSR
+	dist   []int32
+	queue  []Node  // the nodes reached so far, level by level
+	starts []int32 // where each level starts in queue, then len(queue)
+	reads  int     // adjacency entries read so far
 
 	unvisited, unvisitedEntries int
 }
 
 // Layering starts a layering of sub from sources in the arena's slot-0
-// distance buffer and its queue, whose spare slot topDownCounting needs.
+// distance buffer and its queue, whose spare slot topDownCounting needs;
+// the level starts keep their buffer from one layering to the next.
 // Entering it again, or taking the slot-0 distance buffer or the queue,
 // ends the layering.
 func (a *Arena) Layering(sub *SubCSR, sources []Node) *Layering {
@@ -177,6 +179,7 @@ func (a *Arena) Layering(sub *SubCSR, sources []Node) *Layering {
 		c:                &sub.flatCSR,
 		dist:             dist,
 		queue:            queue,
+		starts:           append(a.layering.starts[:0], 0, int32(len(queue))),
 		unvisited:        n - len(queue),
 		unvisitedEntries: len(sub.targets),
 	}
@@ -189,15 +192,14 @@ func (a *Arena) Layering(sub *SubCSR, sources []Node) *Layering {
 // it returns an empty level and no cross edges, and reads nothing.
 func (l *Layering) Step() (level []Node, entries, cross int) {
 	c := l.c
-	frontier := l.queue[l.head:]
+	d := int32(len(l.starts) - 1)
+	frontier := l.queue[l.starts[d-1]:]
 	entries = c.entriesOf(frontier)
-	if len(frontier) == 0 || l.unvisited == 0 {
+	if l.unvisited == 0 {
 		return nil, entries, 0
 	}
 	start := len(l.queue)
 	l.unvisitedEntries -= entries
-	l.d++
-	d := l.d
 	var x int32
 	if bfsBottomUpFactor*entries > l.unvisitedEntries+len(l.dist) {
 		var reads int
@@ -213,18 +215,46 @@ func (l *Layering) Step() (level []Node, entries, cross int) {
 		l.queue, x = c.topDownCounting(frontier, l.dist, l.queue, d)
 		l.reads += entries
 	}
-	l.head = start
 	level = l.queue[start:]
+	if len(level) == 0 { // the sources' component is done: stop here
+		l.unvisited = 0
+		return nil, entries, 0
+	}
+	l.starts = append(l.starts, int32(len(l.queue)))
 	l.unvisited -= len(level)
 	return level, entries, int(x)
 }
 
+// CompleteAscending runs the remaining steps and then lists each level in
+// ascending id order: one counting pass over Dist into the same queue
+// slots, each level's start serving as its cursor, after which start d
+// holds where level d+1 begins and the starts shift back one place.
+func (l *Layering) CompleteAscending() {
+	for l.unvisited > 0 {
+		l.Step()
+	}
+	starts, q := l.starts, l.queue
+	for u, d := range l.dist {
+		if d != INF {
+			q[starts[d]] = Node(u)
+			starts[d]++
+		}
+	}
+	copy(starts[1:len(starts)-1], starts)
+	starts[0] = 0
+}
+
+// Levels returns the number of levels expanded so far, level 0 included.
+func (l *Layering) Levels() int { return len(l.starts) - 1 }
+
+// Level returns the nodes of level d < Levels(), in the order they were
+// reached or, after CompleteAscending, ascending. The slice is the
+// layering's own: a caller may reorder it, which changes what Level(d)
+// returns and nothing else.
+func (l *Layering) Level(d int) []Node { return l.queue[l.starts[d]:l.starts[d+1]] }
+
 // Dist returns the levels so far, INF for the nodes not reached yet.
 func (l *Layering) Dist() []int32 { return l.dist }
-
-// Reached returns the nodes reached so far, level by level: the ball of
-// every level it has expanded (do not modify).
-func (l *Layering) Reached() []Node { return l.queue }
 
 // Reads returns the adjacency entries the layering has read so far.
 func (l *Layering) Reads() int { return l.reads }

@@ -207,19 +207,14 @@ func TestArenaViewMatchesFresh(t *testing.T) {
 		for d := int32(0); d <= j; d++ {
 			l.Step()
 		}
-		var ball, sorted []Node
-		for _, u := range l.Reached() {
-			if l.Dist()[u] <= j {
-				ball = append(ball, u)
-			}
-		}
+		var sorted []Node
 		for u, d := range l.Dist() {
 			if d <= j {
 				sorted = append(sorted, Node(u))
 			}
 		}
 		want := NewCSRViewOf(newContiguousCSR(sub.flatCSR), sorted)
-		bv := a.ViewOfBall(1, sub, l.Dist(), j, ball, want.InternalWeight(), want.NodeWeightSum())
+		bv := a.ViewOfBall(1, l, j, want.InternalWeight(), want.NodeWeightSum())
 		compareViews(t, "ViewOfBall", bv, want)
 	}
 }

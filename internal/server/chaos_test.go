@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -251,7 +252,7 @@ func TestChaosServingStorm(t *testing.T) {
 	faultinject.Reset()
 	for c := 0; c < islands; c++ {
 		q := dmcsref.Query{Nodes: []int{c * size}, Peel: dmcsref.Peel{Variant: "FPA", Pruning: true}}
-		res, err := eng.Search(t.Context(), engine.Query{Nodes: []graph.Node{graph.Node(c * size)}, Opts: optsFPA()})
+		res, err := eng.Search(context.Background(), engine.Query{Nodes: []graph.Node{graph.Node(c * size)}, Opts: optsFPA()})
 		if err != nil {
 			t.Fatalf("post-storm query on island %d: %v", c, err)
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,7 +117,7 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("size %d vs community %d", resp.Size, len(resp.Community))
 	}
 	// Must match the engine answering directly.
-	direct, err := eng.Search(t.Context(), engine.Query{
+	direct, err := eng.Search(context.Background(), engine.Query{
 		Nodes: []graph.Node{0, 1},
 		Opts:  optsFPA(),
 	})
