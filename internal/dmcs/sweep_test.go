@@ -261,14 +261,19 @@ func checkPrefixSweep(t *testing.T, what string, sub *graph.SubCSR, lq []graph.N
 // graphs (lfr.Default(), seed 1) at n = 1000, 4000 and 5000 from 64
 // one-node query sets each, drawn as paper-lfr draws them (truss-4 nodes
 // of ground-truth communities), and counts the adjacency entries that
-// phase 1 and the ball view read. Summed over the sets they must stay
-// within a third of the searched components' entries (2|E| each) at
-// n = 5000, the paper's size — layering whole components reads most of
-// them — and grow less than 8 times from n = 1000 to 4000. At n = 1000
+// phase 1 and the ball view read. Per set, phase 1's layering must read
+// no more than the entries of the levels it stepped from, what stepping
+// every level top-down reads, which a bottom-up step that counts its
+// cross edges from the frontier side breaks. Summed over the sets the
+// reads must stay within a third of the searched components' entries
+// (2|E| each) at n = 5000, the paper's size — layering whole components
+// reads most of them — and grow less than 8 times from n = 1000 to 4000.
+// They come to 0.575, 0.356 and 0.260 of the entries at n = 1000, 4000
+// and 5000. At n = 1000
 // the fraction is only logged: there lfr.Default()'s degree cap of 300
 // puts about three quarters of the component within two hops, and
 // scoring that ball exactly, which most sets need, means counting the
-// edges between levels 2 and 3: about 0.3 of the entries on its own.
+// edges between levels 2 and 3, reading level 2's entries.
 func TestFPAPrunedWork(t *testing.T) {
 	sizes := []int{1000, 4000, 5000}
 	reads := make([]int, len(sizes))
@@ -282,17 +287,44 @@ func TestFPAPrunedWork(t *testing.T) {
 		csr := graph.NewCSR(res.G)
 		compID, comps := res.G.Components()
 		subs := map[int32]*graph.SubCSR{}
-		a, entries := NewArena(), 0
+		a, entries, over := NewArena(), 0, 0
+		opts := Options{LayerPruning: true}
 		for _, q := range queries.Generate(res.G, res.Communities, queries.Options{NumSets: 64, Size: 1, TrussK: 4, Seed: 1}) {
 			id := compID[q[0]]
-			if subs[id] == nil {
-				subs[id] = graph.NewSubCSR(csr, comps[id])
+			sub := subs[id]
+			if sub == nil {
+				sub = graph.NewSubCSR(csr, comps[id])
+				subs[id] = sub
 			}
-			if _, err := SearchSub(a, subs[id], q, comps[id], VariantFPA, Options{LayerPruning: true}); err != nil {
+			if _, err := SearchSub(a, sub, q, comps[id], VariantFPA, opts); err != nil {
 				t.Fatal(err)
 			}
 			reads[i] += a.prunedReads()
-			entries += 2 * subs[id].NumEdges()
+			entries += 2 * sub.NumEdges()
+
+			// Phase 1 once more on its own, to hold its layering to the
+			// all-top-down cost: the entries of the levels it stepped from.
+			var poll deadlinePoller
+			l := a.g.Layering(sub, steinerProtect(a, sub, a.localQ))
+			b, _ := sweepBall(l, sub, opts, &poll)
+			if got := l.Reads() + b.outerEntries; got != a.prunedReads() {
+				t.Fatalf("n=%d q=%v: phase 1 replayed reads %d entries, the search %d", n, q, got, a.prunedReads())
+			}
+			topDown := 0
+			for d := 0; d < l.Levels()-1; d++ {
+				for _, u := range l.Level(d) {
+					topDown += sub.Degree(u)
+				}
+			}
+			if l.Reads() > topDown {
+				if over == 0 {
+					t.Errorf("n=%d q=%v: phase 1's layering read %d entries, top-down from its %d levels reads %d", n, q, l.Reads(), l.Levels()-1, topDown)
+				}
+				over++
+			}
+		}
+		if over > 0 {
+			t.Errorf("n=%d: %d sets' layerings read more than top-down", n, over)
 		}
 		t.Logf("n=%d: read %d of %d component entries (%.3f)", n, reads[i], entries, float64(reads[i])/float64(entries))
 		if n == 5000 && 3*reads[i] > entries {

@@ -74,9 +74,11 @@ func BenchmarkWhaleFPASerial(b *testing.B) {
 // arena), so nothing but the peel is timed. Unlike the degree-6 expander
 // above it has degree skew (d_max 300) and two BFS layers that hold
 // almost every node: the fixture on which phase 1 stops layering early,
-// once its bound rules out every larger ball, and on which the layering
-// step's bottom-up direction runs when it does go on. One untimed search
-// grows the arena, so allocs/op counts a warm search only.
+// once its bound rules out every larger ball. Its steps go top-down on
+// almost every query (one of the first 200 takes a bottom-up step): a
+// counted bottom-up step pays only once the frontier's entries exceed
+// twice the unvisited ones, and phase 1 stops before that. One untimed
+// search grows the arena, so allocs/op counts a warm search only.
 func BenchmarkWhaleFPAPruningLFR(b *testing.B) {
 	cfg := lfr.Default()
 	cfg.N = whaleNodes

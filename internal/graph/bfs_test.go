@@ -8,6 +8,7 @@ import (
 	"dmcs/internal/gen"
 	"dmcs/internal/graph"
 	"dmcs/internal/lfr"
+	"dmcs/internal/queries"
 )
 
 // This file is in the external test package because it needs internal/lfr
@@ -210,8 +211,9 @@ func TestBFSBottomUpLevelsBounded(t *testing.T) {
 }
 
 // crossShapes extends the BFS table with the shapes the cross counts
-// need beyond it: a level expanded bottom-up whose frontier has fewer
-// entries than the level it reaches (a source, ten nodes joined to all of
+// need beyond it: a level whose frontier has fewer entries than the level
+// it reaches, which levelBFS expands bottom-up and Layering, counting
+// from the smaller side, top-down (a source, ten nodes joined to all of
 // twenty more, those twenty on a ring), and a one-node graph.
 func crossShapes(t *testing.T) []bfsShape {
 	const a, b = 10, 20
@@ -240,12 +242,14 @@ func crossShapes(t *testing.T) []bfsShape {
 // nodes of level d, every reached node once, and after
 // CompleteAscending the same levels in ascending ids — on a dirty arena,
 // over every shape of the BFS table and random graphs, with one, several
-// and repeated sources. The test replays the kernel's direction rule from the level
-// sizes (checked against the number of bottom-up levels the kernel
-// reports) and requires all three ways of counting to have run: top-down,
-// bottom-up from the new level, and bottom-up from the frontier.
+// and repeated sources. No step may read more adjacency entries than its
+// frontier holds, which is what a top-down step reads. The test replays
+// both direction rules from the level sizes: Step's, level by level,
+// against the layering's own bottom-up steps, and levelBFS's against the
+// number of bottom-up levels the kernel reports. It requires the
+// layering to have taken steps both ways.
 func TestLayerBFSCrossCounts(t *testing.T) {
-	var topDown, fromNew, fromFrontier int
+	var topDown, bottomUp int
 	a := graph.NewArena()
 	check := func(what string, c *graph.CSR, sources []graph.Node) {
 		t.Helper()
@@ -256,10 +260,16 @@ func TestLayerBFSCrossCounts(t *testing.T) {
 		a.Poison()
 		l := a.Layering(sub, sources)
 		cross, entries := make([]int, n+1), make([]int, n+1)
+		up := make([]bool, n+2) // up[d]: level d was expanded bottom-up
 		last := 0
 		for d := 1; ; d++ {
+			reads, ups := l.Reads(), l.BottomUpSteps()
 			level, e, x := l.Step()
 			entries[d-1] = e
+			up[d] = l.BottomUpSteps() > ups
+			if read := l.Reads() - reads; read > e {
+				t.Fatalf("%s %v: the step to level %d read %d entries, its frontier has %d", what, sources, d, read, e)
+			}
 			if len(level) == 0 {
 				if x != 0 {
 					t.Fatalf("%s %v: the step past the last level counts %d cross edges", what, sources, x)
@@ -322,28 +332,31 @@ func TestLayerBFSCrossCounts(t *testing.T) {
 			}
 		}
 
-		// Replay the direction rule: the step for level d runs while
+		// Replay both direction rules: the step for level d runs while
 		// level d-1 is non-empty and some node is unreached.
-		bottomUp, reached, unvisitedEntries := 0, 0, 2*c.NumEdges()
+		kernelUp, reached, unvisitedEntries := 0, 0, 2*c.NumEdges()
 		for d := 1; d <= n && levelNodes[d-1] > 0; d++ {
 			reached += levelNodes[d-1]
 			if reached == n {
 				break
 			}
-			unvisitedEntries -= levelEntries[d-1]
-			if graph.BFSBottomUpFactor*levelEntries[d-1] <= unvisitedEntries+n {
-				topDown++
-				continue
+			f := levelEntries[d-1]
+			unvisitedEntries -= f
+			if graph.BFSBottomUpFactor*f > unvisitedEntries+n {
+				kernelUp++
 			}
-			bottomUp++
-			if levelEntries[d] <= levelEntries[d-1] {
-				fromNew++
+			want := graph.BFSBottomUpFactor*(f-2*unvisitedEntries) > n
+			if up[d] != want {
+				t.Fatalf("%s %v: level %d expanded bottom-up %v, the replayed rule says %v", what, sources, d, up[d], want)
+			}
+			if want {
+				bottomUp++
 			} else {
-				fromFrontier++
+				topDown++
 			}
 		}
-		if got := c.BFSBottomUpLevels(sources); got != bottomUp {
-			t.Fatalf("%s %v: kernel took %d bottom-up levels, the replayed rule %d", what, sources, got, bottomUp)
+		if got := c.BFSBottomUpLevels(sources); got != kernelUp {
+			t.Fatalf("%s %v: kernel took %d bottom-up levels, the replayed rule %d", what, sources, got, kernelUp)
 		}
 	}
 	for _, sh := range crossShapes(t) {
@@ -363,10 +376,10 @@ func TestLayerBFSCrossCounts(t *testing.T) {
 		}
 		check("random", c, sources)
 	}
-	if topDown == 0 || fromNew == 0 || fromFrontier == 0 {
-		t.Fatalf("counted %d levels top-down, %d bottom-up from the new level, %d bottom-up from the frontier; every way must run", topDown, fromNew, fromFrontier)
+	if topDown == 0 || bottomUp == 0 {
+		t.Fatalf("layered %d levels top-down and %d bottom-up; both ways must run", topDown, bottomUp)
 	}
-	t.Logf("levels counted top-down %d, bottom-up from the new level %d, from the frontier %d", topDown, fromNew, fromFrontier)
+	t.Logf("levels layered top-down %d, bottom-up %d", topDown, bottomUp)
 }
 
 // BenchmarkLayeringBFS times the BFS that layers a query's component, on
@@ -416,4 +429,48 @@ func BenchmarkLayeringBFS(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkLayeringPaperLFR times the layering pruned FPA's phase 1 runs
+// on dmcsbench's paper-lfr workload: a counted Layering of the query's
+// component on lfr.Default(), stepped three levels (as far as phase 1
+// goes on these sets) from each of its 128 truss-4 single-node query
+// sets in turn. It reports the adjacency entries read per layering
+// beside the time.
+func BenchmarkLayeringPaperLFR(b *testing.B) {
+	res, err := lfr.Generate(lfr.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	csr := graph.NewCSR(res.G)
+	compID, comps := csr.Components()
+	subs := map[int32]*graph.SubCSR{}
+	type layering struct {
+		sub *graph.SubCSR
+		src []graph.Node
+	}
+	var sets []layering
+	for _, q := range queries.Generate(res.G, res.Communities, queries.Options{NumSets: 128, Size: 1, TrussK: 4, Seed: 1}) {
+		id := compID[q[0]]
+		if subs[id] == nil {
+			subs[id] = graph.NewSubCSR(csr, comps[id])
+		}
+		u, _ := subs[id].LocalOf(q[0])
+		sets = append(sets, layering{subs[id], []graph.Node{u}})
+	}
+	if len(sets) == 0 {
+		b.Fatal("no query sets generated")
+	}
+	a := graph.NewArena()
+	reads := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		set := sets[i%len(sets)]
+		l := a.Layering(set.sub, set.src)
+		for d := 0; d < 3; d++ {
+			l.Step()
+		}
+		reads += l.Reads()
+	}
+	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
 }

@@ -5,6 +5,10 @@ package graph
 
 const BFSBottomUpFactor = bfsBottomUpFactor
 
+// BottomUpSteps reports how many levels the layering has expanded
+// bottom-up so far.
+func (l *Layering) BottomUpSteps() int { return l.bottomUp }
+
 // BFSBottomUpLevels runs the BFS kernel from sources over the whole
 // snapshot and reports how many levels it expanded bottom-up.
 func (c *CSR) BFSBottomUpLevels(sources []Node) int {

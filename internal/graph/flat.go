@@ -76,7 +76,8 @@ const bfsBottomUpFactor = 4
 // Sources that are not INF — excluded or repeated — are skipped. It
 // writes every reached node's level into dist and returns how many
 // levels it expanded bottom-up. Layering runs the same levels one at a
-// time, with the same kernels and direction rule.
+// time with the same kernels, but by a direction rule of its own, as it
+// also counts (see Layering).
 //
 // A level is expanded top-down (every frontier node claims its INF
 // neighbours: one read per frontier entry) while the frontier is light,
@@ -144,21 +145,32 @@ func enqueueSources(sources []Node, dist []int32, queue []Node) []Node {
 // holds the reached nodes level by level and starts indexes where each
 // level begins, so a peel reads Level(d) in place. Arena.Layering starts
 // one at level 0, the sources. Each Step expands one level with
-// levelBFS's kernels and direction rule and also counts the edges between
-// the new level and the one before it: a top-down step counts them while
-// it expands; a bottom-up step stops early, so it counts afterwards from
-// whichever side has fewer entries, the new level's entries into d-1 or
-// the frontier's into d. The cost of layering up to level d is O(n + the
-// entries of levels 0..d-1), counting included. The counting kernels are
-// functions of their own: written out beside the plain loops in one body,
-// they slowed the BFS that counts nothing by 10-20 % on a 16k-node
-// expander (same-binary A/B, 2-vCPU Xeon, Go 1.24).
+// levelBFS's kernels and also counts the edges between the new level and
+// the one before it. A top-down step counts them while it expands,
+// reading the frontier's entries once. A bottom-up step stops at each
+// unvisited node's first parent, so it counts afterwards, from the new
+// level's entries into d-1: with U the unvisited entries, it reads at
+// most U for the partial rows and at most U more for the count. Step
+// therefore goes bottom-up only when
+//
+//	bfsBottomUpFactor * (frontierEntries - 2U) > n,
+//
+// that is, when the frontier's entries exceed 2U, all a counted
+// bottom-up step can read, by n/bfsBottomUpFactor, the margin levelBFS
+// leaves for the pass over the node ids. So a counted step never reads
+// more entries than top-down would, and the new level is always the side
+// with fewer entries. The cost of layering up to level d is O(n + the entries of
+// levels 0..d-1), counting included. The counting kernels are functions
+// of their own: written out beside the plain loops in one body, they
+// slowed the BFS that counts nothing by 10-20 % on a 16k-node expander
+// (same-binary A/B, 2-vCPU Xeon, Go 1.24).
 type Layering struct {
-	c      *flatCSR
-	dist   []int32
-	queue  []Node  // the nodes reached so far, level by level
-	starts []int32 // where each level starts in queue, then len(queue)
-	reads  int     // adjacency entries read so far
+	c        *flatCSR
+	dist     []int32
+	queue    []Node  // the nodes reached so far, level by level
+	starts   []int32 // where each level starts in queue, then len(queue)
+	reads    int     // adjacency entries read so far
+	bottomUp int     // levels expanded bottom-up so far
 
 	unvisited, unvisitedEntries int
 }
@@ -201,16 +213,12 @@ func (l *Layering) Step() (level []Node, entries, cross int) {
 	start := len(l.queue)
 	l.unvisitedEntries -= entries
 	var x int32
-	if bfsBottomUpFactor*entries > l.unvisitedEntries+len(l.dist) {
-		var reads int
+	if bfsBottomUpFactor*(entries-2*l.unvisitedEntries) > len(l.dist) {
+		var reads, reached int
 		l.queue, reads = c.bottomUpStep(l.dist, l.queue, d)
-		level = l.queue[start:]
-		if reached := c.entriesOf(level); reached <= entries {
-			x, reads = c.entriesTo(level, l.dist, d-1), reads+reached
-		} else {
-			x, reads = c.entriesTo(frontier, l.dist, d), reads+entries
-		}
-		l.reads += reads
+		x, reached = c.entriesTo(l.queue[start:], l.dist, d-1)
+		l.reads += reads + reached
+		l.bottomUp++
 	} else {
 		l.queue, x = c.topDownCounting(frontier, l.dist, l.queue, d)
 		l.reads += entries
@@ -328,15 +336,17 @@ func (c *flatCSR) topDownCounting(frontier []Node, dist []int32, queue []Node, d
 	return q[:n], x
 }
 
-// entriesTo counts the adjacency entries of nodes that lead to level.
-func (c *flatCSR) entriesTo(nodes []Node, dist []int32, level int32) int32 {
-	x := int32(0)
+// entriesTo counts the adjacency entries of nodes that lead to level and
+// returns it with the entries it read, all of the nodes'.
+func (c *flatCSR) entriesTo(nodes []Node, dist []int32, level int32) (x int32, reads int) {
 	for _, u := range nodes {
-		for _, w := range c.targets[c.offsets[u]:c.offsets[u+1]] {
+		row := c.targets[c.offsets[u]:c.offsets[u+1]]
+		reads += len(row)
+		for _, w := range row {
 			x += b2i(dist[w] == level)
 		}
 	}
-	return x
+	return x, reads
 }
 
 // b2i is 1 for true and 0 for false; the compiler emits a flag move, not
